@@ -17,6 +17,14 @@ L-smooth relative to rho with
 The concrete parameterization xi = 2, H = 6 M_{p+1}/(p-1)! gives mu = 1/2,
 L = 3/2, kappa = 1/3.
 
+The even Taylor terms are anchored at the fixed y, so their scalar data are
+constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
+residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
+``AnchorStack``), and rho, grad rho and the Hessians of rho contract
+those weights against x - y on every call. The oracle's ``calls_by_order``
+still names every order consumed, but counts the anchor's orders once per
+scaling function rather than once per call.
+
 For p = 3 these constants follow from the bracket
 |D^3 f(y)[h][u,u]| <= D^2 f(y)[u,u]/xi + xi M_4 |h|^2 |u|^2/2 (convexity of f
 on y +- xi h) together with D^2 d(h) >= |h|^{p-1}. For p >= 4 the bracket
@@ -37,6 +45,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metric import MetricSpace, PowerProx
+from .oracles import AnchorStack
 
 
 class ScalingFunction:
@@ -54,13 +63,14 @@ class ScalingFunction:
         self.h = float(h)
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.anchor))
         self.pp = PowerProx(self.p, self.metric)
-        oracle.check_domain(self.anchor)
+        # the anchor's residuals and even-order weights, once per scaling function
+        self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
     # -- polynomial (even Taylor) part ----------------------------------
     def poly_value(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return sum(
-            self.oracle.directional(self.anchor, d, 2 * k) / math.factorial(2 * k)
+            self.stack.directional(d, 2 * k) / math.factorial(2 * k)
             for k in range(1, self.q + 1)
         )
 
@@ -68,9 +78,7 @@ class ScalingFunction:
         d = np.asarray(x, dtype=float) - self.anchor
         out = np.zeros_like(d)
         for k in range(1, self.q + 1):
-            out = out + self.oracle.even_tensor_apply(self.anchor, d, 2 * k, d) / math.factorial(
-                2 * k - 1
-            )
+            out = out + self.stack.apply(d, 2 * k, d) / math.factorial(2 * k - 1)
         return out
 
     def poly_hessian_matrix(self, x):
@@ -78,9 +86,7 @@ class ScalingFunction:
         n = len(d)
         out = np.zeros((n, n))
         for k in range(1, self.q + 1):
-            out = out + self.oracle.even_tensor_matrix(self.anchor, d, 2 * k) / math.factorial(
-                2 * k - 2
-            )
+            out = out + self.stack.matrix(d, 2 * k) / math.factorial(2 * k - 2)
         return out
 
     # -- full scaling function -------------------------------------------
@@ -97,9 +103,7 @@ class ScalingFunction:
         u = np.asarray(u, dtype=float)
         out = self.h * self.pp.hessian_form(d, u)
         for k in range(1, self.q + 1):
-            out += self.oracle.even_tensor_form(self.anchor, d, 2 * k, u) / math.factorial(
-                2 * k - 2
-            )
+            out += self.stack.form(d, 2 * k, u) / math.factorial(2 * k - 2)
         return out
 
     def hessian_matrix(self, x):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .acceptance import ProxConfig, acceptable_interval_1d, check_acceptable
 from .bregman import bilevel_h
-from .errors import NumericalError, CertificateError
+from .errors import CertificateError, NumericalError, ParameterError
 from .outer import (
     aihopp_run,
     biopt_run,
@@ -123,7 +123,12 @@ def _solver_pieces(cfg, prob):
     m = cfg.m if cfg.m is not None else prob.m_next(p)
     h = cfg.h
     if h is None:
-        h = bilevel_h(p, m) if (np.isfinite(m) and m > 0) else 3.0
+        if not (np.isfinite(m) and m > 0):
+            raise ParameterError(
+                "%s declares M_%d = %r at p = %d, so H cannot be derived from it; "
+                "pass --h (or a finite positive --m)" % (prob.name, p + 1, m, p)
+            )
+        h = bilevel_h(p, m)
     pcfg = ProxConfig(p, h, beta, metric=prob.metric)
     if prob.dimension == 1:
         provider = exact_prox_provider(prob.oracle, prob.term, pcfg)

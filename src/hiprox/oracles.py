@@ -10,8 +10,18 @@ whose k-th directional tensors reduce to scalar derivatives,
     D^{2k} f(y)[h]^{2k-2} u = sum_i f_i^(2k)(t_i) <a_i, h>^{2k-2} <a_i, u> a_i.
 
 ``QuadraticObjective`` covers f(x) = x'Qx/2 + <c, x> (all tensors of order
->= 3 vanish). Scalar-derivative evaluations are counted per order in
-``calls_by_order`` so a run can certify which derivative orders it consumed.
+>= 3 vanish).
+
+Every directional contraction goes through one set of helpers that take the
+order-k derivative data at a point (``_weights``): ``_form`` gives
+D^k f[h]^k, ``_apply`` and ``_matrix`` the even tensors D^{2k} f[h]^{2k-2}.
+``AnchorStack`` holds that data for the even orders 2, ..., 2q at a fixed
+anchor y, evaluated once; a scaling function anchored at y (``bregman``)
+contracts it against a new h on every call without evaluating a scalar
+derivative again. Scalar-derivative evaluations are counted per order in
+``calls_by_order``, so a run can certify which derivative orders it
+consumed; the anchor's even orders are counted once per ``AnchorStack``, not
+once per use.
 """
 
 from __future__ import annotations
@@ -72,7 +82,8 @@ class SmoothOracle:
 
     def directional(self, x, h, k):
         """D^k f(x)[h]^k."""
-        raise NotImplementedError
+        h = self._check_vec(h)
+        return self._form(self._weights(x, k), h, k)
 
     def tensor_apply(self, x, h, k):
         """D^k f(x)[h]^{k-1} as a covector (k >= 1; h ignored for k = 1)."""
@@ -83,25 +94,75 @@ class SmoothOracle:
         raise NotImplementedError
 
     def even_tensor_apply(self, y, h, two_k, u):
-        if two_k % 2 != 0 or two_k < 2:
-            raise ParameterError("tensor order must be even and >= 2")
-        return self._even_apply(y, h, two_k, u)
+        return AnchorStack(self, y, (two_k,)).apply(h, two_k, u)
 
     def even_tensor_form(self, y, h, two_k, u):
-        u = self._check_vec(u)
-        return float(np.dot(self.even_tensor_apply(y, h, two_k, u), u))
+        return AnchorStack(self, y, (two_k,)).form(h, two_k, u)
 
     def even_tensor_matrix(self, y, h, two_k):
         """Dense D^{2k} f(y)[h]^{2k-2} as a symmetric matrix."""
-        if two_k % 2 != 0 or two_k < 2:
-            raise ParameterError("tensor order must be even and >= 2")
-        return self._even_matrix(y, h, two_k)
+        return AnchorStack(self, y, (two_k,)).matrix(h, two_k)
 
-    def _even_apply(self, y, h, two_k, u):
+    # -- the tensor algebra, on the order-k data at one point ---------------
+    def _weights(self, x, k):
+        """Order-k derivative data at x; records its scalar evaluations."""
         raise NotImplementedError
 
-    def _even_matrix(self, y, h, two_k):
+    def _form(self, w, h, k):
+        """D^k f[h]^k from the order-k data w."""
         raise NotImplementedError
+
+    def _apply(self, w, h, k, u):
+        """D^k f[h]^{k-2} u from the order-k data w (k even)."""
+        raise NotImplementedError
+
+    def _matrix(self, w, h, k):
+        """Dense D^k f[h]^{k-2} from the order-k data w (k even)."""
+        raise NotImplementedError
+
+
+class AnchorStack:
+    """Even-order derivative data of an oracle at a fixed anchor y.
+
+    The data of each order in ``orders`` is evaluated (and recorded in
+    ``calls_by_order``) once, here. ``directional(h, 2k)``,
+    ``apply(h, 2k, u)``, ``form(h, 2k, u)`` and ``matrix(h, 2k)`` then equal
+    ``oracle.directional(y, h, 2k)``, ``oracle.even_tensor_apply(y, h, 2k, u)``,
+    ``oracle.even_tensor_form(y, h, 2k, u)`` and
+    ``oracle.even_tensor_matrix(y, h, 2k)`` bit for bit, since those oracle
+    methods are these with a stack built on the spot.
+    """
+
+    def __init__(self, oracle, y, orders):
+        self.oracle = oracle
+        self.weights = {}
+        for two_k in orders:
+            if two_k % 2 != 0 or two_k < 2:
+                raise ParameterError("tensor order must be even and >= 2")
+            self.weights[two_k] = oracle._weights(y, two_k)
+
+    def directional(self, h, two_k):
+        """D^{2k} f(y)[h]^{2k}."""
+        h = self.oracle._check_vec(h)
+        return self.oracle._form(self.weights[two_k], h, two_k)
+
+    def apply(self, h, two_k, u):
+        """D^{2k} f(y)[h]^{2k-2} u."""
+        u = self.oracle._check_vec(u)
+        return self.oracle._apply(self.weights[two_k], h, two_k, u)
+
+    def form(self, h, two_k, u):
+        """D^{2k} f(y)[h]^{2k-2}[u, u]."""
+        u = self.oracle._check_vec(u)
+        return float(np.dot(self.apply(h, two_k, u), u))
+
+    def matrix(self, h, two_k):
+        """Dense D^{2k} f(y)[h]^{2k-2}."""
+        return self.oracle._matrix(self.weights[two_k], h, two_k)
+
+    def hessian(self):
+        """Dense D^2 f(y)."""
+        return self.matrix(None, 2)
 
 
 class SeparableObjective(SmoothOracle):
@@ -158,18 +219,11 @@ class SeparableObjective(SmoothOracle):
         return self.a.T @ self._derivs(t, 1)
 
     def hessian_matrix(self, x):
-        t = self.residuals(x)
-        return (self.a * self._derivs(t, 2)[:, None]).T @ self.a
+        return self._matrix(self._weights(x, 2), None, 2)
 
     def hessian_apply(self, x, u):
-        t = self.residuals(x)
-        u = self._check_vec(u)
-        return self.a.T @ (self._derivs(t, 2) * (self.a @ u))
-
-    def directional(self, x, h, k):
-        t = self.residuals(x)
-        h = self._check_vec(h)
-        return float(np.dot(self._derivs(t, k), (self.a @ h) ** k))
+        w = self._weights(x, 2)
+        return self._apply(w, None, 2, self._check_vec(u))
 
     def tensor_apply(self, x, h, k):
         t = self.residuals(x)
@@ -179,33 +233,28 @@ class SeparableObjective(SmoothOracle):
         return self.a.T @ (self._derivs(t, k) * (self.a @ h) ** (k - 1))
 
     def tensor_form2(self, x, h, k, u):
-        t = self.residuals(x)
+        w = self._weights(x, k)
         u = self._check_vec(u)
+        return float(np.dot(self._scaled(w, h, k), (self.a @ u) ** 2))
+
+    # the scalar derivatives f_i^(k)(t_i) are the order-k data
+    def _weights(self, x, k):
+        return self._derivs(self.residuals(x), k)
+
+    def _scaled(self, w, h, k):
+        """w_i <a_i, h>^(k-2): the row weights of D^k f[h]^{k-2}."""
         if k == 2:
-            w = self._derivs(t, 2)
-        else:
-            h = self._check_vec(h)
-            w = self._derivs(t, k) * (self.a @ h) ** (k - 2)
-        return float(np.dot(w, (self.a @ u) ** 2))
+            return w
+        return w * (self.a @ self._check_vec(h)) ** (k - 2)
 
-    def _even_apply(self, y, h, two_k, u):
-        t = self.residuals(y)
-        u = self._check_vec(u)
-        if two_k == 2:
-            w = self._derivs(t, 2)
-        else:
-            h = self._check_vec(h)
-            w = self._derivs(t, two_k) * (self.a @ h) ** (two_k - 2)
-        return self.a.T @ (w * (self.a @ u))
+    def _form(self, w, h, k):
+        return float(np.dot(w, (self.a @ h) ** k))
 
-    def _even_matrix(self, y, h, two_k):
-        t = self.residuals(y)
-        if two_k == 2:
-            w = self._derivs(t, 2)
-        else:
-            h = self._check_vec(h)
-            w = self._derivs(t, two_k) * (self.a @ h) ** (two_k - 2)
-        return (self.a * w[:, None]).T @ self.a
+    def _apply(self, w, h, k, u):
+        return self.a.T @ (self._scaled(w, h, k) * (self.a @ u))
+
+    def _matrix(self, w, h, k):
+        return (self.a * self._scaled(w, h, k)[:, None]).T @ self.a
 
 
 class QuadraticObjective(SmoothOracle):
@@ -241,17 +290,12 @@ class QuadraticObjective(SmoothOracle):
         return self.q @ x + self.c
 
     def hessian_matrix(self, x):
-        self._record(2, 1)
-        return self.q.copy()
+        return self._matrix(self._weights(x, 2), None, 2)
 
     def directional(self, x, h, k):
-        h = self._check_vec(h)
         if k == 1:
-            return float(np.dot(self.gradient(x), h))
-        if k == 2:
-            self._record(2, 1)
-            return float(h @ self.q @ h)
-        return 0.0
+            return float(np.dot(self.gradient(x), self._check_vec(h)))
+        return super().directional(x, h, k)
 
     def tensor_apply(self, x, h, k):
         if k == 1:
@@ -268,17 +312,22 @@ class QuadraticObjective(SmoothOracle):
             return float(u @ self.q @ u)
         return 0.0
 
-    def _even_apply(self, y, h, two_k, u):
-        if two_k == 2:
+    # Q is the order-2 data; higher orders are None (zero tensors)
+    def _weights(self, x, k):
+        if k == 2:
             self._record(2, 1)
-            return self.q @ self._check_vec(u)
-        return np.zeros(self.dimension)
+            return self.q
+        return None
 
-    def _even_matrix(self, y, h, two_k):
-        if two_k == 2:
-            self._record(2, 1)
-            return self.q.copy()
-        return np.zeros((self.dimension, self.dimension))
+    def _form(self, w, h, k):
+        return 0.0 if w is None else float(h @ w @ h)
+
+    def _apply(self, w, h, k, u):
+        return np.zeros(self.dimension) if w is None else w @ u
+
+    def _matrix(self, w, h, k):
+        n = self.dimension
+        return np.zeros((n, n)) if w is None else w.copy()
 
 
 # ---------------------------------------------------------------------------

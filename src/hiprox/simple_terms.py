@@ -15,6 +15,8 @@ exact 1-D prox to round its constructive subgradient into the set).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ParameterError
@@ -24,6 +26,16 @@ _INF = np.inf
 
 def _soft(v, thr):
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+
+
+def _soft_float(v, thr):
+    """``_soft`` on Python floats, signed zeros included (np.sign(-0.0) is +0.0)."""
+    m = max(abs(v) - thr, 0.0)
+    if v > 0.0:
+        return m
+    if v < 0.0:
+        return -m
+    return 0.0 * m if v == 0.0 else v
 
 
 class SimpleTerm:
@@ -62,7 +74,11 @@ class SimpleTerm:
 
     # -- coordinatewise interface (separable kinds) ---------------------
     def coordinate_min(self, i, lin, quad):
-        """argmin_z (quad/2) z^2 + lin z + psi_i(z) for coordinate i."""
+        """argmin_z (quad/2) z^2 + lin z + psi_i(z) for coordinate i.
+
+        Takes and returns Python floats: coordinate descent calls it once per
+        coordinate and sweep, where numpy scalar arithmetic would dominate.
+        """
         raise CapabilityError("%s has no coordinatewise form" % self.kind)
 
     # -- 1-D helpers for the univariate composite minimizer -------------
@@ -117,7 +133,7 @@ class L1Term(SimpleTerm):
         return out
 
     def coordinate_min(self, i, lin, quad):
-        return float(_soft(np.asarray(-lin / quad), self.lam / quad))
+        return _soft_float(-lin / quad, self.lam / quad)
 
     def deriv_right_1d(self, x):
         return self.lam if x >= 0 else -self.lam
@@ -179,6 +195,15 @@ class BoxTerm(SimpleTerm):
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ParameterError("box bounds must satisfy lo <= hi elementwise")
 
+    # the bounds as Python floats for coordinate_min, built on first use
+    @cached_property
+    def _lo_list(self):
+        return self.lo.tolist()
+
+    @cached_property
+    def _hi_list(self):
+        return self.hi.tolist()
+
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
@@ -205,7 +230,8 @@ class BoxTerm(SimpleTerm):
         return out
 
     def coordinate_min(self, i, lin, quad):
-        return float(np.clip(-lin / quad, self.lo[i], self.hi[i]))
+        # np.clip on a scalar, with the same signed zeros and NaN
+        return min(max(-lin / quad, self._lo_list[i]), self._hi_list[i])
 
     def interval_1d(self):
         return (float(self.lo[0]), float(self.hi[0]))

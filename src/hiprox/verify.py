@@ -167,7 +167,8 @@ def suite_bregman(seed=0):
     h = bilevel_h(p, m)
     anchor = np.asarray(prob.x0, dtype=float)
     sf = ScalingFunction(prob.oracle, anchor, p, h)
-    worst = 0.0
+    worst = -np.inf
+    nonneg_worst = -np.inf
     for _ in range(200):
         x = rng.uniform(prob.sample_lo, prob.sample_hi)
         y = rng.uniform(prob.sample_lo, prob.sample_hi)
@@ -175,12 +176,13 @@ def suite_bregman(seed=0):
         lhs = bregman_distance(sf, x, z) - bregman_distance(sf, y, z) + bregman_distance(sf, y, x)
         rhs = float(np.dot(sf.gradient(y) - sf.gradient(x), z - x))
         worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, -bregman_distance(sf, x, y))
+        nonneg_worst = max(nonneg_worst, -bregman_distance(sf, x, y))
     results.append(CheckResult("bregman", "three-point identity", worst, 1e-10))
+    results.append(CheckResult("bregman", "Bregman nonnegativity", nonneg_worst, 1e-10))
 
-    descent_worst = 0.0
-    contraction_worst = 0.0
-    residual_worst = 0.0
+    descent_worst = -np.inf
+    contraction_worst = -np.inf
+    residual_worst = -np.inf
     for name, p_run in (("quartic-sep-10d", 3), ("neglog-sep", 4)):
         pr = get_problem(name)
         m = pr.m_next(p_run)

@@ -244,3 +244,69 @@ def test_hat_l_sampled_bounds_local_hessian():
     hat_l = hat_l_sampled(sf, 0.5, rng)
     anchor_eig = float(np.abs(np.linalg.eigvalsh(sf.poly_hessian_matrix(anchor))).max())
     assert hat_l >= anchor_eig
+
+
+def _direct_scaling(oracle, anchor, sf, x, u):
+    """rho's value, gradient, Hessian and Hessian form from direct oracle calls."""
+    n = len(anchor)
+    d = x - anchor
+    value = sum(
+        oracle.directional(anchor, d, 2 * k) / math.factorial(2 * k) for k in range(1, sf.q + 1)
+    )
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    form = sf.h * sf.pp.hessian_form(d, u)
+    for k in range(1, sf.q + 1):
+        grad = grad + oracle.even_tensor_apply(anchor, d, 2 * k, d) / math.factorial(2 * k - 1)
+        hess = hess + oracle.even_tensor_matrix(anchor, d, 2 * k) / math.factorial(2 * k - 2)
+        form += oracle.even_tensor_form(anchor, d, 2 * k, u) / math.factorial(2 * k - 2)
+    return (
+        value + sf.h * sf.pp.value(d),
+        grad + sf.h * sf.pp.gradient(d),
+        hess + sf.h * sf.pp.hessian_matrix(d),
+        form,
+    )
+
+
+@pytest.mark.parametrize("p", (3, 4, 5))
+@pytest.mark.parametrize("name", ("neglog-sep", "logistic-sep-3d", "quartic-sep-10d"))
+def test_anchor_stack_equals_direct_oracle_calls_exactly(name, p):
+    # the stack evaluated once at the anchor gives bit-for-bit the numbers of
+    # evaluating the anchor's derivatives on every call
+    prob = get_problem(name)
+    rng = np.random.default_rng(10 * p + len(name))
+    n = prob.dimension
+    for anchor in prob.sample(rng, 2):
+        sf = ScalingFunction(prob.oracle, anchor, p, 2.5, prob.metric)
+        for _ in range(3):
+            x = anchor + 0.1 * rng.standard_normal(n)
+            u = rng.standard_normal(n)
+            value, grad, hess, form = _direct_scaling(prob.oracle, anchor, sf, x, u)
+            assert sf.value(x) == value
+            assert np.array_equal(sf.gradient(x), grad)
+            assert np.array_equal(sf.hessian_matrix(x), hess)
+            assert sf.hessian_form(x, u) == form
+
+
+@pytest.mark.parametrize("p", (3, 4, 5))
+@pytest.mark.parametrize("name", ("neglog-sep", "logistic-sep-3d", "quartic-sep-10d"))
+def test_anchor_stack_evaluates_each_order_once_per_row(name, p):
+    prob = get_problem(name)
+    oracle = prob.oracle
+    rows = oracle.a.shape[0]
+    anchor = np.asarray(prob.x0, dtype=float)
+    rng = np.random.default_rng(p)
+    oracle.reset_counters()
+    sf = ScalingFunction(oracle, anchor, p, 2.5, prob.metric)
+    for _ in range(100):
+        x = anchor + 0.1 * rng.standard_normal(prob.dimension)
+        sf.value(x)
+        sf.gradient(x)
+        sf.hessian_matrix(x)
+        sf.hessian_form(x, x)
+    q = p // 2
+    if oracle.family.even_from_second:
+        # neg-log evaluates every even order from f'': one order-2 call per row and order
+        assert oracle.calls_by_order == {2: q * rows}
+    else:
+        assert oracle.calls_by_order == {2 * k: rows for k in range(1, q + 1)}

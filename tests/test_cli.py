@@ -139,6 +139,17 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "mode, problem, p", (("plain", "ball-quadratic", 2), ("accelerated", "quartic-1d", 4))
+)
+def test_underivable_h_is_a_configuration_error(mode, problem, p, capsys):
+    # M_{p+1} = 0 here (a quadratic at p = 2, a quartic at p = 4): H must come
+    # from --h, not from a silent default
+    assert main(["run", "--problem", problem, "--mode", mode, "--p", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "--h" in err and "M_%d = 0.0" % (p + 1) in err
+
+
 def test_unknown_mode_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--mode", "steepest"])

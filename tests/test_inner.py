@@ -226,3 +226,27 @@ def test_trace_csv_deterministic():
     assert first[2] == "nan"
     ratio = res1.trace.column("ratio")
     assert ratio[-1] <= cfg.beta + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cd_quadratic_reaches_model_optimality(seed):
+    # coordinate descent on <g, z - w> + (z - w)'hm(z - w)/2 + psi(z) ends at a
+    # point where -(g + hm (z - w)) lies in dpsi(z), for random PSD models
+    prob, cfg, rc = _setup("quartic-sep-10d", 3)
+    n = prob.dimension
+    rng = np.random.default_rng(seed)
+    terms = (
+        make_term("box", lo=-rng.uniform(0.1, 1.0, n), hi=rng.uniform(0.1, 1.0, n)),
+        make_term("l1", lam=float(rng.uniform(0.1, 2.0))),
+    )
+    for term in terms:
+        solver, _, _, _ = _solver(prob, cfg, rc, term=term)
+        assert solver.route == "prox_newton"
+        for _ in range(3):
+            b = rng.standard_normal((n, n))
+            hm = b @ b.T / n + 0.05 * np.eye(n)
+            w = term.project(rng.uniform(-1.0, 1.0, n))
+            g = 2.0 * rng.standard_normal(n)
+            z = solver._cd_quadratic(w, g, hm)
+            assert term.contains(z, tol=0.0)
+            assert term.subgradient_distance(z, -(g + hm @ (z - w))) <= 1e-10

@@ -1,9 +1,12 @@
 """Composite terms: prox optimality, subdifferential selection, projections."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hiprox import CapabilityError, DomainError, ParameterError, make_term
+from hiprox.simple_terms import _soft, _soft_float
 
 ALL_KINDS = (
     ("zero", {}),
@@ -162,3 +165,62 @@ def test_abs_1d_derivatives():
 def test_make_term_unknown():
     with pytest.raises(ParameterError):
         make_term("huber")
+
+
+SEPARABLE_KINDS = (
+    ("zero", {}),
+    ("l1", {"lam": 0.7}),
+    ("nonneg", {}),
+    ("box", {"lo": [-1.0, -0.5, 0.0], "hi": [0.5, 1.0, 2.0]}),
+    ("abs-1d", {}),
+)
+
+
+def _coordinate_cases(term, n, rng):
+    """(lin, quad) pairs: random, +-0, l1 threshold and box bounds exactly."""
+    cases = [(s * lin, quad) for lin in (0.0, 1e-300, 0.3, 5.0) for s in (1.0, -1.0)
+             for quad in (0.25, 1.0, 3.0)]
+    cases += [(float(v), float(q)) for v, q in zip(rng.standard_normal(40), rng.uniform(0.1, 4, 40))]
+    lam = getattr(term, "lam", None)
+    if lam is not None:
+        # |v| = |lin| / quad is exactly the threshold lam / quad
+        cases += [(s * lam, quad) for s in (1.0, -1.0) for quad in (0.5, 1.0, 3.0)]
+    if term.kind == "box":
+        # v = -lin / quad exactly on a bound (quad a power of two)
+        cases += [(-bound * quad, quad) for bound in np.concatenate([term.lo, term.hi]).tolist()
+                  for quad in (0.5, 1.0, 4.0)]
+    return cases
+
+
+@pytest.mark.parametrize("kind, kwargs", SEPARABLE_KINDS)
+def test_coordinate_min_equals_vector_prox(kind, kwargs):
+    # coordinate_min(i, lin, quad) is coordinate i of prox(lin 1, 0, quad)
+    term = make_term(kind, **kwargs)
+    n = _dim(kind)
+    rng = np.random.default_rng(7)
+    for lin, quad in _coordinate_cases(term, n, rng):
+        vec = term.prox(np.full(n, lin), np.zeros(n), quad)
+        for i in range(n):
+            z = term.coordinate_min(i, lin, quad)
+            assert type(z) is float
+            assert z == vec[i], (kind, i, lin, quad)
+
+
+def _same_float(a, b):
+    return (a == b and math.copysign(1.0, a) == math.copysign(1.0, b)) or (a != a and b != b)
+
+
+def test_float_soft_threshold_equals_numpy_with_signed_zeros():
+    values = (0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 2.0, -2.0, 1e-300, -1e-300, math.inf, -math.inf,
+              math.nan)
+    for v in values:
+        for thr in (0.0, 0.5, 0.7, 3.0):
+            assert _same_float(_soft_float(v, thr), float(_soft(np.asarray(v), thr))), (v, thr)
+
+
+def test_box_coordinate_min_equals_numpy_clip_with_signed_zeros():
+    term = make_term("box", lo=[0.0, -1.0, -0.0, -2.0], hi=[1.0, -0.0, 0.0, math.inf])
+    for i in range(4):
+        for v in (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, math.nan):
+            expected = float(np.clip(np.float64(v), term.lo[i], term.hi[i]))
+            assert _same_float(term.coordinate_min(i, -v, 1.0), expected), (i, v)

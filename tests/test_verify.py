@@ -1,4 +1,4 @@
-"""The odd-derivative bracket and the sandwich suite across seeds."""
+"""The odd-derivative bracket, and the sandwich and bregman suites across seeds."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from hiprox import get_problem
 from hiprox.metric import MetricSpace
-from hiprox.verify import _odd_bracket_violation, suite_sandwich
+from hiprox.verify import _odd_bracket_violation, suite_bregman, suite_sandwich
 
 
 def test_unit_weight_bracket_counterexample_at_p4():
@@ -44,3 +44,15 @@ def test_sandwich_suite_holds_across_seeds(seed):
         for p in (4, 5):
             assert "%s values (p=%d)" % (name, p) in names
             assert "%s hessians (p=%d)" % (name, p) in names
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bregman_suite_holds_across_seeds(seed):
+    results = suite_bregman(seed)
+    failed = [r.line() for r in results if not r.passed]
+    assert not failed, "\n".join(failed)
+    # signed margins: a row that holds with room reports a negative number
+    margins = {r.name: r.violation for r in results}
+    for name in ("Bregman nonnegativity", "inner descent inequality", "inner contraction",
+                 "residual decay (measured C)"):
+        assert margins[name] < 0.0
