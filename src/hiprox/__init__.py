@@ -27,7 +27,6 @@ from .bregman import (
     hat_l_sampled,
     relative_constants,
     relative_sandwich_check,
-    rho_value_grad,
     theta_bound,
     theta_constants,
 )
@@ -43,7 +42,6 @@ from .inner import (
     InnerResult,
     InnerTrace,
     StepSolver,
-    ball_inner_step_p3,
     inner_solve,
     inner_step,
 )
@@ -54,7 +52,6 @@ from .oracles import (
     SmoothOracle,
     fd_check,
     psi_prox_euclid,
-    psi_subgradient_select,
 )
 from .outer import (
     EstimatingState,
@@ -115,7 +112,6 @@ __all__ = [
     "TaylorModel",
     "acceptable_interval_1d",
     "aihopp_run",
-    "ball_inner_step_p3",
     "bilevel_h",
     "biopt_run",
     "bound_evaluator",
@@ -142,11 +138,9 @@ __all__ = [
     "minimize_composite_1d",
     "psi_argmin",
     "psi_prox_euclid",
-    "psi_subgradient_select",
     "regularized_gradient",
     "relative_constants",
     "relative_sandwich_check",
-    "rho_value_grad",
     "run_suite",
     "tensor_acceptance_map",
     "tensor_criterion",

@@ -21,7 +21,8 @@ The even Taylor terms are anchored at the fixed y, so their scalar data are
 constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
 residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
 ``AnchorStack``), and rho, grad rho and the Hessians of rho contract
-those weights against x - y on every call. The oracle's ``calls_by_order``
+those weights against x - y on every call; the k = 1 Hessian term D^2 f(y)
+does not depend on x and is formed once. The oracle's ``calls_by_order``
 still names every order consumed, but counts the anchor's orders once per
 scaling function rather than once per call.
 
@@ -83,9 +84,8 @@ class ScalingFunction:
 
     def poly_hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
-        n = len(d)
-        out = np.zeros((n, n))
-        for k in range(1, self.q + 1):
+        out = self.stack.hessian  # the k = 1 term does not depend on x
+        for k in range(2, self.q + 1):
             out = out + self.stack.matrix(d, 2 * k) / math.factorial(2 * k - 2)
         return out
 
@@ -109,10 +109,6 @@ class ScalingFunction:
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return self.poly_hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
-
-
-def rho_value_grad(sf, x):
-    return sf.value(x), sf.gradient(x)
 
 
 def bregman_distance(sf, x, z):

@@ -9,17 +9,15 @@ whose optimality conditions yield the constructive subgradient
     g = 2 L (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
 
 and the loop stops as soon as (z+, g) is acceptable for the proximal
-certificate at the anchor. Step subproblems are dispatched to
-(a) exact univariate bracketing in dimension 1,
-(b) a secular-equation solve for q = 1 (p in {2, 3}), identity metric and
-    psi in {zero, ball} (the ball boundary case is a 2x2 Newton system in
-    the step radius and the normal-cone multiplier),
-(c) a damped proximal Newton method otherwise (coordinate-descent prox of
-    the local quadratic for separable psi; KKT Newton for the ball).
+certificate at the anchor. Each step takes one of three routes (see
+``StepSolver``): ``univariate`` (exact bracketing in dimension 1), ``secular``
+(a secular-equation solve for q = 1, identity metric and psi = 0) and
+``prox_newton`` (a damped proximal Newton method for every other separable
+psi and for the ball).
 
 The scaling function of one inner solve is built once, with the anchor's
 even-order derivative weights (see ``bregman``); steps never evaluate a
-scalar derivative at the anchor again. The coordinate descent of route (c)
+scalar derivative at the anchor again. The coordinate descent of prox-Newton
 runs its sweep on Python floats.
 """
 
@@ -37,6 +35,20 @@ from .univariate import minimize_composite_1d
 
 _RES_TOL = 1e-12
 _NEWTON_CAP = 200
+_DOUBLING_CAP = 200
+
+
+def _decreasing_root(phi, lo, hi):
+    """Root of a decreasing phi with phi(lo) > 0 in [lo, hi * 2^k].
+
+    hi is doubled until phi(hi) < 0, at most ``_DOUBLING_CAP`` times, and
+    the bracket is then closed by ``brentq``.
+    """
+    for _ in range(_DOUBLING_CAP):
+        if phi(hi) < 0.0:
+            return brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        hi *= 2.0
+    raise NumericalError("root bracketing reached %d doublings" % _DOUBLING_CAP)
 
 
 @dataclass
@@ -84,7 +96,13 @@ class InnerResult:
 
 
 class StepSolver:
-    """One inner step z -> z+, route fixed by (dimension, p, metric, psi)."""
+    """One inner step z -> z+, route fixed by (dimension, p, metric, psi).
+
+    Routes: ``univariate`` (n = 1), ``secular`` (q = 1, identity metric,
+    psi = 0) and ``prox_newton`` (every other separable psi, and the ball).
+    Prox-Newton solves its model step by coordinate descent for separable
+    psi and exactly, in the eigenbasis of the model Hessian, for the ball.
+    """
 
     def __init__(self, sf, reg, term, lsmooth):
         self.sf = sf
@@ -92,20 +110,17 @@ class StepSolver:
         self.term = term
         self.lsmooth = float(lsmooth)
         self.n = len(sf.anchor)
-        self.last_multiplier = 0.0
         if self.n == 1:
             self.route = "univariate"
-        elif sf.q == 1 and sf.metric.is_identity and term.kind in ("zero", "ball"):
+        elif sf.q == 1 and sf.metric.is_identity and term.kind == "zero":
             self.route = "secular"
-            lam, vec = np.linalg.eigh(sf.stack.hessian())
+            lam, vec = np.linalg.eigh(sf.stack.hessian)
             if lam.min() < -1e-9 * max(1.0, abs(lam).max()):
                 raise ParameterError("oracle Hessian at the anchor is not PSD")
             self._lam = np.maximum(lam, 0.0)
             self._vec = vec
-        elif term.is_separable:
+        elif term.is_separable or term.kind == "ball":
             self.route = "prox_newton"
-        elif term.kind == "ball":
-            self.route = "ball_kkt"
         else:
             raise CapabilityError("no step solver for term kind %r" % term.kind)
 
@@ -134,11 +149,9 @@ class StepSolver:
         if self.route == "univariate":
             z_new = self._step_1d(z, ctil)
         elif self.route == "secular":
-            z_new = self._step_secular(z, c, rho_z)
-        elif self.route == "prox_newton":
-            z_new = self._step_prox_newton(z, ctil, c)
+            z_new = self._step_secular(c, rho_z)
         else:
-            z_new = self._step_ball_kkt(z, ctil, c)
+            z_new = self._step_prox_newton(z, ctil, c)
         g = two_l * (rho_z - self.sf.gradient(z_new)) - c
         dist = self.term.subgradient_distance(z_new, g)
         tol = _RES_TOL * max(1.0, self.sf.metric.dual_norm(c))
@@ -162,12 +175,12 @@ class StepSolver:
         denom = np.maximum(self._lam + extra, 1e-300)
         return bt / denom
 
-    def _secular_radius(self, bt, shift):
-        """Solve r = |(lam + shift + H r^{p-1})^{-1} bt|."""
+    def _secular_radius(self, bt):
+        """Solve r = |(lam + H r^{p-1})^{-1} bt|."""
         h, p = self.sf.h, self.sf.p
 
         def phi(r):
-            return float(np.linalg.norm(self._resolvent(bt, shift + h * r ** (p - 1)))) - r
+            return float(np.linalg.norm(self._resolvent(bt, h * r ** (p - 1)))) - r
 
         nb = float(np.linalg.norm(bt))
         if nb == 0.0:
@@ -175,77 +188,21 @@ class StepSolver:
         r_lo = 1e-18
         if phi(r_lo) <= 0.0:
             return r_lo
-        r_hi = max(1.0, nb ** (1.0 / p))
-        for _ in range(200):
-            if phi(r_hi) < 0.0:
-                break
-            r_hi *= 2.0
-        else:
-            raise NumericalError("secular bracketing failed")
-        return brentq(phi, r_lo, r_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        return _decreasing_root(phi, r_lo, max(1.0, nb ** (1.0 / p)))
 
-    def _step_secular(self, z, c, rho_z):
+    def _step_secular(self, c, rho_z):
         sf = self.sf
-        h, p = sf.h, sf.p
         b = rho_z - c / (2.0 * self.lsmooth)
         bt = self._vec.T @ b
-        self.last_multiplier = 0.0
-        r = self._secular_radius(bt, 0.0)
-        step = self._vec @ self._resolvent(bt, h * r ** (p - 1))
-        z_new = sf.anchor + step
-        if self.term.kind == "zero" or self.term.contains(z_new, tol=1e-12):
-            return z_new
-        # boundary case: unknowns (r, av) with av = alpha / (2L) >= 0
-        center = self.term.center
-        delta = self.term.radius
-        st = self._vec.T @ (sf.anchor - center)
-
-        def trial(r, av):
-            return self._resolvent(bt - av * st, av + h * r ** (p - 1))
-
-        def residual(r, av):
-            ht = trial(r, av)
-            return np.array(
-                [
-                    float(np.linalg.norm(ht)) - r,
-                    float(np.linalg.norm(st + ht)) - delta,
-                ]
-            )
-
-        w = self.term.project(z_new)
-        r = max(float(np.linalg.norm(w - sf.anchor)), 1e-8)
-        av = 1e-6 * (1.0 + h * r ** (p - 1) + float(self._lam.max()))
-        f = residual(r, av)
-        for _ in range(_NEWTON_CAP):
-            if np.abs(f).max() <= 1e-13 * (1.0 + delta + r):
-                break
-            jac = np.empty((2, 2))
-            er = 1e-7 * max(1.0, r)
-            ea = 1e-7 * max(1.0, av)
-            jac[:, 0] = (residual(r + er, av) - f) / er
-            jac[:, 1] = (residual(r, av + ea) - f) / ea
-            try:
-                d = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("singular Jacobian in ball step") from exc
-            t = 1.0
-            merit = float(np.dot(f, f))
-            for _ in range(60):
-                r_t = max(r + t * d[0], 1e-14)
-                av_t = max(av + t * d[1], 0.0)
-                f_t = residual(r_t, av_t)
-                if float(np.dot(f_t, f_t)) <= merit * (1.0 - 1e-4 * t) + 1e-30:
-                    r, av, f = r_t, av_t, f_t
-                    break
-                t *= 0.5
-            else:
-                raise NumericalError("ball step line search failed", residual=merit)
-        else:
-            raise NumericalError("ball step did not converge", residual=float(np.abs(f).max()))
-        self.last_multiplier = 2.0 * self.lsmooth * av
-        return sf.anchor + self._vec @ trial(r, av)
+        r = self._secular_radius(bt)
+        return sf.anchor + self._vec @ self._resolvent(bt, sf.h * r ** (sf.p - 1))
 
     # -- route (c): damped proximal Newton ----------------------------------
+    def _model_min(self, w, grad, hm):
+        """argmin <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi."""
+        solve = self._cd_quadratic if self.term.is_separable else self._ball_quadratic
+        return solve(w, grad, hm)
+
     def _cd_quadratic(self, w, grad, hm, sweeps=400):
         """Coordinate descent on <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z).
 
@@ -280,6 +237,29 @@ class StepSolver:
                 break
         return np.array(z)
 
+    def _ball_quadratic(self, w, grad, hm):
+        """argmin <grad, z-w> + (z-w)'hm(z-w)/2 over |z - center| <= radius.
+
+        A trust-region subproblem shifted to the ball's center (More and
+        Sorensen 1983): z - center = (hm + a I)^{-1} (hm (w - center) - grad)
+        for the least multiplier a >= 0 that puts z in the ball, solved in
+        the eigenbasis of hm. hm is positive definite (prox-Newton adds a
+        multiple of I), so |z - center| decreases in a and there is no hard
+        case.
+        """
+        center, radius = self.term.center, self.term.radius
+        lam, vec = np.linalg.eigh(hm)
+        bt = vec.T @ (hm @ (w - center) - grad)
+
+        def excess(a):
+            return float(np.linalg.norm(bt / (lam + a))) - radius
+
+        a = 0.0
+        if excess(a) > 0.0:
+            # |bt| / radius would be a root if lam were 0, so it brackets
+            a = _decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
+        return center + vec @ (bt / (lam + a))
+
     def _step_prox_newton(self, z, ctil, c):
         val, grad, hess = self._smooth(ctil)
         term = self.term
@@ -293,7 +273,7 @@ class StepSolver:
             hm = hess(w)
             nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
             hm = hm + nu * np.eye(self.n)
-            cand = self._cd_quadratic(w, gw, hm)
+            cand = self._model_min(w, gw, hm)
             d = cand - w
             model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
                            + term.value(cand) - term.value(w))
@@ -326,68 +306,6 @@ class StepSolver:
             return w
         raise NumericalError("prox-Newton cap reached (residual %.3e)" % dist, residual=dist)
 
-    def _step_ball_kkt(self, z, ctil, c):
-        val, grad, hess = self._smooth(ctil)
-        term = self.term
-        tol = _RES_TOL * max(1.0, self.sf.metric.dual_norm(c))
-        # unconstrained damped Newton first
-        w = z.copy()
-        for _ in range(_NEWTON_CAP):
-            gw = grad(w)
-            if float(np.linalg.norm(gw)) <= 0.5 * tol:
-                break
-            hm = hess(w) + 1e-11 * np.eye(self.n)
-            d = np.linalg.solve(hm, -gw)
-            t, fw = 1.0, val(w)
-            while t > 1e-14 and val(w + t * d) > fw - 1e-4 * t * float(np.dot(gw, -d)):
-                t *= 0.5
-            w = w + t * d
-        if term.contains(w, tol=1e-12):
-            self.last_multiplier = 0.0
-            return w
-        center, delta = term.center, term.radius
-        zb = term.project(w)
-        dvec = zb - center
-        av = max(1e-8, -float(np.dot(grad(zb), dvec)) / float(np.dot(dvec, dvec)))
-        for _ in range(_NEWTON_CAP):
-            dvec = zb - center
-            big_g = np.concatenate([grad(zb) + av * dvec, [0.5 * (float(np.dot(dvec, dvec)) - delta ** 2)]])
-            if float(np.abs(big_g).max()) <= tol:
-                break
-            hm = hess(zb) + av * np.eye(self.n)
-            jac = np.zeros((self.n + 1, self.n + 1))
-            jac[: self.n, : self.n] = hm
-            jac[: self.n, self.n] = dvec
-            jac[self.n, : self.n] = dvec
-            try:
-                step = np.linalg.solve(jac, -big_g)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("singular KKT system in ball step") from exc
-            t = 1.0
-            merit = float(np.dot(big_g, big_g))
-
-            def merit_at(t):
-                zt = zb + t * step[: self.n]
-                at = av + t * step[self.n]
-                dt = zt - center
-                gt = np.concatenate(
-                    [grad(zt) + at * dt, [0.5 * (float(np.dot(dt, dt)) - delta ** 2)]]
-                )
-                return float(np.dot(gt, gt)), zt, at
-
-            for _ in range(60):
-                m_t, z_t, a_t = merit_at(t)
-                if m_t <= merit * (1.0 - 1e-4 * t) + 1e-30:
-                    zb, av = z_t, a_t
-                    break
-                t *= 0.5
-            else:
-                raise NumericalError("ball KKT line search failed", residual=merit)
-        if av < -1e-10:
-            raise NumericalError("negative multiplier in ball step")
-        self.last_multiplier = max(av, 0.0)
-        return zb
-
 
 def _regularized(sf, oracle):
     return RegularizedObjective(oracle, sf.anchor, sf.p, sf.h, sf.metric)
@@ -398,18 +316,6 @@ def inner_step(sf, oracle, term, lsmooth, z):
     solver = StepSolver(sf, _regularized(sf, oracle), term, lsmooth)
     z_new, g = solver.step(np.asarray(z, dtype=float))
     return z_new, g
-
-
-def ball_inner_step_p3(sf, oracle, center, radius, lsmooth, z):
-    """Secular-route step onto the Euclidean ball; returns the new point."""
-    from .simple_terms import BallTerm
-
-    if sf.p != 3:
-        raise ParameterError("ball step route is parameterized for p = 3")
-    term = BallTerm(center=center, radius=radius)
-    solver = StepSolver(sf, _regularized(sf, oracle), term, lsmooth)
-    z_new, _ = solver.step(np.asarray(z, dtype=float))
-    return z_new
 
 
 def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False):

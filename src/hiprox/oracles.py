@@ -26,6 +26,8 @@ once per use.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
@@ -160,9 +162,12 @@ class AnchorStack:
         """Dense D^{2k} f(y)[h]^{2k-2}."""
         return self.oracle._matrix(self.weights[two_k], h, two_k)
 
+    @cached_property
     def hessian(self):
-        """Dense D^2 f(y)."""
-        return self.matrix(None, 2)
+        """Dense D^2 f(y), computed on first use and read-only."""
+        out = self.matrix(None, 2)
+        out.flags.writeable = False
+        return out
 
 
 class SeparableObjective(SmoothOracle):
@@ -334,29 +339,9 @@ class QuadraticObjective(SmoothOracle):
 # functional entry points
 
 
-def eval_f(oracle, x):
-    return oracle.value(x)
-
-
-def directional_derivative(oracle, x, h, k):
-    """D^k f(x)[h]^k."""
-    return oracle.directional(x, h, k)
-
-
-def even_tensor_action(oracle, y, h, two_k, u):
-    """(quadratic-form value, vector action) of D^{2k} f(y)[h]^{2k-2} on u."""
-    vec = oracle.even_tensor_apply(y, h, two_k, u)
-    return float(np.dot(vec, np.asarray(u, dtype=float))), vec
-
-
 def psi_prox_euclid(term, s, c, tau):
     """argmin_z <s, z> + psi(z) + (tau/2)|z - c|^2 (identity metric)."""
     return term.prox(s, c, tau)
-
-
-def psi_subgradient_select(term, x, target):
-    """Element of the subdifferential of psi at x closest to target."""
-    return term.subgradient_select(x, target)
 
 
 def fd_check(oracle, x, h, order, eps=None):

@@ -73,14 +73,6 @@ class TaylorModel:
         return self.m / math.factorial(self.p)
 
 
-def taylor_value_grad(tm, y):
-    return tm.taylor_value(y), tm.taylor_gradient(y)
-
-
-def augmented_value_grad(tm, y):
-    return tm.augmented_value(y), tm.augmented_gradient(y)
-
-
 def convexity_threshold(p, m_next):
     """Smallest augmentation M guaranteeing a convex augmented model."""
     return p * m_next

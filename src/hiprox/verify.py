@@ -1,8 +1,9 @@
 """Seeded property suites behind the command-line `verify` subcommand.
 
 Each suite samples with a fixed seed, evaluates one family of inequalities
-from the certified machinery, and reports the worst violation against its
-tolerance. Suites: lemma1, estseq, bregman, sandwich, theta, tensor, all.
+from the certified machinery, and reports the worst signed violation against
+its tolerance: negative when every sample holds with room. Suites: lemma1,
+estseq, bregman, sandwich, theta, tensor, all.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class CheckResult:
 
 
 def certificate_violation(cert, cfg):
-    """Worst slack-free violation across acceptance and the accepted-pair triple."""
-    worst = max(0.0, cert.lhs - (cfg.beta * cert.rhs + 1e-12))
+    """Worst signed violation across acceptance and the accepted-pair triple."""
+    worst = cert.lhs - (cfg.beta * cert.rhs + 1e-12)
     for _ok, margin in certificate_inequalities(cert, cfg).values():
         worst = max(worst, -margin)
     return worst
@@ -81,7 +82,7 @@ def suite_lemma1(seed=0):
     results = []
     for name in ("quartic-1d", "quartic-abs-1d", "linear-nonneg-1d"):
         prob = get_problem(name)
-        worst = 0.0
+        worst = -np.inf
         for _ in range(50):
             anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
             for beta in (0.0, 0.1, 1.0 / 3.0):
@@ -96,7 +97,7 @@ def suite_lemma1(seed=0):
     m = prob.m_next(3)
     h = bilevel_h(3, m)
     rc = relative_constants(3, h, m)
-    worst = 0.0
+    worst = -np.inf
     for _ in range(5):
         anchor = rng.uniform(prob.sample_lo, prob.sample_hi)
         for beta in (0.1, 1.0 / 3.0):
@@ -121,8 +122,8 @@ def suite_estseq(seed=0):
     pp = cfg.power(1)
     state = EstimatingState(power=pp, x0=np.asarray(prob.x0, dtype=float))
     sigma_p = 1.0 / (p + 1) * 0.5 ** (p - 1)
-    key_worst = 0.0
-    sandwich_worst = 0.0
+    key_worst = -np.inf
+    sandwich_worst = -np.inf
     for k, cert in enumerate(trace.certificates):
         t = np.asarray(cert.point, dtype=float)
         _, a_next = coefficients("accelerated", p, k, beta=beta, h=h)
@@ -136,12 +137,12 @@ def suite_estseq(seed=0):
             upper = state.a_total * prob.objective(xv) + pp.value(xv - state.x0)
             lower = psi_v + sigma_p * abs(x - v[0]) ** (p + 1)
             sandwich_worst = max(sandwich_worst, psi_x - upper, lower - psi_x)
-    coeff_worst = 0.0
+    coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
     for k in range(0, 10001, 97):
         a_k, a_next = coefficients("accelerated", p, k, beta=beta, h=h)
         coeff_worst = max(coeff_worst, a_next ** ((p + 1.0) / p) - c_p / 2.0 * (a_k + a_next))
-    part3_worst = 0.0
+    part3_worst = -np.inf
     d_star = pp.value(np.asarray(prob.x0, dtype=float) - prob.x_star)
     for v in trace.aux["v_points"]:
         part3_worst = max(part3_worst, pp.value(v - prob.x_star) - 2.0 ** (p - 1) * d_star)
@@ -409,7 +410,7 @@ def suite_theta(seed=0, samples=1000):
             radius = 0.5
             hat_l = hat_l_sampled(sf, radius, rng)
             theta, _ = theta_bound(p, radius, hat_l, h=h)
-            worst = 0.0
+            worst = -np.inf
             for _ in range(samples):
                 dx = rng.standard_normal(prob.dimension)
                 dx *= rng.uniform(0.0, radius) / np.linalg.norm(dx)
@@ -435,7 +436,7 @@ def suite_tensor(seed=0):
 
     # composite model subdifferential is monotone on a grid when M >= p M4
     tm = TaylorModel(oracle, np.array([0.8]), 3, convexity_threshold(3, m4))
-    worst = 0.0
+    worst = -np.inf
     prev_hi = -np.inf
     for t in np.linspace(-2.0, 2.0, 1001):
         gval = float(tm.augmented_gradient(np.array([t]))[0])
@@ -449,7 +450,7 @@ def suite_tensor(seed=0):
         prev_hi = hi
     results.append(CheckResult("tensor", "model subdifferential monotone", worst, 1e-12))
 
-    worst = 0.0
+    worst = -np.inf
     for _ in range(200):
         x = rng.uniform(-1.5, 1.5, 1)
         y = rng.uniform(-1.5, 1.5, 1)
@@ -467,7 +468,7 @@ def suite_tensor(seed=0):
     beta_lvl = (m4 + gamma * m_lvl) / ((1.0 - gamma) * m_lvl - m4)
     tm_lvl = TaylorModel(oracle, anchor, 3, m_lvl)
     passing = 0
-    worst = 0.0
+    worst = -np.inf
     for t in np.linspace(-1.0, 1.5, 2000):
         point = np.array([t])
         g = term.subgradient_select(point, -tm_lvl.augmented_gradient(point))
@@ -489,7 +490,7 @@ def suite_tensor(seed=0):
     cfg = ProxConfig(3, h_map, beta)
     tm_map = TaylorModel(oracle, anchor, 3, m_map)
     passing = 0
-    worst = 0.0
+    worst = -np.inf
     for t in np.linspace(-1.0, 1.5, 2000):
         point = np.array([t])
         g = term.subgradient_select(point, -tm_map.augmented_gradient(point))
@@ -497,17 +498,14 @@ def suite_tensor(seed=0):
         if ok:
             passing += 1
             cert = check_acceptable(oracle, term, cfg, anchor, point, g)
-            if not cert.accepted:
-                worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
+            worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
     if passing == 0:
         worst = np.inf
     results.append(CheckResult("tensor", "target-beta map acceptance", worst, 1e-12))
 
     t_step, g_step, ok, _, _ = tensor_step_1d(tm_map, term, gamma)
-    worst = 0.0 if ok else np.inf
     cert = check_acceptable(oracle, term, cfg, anchor, t_step, g_step)
-    if not cert.accepted:
-        worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
+    worst = cert.lhs - cfg.beta * cert.rhs if ok else np.inf
     results.append(CheckResult("tensor", "exact step criterion + acceptance", worst, 1e-12))
     return results
 

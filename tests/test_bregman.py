@@ -286,6 +286,9 @@ def test_anchor_stack_equals_direct_oracle_calls_exactly(name, p):
             assert np.array_equal(sf.gradient(x), grad)
             assert np.array_equal(sf.hessian_matrix(x), hess)
             assert sf.hessian_form(x, u) == form
+        # D^2 f(y) is formed once and shared, read-only, by every Hessian call
+        assert sf.stack.hessian is sf.stack.hessian
+        assert not sf.stack.hessian.flags.writeable
 
 
 @pytest.mark.parametrize("p", (3, 4, 5))

@@ -11,8 +11,8 @@ from hiprox import (
     RelativeConstants,
     ScalingFunction,
     StepSolver,
-    ball_inner_step_p3,
     bilevel_h,
+    biopt_run,
     get_problem,
     inner_solve,
     inner_step,
@@ -50,18 +50,19 @@ def test_route_selection():
     solver, _, _, _ = _solver(prob, cfg, rc)
     assert solver.route == "secular"
 
+    # the secular solve serves psi = 0 only; a ball goes to prox-Newton
     prob, cfg, rc = _setup("ball-quadratic", 3)
     solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "secular"
+    assert solver.route == "prox_newton"
 
-    # q = 2 rules out the secular solve even for a zero/ball term
+    # q = 2 rules out the secular solve even for a zero term
     prob, cfg, rc = _setup("neglog-sep", 4)
     solver, _, _, _ = _solver(prob, cfg, rc)
     assert solver.route == "prox_newton"
 
     term = make_term("ball", center=np.asarray(prob.x0, dtype=float), radius=0.05)
     solver, _, _, _ = _solver(prob, cfg, rc, term=term)
-    assert solver.route == "ball_kkt"
+    assert solver.route == "prox_newton"
 
 
 @pytest.mark.parametrize(
@@ -70,6 +71,8 @@ def test_route_selection():
         ("quartic-abs-1d", 3),
         ("quartic-sep-10d", 3),
         ("ball-quadratic", 3),
+        ("ball-quadratic", 4),
+        ("ball-quadratic", 5),
         ("neglog-sep", 4),
         ("logistic-sep-3d", 3),
     ],
@@ -105,7 +108,8 @@ def test_step_decreases_regularized_objective():
 
 def test_secular_step_on_ball_boundary():
     # a weak regularizer pushes the prox of the catalog ball problem onto
-    # the boundary: steps must stay feasible with a nonnegative multiplier
+    # the boundary: steps must stay feasible, and there g = alpha (z+ - c)
+    # with alpha >= 0 lies in the normal cone
     prob = get_problem("ball-quadratic")
     cfg = ProxConfig(p=3, h=0.5, beta=1.0 / 3.0)
     rc = RelativeConstants(xi=2.0, mu=0.5, lsmooth=1.5, kappa=1.0 / 3.0)
@@ -115,9 +119,14 @@ def test_secular_step_on_ball_boundary():
     for _ in range(10):
         z_new, g = solver.step(z)
         assert term.contains(z_new)
-        assert solver.last_multiplier >= 0.0
-        if solver.last_multiplier > 1e-10:
+        d = z_new - term.center
+        alpha = float(np.dot(g, d)) / term.radius ** 2
+        if alpha > 1e-10:
+            assert abs(float(np.linalg.norm(d)) - term.radius) <= 1e-12
+            assert float(np.linalg.norm(g - alpha * d)) <= 1e-8
             hit_boundary = True
+        else:
+            assert float(np.linalg.norm(g)) <= 1e-8
         z = z_new
     assert hit_boundary
 
@@ -128,6 +137,8 @@ def test_secular_step_on_ball_boundary():
         ("quartic-abs-1d", 3),
         ("quartic-sep-10d", 3),
         ("ball-quadratic", 3),
+        ("ball-quadratic", 4),
+        ("ball-quadratic", 5),
         ("neglog-sep", 4),
         ("neglog-sep", 5),
         ("logistic-sep-3d", 3),
@@ -196,21 +207,6 @@ def test_inner_step_wrapper_matches_solver():
     np.testing.assert_allclose(g_b, g_a, rtol=1e-12, atol=1e-14)
 
 
-def test_ball_inner_step_p3():
-    prob, cfg, rc = _setup("ball-quadratic", 3)
-    anchor = np.asarray(prob.x0, dtype=float)
-    sf = ScalingFunction(prob.oracle, anchor, 3, cfg.h)
-    z_new = ball_inner_step_p3(
-        sf, prob.oracle, prob.term.center, prob.term.radius, rc.lsmooth, anchor
-    )
-    assert prob.term.contains(z_new)
-    sf5 = ScalingFunction(prob.oracle, anchor, 5, cfg.h)
-    with pytest.raises(ParameterError):
-        ball_inner_step_p3(
-            sf5, prob.oracle, prob.term.center, prob.term.radius, rc.lsmooth, anchor
-        )
-
-
 def test_trace_csv_deterministic():
     prob, cfg, rc = _setup("neglog-sep", 4)
     res1 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
@@ -230,7 +226,8 @@ def test_trace_csv_deterministic():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cd_quadratic_reaches_model_optimality(seed):
-    # coordinate descent on <g, z - w> + (z - w)'hm(z - w)/2 + psi(z) ends at a
+    # the model solver for <g, z - w> + (z - w)'hm(z - w)/2 + psi(z)
+    # (coordinate descent, or the eigenbasis solve for the ball) ends at a
     # point where -(g + hm (z - w)) lies in dpsi(z), for random PSD models
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     n = prob.dimension
@@ -238,6 +235,7 @@ def test_cd_quadratic_reaches_model_optimality(seed):
     terms = (
         make_term("box", lo=-rng.uniform(0.1, 1.0, n), hi=rng.uniform(0.1, 1.0, n)),
         make_term("l1", lam=float(rng.uniform(0.1, 2.0))),
+        make_term("ball", center=np.full(n, 0.1), radius=0.5),
     )
     for term in terms:
         solver, _, _, _ = _solver(prob, cfg, rc, term=term)
@@ -247,6 +245,15 @@ def test_cd_quadratic_reaches_model_optimality(seed):
             hm = b @ b.T / n + 0.05 * np.eye(n)
             w = term.project(rng.uniform(-1.0, 1.0, n))
             g = 2.0 * rng.standard_normal(n)
-            z = solver._cd_quadratic(w, g, hm)
-            assert term.contains(z, tol=0.0)
+            z = solver._model_min(w, g, hm)
+            # coordinate descent clips exactly; |z - c| on the ball is rounded
+            assert term.contains(z, tol=0.0 if term.is_separable else 1e-14 * term.radius)
             assert term.subgradient_distance(z, -(g + hm @ (z - w))) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_biopt_run_ball_quadratic_high_order(p):
+    # every ball step at q = 2 goes through prox-Newton's exact ball solve
+    trace = biopt_run(get_problem("ball-quadratic"), p, eps=1e-6)
+    assert trace.status == "converged"
+    assert trace.rows[-1].gap <= 1e-6

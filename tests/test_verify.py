@@ -1,4 +1,4 @@
-"""The odd-derivative bracket, and the sandwich and bregman suites across seeds."""
+"""The odd-derivative bracket, and every property suite across seeds."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from hiprox import get_problem
 from hiprox.metric import MetricSpace
-from hiprox.verify import _odd_bracket_violation, suite_bregman, suite_sandwich
+from hiprox.verify import SUITES, _odd_bracket_violation, suite_bregman, suite_sandwich
 
 
 def test_unit_weight_bracket_counterexample_at_p4():
@@ -56,3 +56,22 @@ def test_bregman_suite_holds_across_seeds(seed):
     for name in ("Bregman nonnegativity", "inner descent inequality", "inner contraction",
                  "residual decay (measured C)"):
         assert margins[name] < 0.0
+
+
+# rows that hold with equality in exact arithmetic, so their signed margin is
+# rounding of either sign: an exact prox at beta = 0 meets the accepted-pair
+# triple with equality, and the quartic's Taylor gradient error equals its bound
+_TIGHT_ROWS = {"quartic-1d exact prox", "quartic-abs-1d exact prox",
+               "linear-nonneg-1d exact prox", "model gradient bound"}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("suite", ["lemma1", "estseq", "theta", "tensor"])
+def test_suite_reports_signed_margins_across_seeds(suite, seed):
+    results = SUITES[suite](seed)
+    failed = [r.line() for r in results if not r.passed]
+    assert not failed, "\n".join(failed)
+    for r in results:
+        assert np.isfinite(r.violation), r.line()
+        if r.name not in _TIGHT_ROWS:
+            assert r.violation < 0.0, r.line()
