@@ -43,7 +43,6 @@ from .inner import (
     InnerTrace,
     StepSolver,
     inner_solve,
-    inner_step,
 )
 from .metric import MetricSpace, PowerProx
 from .oracles import (
@@ -130,7 +129,6 @@ __all__ = [
     "ihopp_run",
     "inner_prox_provider",
     "inner_solve",
-    "inner_step",
     "lemma2_bound_check",
     "list_problems",
     "make_family",

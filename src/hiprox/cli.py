@@ -10,7 +10,7 @@ Subcommands:
 `run` writes outer.csv, inner_k<k>.csv (when the run used the Bregman inner
 loop), summary.json, and scan.csv for the two example modes. Exit codes:
 0 converged / clean finish, 1 bad configuration or unknown problem,
-2 iteration limit, 3 numerical failure. Identical config and seed produce
+2 iteration limit, 3 numerical failure. Identical configs produce
 byte-identical CSVs (floats are serialized with repr).
 """
 
@@ -52,7 +52,6 @@ class RunConfig:
     eps: float = 1e-8
     max_outer: int = 100
     max_inner: int = 2000
-    seed: int = 0
     out: str = None
 
     def validate(self):
@@ -112,7 +111,6 @@ def _write_trace(cfg, trace, out):
         eps=cfg.eps,
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
-        seed=cfg.seed,
     )
     _write_json(out / "summary.json", summary)
 
@@ -121,9 +119,16 @@ def _solver_pieces(cfg, prob):
     p = cfg.p
     beta = cfg.beta if cfg.beta is not None else 1.0 / p
     m = cfg.m if cfg.m is not None else prob.m_next(p)
+    m_positive = bool(np.isfinite(m) and m > 0)
+    if prob.dimension > 1 and not m_positive:
+        # the inner loop's relative constants need M whatever H is
+        raise ParameterError(
+            "%s has M_%d = %r at p = %d, but its Bregman inner loop derives its "
+            "relative constants from M; pass a finite positive --m" % (prob.name, p + 1, m, p)
+        )
     h = cfg.h
     if h is None:
-        if not (np.isfinite(m) and m > 0):
+        if not m_positive:
             raise ParameterError(
                 "%s declares M_%d = %r at p = %d, so H cannot be derived from it; "
                 "pass --h (or a finite positive --m)" % (prob.name, p + 1, m, p)
@@ -193,7 +198,7 @@ def _run_example1(cfg):
         interval = acceptable_interval_1d(pcfg, anchor)
         endpoints["anchor=%s" % repr(float(anchor))] = list(interval) if interval else None
     (out / "scan.csv").write_text("\n".join(lines) + "\n")
-    summary = {"mode": "example1", "p": 3, "h": h, "beta": beta, "seed": cfg.seed}
+    summary = {"mode": "example1", "p": 3, "h": h, "beta": beta}
     summary.update(endpoints)
     _write_json(out / "summary.json", summary)
     print("%s: wrote scan.csv (%d rows)" % (out, len(lines) - 1))
@@ -245,7 +250,6 @@ def _run_example2(cfg):
             "h": h,
             "criterion_passing": n_pass,
             "accepted_of_passing": n_accept,
-            "seed": cfg.seed,
         },
     )
     print("%s: criterion passes %d points, %d accepted" % (out, n_pass, n_accept))
@@ -332,7 +336,6 @@ def build_parser():
     p_run.add_argument("--eps", type=float)
     p_run.add_argument("--max-outer", type=int, dest="max_outer")
     p_run.add_argument("--max-inner", type=int, dest="max_inner")
-    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
     p_run.add_argument("--print-config", action="store_true")
 

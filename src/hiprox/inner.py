@@ -9,16 +9,19 @@ whose optimality conditions yield the constructive subgradient
     g = 2 L (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
 
 and the loop stops as soon as (z+, g) is acceptable for the proximal
-certificate at the anchor. Each step takes one of three routes (see
-``StepSolver``): ``univariate`` (exact bracketing in dimension 1), ``secular``
-(a secular-equation solve for q = 1, identity metric and psi = 0) and
-``prox_newton`` (a damped proximal Newton method for every other separable
-psi and for the ball).
+certificate at the anchor. Each step takes one of two routes (see
+``StepSolver``): ``univariate`` (exact bracketing in dimension 1) and
+``prox_newton`` (a damped proximal Newton method, Lee, Sun and Saunders 2014,
+in every dimension n >= 2). Its model step is one linear solve for psi = 0,
+coordinate descent on Python floats for separable psi, and an eigenbasis
+solve for the ball. The full model step is taken when it does not raise the
+objective by more than rounding (1e-15 |phi|); otherwise the step is halved
+until the Armijo condition holds, and 50 halvings without it raise
+``NumericalError``.
 
 The scaling function of one inner solve is built once, with the anchor's
 even-order derivative weights (see ``bregman``); steps never evaluate a
-scalar derivative at the anchor again. The coordinate descent of prox-Newton
-runs its sweep on Python floats.
+scalar derivative at the anchor again.
 """
 
 from __future__ import annotations
@@ -26,29 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .acceptance import check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction, bregman_distance
 from .errors import CapabilityError, NumericalError, ParameterError
-from .univariate import minimize_composite_1d
+from .univariate import decreasing_root, minimize_composite_1d
 
 _RES_TOL = 1e-12
 _NEWTON_CAP = 200
-_DOUBLING_CAP = 200
-
-
-def _decreasing_root(phi, lo, hi):
-    """Root of a decreasing phi with phi(lo) > 0 in [lo, hi * 2^k].
-
-    hi is doubled until phi(hi) < 0, at most ``_DOUBLING_CAP`` times, and
-    the bracket is then closed by ``brentq``.
-    """
-    for _ in range(_DOUBLING_CAP):
-        if phi(hi) < 0.0:
-            return brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        hi *= 2.0
-    raise NumericalError("root bracketing reached %d doublings" % _DOUBLING_CAP)
+_HALVING_CAP = 50
 
 
 @dataclass
@@ -96,12 +85,14 @@ class InnerResult:
 
 
 class StepSolver:
-    """One inner step z -> z+, route fixed by (dimension, p, metric, psi).
+    """One inner step z -> z+, route fixed by the dimension and psi.
 
-    Routes: ``univariate`` (n = 1), ``secular`` (q = 1, identity metric,
-    psi = 0) and ``prox_newton`` (every other separable psi, and the ball).
-    Prox-Newton solves its model step by coordinate descent for separable
-    psi and exactly, in the eigenbasis of the model Hessian, for the ball.
+    Routes: ``univariate`` (n = 1) and ``prox_newton`` (n >= 2, separable
+    psi or the ball). Prox-Newton solves its model step by one linear solve
+    for psi = 0, by coordinate descent for the other separable psi and
+    exactly, in the eigenbasis of the model Hessian, for the ball. It takes
+    the full model step unless that raises the objective by more than
+    rounding, and otherwise backtracks by halving to the Armijo condition.
     """
 
     def __init__(self, sf, reg, term, lsmooth):
@@ -112,13 +103,6 @@ class StepSolver:
         self.n = len(sf.anchor)
         if self.n == 1:
             self.route = "univariate"
-        elif sf.q == 1 and sf.metric.is_identity and term.kind == "zero":
-            self.route = "secular"
-            lam, vec = np.linalg.eigh(sf.stack.hessian)
-            if lam.min() < -1e-9 * max(1.0, abs(lam).max()):
-                raise ParameterError("oracle Hessian at the anchor is not PSD")
-            self._lam = np.maximum(lam, 0.0)
-            self._vec = vec
         elif term.is_separable or term.kind == "ball":
             self.route = "prox_newton"
         else:
@@ -148,8 +132,6 @@ class StepSolver:
         ctil = c - two_l * rho_z
         if self.route == "univariate":
             z_new = self._step_1d(z, ctil)
-        elif self.route == "secular":
-            z_new = self._step_secular(c, rho_z)
         else:
             z_new = self._step_prox_newton(z, ctil, c)
         g = two_l * (rho_z - self.sf.gradient(z_new)) - c
@@ -169,37 +151,11 @@ class StepSolver:
         t = minimize_composite_1d(deriv, self.term, float(z[0]))
         return np.array([t])
 
-    # -- route (b): q = 1 secular equation ---------------------------------
-    def _resolvent(self, bt, extra):
-        """(lam + extra)^{-1} bt in the eigenbasis, guarded against 0."""
-        denom = np.maximum(self._lam + extra, 1e-300)
-        return bt / denom
-
-    def _secular_radius(self, bt):
-        """Solve r = |(lam + H r^{p-1})^{-1} bt|."""
-        h, p = self.sf.h, self.sf.p
-
-        def phi(r):
-            return float(np.linalg.norm(self._resolvent(bt, h * r ** (p - 1)))) - r
-
-        nb = float(np.linalg.norm(bt))
-        if nb == 0.0:
-            return 0.0
-        r_lo = 1e-18
-        if phi(r_lo) <= 0.0:
-            return r_lo
-        return _decreasing_root(phi, r_lo, max(1.0, nb ** (1.0 / p)))
-
-    def _step_secular(self, c, rho_z):
-        sf = self.sf
-        b = rho_z - c / (2.0 * self.lsmooth)
-        bt = self._vec.T @ b
-        r = self._secular_radius(bt)
-        return sf.anchor + self._vec @ self._resolvent(bt, sf.h * r ** (sf.p - 1))
-
-    # -- route (c): damped proximal Newton ----------------------------------
+    # -- route (b): damped proximal Newton ----------------------------------
     def _model_min(self, w, grad, hm):
         """argmin <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi."""
+        if self.term.kind == "zero":
+            return w - np.linalg.solve(hm, grad)
         solve = self._cd_quadratic if self.term.is_separable else self._ball_quadratic
         return solve(w, grad, hm)
 
@@ -257,7 +213,7 @@ class StepSolver:
         a = 0.0
         if excess(a) > 0.0:
             # |bt| / radius would be a root if lam were 0, so it brackets
-            a = _decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
+            a = decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
         return center + vec @ (bt / (lam + a))
 
     def _step_prox_newton(self, z, ctil, c):
@@ -277,45 +233,28 @@ class StepSolver:
             d = cand - w
             model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
                            + term.value(cand) - term.value(w))
-            accepted = False
             t = 1.0
-            for _ in range(50):
+            for _ in range(_HALVING_CAP):
                 wt = w + t * d
                 ft = val(wt) + term.value(wt)
-                if ft <= fw - 1e-4 * t * max(model_drop, 0.0) and ft <= fw + 1e-15 * abs(fw):
-                    if ft < fw or t == 1.0:
-                        w, fw = wt, ft
-                        accepted = True
-                        break
+                # the full step may rise by rounding; a shorter one must
+                # make the Armijo decrease
+                if t == 1.0:
+                    limit = fw + 1e-15 * abs(fw)
+                else:
+                    limit = fw - 1e-4 * t * max(model_drop, 0.0)
+                if ft <= limit:
+                    break
                 t *= 0.5
-            if not accepted:
-                # flat-curvature safeguard: backtracked proximal gradient step
-                lip = max(1.0, float(np.abs(np.linalg.eigvalsh(hm)).max()))
-                for _ in range(60):
-                    wt = term.prox(gw, w, lip)
-                    ft = val(wt) + term.value(wt)
-                    if ft <= fw + 1e-15 * abs(fw):
-                        break
-                    lip *= 2.0
-                if not ft <= fw + 1e-15 * abs(fw):
-                    raise NumericalError("prox-Newton stalled")
-                w, fw = wt, ft
+            else:
+                raise NumericalError("prox-Newton line search failed after %d halvings"
+                                     % _HALVING_CAP)
+            w, fw = wt, ft
         gw = grad(w)
         dist = term.subgradient_distance(w, -gw)
         if dist <= 100.0 * tol:
             return w
         raise NumericalError("prox-Newton cap reached (residual %.3e)" % dist, residual=dist)
-
-
-def _regularized(sf, oracle):
-    return RegularizedObjective(oracle, sf.anchor, sf.p, sf.h, sf.metric)
-
-
-def inner_step(sf, oracle, term, lsmooth, z):
-    """Single inner step from z (convenience wrapper used by diagnostics)."""
-    solver = StepSolver(sf, _regularized(sf, oracle), term, lsmooth)
-    z_new, g = solver.step(np.asarray(z, dtype=float))
-    return z_new, g
 
 
 def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False):
@@ -331,7 +270,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False)
     if not term.contains(anchor):
         raise ParameterError("inner loop must start inside dom psi")
     sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    reg = _regularized(sf, oracle)
+    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
     solver = StepSolver(sf, reg, term, rc.lsmooth)
 
     def phi(x):

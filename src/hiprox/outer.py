@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .acceptance import ProxConfig, check_acceptable, exact_prox_1d
 from .bregman import bilevel_h, relative_constants
@@ -29,6 +28,7 @@ from .inner import inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
 from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step_1d
+from .univariate import decreasing_root
 
 _MODES = ("plain", "accelerated", "bilevel")
 
@@ -121,15 +121,7 @@ def psi_argmin(state, term, pp):
     r_lo = 1e-12
     if radius_gap(r_lo) <= 0.0:
         return candidate(r_lo)
-    r_hi = 2.0 * sn ** (1.0 / p) + 1.0
-    for _ in range(60):
-        if radius_gap(r_hi) < 0.0:
-            break
-        r_hi *= 2.0
-    else:
-        raise NumericalError("radius bracketing failed in psi_argmin")
-    r = brentq(radius_gap, r_lo, r_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return candidate(r)
+    return candidate(decreasing_root(radius_gap, r_lo, 2.0 * sn ** (1.0 / p) + 1.0))
 
 
 def bound_evaluator(mode, cfg, radius, gap0, k):

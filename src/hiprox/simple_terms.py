@@ -106,9 +106,6 @@ class ZeroTerm(SimpleTerm):
     def subgradient_select(self, x, target):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def coordinate_min(self, i, lin, quad):
-        return -lin / quad
-
 
 class L1Term(SimpleTerm):
     kind = "l1"

@@ -4,16 +4,35 @@ The right derivative of a convex function is nondecreasing, so the minimizer
 is inf{x : s'(x) + psi'_+(x) >= 0}. Kink and boundary candidates (0 for
 l1-type terms, finite domain endpoints) are tested exactly first; otherwise
 the sign condition is bracketed by doubling and bisected to width 1e-14.
+
+``decreasing_root`` closes the scalar root equations of the multivariate
+solvers (the ball multiplier of the inner step, the radius of ``psi_argmin``)
+by capped doubling and ``brentq``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NumericalError
 
 _EXPAND_LIMIT = 1e10
 _WIDTH = 1e-14
+_DOUBLING_CAP = 200
+
+
+def decreasing_root(phi, lo, hi):
+    """Root of a decreasing phi with phi(lo) > 0 in [lo, hi * 2^k].
+
+    hi is doubled until phi(hi) < 0, at most ``_DOUBLING_CAP`` times, and
+    the bracket is then closed by ``brentq``.
+    """
+    for _ in range(_DOUBLING_CAP):
+        if phi(hi) < 0.0:
+            return brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        hi *= 2.0
+    raise NumericalError("root bracketing reached %d doublings" % _DOUBLING_CAP)
 
 
 def _kink_candidates(term):

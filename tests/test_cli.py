@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hiprox import get_problem
 from hiprox.cli import RunConfig, load_config, main
 
 
@@ -143,11 +144,23 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     "mode, problem, p", (("plain", "ball-quadratic", 2), ("accelerated", "quartic-1d", 4))
 )
 def test_underivable_h_is_a_configuration_error(mode, problem, p, capsys):
-    # M_{p+1} = 0 here (a quadratic at p = 2, a quartic at p = 4): H must come
-    # from --h, not from a silent default
-    assert main(["run", "--problem", problem, "--mode", mode, "--p", str(p)]) == 1
+    # M_{p+1} = 0 here (a quadratic at p = 2, a quartic at p = 4), so H has no
+    # silent default. In dimension 1 the advice is --h; for n > 1 the inner
+    # loop's relative constants need M as well, so the advice is --m and an
+    # explicit --h alone is still a configuration error
+    args = ["run", "--problem", problem, "--mode", mode, "--p", str(p)]
+    assert main(args) == 1
     err = capsys.readouterr().err
-    assert "--h" in err and "M_%d = 0.0" % (p + 1) in err
+    assert "M_%d = 0.0" % (p + 1) in err
+    if get_problem(problem).dimension == 1:
+        assert "--h" in err
+        return
+    assert "--m" in err and "--h" not in err
+    assert main(args + ["--h", "3.0"]) == 1
+    err = capsys.readouterr().err
+    assert "--m" in err and "--h" not in err and "M_%d = 0.0" % (p + 1) in err
+    assert main(args + ["--m", "1.0"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_mode_is_a_parse_error(capsys):

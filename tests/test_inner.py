@@ -15,7 +15,6 @@ from hiprox import (
     biopt_run,
     get_problem,
     inner_solve,
-    inner_step,
     make_term,
     relative_constants,
 )
@@ -46,16 +45,16 @@ def test_route_selection():
     solver, _, _, _ = _solver(prob, cfg, rc)
     assert solver.route == "univariate"
 
+    # every step in dimension n >= 2 goes through prox-Newton: psi = 0 at
+    # q = 1 and q = 2, and the ball
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "secular"
+    assert solver.route == "prox_newton"
 
-    # the secular solve serves psi = 0 only; a ball goes to prox-Newton
     prob, cfg, rc = _setup("ball-quadratic", 3)
     solver, _, _, _ = _solver(prob, cfg, rc)
     assert solver.route == "prox_newton"
 
-    # q = 2 rules out the secular solve even for a zero term
     prob, cfg, rc = _setup("neglog-sep", 4)
     solver, _, _, _ = _solver(prob, cfg, rc)
     assert solver.route == "prox_newton"
@@ -106,7 +105,7 @@ def test_step_decreases_regularized_objective():
         z = z_new
 
 
-def test_secular_step_on_ball_boundary():
+def test_ball_step_on_boundary():
     # a weak regularizer pushes the prox of the catalog ball problem onto
     # the boundary: steps must stay feasible, and there g = alpha (z+ - c)
     # with alpha >= 0 lies in the normal cone
@@ -197,16 +196,6 @@ def test_inner_solve_iteration_cap():
         inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, max_iter=1)
 
 
-def test_inner_step_wrapper_matches_solver():
-    prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    solver, sf, reg, term = _solver(prob, cfg, rc)
-    z = np.asarray(prob.x0, dtype=float)
-    z_a, g_a = solver.step(z)
-    z_b, g_b = inner_step(sf, prob.oracle, term, rc.lsmooth, z)
-    np.testing.assert_allclose(z_b, z_a, rtol=1e-12)
-    np.testing.assert_allclose(g_b, g_a, rtol=1e-12, atol=1e-14)
-
-
 def test_trace_csv_deterministic():
     prob, cfg, rc = _setup("neglog-sep", 4)
     res1 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
@@ -227,8 +216,9 @@ def test_trace_csv_deterministic():
 @pytest.mark.parametrize("seed", range(8))
 def test_cd_quadratic_reaches_model_optimality(seed):
     # the model solver for <g, z - w> + (z - w)'hm(z - w)/2 + psi(z)
-    # (coordinate descent, or the eigenbasis solve for the ball) ends at a
-    # point where -(g + hm (z - w)) lies in dpsi(z), for random PSD models
+    # (coordinate descent, the eigenbasis solve for the ball, one linear
+    # solve for psi = 0) ends at a point where -(g + hm (z - w)) lies in
+    # dpsi(z), for random PSD models
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     n = prob.dimension
     rng = np.random.default_rng(seed)
@@ -236,6 +226,7 @@ def test_cd_quadratic_reaches_model_optimality(seed):
         make_term("box", lo=-rng.uniform(0.1, 1.0, n), hi=rng.uniform(0.1, 1.0, n)),
         make_term("l1", lam=float(rng.uniform(0.1, 2.0))),
         make_term("ball", center=np.full(n, 0.1), radius=0.5),
+        make_term("zero"),
     )
     for term in terms:
         solver, _, _, _ = _solver(prob, cfg, rc, term=term)

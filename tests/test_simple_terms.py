@@ -132,7 +132,6 @@ def test_coordinate_min():
     # argmin_z (quad/2) z^2 + lin z + psi_i(z) coordinatewise
     rng = np.random.default_rng(3)
     cases = (
-        ("zero", {}),
         ("l1", {"lam": 0.4}),
         ("nonneg", {}),
         ("box", {"lo": [-0.3], "hi": [0.6]}),
@@ -150,6 +149,10 @@ def test_coordinate_min():
             assert 0.5 * quad * z ** 2 + lin * z + term.value(np.array([z])) <= (
                 vals.min() + 1e-6
             )
+    # psi = 0 and the ball have no coordinatewise form: prox-Newton solves
+    # their model steps as a whole
+    with pytest.raises(CapabilityError):
+        make_term("zero").coordinate_min(0, 1.0, 1.0)
     with pytest.raises(CapabilityError):
         make_term("ball", center=np.zeros(1), radius=1.0).coordinate_min(0, 1.0, 1.0)
 
@@ -167,8 +170,7 @@ def test_make_term_unknown():
         make_term("huber")
 
 
-SEPARABLE_KINDS = (
-    ("zero", {}),
+COORDINATE_KINDS = (
     ("l1", {"lam": 0.7}),
     ("nonneg", {}),
     ("box", {"lo": [-1.0, -0.5, 0.0], "hi": [0.5, 1.0, 2.0]}),
@@ -192,7 +194,7 @@ def _coordinate_cases(term, n, rng):
     return cases
 
 
-@pytest.mark.parametrize("kind, kwargs", SEPARABLE_KINDS)
+@pytest.mark.parametrize("kind, kwargs", COORDINATE_KINDS)
 def test_coordinate_min_equals_vector_prox(kind, kwargs):
     # coordinate_min(i, lin, quad) is coordinate i of prox(lin 1, 0, quad)
     term = make_term(kind, **kwargs)
