@@ -30,6 +30,7 @@ from .univariate import minimize_composite_1d
 
 ACCEPT_SLACK = 1e-12
 INEQ_SLACK = 1e-10
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass
@@ -93,7 +94,7 @@ def regularized_gradient(oracle, cfg, anchor, x):
     return oracle.gradient(x) + cfg.h * pp.gradient(x - anchor)
 
 
-def check_acceptable(oracle, term, cfg, anchor, point, g, membership_tol=1e-8):
+def check_acceptable(oracle, term, cfg, anchor, point, g):
     """Build the acceptance certificate for a candidate pair (point, g).
 
     Raises CertificateError when the pair is malformed (point outside the
@@ -106,7 +107,7 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, membership_tol=1e-8):
     if not term.contains(point):
         raise CertificateError("candidate point lies outside dom psi")
     gap = term.subgradient_distance(point, g)
-    if gap > membership_tol * (1.0 + float(np.linalg.norm(g))):
+    if gap > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(g))):
         raise CertificateError(
             "g is not a subgradient of psi at the candidate (distance %.3e)" % gap
         )

@@ -9,15 +9,13 @@ whose optimality conditions yield the constructive subgradient
     g = 2 L (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
 
 and the loop stops as soon as (z+, g) is acceptable for the proximal
-certificate at the anchor. Each step takes one of two routes (see
-``StepSolver``): ``univariate`` (exact bracketing in dimension 1) and
-``prox_newton`` (a damped proximal Newton method, Lee, Sun and Saunders 2014,
-in every dimension n >= 2). Its model step is one linear solve for psi = 0,
-coordinate descent on Python floats for separable psi, and an eigenbasis
-solve for the ball. The full model step is taken when it does not raise the
-objective by more than rounding (1e-15 |phi|); otherwise the step is halved
-until the Armijo condition holds, and 50 halvings without it raise
-``NumericalError``.
+certificate at the anchor. Every step, in every dimension, is solved by one
+damped proximal Newton method (Lee, Sun and Saunders 2014; see
+``StepSolver``). Its model step is one linear solve for psi = 0, coordinate
+descent on Python floats for separable psi, and an eigenbasis solve for the
+ball. The full model step is taken when it does not raise the objective by
+more than rounding (1e-15 |phi|); otherwise the step is halved until the
+Armijo condition holds, and 50 halvings without it raise ``NumericalError``.
 
 The scaling function of one inner solve is built once, with the anchor's
 even-order derivative weights (see ``bregman``); steps never evaluate a
@@ -33,11 +31,13 @@ import numpy as np
 from .acceptance import check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction, bregman_distance
 from .errors import CapabilityError, NumericalError, ParameterError
-from .univariate import decreasing_root, minimize_composite_1d
+# bench/spans.py traces minimize_composite_1d through this binding
+from .univariate import decreasing_root, minimize_composite_1d  # noqa: F401
 
 _RES_TOL = 1e-12
 _NEWTON_CAP = 200
 _HALVING_CAP = 50
+_CD_SWEEPS = 400
 
 
 @dataclass
@@ -56,8 +56,6 @@ class InnerTrace:
 
     rows: list = field(default_factory=list)
     points: list = field(default_factory=list)
-    certificate: object = None
-    iterations: int = 0
 
     COLUMNS = ("i", "phi", "bregman_step", "lhs", "rhs", "ratio")
 
@@ -85,73 +83,72 @@ class InnerResult:
 
 
 class StepSolver:
-    """One inner step z -> z+, route fixed by the dimension and psi.
+    """One inner step z -> z+ by a damped proximal Newton method.
 
-    Routes: ``univariate`` (n = 1) and ``prox_newton`` (n >= 2, separable
-    psi or the ball). Prox-Newton solves its model step by one linear solve
-    for psi = 0, by coordinate descent for the other separable psi and
-    exactly, in the eigenbasis of the model Hessian, for the ball. It takes
-    the full model step unless that raises the objective by more than
-    rounding, and otherwise backtracks by halving to the Armijo condition.
+    One solver in every dimension, for separable psi and the ball. The model
+    step is one linear solve for psi = 0, coordinate descent for the other
+    separable psi and an exact eigenbasis solve for the ball. The full model
+    step is taken unless it raises the objective by more than rounding;
+    otherwise the step is halved to the Armijo condition.
     """
 
+    # bench/spans.py names each traced step by this attribute
+    route = "prox_newton"
+
     def __init__(self, sf, reg, term, lsmooth):
+        if not (term.is_separable or term.kind == "ball"):
+            raise CapabilityError("no step solver for term kind %r" % term.kind)
         self.sf = sf
         self.reg = reg
         self.term = term
         self.lsmooth = float(lsmooth)
-        self.n = len(sf.anchor)
-        if self.n == 1:
-            self.route = "univariate"
-        elif term.is_separable or term.kind == "ball":
-            self.route = "prox_newton"
-        else:
-            raise CapabilityError("no step solver for term kind %r" % term.kind)
-
-    # -- shared pieces ----------------------------------------------------
-    def _smooth(self, ctil):
-        two_l = 2.0 * self.lsmooth
-        sf = self.sf
-
-        def val(w):
-            return two_l * sf.value(w) + float(np.dot(ctil, w))
-
-        def grad(w):
-            return two_l * sf.gradient(w) + ctil
-
-        def hess(w):
-            return two_l * sf.hessian_matrix(w)
-
-        return val, grad, hess
 
     def step(self, z):
+        """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z)."""
         z = np.asarray(z, dtype=float)
+        sf, term = self.sf, self.term
         c = self.reg.gradient(z)
         two_l = 2.0 * self.lsmooth
-        rho_z = self.sf.gradient(z)
+        rho_z = sf.gradient(z)
         ctil = c - two_l * rho_z
-        if self.route == "univariate":
-            z_new = self._step_1d(z, ctil)
-        else:
-            z_new = self._step_prox_newton(z, ctil, c)
-        g = two_l * (rho_z - self.sf.gradient(z_new)) - c
-        dist = self.term.subgradient_distance(z_new, g)
-        tol = _RES_TOL * max(1.0, self.sf.metric.dual_norm(c))
+        tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
+        w = term.project(z)
+        fw = two_l * sf.value(w) + float(np.dot(ctil, w)) + term.value(w)
+        for _ in range(_NEWTON_CAP):
+            gw = two_l * sf.gradient(w) + ctil
+            if term.subgradient_distance(w, -gw) <= 0.5 * tol:
+                break
+            hm = two_l * sf.hessian_matrix(w)
+            nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
+            hm = hm + nu * np.eye(len(w))
+            cand = self._model_min(w, gw, hm)
+            d = cand - w
+            model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
+                           + term.value(cand) - term.value(w))
+            t = 1.0
+            for _ in range(_HALVING_CAP):
+                wt = w + t * d
+                ft = two_l * sf.value(wt) + float(np.dot(ctil, wt)) + term.value(wt)
+                # the full step may rise by rounding; a shorter one must
+                # make the Armijo decrease
+                if t == 1.0:
+                    limit = fw + 1e-15 * abs(fw)
+                else:
+                    limit = fw - 1e-4 * t * max(model_drop, 0.0)
+                if ft <= limit:
+                    break
+                t *= 0.5
+            else:
+                raise NumericalError("prox-Newton line search failed after %d halvings"
+                                     % _HALVING_CAP)
+            w, fw = wt, ft
+        g = two_l * (rho_z - sf.gradient(w)) - c
+        dist = term.subgradient_distance(w, g)
         if dist > 100.0 * tol:
-            raise NumericalError("inner step residual %.3e" % dist, residual=dist)
-        return z_new, g
+            raise NumericalError("prox-Newton step residual %.3e > %.1e" % (dist, 100.0 * tol),
+                                 residual=dist)
+        return w, g
 
-    # -- route (a): dimension 1 --------------------------------------------
-    def _step_1d(self, z, ctil):
-        two_l = 2.0 * self.lsmooth
-
-        def deriv(x):
-            return two_l * float(self.sf.gradient(np.array([x]))[0]) + float(ctil[0])
-
-        t = minimize_composite_1d(deriv, self.term, float(z[0]))
-        return np.array([t])
-
-    # -- route (b): damped proximal Newton ----------------------------------
     def _model_min(self, w, grad, hm):
         """argmin <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi."""
         if self.term.kind == "zero":
@@ -159,7 +156,7 @@ class StepSolver:
         solve = self._cd_quadratic if self.term.is_separable else self._ball_quadratic
         return solve(w, grad, hm)
 
-    def _cd_quadratic(self, w, grad, hm, sweeps=400):
+    def _cd_quadratic(self, w, grad, hm):
         """Coordinate descent on <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z).
 
         A Gauss-Seidel sweep in coordinate order on Python floats (diagonal,
@@ -176,7 +173,7 @@ class StepSolver:
         z = list(wl)
         hd = np.zeros_like(w)  # hm @ (z - w), maintained incrementally
         cmin = self.term.coordinate_min
-        for _ in range(sweeps):
+        for _ in range(_CD_SWEEPS):
             move = 0.0
             for i in range(n):
                 quad = diag[i]
@@ -215,46 +212,6 @@ class StepSolver:
             # |bt| / radius would be a root if lam were 0, so it brackets
             a = decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
         return center + vec @ (bt / (lam + a))
-
-    def _step_prox_newton(self, z, ctil, c):
-        val, grad, hess = self._smooth(ctil)
-        term = self.term
-        tol = _RES_TOL * max(1.0, self.sf.metric.dual_norm(c))
-        w = term.project(z)
-        fw = val(w) + term.value(w)
-        for _ in range(_NEWTON_CAP):
-            gw = grad(w)
-            if term.subgradient_distance(w, -gw) <= 0.5 * tol:
-                return w
-            hm = hess(w)
-            nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
-            hm = hm + nu * np.eye(self.n)
-            cand = self._model_min(w, gw, hm)
-            d = cand - w
-            model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
-                           + term.value(cand) - term.value(w))
-            t = 1.0
-            for _ in range(_HALVING_CAP):
-                wt = w + t * d
-                ft = val(wt) + term.value(wt)
-                # the full step may rise by rounding; a shorter one must
-                # make the Armijo decrease
-                if t == 1.0:
-                    limit = fw + 1e-15 * abs(fw)
-                else:
-                    limit = fw - 1e-4 * t * max(model_drop, 0.0)
-                if ft <= limit:
-                    break
-                t *= 0.5
-            else:
-                raise NumericalError("prox-Newton line search failed after %d halvings"
-                                     % _HALVING_CAP)
-            w, fw = wt, ft
-        gw = grad(w)
-        dist = term.subgradient_distance(w, -gw)
-        if dist <= 100.0 * tol:
-            return w
-        raise NumericalError("prox-Newton cap reached (residual %.3e)" % dist, residual=dist)
 
 
 def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False):
@@ -298,9 +255,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False)
         if keep_points and not fixed_point:
             trace.points.append(z.copy())
         if cert.accepted:
-            trace.certificate = cert
-            trace.iterations = 0 if fixed_point else i
-            return InnerResult(z, g, cert, trace.iterations, trace)
+            return InnerResult(z, g, cert, 0 if fixed_point else i, trace)
     raise NumericalError(
         "inner loop exceeded %d iterations" % max_iter, residual=trace.rows[-1].ratio
     )

@@ -47,7 +47,7 @@ def _kink_candidates(term):
     return pts
 
 
-def minimize_composite_1d(smooth_deriv, term, center, width=_WIDTH, limit=_EXPAND_LIMIT):
+def minimize_composite_1d(smooth_deriv, term, center):
     """Return the minimizer of s + psi given s' and a bracketing seed.
 
     Parameters
@@ -85,8 +85,8 @@ def minimize_composite_1d(smooth_deriv, term, center, width=_WIDTH, limit=_EXPAN
         while right(a) >= 0.0:
             a -= step
             step *= 2.0
-            if abs(a) > limit:
-                raise NumericalError("no lower bracket within |x| <= %g" % limit)
+            if abs(a) > _EXPAND_LIMIT:
+                raise NumericalError("no lower bracket within |x| <= %g" % _EXPAND_LIMIT)
 
     # upper bracket b with right(b) >= 0 (or the domain end)
     if np.isfinite(hi):
@@ -96,10 +96,10 @@ def minimize_composite_1d(smooth_deriv, term, center, width=_WIDTH, limit=_EXPAN
         while right(b) < 0.0:
             b += step
             step *= 2.0
-            if abs(b) > limit:
-                raise NumericalError("no upper bracket within |x| <= %g" % limit)
+            if abs(b) > _EXPAND_LIMIT:
+                raise NumericalError("no upper bracket within |x| <= %g" % _EXPAND_LIMIT)
 
-    while b - a > width * max(1.0, abs(a), abs(b)):
+    while b - a > _WIDTH * max(1.0, abs(a), abs(b)):
         mid = 0.5 * (a + b)
         if right(mid) >= 0.0:
             b = mid

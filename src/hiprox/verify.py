@@ -190,8 +190,9 @@ def suite_bregman(seed=0):
         h_run = bilevel_h(p_run, m)
         cfg = ProxConfig(p_run, h_run, 1.0 / p_run, metric=pr.metric)
         rc = relative_constants(p_run, h_run, m)
+        u = rng.uniform(0.05, 0.5)
         anchor = pr.term.project(
-            np.asarray(pr.x0, dtype=float) + 0.2 * (pr.sample_hi - np.asarray(pr.x0))
+            np.asarray(pr.x0, dtype=float) + u * (pr.sample_hi - np.asarray(pr.x0))
         )
         res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, keep_points=True)
         sf = ScalingFunction(pr.oracle, anchor, p_run, h_run, cfg.metric)

@@ -1,4 +1,4 @@
-"""Inner Bregman loop: step routing, per-step optimality, certificate exit."""
+"""Inner Bregman loop: the prox-Newton step, per-step optimality, certificate exit."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from hiprox import (
     get_problem,
     inner_solve,
     make_term,
+    minimize_composite_1d,
     relative_constants,
 )
 
@@ -40,33 +41,43 @@ def _solver(prob, cfg, rc, anchor=None, term=None):
     return StepSolver(sf, reg, term, rc.lsmooth), sf, reg, term
 
 
-def test_route_selection():
-    prob, cfg, rc = _setup("quartic-abs-1d", 3)
-    solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "univariate"
+@pytest.mark.parametrize(
+    "problem_name,p,h,m",
+    [
+        ("quartic-1d", 3, None, None),
+        ("quartic-1d", 4, None, 1.0),  # M_5 = 0 is declared; any M > 0 defines a model
+        ("quartic-abs-1d", 3, None, None),
+        ("quartic-abs-1d", 5, None, 1.0),
+        ("linear-nonneg-1d", 3, 2.0, 1.0),
+    ],
+)
+def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
+    # in dimension 1 the prox-Newton step must land where exact bracketing
+    # of the same Bregman model does: s'(x) = 2L rho'(x) + c - 2L rho'(z)
+    prob = get_problem(problem_name)
+    m = prob.m_next(p) if m is None else m
+    h = bilevel_h(p, m) if h is None else h
+    cfg = ProxConfig(p=p, h=h, beta=1.0 / p)
+    rc = relative_constants(p, h, m)
+    solver, sf, reg, term = _solver(prob, cfg, rc)
+    two_l = 2.0 * rc.lsmooth
+    z = np.asarray(prob.x0, dtype=float)
+    for _ in range(4):
+        ctil = float(reg.gradient(z)[0] - two_l * sf.gradient(z)[0])
 
-    # every step in dimension n >= 2 goes through prox-Newton: psi = 0 at
-    # q = 1 and q = 2, and the ball
-    prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "prox_newton"
+        def deriv(x):
+            return two_l * float(sf.gradient(np.array([x]))[0]) + ctil
 
-    prob, cfg, rc = _setup("ball-quadratic", 3)
-    solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "prox_newton"
-
-    prob, cfg, rc = _setup("neglog-sep", 4)
-    solver, _, _, _ = _solver(prob, cfg, rc)
-    assert solver.route == "prox_newton"
-
-    term = make_term("ball", center=np.asarray(prob.x0, dtype=float), radius=0.05)
-    solver, _, _, _ = _solver(prob, cfg, rc, term=term)
-    assert solver.route == "prox_newton"
+        ref = minimize_composite_1d(deriv, term, float(z[0]))
+        z_new, _ = solver.step(z)
+        assert abs(float(z_new[0]) - ref) <= 1e-12 * max(1.0, abs(ref))
+        z = z_new
 
 
 @pytest.mark.parametrize(
     "problem_name,p",
     [
+        ("quartic-1d", 3),
         ("quartic-abs-1d", 3),
         ("quartic-sep-10d", 3),
         ("ball-quadratic", 3),
@@ -133,6 +144,7 @@ def test_ball_step_on_boundary():
 @pytest.mark.parametrize(
     "problem_name,p",
     [
+        ("quartic-1d", 3),
         ("quartic-abs-1d", 3),
         ("quartic-sep-10d", 3),
         ("ball-quadratic", 3),
@@ -230,7 +242,6 @@ def test_cd_quadratic_reaches_model_optimality(seed):
     )
     for term in terms:
         solver, _, _, _ = _solver(prob, cfg, rc, term=term)
-        assert solver.route == "prox_newton"
         for _ in range(3):
             b = rng.standard_normal((n, n))
             hm = b @ b.T / n + 0.05 * np.eye(n)
