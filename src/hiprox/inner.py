@@ -11,11 +11,12 @@ whose optimality conditions yield the constructive subgradient
 and the loop stops as soon as (z+, g) is acceptable for the proximal
 certificate at the anchor. Every step, in every dimension, is solved by one
 damped proximal Newton method (Lee, Sun and Saunders 2014; see
-``StepSolver``). Its model step is one linear solve for psi = 0, coordinate
-descent on Python floats for separable psi, and an eigenbasis solve for the
-ball. The full model step is taken when it does not raise the objective by
-more than rounding (1e-15 |phi|); otherwise the step is halved until the
-Armijo condition holds, and 50 halvings without it raise ``NumericalError``.
+``StepSolver``). Its model step is one linear solve for psi = 0, an exact
+primal active-set solve for the other separable psi (one linear solve on the
+free coordinates per pass), and an eigenbasis solve for the ball. The full
+model step is taken when it does not raise the objective by more than
+rounding (1e-15 |phi|); otherwise the step is halved until the Armijo
+condition holds, and 50 halvings without it raise ``NumericalError``.
 
 The scaling function of one inner solve is built once, with the anchor's
 even-order derivative weights (see ``bregman``); steps never evaluate a
@@ -37,7 +38,7 @@ from .univariate import decreasing_root, minimize_composite_1d  # noqa: F401
 _RES_TOL = 1e-12
 _NEWTON_CAP = 200
 _HALVING_CAP = 50
-_CD_SWEEPS = 400
+_PASS_CAP = 20
 
 
 @dataclass
@@ -86,8 +87,8 @@ class StepSolver:
     """One inner step z -> z+ by a damped proximal Newton method.
 
     One solver in every dimension, for separable psi and the ball. The model
-    step is one linear solve for psi = 0, coordinate descent for the other
-    separable psi and an exact eigenbasis solve for the ball. The full model
+    step is exact: one linear solve for psi = 0, an active-set method for the
+    other separable psi and an eigenbasis solve for the ball. The full model
     step is taken unless it raises the objective by more than rounding;
     otherwise the step is halved to the Armijo condition.
     """
@@ -150,45 +151,70 @@ class StepSolver:
         return w, g
 
     def _model_min(self, w, grad, hm):
-        """argmin <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi."""
-        if self.term.kind == "zero":
-            return w - np.linalg.solve(hm, grad)
-        solve = self._cd_quadratic if self.term.is_separable else self._ball_quadratic
-        return solve(w, grad, hm)
+        """argmin q(z) = <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi.
 
-    def _cd_quadratic(self, w, grad, hm):
-        """Coordinate descent on <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z).
-
-        A Gauss-Seidel sweep in coordinate order on Python floats (diagonal,
-        gradient, w and z are read once). Only hm @ (z - w) is a numpy
-        vector, updated by one column per moved coordinate, so every number
-        equals that of a sweep on numpy scalars. hm comes from the scaling
-        function, whose anchor weights are evaluated once per inner solve, so
-        ``calls_by_order`` does not grow here.
+        psi = 0 takes one linear solve and the ball an eigenbasis solve. Other
+        separable psi take a monotone primal active-set method (More and
+        Toraldo 1991): each coordinate is fixed at a kink or free on a piece of
+        slope s_i, as at w to start, and y solves the free block. A segment
+        z -> y that leaves a piece ends at y clipped into the pieces if that
+        lowers q, else at the first kink, which is fixed. Otherwise z = y, and
+        fixed coordinates whose multiplier -r_i lies outside dpsi_i(z_i) by
+        more than rounding are freed (after a zero-length step only the
+        furthest). q never rises; a pass cap raises ``NumericalError``.
         """
+        term = self.term
+        if term.kind == "zero":
+            return w - np.linalg.solve(hm, grad)
+        if not term.is_separable:
+            return self._ball_quadratic(w, grad, hm)
         n = len(w)
-        diag = hm.diagonal().tolist()
-        g = grad.tolist()
-        wl = w.tolist()
-        z = list(wl)
-        hd = np.zeros_like(w)  # hm @ (z - w), maintained incrementally
-        cmin = self.term.coordinate_min
-        for _ in range(_CD_SWEEPS):
-            move = 0.0
-            for i in range(n):
-                quad = diag[i]
-                wi = wl[i]
-                zo = z[i]
-                lin = g[i] - quad * wi + (hd.item(i) - quad * (zo - wi))
-                zi = cmin(i, lin, quad)
-                d = zi - zo
-                if d != 0.0:
-                    hd += hm[:, i] * d
-                    z[i] = zi
-                    move = max(move, abs(d))
-            if move <= 1e-14 * (1.0 + float(np.abs(z).max())):
-                break
-        return np.array(z)
+        z = term.project(w)
+        lo, hi = term.subdifferential(z)
+        fixed = lo < hi
+        slope = np.where(fixed, 0.0, lo)
+        moved = True
+        for _ in range(_PASS_CAP * n):
+            r = grad + hm @ (z - w)
+            nfixed = np.count_nonzero(fixed)
+            if nfixed < n:
+                f = ~fixed
+                hff = hm[np.ix_(f, f)] if nfixed else hm
+                lof, hif = (b[f] for b in term.piece(slope))
+                zf, rs = z[f], r[f] + slope[f]
+                y = zf - np.linalg.solve(hff, rs)
+                new = np.minimum(np.maximum(y, lof), hif)
+                out = new != y
+                if np.count_nonzero(out):
+                    d = new - zf
+                    if float(d @ rs) + 0.5 * float(d @ hff @ d) >= 0.0:
+                        # the clipped point does not lower q: stop at the first kink
+                        alpha = np.where(out, d, 1.0) / np.where(out, y - zf, 1.0)
+                        a = alpha.min()
+                        out &= alpha <= a
+                        new = np.where(out, new, np.clip(zf + a * (y - zf), lof, hif))
+                    moved = bool(np.count_nonzero(new != zf))
+                    z[f] = new
+                    fixed[f] = out
+                    continue
+                if not nfixed:
+                    return y
+                moved = bool(np.count_nonzero(y != zf))
+                z[f] = y
+                r = grad + hm @ (z - w)
+            lo, hi = term.subdifferential(z)
+            up, down = -r - hi, lo + r
+            viol = np.where(fixed, np.maximum(up, down), -np.inf)
+            # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
+            slack = n * np.spacing(abs(grad).max() + abs(hm).max() * abs(z - w).sum())
+            free = viol > slack
+            if not np.count_nonzero(free):
+                return z
+            if not moved:
+                free = viol >= viol.max()
+            fixed &= ~free
+            slope = np.where(free, np.where(up > down, hi, lo), slope)
+        raise NumericalError("active-set model step reached %d passes" % (_PASS_CAP * n))
 
     def _ball_quadratic(self, w, grad, hm):
         """argmin <grad, z-w> + (z-w)'hm(z-w)/2 over |z - center| <= radius.

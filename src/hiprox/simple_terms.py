@@ -8,34 +8,26 @@ The weighted Euclidean prox solves, in the identity metric,
 
     prox(s, c, tau) = argmin_z  <s, z> + psi(z) + (tau/2) |z - c|^2,
 
-and ``subgradient_select(x, target)`` returns the element of the
-subdifferential at x closest to ``target`` (used by diagnostics and by the
-exact 1-D prox to round its constructive subgradient into the set).
+A separable term describes each coordinate once, as a convex piecewise-linear
+function: ``subdifferential(x)`` gives dpsi_i(x_i) = [lo_i, hi_i] (lo_i < hi_i
+exactly at a kink or a bound) and ``piece(slope)`` the closed interval on which
+psi_i has that slope; the inner loop's active-set model step reads both.
+``subgradient_select(x, target)`` clips ``target`` into [lo, hi], the element
+of the subdifferential closest to it (used by diagnostics and by the exact 1-D
+prox to round its constructive subgradient into the set).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 _INF = np.inf
 
 
 def _soft(v, thr):
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-
-
-def _soft_float(v, thr):
-    """``_soft`` on Python floats, signed zeros included (np.sign(-0.0) is +0.0)."""
-    m = max(abs(v) - thr, 0.0)
-    if v > 0.0:
-        return m
-    if v < 0.0:
-        return -m
-    return 0.0 * m if v == 0.0 else v
 
 
 class SimpleTerm:
@@ -64,22 +56,25 @@ class SimpleTerm:
     def _prox_point(self, v, tau):
         raise NotImplementedError
 
-    def subgradient_select(self, x, target):
+    def subdifferential(self, x):
+        """(lo, hi) with dpsi_i(x_i) = [lo_i, hi_i] (separable kinds)."""
         raise NotImplementedError
+
+    def piece(self, slope):
+        """(lo, hi): the closed interval on which psi_i has slope slope_i."""
+        raise NotImplementedError
+
+    def subgradient_select(self, x, target):
+        x = np.asarray(x, dtype=float)
+        if not self.contains(x):
+            raise DomainError("point outside the domain of the %s term" % self.kind)
+        lo, hi = self.subdifferential(x)
+        return np.minimum(np.maximum(target, lo), hi)
 
     def subgradient_distance(self, x, target):
         """Euclidean distance from target to the subdifferential at x."""
         sel = self.subgradient_select(x, target)
         return float(np.linalg.norm(np.asarray(target, dtype=float) - sel))
-
-    # -- coordinatewise interface (separable kinds) ---------------------
-    def coordinate_min(self, i, lin, quad):
-        """argmin_z (quad/2) z^2 + lin z + psi_i(z) for coordinate i.
-
-        Takes and returns Python floats: coordinate descent calls it once per
-        coordinate and sweep, where numpy scalar arithmetic would dominate.
-        """
-        raise CapabilityError("%s has no coordinatewise form" % self.kind)
 
     # -- 1-D helpers for the univariate composite minimizer -------------
     def interval_1d(self):
@@ -103,8 +98,11 @@ class ZeroTerm(SimpleTerm):
     def _prox_point(self, v, tau):
         return v
 
-    def subgradient_select(self, x, target):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def subdifferential(self, x):
+        return np.zeros(np.shape(x)), np.zeros(np.shape(x))
+
+    def piece(self, slope):
+        return np.full(np.shape(slope), -_INF), np.full(np.shape(slope), _INF)
 
 
 class L1Term(SimpleTerm):
@@ -121,16 +119,14 @@ class L1Term(SimpleTerm):
     def _prox_point(self, v, tau):
         return _soft(v, self.lam / tau)
 
-    def subgradient_select(self, x, target):
+    def subdifferential(self, x):
         x = np.asarray(x, dtype=float)
-        t = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
-        out = np.where(x > 0, self.lam, np.where(x < 0, -self.lam, 0.0)).astype(float)
-        at_zero = x == 0
-        out[at_zero] = np.clip(t[at_zero], -self.lam, self.lam)
-        return out
+        return np.where(x > 0, self.lam, -self.lam), np.where(x < 0, -self.lam, self.lam)
 
-    def coordinate_min(self, i, lin, quad):
-        return _soft_float(-lin / quad, self.lam / quad)
+    def piece(self, slope):
+        # slope lam on [0, inf), -lam on (-inf, 0]; the whole line when lam = 0
+        slope = np.asarray(slope, dtype=float)
+        return np.where(slope > -self.lam, 0.0, -_INF), np.where(slope < self.lam, 0.0, _INF)
 
     def deriv_right_1d(self, x):
         return self.lam if x >= 0 else -self.lam
@@ -164,19 +160,13 @@ class NonnegTerm(SimpleTerm):
     def _prox_point(self, v, tau):
         return np.maximum(v, 0.0)
 
-    def subgradient_select(self, x, target):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError("point outside the nonnegative orthant")
-        t = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
+    def subdifferential(self, x):
         # normal cone: {0} where x > 0, (-inf, 0] on the boundary
-        out = np.zeros_like(x)
-        boundary = x <= 0
-        out[boundary] = np.minimum(t[boundary], 0.0)
-        return out
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0, 0.0, -_INF), np.zeros_like(x)
 
-    def coordinate_min(self, i, lin, quad):
-        return max(-lin / quad, 0.0)
+    def piece(self, slope):
+        return np.zeros(np.shape(slope)), np.full(np.shape(slope), _INF)
 
     def interval_1d(self):
         return (0.0, _INF)
@@ -192,15 +182,6 @@ class BoxTerm(SimpleTerm):
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ParameterError("box bounds must satisfy lo <= hi elementwise")
 
-    # the bounds as Python floats for coordinate_min, built on first use
-    @cached_property
-    def _lo_list(self):
-        return self.lo.tolist()
-
-    @cached_property
-    def _hi_list(self):
-        return self.hi.tolist()
-
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
@@ -214,21 +195,13 @@ class BoxTerm(SimpleTerm):
     def _prox_point(self, v, tau):
         return np.clip(v, self.lo, self.hi)
 
-    def subgradient_select(self, x, target):
+    def subdifferential(self, x):
+        # normal cone: (-inf, 0] at lo, [0, inf) at hi, the line where lo = hi
         x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError("point outside the box")
-        t = np.broadcast_to(np.asarray(target, dtype=float), x.shape)
-        out = np.zeros_like(x)
-        at_lo = x <= self.lo
-        at_hi = x >= self.hi
-        out[at_lo] = np.minimum(t[at_lo], 0.0)
-        out[at_hi] = np.maximum(t[at_hi], 0.0)
-        return out
+        return np.where(x > self.lo, 0.0, -_INF), np.where(x < self.hi, 0.0, _INF)
 
-    def coordinate_min(self, i, lin, quad):
-        # np.clip on a scalar, with the same signed zeros and NaN
-        return min(max(-lin / quad, self._lo_list[i]), self._hi_list[i])
+    def piece(self, slope):
+        return self.lo, self.hi
 
     def interval_1d(self):
         return (float(self.lo[0]), float(self.hi[0]))

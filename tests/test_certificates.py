@@ -14,6 +14,7 @@ from hiprox import (
     check_acceptable,
     exact_prox_1d,
     get_problem,
+    make_term,
     regularized_gradient,
 )
 
@@ -67,6 +68,19 @@ def test_exact_prox_linear_nonneg_boundary():
     np.testing.assert_allclose(g, [0.6 ** 3 - 1.0], atol=1e-12)
     cert = check_acceptable(prob.oracle, prob.term, cfg, np.array([0.6]), t, g)
     assert cert.accepted
+
+
+def test_exact_prox_degenerate_box():
+    # f(x) = x on the box [0.5, 0.5]: the normal cone at 0.5 is the whole
+    # line, so g = -1 cancels f' and the exact prox certifies
+    prob = get_problem("linear-nonneg-1d")
+    term = make_term("box", lo=[0.5], hi=[0.5])
+    assert term.subgradient_select(np.array([0.5]), np.array([-3.0]))[0] == -3.0
+    cfg = ProxConfig(3, 1.0, 0.85)
+    anchor = np.array([0.5])
+    t, g = exact_prox_1d(prob.oracle, term, cfg, anchor)
+    assert t[0] == 0.5 and g[0] == -1.0
+    assert check_acceptable(prob.oracle, term, cfg, anchor, t, g).accepted
 
 
 def test_exact_prox_accepted_at_beta_zero():

@@ -225,32 +225,98 @@ def test_trace_csv_deterministic():
     assert ratio[-1] <= cfg.beta + 1e-12
 
 
+def _model_min(term, w, g, hm):
+    prob, cfg, rc = _setup("quartic-sep-10d", 3)
+    solver, _, _, _ = _solver(prob, cfg, rc, term=term)
+    return solver._model_min(np.asarray(w, float), np.asarray(g, float), np.asarray(hm, float))
+
+
+def _kkt_scale(w, g, hm, z):
+    # the rounding scale of r = g + hm (z - w)
+    return float(np.abs(g).max() + np.abs(hm).max() * (np.abs(z).max() + np.abs(w).max()))
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_cd_quadratic_reaches_model_optimality(seed):
+def test_model_min_reaches_model_optimality(seed):
     # the model solver for <g, z - w> + (z - w)'hm(z - w)/2 + psi(z)
-    # (coordinate descent, the eigenbasis solve for the ball, one linear
+    # (the active-set method, the eigenbasis solve for the ball, one linear
     # solve for psi = 0) ends at a point where -(g + hm (z - w)) lies in
-    # dpsi(z), for random PSD models
+    # dpsi(z), for random PSD models, some with eigenvalues 1e-4 to 1e2
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     n = prob.dimension
     rng = np.random.default_rng(seed)
     terms = (
         make_term("box", lo=-rng.uniform(0.1, 1.0, n), hi=rng.uniform(0.1, 1.0, n)),
         make_term("l1", lam=float(rng.uniform(0.1, 2.0))),
+        make_term("nonneg"),
         make_term("ball", center=np.full(n, 0.1), radius=0.5),
         make_term("zero"),
     )
     for term in terms:
         solver, _, _, _ = _solver(prob, cfg, rc, term=term)
-        for _ in range(3):
-            b = rng.standard_normal((n, n))
-            hm = b @ b.T / n + 0.05 * np.eye(n)
+        for ill in (False, False, False, True, True):
+            if ill:
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                hm = (q * np.logspace(-4.0, 2.0, n)) @ q.T
+                hm = 0.5 * (hm + hm.T)
+            else:
+                b = rng.standard_normal((n, n))
+                hm = b @ b.T / n + 0.05 * np.eye(n)
             w = term.project(rng.uniform(-1.0, 1.0, n))
             g = 2.0 * rng.standard_normal(n)
             z = solver._model_min(w, g, hm)
-            # coordinate descent clips exactly; |z - c| on the ball is rounded
+            # the active-set method clips exactly; |z - c| on the ball is rounded
             assert term.contains(z, tol=0.0 if term.is_separable else 1e-14 * term.radius)
-            assert term.subgradient_distance(z, -(g + hm @ (z - w))) <= 1e-10
+            res = term.subgradient_distance(z, -(g + hm @ (z - w)))
+            assert res <= 1e-12 * _kkt_scale(w, g, hm, z), (term.kind, res)
+
+
+def test_model_min_box_cycle_example():
+    # plain block pivoting (primal-dual active sets) cycles on this box QP;
+    # H is not an M-matrix
+    hm = [[15.0, -14.0, -8.0], [-14.0, 15.0, 8.0], [-8.0, 8.0, 6.0]]
+    term = make_term("box", lo=-np.ones(3), hi=np.ones(3))
+    z = _model_min(term, [0.0, 0.0, -1.0], [-9.0, 4.0, -7.0], hm)
+    np.testing.assert_allclose(z, [1.0, -0.4, 1.0], rtol=0, atol=1e-14)
+    assert z[0] == 1.0 and z[2] == 1.0
+
+
+def test_model_min_degenerate_l1_example():
+    # the answer (0, -16/3) has multiplier -r_0 = -1 = -lam, on the edge of
+    # dpsi_0(0) = [-1, 1]: the kink must be hit exactly
+    z = _model_min(make_term("l1", lam=1.0), [1.0, -2.0], [-6.0, 9.0],
+                   [[33.0, -12.0], [-12.0, 6.0]])
+    assert z[0] == 0.0
+    assert abs(z[1] + 16.0 / 3.0) <= 1e-15 * 16.0 / 3.0
+
+
+def test_model_min_random_sample():
+    # 300 draws with n <= 30, condition up to 1e6 and kinks in w: exactly in
+    # the domain, KKT residual within 1e-12 of the rounding scale
+    rng = np.random.default_rng(11)
+    for draw in range(300):
+        n = int(rng.integers(1, 31))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        hm = (q * 10.0 ** rng.uniform(-3.0, 3.0, n)) @ q.T
+        hm = 0.5 * (hm + hm.T)
+        kind = draw % 3
+        if kind == 0:
+            lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            degenerate = rng.random(n) < 0.1
+            hi[degenerate] = lo[degenerate]
+            term = make_term("box", lo=lo, hi=hi)
+        elif kind == 1:
+            term = make_term("l1", lam=float(10.0 ** rng.uniform(-2.0, 1.0)))
+        else:
+            term = make_term("nonneg")
+        w = term.project(rng.uniform(-2.0, 2.0, n))
+        at_kink = rng.random(n) < 0.2
+        w[at_kink] = term.lo[at_kink] if kind == 0 else 0.0
+        g = 10.0 ** rng.uniform(-1.0, 2.0) * rng.standard_normal(n)
+        z = _model_min(term, w, g, hm)
+        assert term.contains(z, tol=0.0), draw
+        res = term.subgradient_distance(z, -(g + hm @ (z - w)))
+        assert res <= 1e-12 * _kkt_scale(w, g, hm, z), (draw, res)
 
 
 @pytest.mark.parametrize("p", [4, 5])

@@ -1,12 +1,9 @@
 """Composite terms: prox optimality, subdifferential selection, projections."""
 
-import math
-
 import numpy as np
 import pytest
 
-from hiprox import CapabilityError, DomainError, ParameterError, make_term
-from hiprox.simple_terms import _soft, _soft_float
+from hiprox import DomainError, ParameterError, make_term
 
 ALL_KINDS = (
     ("zero", {}),
@@ -128,35 +125,6 @@ def test_ball_term():
     assert not term.is_separable
 
 
-def test_coordinate_min():
-    # argmin_z (quad/2) z^2 + lin z + psi_i(z) coordinatewise
-    rng = np.random.default_rng(3)
-    cases = (
-        ("l1", {"lam": 0.4}),
-        ("nonneg", {}),
-        ("box", {"lo": [-0.3], "hi": [0.6]}),
-    )
-    for kind, kwargs in cases:
-        term = make_term(kind, **kwargs)
-        for _ in range(15):
-            lin = rng.standard_normal()
-            quad = rng.uniform(0.5, 3.0)
-            z = term.coordinate_min(0, lin, quad)
-            zs = np.linspace(-2.0, 2.0, 8001)
-            vals = 0.5 * quad * zs ** 2 + lin * zs + np.array(
-                [term.value(np.array([t])) for t in zs]
-            )
-            assert 0.5 * quad * z ** 2 + lin * z + term.value(np.array([z])) <= (
-                vals.min() + 1e-6
-            )
-    # psi = 0 and the ball have no coordinatewise form: prox-Newton solves
-    # their model steps as a whole
-    with pytest.raises(CapabilityError):
-        make_term("zero").coordinate_min(0, 1.0, 1.0)
-    with pytest.raises(CapabilityError):
-        make_term("ball", center=np.zeros(1), radius=1.0).coordinate_min(0, 1.0, 1.0)
-
-
 def test_abs_1d_derivatives():
     term = make_term("abs-1d")
     assert term.deriv_right_1d(0.0) == 1.0
@@ -170,59 +138,35 @@ def test_make_term_unknown():
         make_term("huber")
 
 
-COORDINATE_KINDS = (
+SEPARABLE_KINDS = (
+    ("zero", {}),
     ("l1", {"lam": 0.7}),
     ("nonneg", {}),
-    ("box", {"lo": [-1.0, -0.5, 0.0], "hi": [0.5, 1.0, 2.0]}),
+    # the last coordinate is degenerate: lo = hi
+    ("box", {"lo": [-1.0, -0.5, 0.25], "hi": [0.5, 1.0, 0.25]}),
     ("abs-1d", {}),
 )
 
 
-def _coordinate_cases(term, n, rng):
-    """(lin, quad) pairs: random, +-0, l1 threshold and box bounds exactly."""
-    cases = [(s * lin, quad) for lin in (0.0, 1e-300, 0.3, 5.0) for s in (1.0, -1.0)
-             for quad in (0.25, 1.0, 3.0)]
-    cases += [(float(v), float(q)) for v, q in zip(rng.standard_normal(40), rng.uniform(0.1, 4, 40))]
-    lam = getattr(term, "lam", None)
-    if lam is not None:
-        # |v| = |lin| / quad is exactly the threshold lam / quad
-        cases += [(s * lam, quad) for s in (1.0, -1.0) for quad in (0.5, 1.0, 3.0)]
-    if term.kind == "box":
-        # v = -lin / quad exactly on a bound (quad a power of two)
-        cases += [(-bound * quad, quad) for bound in np.concatenate([term.lo, term.hi]).tolist()
-                  for quad in (0.5, 1.0, 4.0)]
-    return cases
-
-
-@pytest.mark.parametrize("kind, kwargs", COORDINATE_KINDS)
-def test_coordinate_min_equals_vector_prox(kind, kwargs):
-    # coordinate_min(i, lin, quad) is coordinate i of prox(lin 1, 0, quad)
+@pytest.mark.parametrize("kind, kwargs", SEPARABLE_KINDS)
+def test_prox_residual_in_subdifferential_and_piece(kind, kwargs):
+    # p = prox(s, c, tau) iff tau (c - p) - s lies in dpsi(p) = [lo, hi]; a
+    # coordinate off every kink (lo = hi) lies on the piece of that slope
     term = make_term(kind, **kwargs)
     n = _dim(kind)
     rng = np.random.default_rng(7)
-    for lin, quad in _coordinate_cases(term, n, rng):
-        vec = term.prox(np.full(n, lin), np.zeros(n), quad)
-        for i in range(n):
-            z = term.coordinate_min(i, lin, quad)
-            assert type(z) is float
-            assert z == vec[i], (kind, i, lin, quad)
-
-
-def _same_float(a, b):
-    return (a == b and math.copysign(1.0, a) == math.copysign(1.0, b)) or (a != a and b != b)
-
-
-def test_float_soft_threshold_equals_numpy_with_signed_zeros():
-    values = (0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 2.0, -2.0, 1e-300, -1e-300, math.inf, -math.inf,
-              math.nan)
-    for v in values:
-        for thr in (0.0, 0.5, 0.7, 3.0):
-            assert _same_float(_soft_float(v, thr), float(_soft(np.asarray(v), thr))), (v, thr)
-
-
-def test_box_coordinate_min_equals_numpy_clip_with_signed_zeros():
-    term = make_term("box", lo=[0.0, -1.0, -0.0, -2.0], hi=[1.0, -0.0, 0.0, math.inf])
-    for i in range(4):
-        for v in (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, math.nan):
-            expected = float(np.clip(np.float64(v), term.lo[i], term.hi[i]))
-            assert _same_float(term.coordinate_min(i, -v, 1.0), expected), (i, v)
+    kinks = 0
+    for _ in range(200):
+        s = rng.standard_normal(n)
+        c = 2.0 * rng.standard_normal(n)
+        tau = rng.uniform(0.2, 3.0)
+        p = term.prox(s, c, tau)
+        v = tau * (c - p) - s
+        lo, hi = term.subdifferential(p)
+        tol = 1e-12 * (1.0 + np.abs(v))
+        assert np.all(lo - tol <= v) and np.all(v <= hi + tol), (kind, p, v)
+        free = lo == hi
+        plo, phi = term.piece(lo)
+        assert np.all(plo[free] <= p[free]) and np.all(p[free] <= phi[free]), (kind, p)
+        kinks += int(np.sum(~free))
+    assert kinks > 0 or kind == "zero"
