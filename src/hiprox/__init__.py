@@ -46,6 +46,7 @@ from .inner import (
 )
 from .metric import MetricSpace, PowerProx
 from .oracles import (
+    AnchorStack,
     QuadraticObjective,
     SeparableObjective,
     SmoothOracle,
@@ -85,6 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ACCEPT_SLACK",
     "AcceptanceCertificate",
+    "AnchorStack",
     "CapabilityError",
     "CertificateError",
     "CheckResult",

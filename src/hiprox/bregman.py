@@ -20,11 +20,11 @@ L = 3/2, kappa = 1/3.
 The even Taylor terms are anchored at the fixed y, so their scalar data are
 constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
 residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
-``AnchorStack``), and rho, grad rho and the Hessians of rho contract
-those weights against x - y on every call; the k = 1 Hessian term D^2 f(y)
-does not depend on x and is formed once. The oracle's ``calls_by_order``
-still names every order consumed, but counts the anchor's orders once per
-scaling function rather than once per call.
+``AnchorStack`` of the even orders 2, ..., 2q), and rho, grad rho and the
+Hessian matrix of rho contract those weights against x - y on every call; the
+k = 1 Hessian term D^2 f(y) does not depend on x and is formed once. The
+oracle's ``calls_by_order`` still names every order consumed, but counts the
+anchor's orders once per scaling function rather than once per call.
 
 For p = 3 these constants follow from the bracket
 |D^3 f(y)[h][u,u]| <= D^2 f(y)[u,u]/xi + xi M_4 |h|^2 |u|^2/2 (convexity of f
@@ -98,14 +98,6 @@ class ScalingFunction:
         d = np.asarray(x, dtype=float) - self.anchor
         return self.poly_gradient(x) + self.h * self.pp.gradient(d)
 
-    def hessian_form(self, x, u):
-        d = np.asarray(x, dtype=float) - self.anchor
-        u = np.asarray(u, dtype=float)
-        out = self.h * self.pp.hessian_form(d, u)
-        for k in range(1, self.q + 1):
-            out += self.stack.form(d, 2 * k, u) / math.factorial(2 * k - 2)
-        return out
-
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return self.poly_hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
@@ -136,10 +128,6 @@ class RegularizedObjective:
     def gradient(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return self.oracle.gradient(x) + self.h * self.pp.gradient(d)
-
-    def hessian_form(self, x, u):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.hessian_form(x, u) + self.h * self.pp.hessian_form(d, u)
 
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
@@ -174,27 +162,20 @@ def bilevel_h(p, m_next):
     return 6.0 * m_next / math.factorial(p - 1)
 
 
-def relative_sandwich_check(sf, reg, rc, pairs, directions=None):
+def relative_sandwich_check(sf, reg, rc, pairs):
     """Worst signed violation of the relative-smoothness sandwich.
 
     For each pair (y, x) checks
 
-        mu breg(y, x) <= f_reg(x) - f_reg(y) - <grad f_reg(y), x-y> <= L breg(y, x)
+        mu breg(y, x) <= f_reg(x) - f_reg(y) - <grad f_reg(y), x-y> <= L breg(y, x).
 
-    and, when ``directions`` supplies a u per pair, the Hessian-form version
-    mu <D^2 rho u,u> <= <D^2 f_reg u,u> <= L <D^2 rho u,u> at x. Positive
-    return values mean a violation of that size; <= 0 means all hold.
+    Positive return values mean a violation of that size; <= 0 means all hold.
     """
     worst = -np.inf
-    for idx, (y, x) in enumerate(pairs):
+    for y, x in pairs:
         b = bregman_distance(sf, y, x)
         df = reg.value(x) - reg.value(y) - float(np.dot(reg.gradient(y), x - y))
         worst = max(worst, rc.mu * b - df, df - rc.lsmooth * b)
-        if directions is not None:
-            u = directions[idx]
-            hr = sf.hessian_form(x, u)
-            hf = reg.hessian_form(x, u)
-            worst = max(worst, rc.mu * hr - hf, hf - rc.lsmooth * hr)
     return worst
 
 

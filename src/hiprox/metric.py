@@ -6,11 +6,11 @@ applications. ``PowerProx`` provides the regularizer
 
     d(h) = |h|^{p+1} / (p+1),
 
-its gradient ``|h|^{p-1} B h`` and Hessian quadratic form
+its gradient ``|h|^{p-1} B h`` and Hessian matrix
 
-    <D^2 d(h) u, u> = |h|^{p-1} <Bu, u> + (p-1) |h|^{p-3} <Bh, u>^2,
+    D^2 d(h) = |h|^{p-1} B + (p-1) |h|^{p-3} (Bh)(Bh)^T,
 
-which is bounded below by ``|h|^{p-1} <Bu, u>``.
+which is bounded below by ``|h|^{p-1} B``.
 """
 
 from __future__ import annotations
@@ -134,19 +134,8 @@ class PowerProx:
             return np.zeros(self.metric.dimension)
         return r ** (self.p - 1) * self.metric.apply(h)
 
-    def hessian_form(self, h, u):
-        """<D^2 d(h) u, u>. Continuous limit 0 at h = 0 for p >= 2."""
-        r = self.metric.primal_norm(h)
-        bu_u = float(np.dot(self.metric.apply(u), u))
-        if self.p == 1:
-            return bu_u
-        if r == 0.0:
-            return 0.0
-        bh_u = float(np.dot(self.metric.apply(h), u))
-        return r ** (self.p - 1) * bu_u + (self.p - 1) * r ** (self.p - 3) * bh_u ** 2
-
     def hessian_matrix(self, h):
-        """Dense D^2 d(h) = |h|^{p-1} B + (p-1)|h|^{p-3} (Bh)(Bh)^T."""
+        """Dense D^2 d(h) = |h|^{p-1} B + (p-1)|h|^{p-3} (Bh)(Bh)^T (0 at h = 0, p >= 2)."""
         r = self.metric.primal_norm(h)
         n = self.metric.dimension
         if self.p == 1:
@@ -157,18 +146,6 @@ class PowerProx:
         return r ** (self.p - 1) * self.metric.matrix() + (
             self.p - 1
         ) * r ** (self.p - 3) * np.outer(bh, bh)
-
-    def hessian_apply(self, h, u):
-        """D^2 d(h) u as a vector."""
-        r = self.metric.primal_norm(h)
-        if self.p == 1:
-            return self.metric.apply(u)
-        if r == 0.0:
-            return np.zeros(self.metric.dimension)
-        bh = self.metric.apply(h)
-        return r ** (self.p - 1) * self.metric.apply(u) + (
-            self.p - 1
-        ) * r ** (self.p - 3) * float(np.dot(bh, u)) * bh
 
     def uniform_convexity_modulus(self):
         """Modulus c with d(y) >= d(x) + <grad d(x), y-x> + c |y-x|^{p+1}."""

@@ -1,27 +1,29 @@
-"""Smooth convex oracles with high-order directional tensor access.
+"""Smooth convex oracles and their derivative stacks at a fixed point.
 
 The central implementation is ``SeparableObjective``,
 
     f(x) = sum_i f_i(<a_i, x> - b_i),
 
-whose k-th directional tensors reduce to scalar derivatives,
+whose k-th derivative tensors reduce to scalar derivatives,
 
     D^k f(x)[h]^k          = sum_i f_i^(k)(t_i) <a_i, h>^k,
-    D^{2k} f(y)[h]^{2k-2} u = sum_i f_i^(2k)(t_i) <a_i, h>^{2k-2} <a_i, u> a_i.
+    D^k f(x)[h]^{k-2} u    = sum_i f_i^(k)(t_i) <a_i, h>^{k-2} <a_i, u> a_i.
 
 ``QuadraticObjective`` covers f(x) = x'Qx/2 + <c, x> (all tensors of order
 >= 3 vanish).
 
-Every directional contraction goes through one set of helpers that take the
-order-k derivative data at a point (``_weights``): ``_form`` gives
-D^k f[h]^k, ``_apply`` and ``_matrix`` the even tensors D^{2k} f[h]^{2k-2}.
-``AnchorStack`` holds that data for the even orders 2, ..., 2q at a fixed
-anchor y, evaluated once; a scaling function anchored at y (``bregman``)
-contracts it against a new h on every call without evaluating a scalar
-derivative again. Scalar-derivative evaluations are counted per order in
-``calls_by_order``, so a run can certify which derivative orders it
-consumed; the anchor's even orders are counted once per ``AnchorStack``, not
-once per use.
+An oracle gives f, its gradient and its Hessian matrix at a point. Every
+contraction of a derivative of order k >= 2 goes through one set of helpers
+that take the order-k derivative data at a point (``_weights``): ``_form``
+gives D^k f[h]^k, ``_apply`` and ``_matrix`` the tensor D^k f[h]^{k-2}.
+``AnchorStack`` is the only public way to use them: it holds that data for
+the orders it is given at a fixed point y, evaluated once, and contracts it
+against a new h on every call without evaluating a scalar derivative again.
+A scaling function anchored at y (``bregman``) and a Taylor model at x
+(``tensor_step``) each build one. Scalar-derivative evaluations are counted
+per order in ``calls_by_order``, so a run can certify which derivative orders
+it consumed; a stack's orders are counted once per ``AnchorStack``, not once
+per use.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _MACHINE_H2 = 1e-4
 
 
 class SmoothOracle:
-    """Interface for smooth convex objectives with tensor access."""
+    """Interface for smooth convex objectives with derivative stacks."""
 
     dimension = None
 
@@ -55,9 +57,6 @@ class SmoothOracle:
         """Known upper bound on sup ||D^k f|| over the working region."""
         return self.m_bounds.get(int(k), np.inf)
 
-    def check_domain(self, x):
-        pass
-
     def _check_vec(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -73,37 +72,7 @@ class SmoothOracle:
         raise NotImplementedError
 
     def hessian_matrix(self, x):
-        raise NotImplementedError
-
-    def hessian_apply(self, x, u):
-        return self.hessian_matrix(x) @ self._check_vec(u)
-
-    def hessian_form(self, x, u):
-        u = self._check_vec(u)
-        return float(np.dot(self.hessian_apply(x, u), u))
-
-    def directional(self, x, h, k):
-        """D^k f(x)[h]^k."""
-        h = self._check_vec(h)
-        return self._form(self._weights(x, k), h, k)
-
-    def tensor_apply(self, x, h, k):
-        """D^k f(x)[h]^{k-1} as a covector (k >= 1; h ignored for k = 1)."""
-        raise NotImplementedError
-
-    def tensor_form2(self, x, h, k, u):
-        """D^k f(x)[h]^{k-2}[u, u] for k >= 2 (any parity)."""
-        raise NotImplementedError
-
-    def even_tensor_apply(self, y, h, two_k, u):
-        return AnchorStack(self, y, (two_k,)).apply(h, two_k, u)
-
-    def even_tensor_form(self, y, h, two_k, u):
-        return AnchorStack(self, y, (two_k,)).form(h, two_k, u)
-
-    def even_tensor_matrix(self, y, h, two_k):
-        """Dense D^{2k} f(y)[h]^{2k-2} as a symmetric matrix."""
-        return AnchorStack(self, y, (two_k,)).matrix(h, two_k)
+        return self._matrix(self._weights(x, 2), None, 2)
 
     # -- the tensor algebra, on the order-k data at one point ---------------
     def _weights(self, x, k):
@@ -115,52 +84,51 @@ class SmoothOracle:
         raise NotImplementedError
 
     def _apply(self, w, h, k, u):
-        """D^k f[h]^{k-2} u from the order-k data w (k even)."""
+        """D^k f[h]^{k-2} u from the order-k data w."""
         raise NotImplementedError
 
     def _matrix(self, w, h, k):
-        """Dense D^k f[h]^{k-2} from the order-k data w (k even)."""
+        """Dense D^k f[h]^{k-2} from the order-k data w."""
         raise NotImplementedError
 
 
 class AnchorStack:
-    """Even-order derivative data of an oracle at a fixed anchor y.
+    """Derivative data of an oracle at a fixed point y, for orders k >= 2.
 
     The data of each order in ``orders`` is evaluated (and recorded in
-    ``calls_by_order``) once, here. ``directional(h, 2k)``,
-    ``apply(h, 2k, u)``, ``form(h, 2k, u)`` and ``matrix(h, 2k)`` then equal
-    ``oracle.directional(y, h, 2k)``, ``oracle.even_tensor_apply(y, h, 2k, u)``,
-    ``oracle.even_tensor_form(y, h, 2k, u)`` and
-    ``oracle.even_tensor_matrix(y, h, 2k)`` bit for bit, since those oracle
-    methods are these with a stack built on the spot.
+    ``calls_by_order``) once, here. ``directional(h, k)``, ``apply(h, k, u)``,
+    ``form(h, k, u)`` and ``matrix(h, k)`` then give D^k f(y)[h]^k,
+    D^k f(y)[h]^{k-2} u, D^k f(y)[h]^{k-2}[u, u] and the dense
+    D^k f(y)[h]^{k-2}; with u = h, ``apply`` gives the covector
+    D^k f(y)[h]^{k-1}.
     """
 
     def __init__(self, oracle, y, orders):
         self.oracle = oracle
         self.weights = {}
-        for two_k in orders:
-            if two_k % 2 != 0 or two_k < 2:
-                raise ParameterError("tensor order must be even and >= 2")
-            self.weights[two_k] = oracle._weights(y, two_k)
+        for k in orders:
+            if k < 2:
+                raise ParameterError("tensor order must be >= 2")
+            self.weights[k] = oracle._weights(y, k)
 
-    def directional(self, h, two_k):
-        """D^{2k} f(y)[h]^{2k}."""
+    def directional(self, h, k):
+        """D^k f(y)[h]^k."""
         h = self.oracle._check_vec(h)
-        return self.oracle._form(self.weights[two_k], h, two_k)
+        return self.oracle._form(self.weights[k], h, k)
 
-    def apply(self, h, two_k, u):
-        """D^{2k} f(y)[h]^{2k-2} u."""
+    def apply(self, h, k, u):
+        """D^k f(y)[h]^{k-2} u."""
         u = self.oracle._check_vec(u)
-        return self.oracle._apply(self.weights[two_k], h, two_k, u)
+        return self.oracle._apply(self.weights[k], h, k, u)
 
-    def form(self, h, two_k, u):
-        """D^{2k} f(y)[h]^{2k-2}[u, u]."""
+    def form(self, h, k, u):
+        """D^k f(y)[h]^{k-2}[u, u]."""
         u = self.oracle._check_vec(u)
-        return float(np.dot(self.apply(h, two_k, u), u))
+        return float(np.dot(self.apply(h, k, u), u))
 
-    def matrix(self, h, two_k):
-        """Dense D^{2k} f(y)[h]^{2k-2}."""
-        return self.oracle._matrix(self.weights[two_k], h, two_k)
+    def matrix(self, h, k):
+        """Dense D^k f(y)[h]^{k-2}."""
+        return self.oracle._matrix(self.weights[k], h, k)
 
     @cached_property
     def hessian(self):
@@ -204,9 +172,6 @@ class SeparableObjective(SmoothOracle):
                 )
         return t
 
-    def check_domain(self, x):
-        self.residuals(x)
-
     def _derivs(self, t, k):
         fam = self.family
         # neg-log style families produce even orders > 2 from f'' alone
@@ -222,25 +187,6 @@ class SeparableObjective(SmoothOracle):
     def gradient(self, x):
         t = self.residuals(x)
         return self.a.T @ self._derivs(t, 1)
-
-    def hessian_matrix(self, x):
-        return self._matrix(self._weights(x, 2), None, 2)
-
-    def hessian_apply(self, x, u):
-        w = self._weights(x, 2)
-        return self._apply(w, None, 2, self._check_vec(u))
-
-    def tensor_apply(self, x, h, k):
-        t = self.residuals(x)
-        if k == 1:
-            return self.a.T @ self._derivs(t, 1)
-        h = self._check_vec(h)
-        return self.a.T @ (self._derivs(t, k) * (self.a @ h) ** (k - 1))
-
-    def tensor_form2(self, x, h, k, u):
-        w = self._weights(x, k)
-        u = self._check_vec(u)
-        return float(np.dot(self._scaled(w, h, k), (self.a @ u) ** 2))
 
     # the scalar derivatives f_i^(k)(t_i) are the order-k data
     def _weights(self, x, k):
@@ -294,29 +240,6 @@ class QuadraticObjective(SmoothOracle):
         self._record(1, 1)
         return self.q @ x + self.c
 
-    def hessian_matrix(self, x):
-        return self._matrix(self._weights(x, 2), None, 2)
-
-    def directional(self, x, h, k):
-        if k == 1:
-            return float(np.dot(self.gradient(x), self._check_vec(h)))
-        return super().directional(x, h, k)
-
-    def tensor_apply(self, x, h, k):
-        if k == 1:
-            return self.gradient(x)
-        if k == 2:
-            self._record(2, 1)
-            return self.q @ self._check_vec(h)
-        return np.zeros(self.dimension)
-
-    def tensor_form2(self, x, h, k, u):
-        if k == 2:
-            self._record(2, 1)
-            u = self._check_vec(u)
-            return float(u @ self.q @ u)
-        return 0.0
-
     # Q is the order-2 data; higher orders are None (zero tensors)
     def _weights(self, x, k):
         if k == 2:
@@ -348,20 +271,20 @@ def fd_check(oracle, x, h, order, eps=None):
     """Central-difference consistency check; returns a relative error.
 
     order 1 compares (f(x+eh) - f(x-eh))/(2e) with D f(x)[h]; order 2
-    compares the second central difference with D^2 f(x)[h]^2.
+    compares the second central difference with <h, D^2 f(x) h>.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     if order == 1:
         e = _MACHINE_H1 if eps is None else eps
         fd = (oracle.value(x + e * h) - oracle.value(x - e * h)) / (2 * e)
-        exact = oracle.directional(x, h, 1)
+        exact = float(oracle.gradient(x) @ h)
     elif order == 2:
         e = _MACHINE_H2 if eps is None else eps
         fd = (
             oracle.value(x + e * h) - 2 * oracle.value(x) + oracle.value(x - e * h)
         ) / e ** 2
-        exact = oracle.directional(x, h, 2)
+        exact = float(h @ oracle.hessian_matrix(x) @ h)
     else:
         raise ParameterError("fd_check supports orders 1 and 2")
     return abs(fd - exact) / max(1.0, abs(exact))

@@ -11,10 +11,13 @@ The weighted Euclidean prox solves, in the identity metric,
 A separable term describes each coordinate once, as a convex piecewise-linear
 function: ``subdifferential(x)`` gives dpsi_i(x_i) = [lo_i, hi_i] (lo_i < hi_i
 exactly at a kink or a bound) and ``piece(slope)`` the closed interval on which
-psi_i has that slope; the inner loop's active-set model step reads both.
-``subgradient_select(x, target)`` clips ``target`` into [lo, hi], the element
-of the subdifferential closest to it (used by diagnostics and by the exact 1-D
-prox to round its constructive subgradient into the set).
+psi_i has that slope; the inner loop's active-set model step and the
+univariate minimizer read both, the latter taking psi's one-sided derivatives
+from the subdifferential and its domain ends and kinks from the pieces of
+slope -inf and +inf. ``subgradient_select(x, target)`` clips ``target`` into
+[lo, hi], the element of the subdifferential closest to it (used by
+diagnostics and by the exact 1-D prox to round its constructive subgradient
+into the set).
 """
 
 from __future__ import annotations
@@ -76,18 +79,6 @@ class SimpleTerm:
         sel = self.subgradient_select(x, target)
         return float(np.linalg.norm(np.asarray(target, dtype=float) - sel))
 
-    # -- 1-D helpers for the univariate composite minimizer -------------
-    def interval_1d(self):
-        """Domain interval (lo, hi) in dimension 1."""
-        return (-_INF, _INF)
-
-    def deriv_right_1d(self, x):
-        """Right derivative of the finite part at interior x."""
-        return 0.0
-
-    def deriv_left_1d(self, x):
-        return 0.0
-
 
 class ZeroTerm(SimpleTerm):
     kind = "zero"
@@ -128,12 +119,6 @@ class L1Term(SimpleTerm):
         slope = np.asarray(slope, dtype=float)
         return np.where(slope > -self.lam, 0.0, -_INF), np.where(slope < self.lam, 0.0, _INF)
 
-    def deriv_right_1d(self, x):
-        return self.lam if x >= 0 else -self.lam
-
-    def deriv_left_1d(self, x):
-        return self.lam if x > 0 else -self.lam
-
 
 class Abs1d(L1Term):
     """|x| in dimension 1; same calculus as l1 with unit weight."""
@@ -168,9 +153,6 @@ class NonnegTerm(SimpleTerm):
     def piece(self, slope):
         return np.zeros(np.shape(slope)), np.full(np.shape(slope), _INF)
 
-    def interval_1d(self):
-        return (0.0, _INF)
-
 
 class BoxTerm(SimpleTerm):
     kind = "box"
@@ -202,9 +184,6 @@ class BoxTerm(SimpleTerm):
 
     def piece(self, slope):
         return self.lo, self.hi
-
-    def interval_1d(self):
-        return (float(self.lo[0]), float(self.hi[0]))
 
 
 class BallTerm(SimpleTerm):
@@ -247,10 +226,6 @@ class BallTerm(SimpleTerm):
             alpha = max(0.0, float(np.dot(np.asarray(target, dtype=float), d)) / r ** 2)
             out = alpha * d
         return out
-
-    def interval_1d(self):
-        c = float(self.center[0])
-        return (c - self.radius, c + self.radius)
 
 
 def make_term(kind, **kwargs):

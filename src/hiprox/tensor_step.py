@@ -15,6 +15,10 @@ Such steps satisfy the proximal acceptance inequality with H = M/p! at level
     (M_{p+1} + gamma M) / ((1-gamma) M - M_{p+1}),
 
 which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
+
+A ``TaylorModel`` evaluates f(x), grad f(x) and the derivative stack of
+orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``);
+the model's value and gradient then only contract that stack against y - x.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metric import MetricSpace, PowerProx
+from .oracles import AnchorStack
 from .univariate import minimize_composite_1d
 
 CRITERION_SLACK = 1e-12
@@ -44,19 +49,22 @@ class TaylorModel:
         self.m = float(m)
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.x))
         self._pp = PowerProx(self.p, self.metric)
+        self.f0 = oracle.value(self.x)
+        self.g0 = oracle.gradient(self.x)
+        self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
     def taylor_value(self, y):
         d = np.asarray(y, dtype=float) - self.x
-        val = self.oracle.value(self.x)
-        for k in range(1, self.p + 1):
-            val += self.oracle.directional(self.x, d, k) / math.factorial(k)
+        val = self.f0 + float(np.dot(self.g0, d))
+        for k in range(2, self.p + 1):
+            val += self.stack.directional(d, k) / math.factorial(k)
         return val
 
     def taylor_gradient(self, y):
         d = np.asarray(y, dtype=float) - self.x
-        out = self.oracle.gradient(self.x)
+        out = self.g0
         for k in range(2, self.p + 1):
-            out = out + self.oracle.tensor_apply(self.x, d, k) / math.factorial(k - 1)
+            out = out + self.stack.apply(d, k, d) / math.factorial(k - 1)
         return out
 
     def augmented_value(self, y):
@@ -95,11 +103,8 @@ def tensor_step_1d(tm, term, gamma):
 
     t = minimize_composite_1d(smooth_deriv, term, float(tm.x[0]))
     ty = np.array([t])
-    g_raw = -float(tm.augmented_gradient(ty)[0])
-    g = term.subgradient_select(ty, np.array([g_raw]))
-    lhs = abs(float(tm.augmented_gradient(ty)[0]) + float(g[0]))
-    rhs = abs(float(tm.taylor_gradient(ty)[0]) + float(g[0]))
-    ok = lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK
+    g = term.subgradient_select(ty, -tm.augmented_gradient(ty))
+    ok, lhs, rhs = tensor_criterion(tm, term, ty, g, gamma)
     return ty, g, ok, lhs, rhs
 
 

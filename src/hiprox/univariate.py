@@ -1,9 +1,12 @@
 """Exact minimization of a univariate convex composite s(x) + psi(x).
 
 The right derivative of a convex function is nondecreasing, so the minimizer
-is inf{x : s'(x) + psi'_+(x) >= 0}. Kink and boundary candidates (0 for
-l1-type terms, finite domain endpoints) are tested exactly first; otherwise
-the sign condition is bracketed by doubling and bisected to width 1e-14.
+is inf{x : s'(x) + psi'_+(x) >= 0}. psi is read through its subdifferential
+[psi'_-(x), psi'_+(x)] and its pieces: the pieces of slope -inf and +inf are
+psi's first and last, so their ends are the domain ends and the kinks next to
+them (0 for l1-type terms, lo and hi for a box). Those candidates are tested
+exactly first; otherwise the sign condition is bracketed by doubling and
+bisected to width 1e-14.
 
 ``decreasing_root`` closes the scalar root equations of the multivariate
 solvers (the ball multiplier of the inner step, the radius of ``psi_argmin``)
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NumericalError
+from .errors import CapabilityError, NumericalError
 
 _EXPAND_LIMIT = 1e10
 _WIDTH = 1e-14
@@ -35,18 +38,6 @@ def decreasing_root(phi, lo, hi):
     raise NumericalError("root bracketing reached %d doublings" % _DOUBLING_CAP)
 
 
-def _kink_candidates(term):
-    pts = []
-    if term.kind in ("l1", "abs-1d"):
-        pts.append(0.0)
-    lo, hi = term.interval_1d()
-    if np.isfinite(lo):
-        pts.append(lo)
-    if np.isfinite(hi):
-        pts.append(hi)
-    return pts
-
-
 def minimize_composite_1d(smooth_deriv, term, center):
     """Return the minimizer of s + psi given s' and a bracketing seed.
 
@@ -55,24 +46,26 @@ def minimize_composite_1d(smooth_deriv, term, center):
     smooth_deriv : callable
         Derivative of the smooth convex part.
     term : SimpleTerm
-        Composite term with 1-d derivative/domain helpers.
+        Separable composite term (``subdifferential`` and ``piece``).
     center : float
         Expansion seed (any point; convergence does not depend on it).
     """
-    lo, hi = term.interval_1d()
+    if not term.is_separable:
+        raise CapabilityError("no 1-d minimizer for term kind %r" % term.kind)
+    lo, first_kink = (float(v[0]) for v in term.piece(np.array([-np.inf])))
+    last_kink, hi = (float(v[0]) for v in term.piece(np.array([np.inf])))
+
+    def side(x, end):
+        # end 0 is the left derivative, 1 the right; an infinite one (a
+        # domain end) decides the sign without evaluating s'
+        d = float(term.subdifferential(np.array([x]))[end][0])
+        return d if np.isinf(d) else smooth_deriv(x) + d
 
     def right(x):
-        if np.isfinite(hi) and x >= hi:
-            return np.inf
-        return smooth_deriv(x) + term.deriv_right_1d(x)
+        return side(x, 1)
 
-    def left(x):
-        if np.isfinite(lo) and x <= lo:
-            return -np.inf
-        return smooth_deriv(x) + term.deriv_left_1d(x)
-
-    for x in _kink_candidates(term):
-        if lo <= x <= hi and left(x) <= 0.0 <= right(x):
+    for x in sorted({v for v in (lo, first_kink, last_kink, hi) if np.isfinite(v)}):
+        if side(x, 0) <= 0.0 <= right(x):
             return x
 
     center = min(max(float(center), lo if np.isfinite(lo) else center), hi if np.isfinite(hi) else float(center))

@@ -33,6 +33,7 @@ from .outer import (
     exact_prox_provider,
     psi_argmin,
 )
+from .oracles import AnchorStack
 from .problems import get_problem
 from .tensor_step import (
     TaylorModel,
@@ -121,7 +122,7 @@ def suite_estseq(seed=0):
     trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
     pp = cfg.power(1)
     state = EstimatingState(power=pp, x0=np.asarray(prob.x0, dtype=float))
-    sigma_p = 1.0 / (p + 1) * 0.5 ** (p - 1)
+    sigma_p = pp.uniform_convexity_modulus()
     key_worst = -np.inf
     sandwich_worst = -np.inf
     for k, cert in enumerate(trace.certificates):
@@ -218,7 +219,7 @@ def suite_bregman(seed=0):
             if dz > 0:
                 dgrad = float(np.linalg.norm(sf.gradient(pts[i]) - sf.gradient(pts[i - 1])))
                 lip_loc = max(lip_loc, dgrad / dz)
-        sigma = h_run / (p_run + 1.0) * 0.5 ** (p_run - 1)
+        sigma = h_run * sf.pp.uniform_convexity_modulus()
         if lip_loc > 0:
             c_inst = rc.lsmooth * sigma / (2.0 * rc.lsmooth * lip_loc) ** (p_run + 1)
             for i in range(1, len(pts)):
@@ -309,17 +310,18 @@ def _odd_bracket_violation(oracle, metric, y, x, u, p, m, xi=2.0):
     there: it is D^2 f(y +- xi h)[u, u] >= 0 expanded to order p-2.
     """
     h = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    stack = AnchorStack(oracle, y, range(2, p + 1))
     odd = 0.0
     for k in range(1, (p - 1) // 2 + 1):
         weight = xi ** (2 * k + 1 - p) / math.factorial(2 * k - 1)
-        odd += weight * oracle.tensor_form2(y, h, 2 * k + 1, u)
+        odd += weight * stack.form(h, 2 * k + 1, u)
     bound = (
         xi * m / math.factorial(p - 1)
         * metric.primal_norm(h) ** (p - 1)
         * metric.primal_norm(u) ** 2
     )
     for k in range(1, p // 2 + 1):
-        bound += oracle.tensor_form2(y, h, 2 * k, u) / (
+        bound += stack.form(h, 2 * k, u) / (
             math.factorial(2 * k - 2) * xi ** (p - 2 * k)
         )
     return abs(odd) - bound
@@ -343,8 +345,8 @@ def _sandwich_rows(prob, p, m, rng, pairs):
     hess_worst = -np.inf
     xs = prob.sample(rng, pairs)
     for x, u in zip(xs, _unit_directions(rng, pairs, prob.dimension)):
-        hr = sf.hessian_form(x, u)
-        hf = reg.hessian_form(x, u)
+        hr = u @ sf.hessian_matrix(x) @ u
+        hf = u @ reg.hessian_matrix(x) @ u
         hess_worst = max(hess_worst, rc.mu * hr - hf, hf - rc.lsmooth * hr)
     return [
         CheckResult("sandwich", "%s values (p=%d)" % (prob.name, p), value_worst, 1e-8),
@@ -378,7 +380,7 @@ def suite_sandwich(seed=0, pairs=1000):
             sfp = ScalingFunction(prob.oracle, anchor, p, hp, prob.metric)
             xs = prob.sample(rng, pairs)
             for x, u in zip(xs, _unit_directions(rng, pairs, prob.dimension)):
-                psd_worst = max(psd_worst, -sfp.hessian_form(x, u))
+                psd_worst = max(psd_worst, -(u @ sfp.hessian_matrix(x) @ u))
                 bracket_worst = max(
                     bracket_worst,
                     _odd_bracket_violation(prob.oracle, sfp.metric, anchor, x, u, p, m),

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line; run with -s (or read captured output)
 to see the full scoreboard including measured margins and runtimes.
 """
 
+import functools
 import math
 import time
 
@@ -12,9 +13,6 @@ import pytest
 
 from hiprox import (
     ProxConfig,
-    RegularizedObjective,
-    ScalingFunction,
-    TaylorModel,
     aihopp_run,
     biopt_run,
     bilevel_h,
@@ -25,15 +23,19 @@ from hiprox import (
     ihopp_run,
     inner_prox_provider,
     relative_constants,
-    relative_sandwich_check,
-    tensor_criterion,
 )
 from hiprox.acceptance import certificate_inequalities
 from hiprox.oracles import fd_check
-from hiprox.verify import _odd_bracket_violation, run_suite
+from hiprox.verify import run_suite
 
 # (certificate, config) pairs accumulated across the runs in this module
 CERT_STORE = []
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_rows(name):
+    """The rows of one property suite at seed 0, run once per module."""
+    return tuple(run_suite(name, seed=0))
 
 
 def _scoreboard(num, ok, detail):
@@ -148,24 +150,19 @@ def test_04_certificate_inequalities_everywhere():
 
 
 def test_05_relative_sandwich():
-    rng = np.random.default_rng(1)
-    worst = -np.inf
-    for name, _desc in __import__("hiprox").list_problems():
-        prob = get_problem(name)
-        m3 = prob.m_next(3)
+    names = [name for name, _desc in __import__("hiprox").list_problems()]
+    for name in names:
+        m3 = get_problem(name).m_next(3)
         if not np.isfinite(m3) or m3 <= 0.0:
             m3 = 1.0  # degenerate declared sup; any positive bound is valid
-        h3 = bilevel_h(3, m3)
-        rc = relative_constants(3, h3, m3)
+        rc = relative_constants(3, bilevel_h(3, m3), m3)
         np.testing.assert_allclose((rc.xi, rc.mu, rc.lsmooth), (2.0, 0.5, 1.5))
-        anchor = prob.sample(rng, 1)[0]
-        sf = ScalingFunction(prob.oracle, anchor, 3, h3, prob.metric)
-        reg = RegularizedObjective(prob.oracle, anchor, 3, h3, prob.metric)
-        pairs = list(zip(prob.sample(rng, 1000), prob.sample(rng, 1000)))
-        worst = max(worst, relative_sandwich_check(sf, reg, rc, pairs))
+    results = [r for r in _suite_rows("sandwich") if " values (p=" in r.name]
+    assert {"%s values (p=3)" % name for name in names} <= {r.name for r in results}
+    worst = max(r.violation for r in results)
     _scoreboard(
         5,
-        worst <= 1e-8,
+        all(r.passed for r in results),
         "mu=1/2, L=3/2 Bregman sandwich, worst violation %.3e" % worst,
     )
 
@@ -219,77 +216,41 @@ def test_07_acceptance_region_scan():
 
 
 def test_08_tensor_criterion_region():
-    prob = get_problem("quartic-abs-1d")
     m4, gamma = 24.0, 8.0 / 19.0
     m_scaled = 1.9 * m4
     beta_level = (m4 + gamma * m_scaled) / ((1.0 - gamma) * m_scaled - m4)
     h_level = m_scaled / math.factorial(3)
     np.testing.assert_allclose((beta_level, h_level), (18.0, 7.6), rtol=1e-12)
-    anchor = np.array([0.8])
-    tm = TaylorModel(prob.oracle, anchor, 3, m_scaled)
-    n_pass = 0
-    ratio_worst = -np.inf
-    for t in np.linspace(-1.0, 1.5, 2001):
-        point = np.array([t])
-        g = prob.term.subgradient_select(point, -tm.augmented_gradient(point))
-        ok, _lhs, _rhs = tensor_criterion(tm, prob.term, point, g, gamma)
-        if not ok:
-            continue
-        n_pass += 1
-        grad_t = prob.oracle.gradient(point)
-        reg_res = abs(
-            float(grad_t[0] + h_level * abs(t - 0.8) ** 2 * (t - 0.8) + g[0])
-        )
-        res = abs(float(grad_t[0] + g[0]))
-        ratio_worst = max(ratio_worst, reg_res - beta_level * res - 1e-12)
+    # the row reports inf when no grid point passes the criterion
+    [row] = [r for r in _suite_rows("tensor") if r.name == "criterion region maps to acceptance"]
     _scoreboard(
         8,
-        n_pass > 0 and ratio_worst <= 0.0,
-        "criterion region holds %d grid points, all accepted at level beta=18 "
-        "(worst excess %.3e)" % (n_pass, ratio_worst),
+        row.violation <= 0.0,
+        "criterion region nonempty, all accepted at level beta=18 (worst excess %.3e)"
+        % row.violation,
     )
 
 
 def test_09_scaling_hessian_and_odd_bracket():
     # The odd-derivative bracket is checked against each problem's declared
-    # derivative bound with no extra cushion. It is D^2 f(y +- xi h)[u,u] >= 0
-    # expanded around y to order p-2 and divided by xi^{p-2}:
-    #   |sum_{k<=(p-1)/2} xi^{2k+1-p} D^{2k+1}f(y)[h]^{2k-1}[u,u]/(2k-1)!|
-    #     <= sum_{k<=p/2} D^{2k}f(y)[h]^{2k-2}[u,u]/((2k-2)! xi^{p-2k})
-    #        + xi M |h|^{p-1} |u|^2/(p-1)!,
-    # valid whenever f is convex on the segment y +- xi h and M bounds
-    # D^{p+1} f there, so at every p, including the pure quartics with M = 0
-    # (where it is tight).
-    rng = np.random.default_rng(2)
-    rows = []
+    # derivative bound with no extra cushion (see verify.suite_sandwich for
+    # its derivation from convexity on y +- xi h), at p = 3, 4, 5, including
+    # the pure quartics with M = 0 (where it is tight).
+    rows = {r.name: r for r in _suite_rows("sandwich")}
+    names = [name for name, _desc in __import__("hiprox").list_problems()]
+    print("    %-18s %-12s %-12s" % ("problem", "-min d2rho", "bracket"))
     worst_overall = -np.inf
-    for name, _desc in __import__("hiprox").list_problems():
-        prob = get_problem(name)
-        for p in (3, 4, 5):
-            m = prob.m_next(p)
-            hp = 6.0 * m / math.factorial(p - 1)
-            anchor = prob.sample(rng, 1)[0]
-            sfp = ScalingFunction(prob.oracle, anchor, p, hp, prob.metric)
-            xs = prob.sample(rng, 1000)
-            us = rng.standard_normal((1000, prob.dimension))
-            us /= np.linalg.norm(us, axis=1)[:, None]
-            psd = -np.inf
-            bracket = -np.inf
-            for x, u in zip(xs, us):
-                psd = max(psd, -sfp.hessian_form(x, u))
-                bracket = max(
-                    bracket,
-                    _odd_bracket_violation(prob.oracle, sfp.metric, anchor, x, u, p, m),
-                )
-            rows.append((name, p, psd, bracket))
-            worst_overall = max(worst_overall, psd, bracket)
-    print("    %-18s %-3s %-12s %-12s" % ("problem", "p", "-min d2rho", "bracket"))
-    for name, p, psd, bracket in rows:
-        flag = "" if max(psd, bracket) <= 1e-10 else "  <-- violated"
-        print("    %-18s %-3d %-12.3e %-12.3e%s" % (name, p, psd, bracket, flag))
+    ok = True
+    for name in names:
+        psd = rows[name + " rho hessian psd"]
+        bracket = rows[name + " odd bracket (p=3,4,5)"]
+        ok = ok and psd.passed and bracket.passed
+        worst_overall = max(worst_overall, psd.violation, bracket.violation)
+        flag = "" if psd.passed and bracket.passed else "  <-- violated"
+        print("    %-18s %-12.3e %-12.3e%s" % (name, psd.violation, bracket.violation, flag))
     _scoreboard(
         9,
-        worst_overall <= 1e-10,
+        ok,
         "scaling Hessian psd + odd bracket, worst violation %.3e" % worst_overall,
     )
 

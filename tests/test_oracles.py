@@ -1,4 +1,4 @@
-"""Tensor oracles against direct summation formulas and finite differences."""
+"""Oracles and their derivative stacks against direct sums and finite differences."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hiprox import (
+    AnchorStack,
     DimensionError,
     DomainError,
     ParameterError,
@@ -49,55 +50,40 @@ def test_separable_value_gradient_hessian():
         hm = oracle.hessian_matrix(x)
         np.testing.assert_allclose(hm, (oracle.a * (12 * t ** 2)[:, None]).T @ oracle.a)
         u = rng.standard_normal(3)
-        np.testing.assert_allclose(oracle.hessian_apply(x, u), hm @ u, rtol=1e-12)
-        np.testing.assert_allclose(oracle.hessian_form(x, u), u @ hm @ u, rtol=1e-12)
+        stack = AnchorStack(oracle, x, (2,))
+        np.testing.assert_array_equal(stack.hessian, hm)
+        np.testing.assert_allclose(stack.apply(None, 2, u), hm @ u, rtol=1e-12)
+        np.testing.assert_allclose(stack.form(None, 2, u), u @ hm @ u, rtol=1e-12)
 
 
-def test_directional_and_tensor_apply_agree():
+def test_anchor_stack_contractions_match_direct_sums():
+    # every order, odd ones included, against the row-by-row tensor sum
     oracle = _sep_instance(seed=2)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(3)
         h = rng.standard_normal(3)
         u = rng.standard_normal(3)
-        for k in range(1, 5):
+        stack = AnchorStack(oracle, x, range(2, 6))
+        for k in range(2, 6):
             direct = _direct_tensor(oracle, x, [h] * k)
-            np.testing.assert_allclose(oracle.directional(x, h, k), direct, rtol=1e-11)
-            # tensor_apply contracts all but one slot
+            np.testing.assert_allclose(stack.directional(h, k), direct, rtol=1e-11)
+            # apply(h, k, h) is the covector D^k f[h]^{k-1}
             np.testing.assert_allclose(
-                float(np.dot(oracle.tensor_apply(x, h, k), h)), direct, rtol=1e-11
+                float(np.dot(stack.apply(h, k, h), h)), direct, rtol=1e-11
             )
-        for k in range(2, 5):
             np.testing.assert_allclose(
-                oracle.tensor_form2(x, h, k, u),
+                stack.form(h, k, u),
                 _direct_tensor(oracle, x, [h] * (k - 2) + [u, u]),
                 rtol=1e-11,
                 atol=1e-13,
             )
-
-
-def test_even_tensor_contractions():
-    oracle = _sep_instance(seed=4)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(3)
-    h = rng.standard_normal(3)
-    u = rng.standard_normal(3)
-    for two_k in (2, 4):
-        mat = oracle.even_tensor_matrix(x, h, two_k)
-        np.testing.assert_allclose(mat, mat.T)
-        np.testing.assert_allclose(
-            oracle.even_tensor_apply(x, h, two_k, u), mat @ u, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            oracle.even_tensor_form(x, h, two_k, u),
-            _direct_tensor(oracle, x, [h] * (two_k - 2) + [u, u]),
-            rtol=1e-11,
-        )
-    for bad in (1, 3, 0):
+            mat = stack.matrix(h, k)
+            np.testing.assert_allclose(mat, mat.T)
+            np.testing.assert_allclose(stack.apply(h, k, u), mat @ u, rtol=1e-12)
+    for bad in (1, 0):
         with pytest.raises(ParameterError):
-            oracle.even_tensor_apply(x, h, bad, u)
-        with pytest.raises(ParameterError):
-            oracle.even_tensor_matrix(x, h, bad)
+            AnchorStack(oracle, x, (bad,))
 
 
 def test_fd_checks_all_orders():
@@ -133,14 +119,14 @@ def test_neglog_even_orders_recorded_as_second_order_calls():
     x = np.array([0.3, -0.2])
     h = np.array([1.0, 2.0])
     oracle.reset_counters()
-    oracle.even_tensor_matrix(x, h, 4)
-    oracle.even_tensor_apply(x, h, 6, h)
-    oracle.tensor_form2(x, h, 4, h)
-    assert set(oracle.calls_by_order) == {2}
+    stack = AnchorStack(oracle, x, (4, 6))
+    stack.matrix(h, 4)
+    stack.apply(h, 6, h)
+    assert oracle.calls_by_order == {2: 4}
     # odd orders still consume their own order
     oracle.reset_counters()
-    oracle.directional(x, h, 3)
-    assert set(oracle.calls_by_order) == {3}
+    AnchorStack(oracle, x, (3,)).directional(h, 3)
+    assert oracle.calls_by_order == {3: 2}
 
 
 def test_call_counters():
@@ -166,8 +152,11 @@ def test_dimension_errors():
     oracle = _sep_instance(seed=10)
     with pytest.raises(DimensionError):
         oracle.value(np.zeros(4))
+    stack = AnchorStack(oracle, np.zeros(3), (3,))
     with pytest.raises(DimensionError):
-        oracle.tensor_apply(np.zeros(3), np.zeros(2), 3)
+        stack.apply(np.zeros(2), 3, np.zeros(3))
+    with pytest.raises(DimensionError):
+        stack.directional(np.zeros(2), 3)
     with pytest.raises(DimensionError):
         SeparableObjective(np.ones((2, 2)), np.ones(3), make_family("quartic"))
     with pytest.raises(DimensionError):
@@ -185,11 +174,13 @@ def test_quadratic_objective():
     np.testing.assert_allclose(oracle.value(x), 0.5 * x @ q @ x + c @ x + 1.5)
     np.testing.assert_allclose(oracle.gradient(x), q @ x + c)
     np.testing.assert_allclose(oracle.hessian_matrix(x), q)
-    np.testing.assert_allclose(oracle.directional(x, u, 2), u @ q @ u)
-    assert oracle.directional(x, u, 3) == 0.0
-    np.testing.assert_allclose(oracle.tensor_apply(x, u, 2), q @ u)
-    np.testing.assert_allclose(oracle.tensor_form2(x, u, 2, u), u @ q @ u)
-    assert oracle.tensor_form2(x, u, 4, u) == 0.0
+    stack = AnchorStack(oracle, x, (2, 3, 4))
+    np.testing.assert_allclose(stack.directional(u, 2), u @ q @ u)
+    assert stack.directional(u, 3) == 0.0
+    np.testing.assert_allclose(stack.apply(u, 2, u), q @ u)
+    np.testing.assert_allclose(stack.form(u, 2, u), u @ q @ u)
+    assert stack.form(u, 4, u) == 0.0
+    np.testing.assert_array_equal(stack.matrix(u, 3), np.zeros((4, 4)))
     assert oracle.m_bound(2) == pytest.approx(np.linalg.eigvalsh(q).max())
     assert oracle.m_bound(3) == 0.0
 

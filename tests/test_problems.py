@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hiprox import ParameterError, get_problem, list_problems
+from hiprox import AnchorStack, ParameterError, get_problem, list_problems
 from hiprox.oracles import fd_check
 from hiprox.problems import (
     box_newton_reference,
@@ -88,7 +88,8 @@ def test_m_bounds_dominate_sampled_tensors(name):
         for x in pts:
             u = rng.standard_normal(prob.dimension)
             u /= np.linalg.norm(u)
-            worst = max(worst, abs(prob.oracle.directional(x, u, order)))
+            stack = AnchorStack(prob.oracle, x, (order,))
+            worst = max(worst, abs(stack.directional(u, order)))
         assert worst <= m + 1e-9
 
 

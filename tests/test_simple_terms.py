@@ -102,7 +102,9 @@ def test_box_term():
     np.testing.assert_allclose(sel, [2.0, -3.0])
     sel = term.subgradient_select(np.array([0.5, 1.0]), np.array([2.0, -3.0]))
     np.testing.assert_allclose(sel, [0.0, 0.0])
-    assert term.interval_1d() == (-1.0, 0.0) or term.lo.shape == (2,)
+    lo, hi = term.piece(np.array([-np.inf, np.inf]))
+    np.testing.assert_array_equal(lo, [-1.0, 0.0])
+    np.testing.assert_array_equal(hi, [1.0, 2.0])
     with pytest.raises(ParameterError):
         make_term("box", lo=[1.0], hi=[0.0])
 
@@ -121,15 +123,18 @@ def test_ball_term():
         term.subgradient_select(np.array([3.0, 0.0]), np.zeros(2))
     with pytest.raises(ParameterError):
         make_term("ball", center=np.zeros(2), radius=0.0)
-    assert term.interval_1d() == (-2.0, 2.0)
     assert not term.is_separable
 
 
 def test_abs_1d_derivatives():
     term = make_term("abs-1d")
-    assert term.deriv_right_1d(0.0) == 1.0
-    assert term.deriv_left_1d(0.0) == -1.0
-    assert term.deriv_right_1d(-0.5) == -1.0
+    lo, hi = term.subdifferential(np.array([0.0, -0.5, 2.0]))
+    np.testing.assert_array_equal(lo, [-1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(hi, [1.0, -1.0, 1.0])
+    # the pieces of slope -inf and +inf meet at the kink
+    lo, hi = term.piece(np.array([-np.inf, np.inf]))
+    np.testing.assert_array_equal(lo, [-np.inf, 0.0])
+    np.testing.assert_array_equal(hi, [0.0, np.inf])
     assert term.value(np.array([-2.0])) == 2.0
 
 

@@ -73,6 +73,27 @@ def test_augmented_value_and_gradient():
     np.testing.assert_allclose(tm.augmented_gradient(y)[0], fd, rtol=1e-8)
 
 
+@pytest.mark.parametrize("p", (1, 3, 4, 5))
+def test_taylor_model_evaluates_each_order_once(p):
+    # f, grad f and the stack of orders 2..p are evaluated at x once, however
+    # often the model is evaluated; its gradient is the derivative of its value
+    rng = np.random.default_rng(p)
+    rows = 4
+    oracle = SeparableObjective(rng.standard_normal((rows, 3)), rng.standard_normal(rows),
+                                make_family("logistic"))
+    x = rng.standard_normal(3)
+    oracle.reset_counters()
+    tm = TaylorModel(oracle, x, p, 2.0)
+    for _ in range(10):
+        y = x + 0.3 * rng.standard_normal(3)
+        u = rng.standard_normal(3)
+        fd = (tm.augmented_value(y + 1e-6 * u) - tm.augmented_value(y - 1e-6 * u)) / 2e-6
+        np.testing.assert_allclose(np.dot(tm.augmented_gradient(y), u), fd, rtol=1e-6, atol=1e-8)
+        tm.taylor_value(y)
+        tm.taylor_gradient(y)
+    assert oracle.calls_by_order == {k: rows for k in range(p + 1)}
+
+
 def test_taylor_model_validation():
     oracle, _ = _quartic_abs()
     with pytest.raises(ParameterError):

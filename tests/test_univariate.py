@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiprox import NumericalError, make_term, minimize_composite_1d
+from hiprox import CapabilityError, NumericalError, make_term, minimize_composite_1d
 
 
 def test_quadratic_plus_l1_soft_threshold():
@@ -29,6 +29,18 @@ def test_boundary_solutions():
     assert minimize_composite_1d(lambda t: 1.0, box, 0.0) == -1.0
 
 
+def test_degenerate_box_returns_its_point():
+    box = make_term("box", lo=[0.5], hi=[0.5])
+    for slope in (-3.0, 0.0, 3.0):
+        assert minimize_composite_1d(lambda t: t + slope, box, 0.0) == 0.5
+
+
+def test_ball_is_refused():
+    ball = make_term("ball", center=np.zeros(1), radius=1.0)
+    with pytest.raises(CapabilityError):
+        minimize_composite_1d(lambda t: t, ball, 0.0)
+
+
 def test_interior_solution_in_box():
     box = make_term("box", lo=[-1.0], hi=[2.0])
     x = minimize_composite_1d(lambda t: t - 0.7, box, 0.0)
@@ -48,8 +60,9 @@ def test_quartic_plus_abs_matches_grid():
         assert abs(x - zg) <= 5e-5
         # optimality via the one-sided derivatives
         s = 4.0 * x ** 3 + c
-        assert s + term.deriv_left_1d(x) <= 1e-9
-        assert s + term.deriv_right_1d(x) >= -1e-9
+        left, right = term.subdifferential(np.array([x]))
+        assert s + left[0] <= 1e-9
+        assert s + right[0] >= -1e-9
 
 
 def test_bracket_width():

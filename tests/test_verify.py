@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hiprox import get_problem
+from hiprox import AnchorStack, get_problem
 from hiprox.metric import MetricSpace
 from hiprox.verify import SUITES, _odd_bracket_violation, suite_bregman, suite_sandwich
 
@@ -22,8 +22,10 @@ def test_unit_weight_bracket_counterexample_at_p4():
     y, x, u = np.array([2.0]), np.array([2.5]), np.array([1.0])
     h = x - y
 
+    stack = AnchorStack(prob.oracle, y, range(2, p + 2))
+
     def form(k):
-        return prob.oracle.tensor_form2(y, h, k, u)
+        return stack.form(h, k, u)
 
     unit_odd = sum(form(2 * k + 1) / math.factorial(2 * k - 1) for k in range(1, p // 2 + 1))
     bound = sum(
