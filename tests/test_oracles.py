@@ -56,7 +56,7 @@ def test_separable_value_gradient_hessian():
         np.testing.assert_allclose(stack.form(None, 2, u), u @ hm @ u, rtol=1e-12)
 
 
-def test_anchor_stack_contractions_match_direct_sums():
+def test_directional_and_tensor_apply_agree():
     # every order, odd ones included, against the row-by-row tensor sum
     oracle = _sep_instance(seed=2)
     rng = np.random.default_rng(3)
@@ -64,6 +64,11 @@ def test_anchor_stack_contractions_match_direct_sums():
         x = rng.standard_normal(3)
         h = rng.standard_normal(3)
         u = rng.standard_normal(3)
+        np.testing.assert_allclose(
+            float(np.dot(oracle.gradient(x), h)),
+            _direct_tensor(oracle, x, [h]),
+            rtol=1e-11,
+        )
         stack = AnchorStack(oracle, x, range(2, 6))
         for k in range(2, 6):
             direct = _direct_tensor(oracle, x, [h] * k)
@@ -81,7 +86,25 @@ def test_anchor_stack_contractions_match_direct_sums():
             mat = stack.matrix(h, k)
             np.testing.assert_allclose(mat, mat.T)
             np.testing.assert_allclose(stack.apply(h, k, u), mat @ u, rtol=1e-12)
-    for bad in (1, 0):
+
+
+def test_even_tensor_contractions():
+    oracle = _sep_instance(seed=4)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(3)
+    h = rng.standard_normal(3)
+    u = rng.standard_normal(3)
+    stack = AnchorStack(oracle, x, (2, 4))
+    for two_k in (2, 4):
+        mat = stack.matrix(h, two_k)
+        np.testing.assert_allclose(mat, mat.T)
+        np.testing.assert_allclose(stack.apply(h, two_k, u), mat @ u, rtol=1e-12)
+        np.testing.assert_allclose(
+            stack.form(h, two_k, u),
+            _direct_tensor(oracle, x, [h] * (two_k - 2) + [u, u]),
+            rtol=1e-11,
+        )
+    for bad in (1, 0, -2):
         with pytest.raises(ParameterError):
             AnchorStack(oracle, x, (bad,))
 
