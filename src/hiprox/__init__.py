@@ -1,9 +1,10 @@
 """Certified high-order proximal-point solvers for convex composite problems.
 
 The package minimizes F = f + psi through inexact pth-order proximal steps
-whose inexactness is measured by an acceptance certificate, with three outer
-drivers (plain, accelerated, bi-level) and a Bregman composite gradient inner
-loop built on a high-order scaling function.
+whose inexactness is measured by an acceptance certificate, with two outer
+loops (plain, accelerated) and a Bregman composite gradient inner loop built
+on a high-order scaling function; the bi-level driver is the accelerated loop
+at beta = 1/p, H = 6 M_{p+1}/(p-1)! over that inner loop.
 """
 
 from .acceptance import (

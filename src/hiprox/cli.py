@@ -115,10 +115,19 @@ def _write_trace(cfg, trace, out):
     _write_json(out / "summary.json", summary)
 
 
-def _solver_pieces(cfg, prob):
+def _solve(cfg, prob):
+    """The outer trace of one plain, accelerated or bi-level run of prob.
+
+    --m reaches every mode as the problem's M_{p+1} (``prob.m_override``).
+    Bi-level derives H from M; the other modes take H = --h when given.
+    """
     p = cfg.p
+    if cfg.m is not None:
+        prob.m_override[p + 1] = float(cfg.m)
+    if cfg.mode == "bilevel":
+        return biopt_run(prob, p, eps=cfg.eps, max_k=cfg.max_outer, max_inner=cfg.max_inner)
     beta = cfg.beta if cfg.beta is not None else 1.0 / p
-    m = cfg.m if cfg.m is not None else prob.m_next(p)
+    m = prob.m_next(p)
     m_positive = bool(np.isfinite(m) and m > 0)
     if prob.dimension > 1 and not m_positive:
         # the inner loop's relative constants need M whatever H is
@@ -139,9 +148,10 @@ def _solver_pieces(cfg, prob):
         provider = exact_prox_provider(prob.oracle, prob.term, pcfg)
     else:
         provider = inner_prox_provider(
-            prob.oracle, prob.term, pcfg, m_next=m, max_iter=cfg.max_inner
+            prob.oracle, prob.term, pcfg, m, max_iter=cfg.max_inner
         )
-    return pcfg, provider
+    runner = ihopp_run if cfg.mode == "plain" else aihopp_run
+    return runner(prob, pcfg, provider, eps=cfg.eps, max_k=cfg.max_outer)
 
 
 def run_command(cfg):
@@ -149,17 +159,7 @@ def run_command(cfg):
         return _run_example1(cfg)
     if cfg.mode == "example2":
         return _run_example2(cfg)
-    prob = get_problem(cfg.problem)
-    if cfg.mode == "bilevel":
-        if cfg.m is not None:
-            prob.m_override[cfg.p + 1] = float(cfg.m)
-        trace = biopt_run(
-            prob, cfg.p, eps=cfg.eps, max_k=cfg.max_outer, max_inner=cfg.max_inner
-        )
-    else:
-        pcfg, provider = _solver_pieces(cfg, prob)
-        runner = ihopp_run if cfg.mode == "plain" else aihopp_run
-        trace = runner(prob, pcfg, provider, eps=cfg.eps, max_k=cfg.max_outer)
+    trace = _solve(cfg, get_problem(cfg.problem))
     out = _outdir(cfg)
     _write_trace(cfg, trace, out)
     print("%s: status=%s iterations=%d final_gap=%s" % (
@@ -283,12 +283,7 @@ def _rate_row(name, mode, p, levels, max_outer, max_inner):
         return [name, mode, str(p), "N/A", "N/A", "N/A", "N/A", "N/A"]
     cfg = RunConfig(problem=name, mode=mode, p=p, eps=min(levels), max_outer=max_outer,
                     max_inner=max_inner).validate()
-    if mode == "bilevel":
-        trace = biopt_run(prob, p, eps=cfg.eps, max_k=max_outer, max_inner=max_inner)
-    else:
-        pcfg, provider = _solver_pieces(cfg, prob)
-        runner = ihopp_run if mode == "plain" else aihopp_run
-        trace = runner(prob, pcfg, provider, eps=cfg.eps, max_k=max_outer)
+    trace = _solve(cfg, prob)
     ks = trace.column("k")
     gaps = trace.column("gap")
     bounds = trace.column("bound_rhs")

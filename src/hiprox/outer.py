@@ -7,16 +7,19 @@ accelerated loop drives an estimating sequence
     Psi_0(x) = d_{p+1}(x - x_0),
 
 whose minimizer v_k enters the anchor combination
-y_k = (A_k/A_{k+1}) x_k + (a_{k+1}/A_{k+1}) v_k. The bi-level entry point
-fixes H = 6 M_{p+1} / (p-1)! and beta = 1/p and uses the certified Bregman
-inner loop as its acceptable-solution provider. x_{k+1} keeps the previous
+y_k = (A_k/A_{k+1}) x_k + (a_{k+1}/A_{k+1}) v_k. x_{k+1} keeps the previous
 iterate whenever the prox output would increase F; the update rule only
-requires F(x_{k+1}) <= F(T_k), which both choices satisfy.
+requires F(x_{k+1}) <= F(T_k), which both choices satisfy. Both loops share
+their start and their per-step record.
+
+The bi-level method (BiOPT) is the accelerated loop at H = 6 M_{p+1}/(p-1)!
+and beta = 1/p, with the certified Bregman inner loop as its
+acceptable-solution provider; ``biopt_run`` only assembles that
+configuration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,25 +33,19 @@ from .oracles import psi_prox_euclid
 from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step_1d
 from .univariate import decreasing_root
 
-_MODES = ("plain", "accelerated", "bilevel")
 
+def coefficients(p, k, beta, h):
+    """(A_k, a_{k+1}) of the accelerated schedule A_k = (c_p/2)^p (k/(p+1))^{p+1}.
 
-def coefficients(mode, p, k, beta=None, h=None, m_next=None):
-    """(A_k, a_{k+1}) for the accelerated or bi-level coefficient schedule."""
+    c_p = ((1 - beta)/H)^{1/p}. At the bi-level pair beta = 1/p,
+    H = 6 M_{p+1}/(p-1)! the lead (c_p/2)^p is (p-1)(p-1)!/(3p 2^{p+1} M_{p+1}).
+    """
     if k < 0:
         raise ParameterError("k must be nonnegative")
-
-    if mode == "accelerated":
-        if beta is None or h is None:
-            raise ParameterError("accelerated schedule needs beta and H")
-        c_p = ((1.0 - beta) / h) ** (1.0 / p)
-        lead = (c_p / 2.0) ** p
-    elif mode == "bilevel":
-        if m_next is None or not np.isfinite(m_next) or m_next <= 0:
-            raise ParameterError("bi-level schedule needs finite M_{p+1} > 0")
-        lead = (p - 1) * math.factorial(p - 1) / (3.0 * p * 2 ** (p + 1) * m_next)
-    else:
-        raise ParameterError("unknown schedule mode %r" % mode)
+    if beta is None or h is None:
+        raise ParameterError("the accelerated schedule needs beta and H")
+    c_p = ((1.0 - beta) / h) ** (1.0 / p)
+    lead = (c_p / 2.0) ** p
 
     def a_of(j):
         return lead * (j / (p + 1.0)) ** (p + 1)
@@ -125,8 +122,8 @@ def psi_argmin(state, term, pp):
 
 
 def bound_evaluator(mode, cfg, radius, gap0, k):
-    """Right-hand side of the mode's convergence-rate guarantee at step k."""
-    if mode not in _MODES:
+    """Right-hand side of the plain or accelerated rate guarantee at step k."""
+    if mode not in ("plain", "accelerated"):
         raise ParameterError("unknown mode %r" % mode)
     if k <= 0:
         return np.inf
@@ -216,11 +213,13 @@ def exact_prox_provider(oracle, term, cfg):
     return provider
 
 
-def inner_prox_provider(oracle, term, cfg, rc=None, m_next=None, max_iter=2000):
-    """Acceptable-solution provider backed by the Bregman inner loop."""
-    if rc is None:
-        m = m_next if m_next is not None else oracle.m_bound(cfg.p + 1)
-        rc = relative_constants(cfg.p, cfg.h, m)
+def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
+    """Acceptable-solution provider backed by the Bregman inner loop.
+
+    m_next bounds D^{p+1} f; with cfg.h it fixes the inner loop's relative
+    constants (``relative_constants``).
+    """
+    rc = relative_constants(cfg.p, cfg.h, m_next)
 
     def provider(anchor):
         res = inner_solve(oracle, term, cfg, rc, anchor, max_iter=max_iter)
@@ -261,84 +260,82 @@ def _gap(problem, f_value):
     return f_value - problem.f_star
 
 
-def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
-    """Plain loop: anchor at x_k, accept the certified prox point."""
+def _start(problem, cfg, mode):
+    """A trace holding row 0 at x_0, plus x_0, F(x_0) and its gap."""
     x = np.asarray(problem.x0, dtype=float).copy()
     f_x = _objective(problem, x)
     gap0 = _gap(problem, f_x)
-    if d0 is None:
-        d0 = problem.d0
-    trace = OuterTrace(mode="plain")
+    trace = OuterTrace(mode=mode)
     trace.aux["config"] = {"p": cfg.p, "h": cfg.h, "beta": cfg.beta}
     trace.rows.append(OuterRow(0, f_x, gap0, np.inf, 0, np.nan, np.nan))
     trace.points.append(x.copy())
+    return trace, x, f_x, gap0
+
+
+def _prox_step(provider, anchor):
+    """The provider's certified point at anchor: (T, certificate, inner iterations, trace)."""
+    t, _g, cert, iters, itrace = provider(anchor)
+    if not cert.accepted:
+        raise NumericalError("provider returned a non-accepted certificate")
+    return np.asarray(t, dtype=float), cert, iters, itrace
+
+
+def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
+    """Append one outer step; True (status converged) once gap <= eps or rhs <= rhs_tol."""
+    _, cert, iters, itrace = step
+    gap = _gap(problem, f_x)
+    k = len(trace.rows)
+    trace.rows.append(OuterRow(k, f_x, gap, bound, iters, cert.lhs, cert.rhs))
+    trace.points.append(x.copy())
+    trace.anchors.append(anchor)
+    trace.certificates.append(cert)
+    trace.inner_traces.append(itrace)
+    if (np.isfinite(gap) and gap <= eps) or (rhs_tol is not None and cert.rhs <= rhs_tol):
+        trace.status = "converged"
+        return True
+    return False
+
+
+def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
+    """Plain loop: anchor at x_k, accept the certified prox point."""
+    trace, x, f_x, gap0 = _start(problem, cfg, "plain")
+    if d0 is None:
+        d0 = problem.d0
     for k in range(1, max_k + 1):
-        t, g, cert, iters, itrace = provider(x)
-        if not cert.accepted:
-            raise NumericalError("provider returned a non-accepted certificate")
-        x = np.asarray(t, dtype=float)
+        anchor = x
+        step = _prox_step(provider, anchor)
+        x = step[0]
         f_x = _objective(problem, x)
-        gap = _gap(problem, f_x)
         bound = (
             bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
         )
-        trace.rows.append(OuterRow(k, f_x, gap, bound, iters, cert.lhs, cert.rhs))
-        trace.points.append(x.copy())
-        trace.anchors.append(trace.points[-2])
-        trace.certificates.append(cert)
-        trace.inner_traces.append(itrace)
-        if np.isfinite(gap) and gap <= eps:
-            trace.status = "converged"
-            return trace
-        if rhs_tol is not None and cert.rhs <= rhs_tol:
-            trace.status = "converged"
+        if _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
             return trace
     trace.status = "max_iter"
     return trace
 
 
-def aihopp_run(
-    problem,
-    cfg,
-    provider,
-    eps=0.0,
-    max_k=50,
-    mode="accelerated",
-    m_next=None,
-    dist0=None,
-    rhs_tol=None,
-):
+def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=None):
     """Accelerated loop with estimating-sequence bookkeeping."""
-    if mode not in ("accelerated", "bilevel"):
-        raise ParameterError("aihopp mode must be accelerated or bilevel")
-    if cfg.beta > 1.0 / cfg.p + 1e-12:
+    if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
-    p = cfg.p
-    x = np.asarray(problem.x0, dtype=float).copy()
-    f_x = _objective(problem, x)
-    gap0 = _gap(problem, f_x)
-    if dist0 is None and problem.x_star is not None:
-        dist0 = cfg.power(len(x)).metric.primal_norm(x - problem.x_star)
+    trace, x, f_x, gap0 = _start(problem, cfg, "accelerated")
     pp = cfg.power(len(x))
+    if dist0 is None and problem.x_star is not None:
+        dist0 = pp.metric.primal_norm(x - problem.x_star)
     state = EstimatingState(power=pp, x0=x.copy())
     v = x.copy()
-    trace = OuterTrace(mode=mode)
-    trace.aux["config"] = {"p": p, "h": cfg.h, "beta": cfg.beta}
     trace.aux["a_coeffs"] = [0.0]
     trace.aux["v_points"] = [v.copy()]
     trace.aux["psi_at_v"] = [state.value(v, problem.term)]
     trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
-    trace.rows.append(OuterRow(0, f_x, gap0, np.inf, 0, np.nan, np.nan))
-    trace.points.append(x.copy())
     for k in range(max_k):
-        a_k, a_next = coefficients(mode, p, k, beta=cfg.beta, h=cfg.h, m_next=m_next)
+        a_k, a_next = coefficients(cfg.p, k, cfg.beta, cfg.h)
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
-        t, g, cert, iters, itrace = provider(y)
-        if not cert.accepted:
-            raise NumericalError("provider returned a non-accepted certificate")
-        t = np.asarray(t, dtype=float)
+        step = _prox_step(provider, y)
+        t = step[0]
         f_t = _objective(problem, t)
         estimating_update(
             state, t, problem.oracle.gradient(t), problem.oracle.value(t), a_next
@@ -348,52 +345,35 @@ def aihopp_run(
             x, f_x = t, f_t
         v = psi_argmin(state, problem.term, pp)
         psi_at_v = state.value(v, problem.term)
-        gap = _gap(problem, f_x)
         bound = (
-            bound_evaluator(mode, cfg, dist0, gap0, k + 1)
+            bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
             if dist0 is not None
             else np.nan
         )
-        trace.rows.append(OuterRow(k + 1, f_x, gap, bound, iters, cert.lhs, cert.rhs))
-        trace.points.append(x.copy())
-        trace.anchors.append(y)
-        trace.certificates.append(cert)
-        trace.inner_traces.append(itrace)
         trace.aux["a_coeffs"].append(a_total_next)
         trace.aux["v_points"].append(v.copy())
         trace.aux["psi_at_v"].append(psi_at_v)
         trace.aux["invariant_margin"].append(psi_at_v - a_total_next * f_x)
         trace.aux["fallback"].append(bool(fallback))
-        if np.isfinite(gap) and gap <= eps:
-            trace.status = "converged"
-            return trace
-        if rhs_tol is not None and cert.rhs <= rhs_tol:
-            trace.status = "converged"
+        if _record(trace, problem, x, f_x, bound, y, step, eps, rhs_tol):
             return trace
     trace.status = "max_iter"
     return trace
 
 
 def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
-    """Bi-level run: H = 6 M_{p+1}/(p-1)!, beta = 1/p, Bregman inner loop."""
+    """Bi-level run: the accelerated loop at H = 6 M_{p+1}/(p-1)! and beta = 1/p.
+
+    The Bregman inner loop is the provider; only the trace's label differs
+    from ``aihopp_run``.
+    """
     m = problem.m_next(p)
-    if not np.isfinite(m) or m <= 0:
-        raise ParameterError("bi-level mode needs a finite positive M_{p+1}")
     h = bilevel_h(p, m)
     cfg = ProxConfig(p, h, 1.0 / p, metric=problem.metric)
-    rc = relative_constants(p, h, m)
     provider = inner_prox_provider(
-        problem.oracle, problem.term, cfg, rc=rc, max_iter=max_inner
+        problem.oracle, problem.term, cfg, m, max_iter=max_inner
     )
-    trace = aihopp_run(
-        problem,
-        cfg,
-        provider,
-        eps=eps,
-        max_k=max_k,
-        mode="bilevel",
-        m_next=m,
-        rhs_tol=rhs_tol,
-    )
-    trace.aux["relative_constants"] = rc
+    trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol)
+    trace.mode = "bilevel"
+    trace.aux["relative_constants"] = relative_constants(p, h, m)
     return trace

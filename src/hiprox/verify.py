@@ -127,7 +127,7 @@ def suite_estseq(seed=0):
     sandwich_worst = -np.inf
     for k, cert in enumerate(trace.certificates):
         t = np.asarray(cert.point, dtype=float)
-        _, a_next = coefficients("accelerated", p, k, beta=beta, h=h)
+        _, a_next = coefficients(p, k, beta, h)
         estimating_update(state, t, prob.oracle.gradient(t), prob.oracle.value(t), a_next)
         v = psi_argmin(state, prob.term, pp)
         psi_v = state.value(v, prob.term)
@@ -141,7 +141,7 @@ def suite_estseq(seed=0):
     coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
     for k in range(0, 10001, 97):
-        a_k, a_next = coefficients("accelerated", p, k, beta=beta, h=h)
+        a_k, a_next = coefficients(p, k, beta, h)
         coeff_worst = max(coeff_worst, a_next ** ((p + 1.0) / p) - c_p / 2.0 * (a_k + a_next))
     part3_worst = -np.inf
     d_star = pp.value(np.asarray(prob.x0, dtype=float) - prob.x_star)
@@ -300,8 +300,10 @@ def _iteration_log_fit():
 # value and Hessian rows at p in {4, 5} check them directly.
 
 
-def _odd_bracket_violation(oracle, metric, y, x, u, p, m, xi=2.0):
+def _odd_bracket_violation(stack, metric, y, x, u, p, m, xi=2.0):
     """Signed excess of the odd-derivative bracket at (y, h = x - y, u).
+
+    ``stack`` is an ``AnchorStack`` of orders 2..p at y.
 
     Returns |sum_{k=1}^{floor((p-1)/2)} xi^{2k+1-p} D^{2k+1}f(y)[h]^{2k-1}[u,u]/(2k-1)!|
     minus sum_{k=1}^{floor(p/2)} D^{2k}f(y)[h]^{2k-2}[u,u]/((2k-2)! xi^{p-2k})
@@ -310,7 +312,6 @@ def _odd_bracket_violation(oracle, metric, y, x, u, p, m, xi=2.0):
     there: it is D^2 f(y +- xi h)[u, u] >= 0 expanded to order p-2.
     """
     h = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    stack = AnchorStack(oracle, y, range(2, p + 1))
     odd = 0.0
     for k in range(1, (p - 1) // 2 + 1):
         weight = xi ** (2 * k + 1 - p) / math.factorial(2 * k - 1)
@@ -378,12 +379,13 @@ def suite_sandwich(seed=0, pairs=1000):
             hp = 6.0 * m / math.factorial(p - 1)
             anchor = prob.sample(rng, 1)[0]
             sfp = ScalingFunction(prob.oracle, anchor, p, hp, prob.metric)
+            stack = AnchorStack(prob.oracle, anchor, range(2, p + 1))
             xs = prob.sample(rng, pairs)
             for x, u in zip(xs, _unit_directions(rng, pairs, prob.dimension)):
                 psd_worst = max(psd_worst, -(u @ sfp.hessian_matrix(x) @ u))
                 bracket_worst = max(
                     bracket_worst,
-                    _odd_bracket_violation(prob.oracle, sfp.metric, anchor, x, u, p, m),
+                    _odd_bracket_violation(stack, sfp.metric, anchor, x, u, p, m),
                 )
         results.append(CheckResult("sandwich", name + " rho hessian psd", psd_worst, 1e-10))
         results.append(

@@ -8,7 +8,7 @@ names breaks ``python3 bench/run.py --trace 1``, so this test runs it once.
 import importlib.util
 from pathlib import Path
 
-from hiprox import ProxConfig, bilevel_h, get_problem, inner_solve, relative_constants
+from hiprox import ProxConfig, bilevel_h, get_problem, inner_solve, outer, relative_constants
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -35,3 +35,19 @@ def test_tracer_counts_prox_newton_steps():
     calls = tracer.take_pass()["calls"]
     assert calls.get("inner.step.prox_newton", 0) == res.iterations > 0
     assert calls.get("inner.step.univariate", 0) == 0
+
+
+def test_tracer_counts_one_coefficient_pair_per_bilevel_step():
+    # the bench's outer.steps row counts outer.coefficients calls
+    prob = get_problem("neglog-sep")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)
+    finally:
+        tracer.uninstall()
+    calls = tracer.take_pass()["calls"]
+    assert trace.status == "converged"
+    assert calls.get("outer.coefficients", 0) == len(trace.rows) - 1 > 0
+    assert calls.get("outer.aihopp_run", 0) == 1
+    assert calls.get("outer.inner_prox_provider", 0) == 1

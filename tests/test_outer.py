@@ -31,19 +31,20 @@ from hiprox.metric import MetricSpace
 
 def test_coefficients_accelerated_frozen():
     # p = 3, beta = 1/3, H = 3 gives c_p^p/8 = 1/36, so A_4 = 1/36
-    a4, a5 = coefficients("accelerated", 3, 4, beta=1.0 / 3.0, h=3.0)
+    a4, a5 = coefficients(3, 4, 1.0 / 3.0, 3.0)
     np.testing.assert_allclose(a4, 1.0 / 36.0, rtol=1e-14)
     np.testing.assert_allclose(a5, (1.0 / 36.0) * ((5.0 / 4.0) ** 4 - 1.0), rtol=1e-13)
-    a0, a1 = coefficients("accelerated", 3, 0, beta=1.0 / 3.0, h=3.0)
+    a0, a1 = coefficients(3, 0, 1.0 / 3.0, 3.0)
     assert a0 == 0.0
     np.testing.assert_allclose(a1, (1.0 / 36.0) / 4.0 ** 4, rtol=1e-14)
 
 
 def test_coefficients_bilevel_lead():
+    # at beta = 1/p and H = 6 M / (p-1)! the lead (c_p/2)^p has a closed form
     p, m = 3, 24.0
     lead = (p - 1) * math.factorial(p - 1) / (3.0 * p * 2 ** (p + 1) * m)
     for k in (0, 1, 7):
-        a_k, a_next = coefficients("bilevel", p, k, m_next=m)
+        a_k, a_next = coefficients(p, k, 1.0 / p, bilevel_h(p, m))
         np.testing.assert_allclose(a_k, lead * (k / 4.0) ** 4, rtol=1e-14)
         np.testing.assert_allclose(
             a_next, lead * (((k + 1) / 4.0) ** 4 - (k / 4.0) ** 4), rtol=1e-13
@@ -52,16 +53,11 @@ def test_coefficients_bilevel_lead():
 
 def test_coefficients_validation():
     with pytest.raises(ParameterError):
-        coefficients("accelerated", 3, -1, beta=0.3, h=1.0)
+        coefficients(3, -1, 0.3, 1.0)
     with pytest.raises(ParameterError):
-        coefficients("accelerated", 3, 2, beta=None, h=1.0)
+        coefficients(3, 2, None, 1.0)
     with pytest.raises(ParameterError):
-        coefficients("accelerated", 3, 2, beta=0.3, h=None)
-    for bad_m in (None, 0.0, -1.0, np.inf):
-        with pytest.raises(ParameterError):
-            coefficients("bilevel", 3, 2, m_next=bad_m)
-    with pytest.raises(ParameterError):
-        coefficients("steepest", 3, 2, beta=0.3, h=1.0)
+        coefficients(3, 2, 0.3, None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -70,7 +66,7 @@ def test_coefficient_growth_inequality(p):
     beta, h = 1.0 / p, 5.0
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
     for k in list(range(0, 50)) + [10 ** 2, 10 ** 3, 10 ** 4]:
-        a_k, a_next = coefficients("accelerated", p, k, beta=beta, h=h)
+        a_k, a_next = coefficients(p, k, beta, h)
         lhs = a_next ** ((p + 1.0) / p)
         rhs = (c_p / 2.0) * (a_k + a_next)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -171,7 +167,7 @@ def test_bound_evaluator_values():
         bound_evaluator("plain", cfg, 2.0, 16.0, 16), 872.0 / 8.0, rtol=1e-14
     )
     np.testing.assert_allclose(
-        bound_evaluator("bilevel", cfg, 2.0, 16.0, 16), 216.0 / 16.0, rtol=1e-14
+        bound_evaluator("accelerated", cfg, 2.0, 16.0, 16), 216.0 / 16.0, rtol=1e-14
     )
     with pytest.raises(ParameterError):
         bound_evaluator("steepest", cfg, 2.0, 16.0, 8)
@@ -242,6 +238,21 @@ def test_biopt_run_converges():
     assert trace.mode == "bilevel"
     rc = trace.aux["relative_constants"]
     np.testing.assert_allclose((rc.xi, rc.mu, rc.lsmooth), (2.0, 0.5, 1.5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("ball-quadratic", 4)])
+def test_biopt_run_is_the_accelerated_loop(name, p):
+    # bi-level = the accelerated loop at (beta, H) = (1/p, 6 M/(p-1)!) driven
+    # by the Bregman inner loop, digit for digit
+    prob = get_problem(name)
+    m = prob.m_next(p)
+    bilevel = biopt_run(prob, p, eps=1e-6, max_k=60)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
+    accel = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=60)
+    assert bilevel.status == accel.status == "converged"
+    assert bilevel.to_csv() == accel.to_csv()
+    assert (bilevel.mode, accel.mode) == ("bilevel", "accelerated")
 
 
 def test_biopt_rejects_degenerate_high_order_bound():
