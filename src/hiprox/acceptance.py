@@ -73,6 +73,8 @@ class AcceptanceCertificate:
     radius: float = 0.0  # |T - xb|
     inner_product: float = 0.0  # <grad f(T)+g, xb-T>
     residual: np.ndarray = field(default=None, repr=False)  # grad f(T)+g
+    gradient: np.ndarray = field(default=None, repr=False)  # grad f(T), as computed
+    f_value: float = None  # f(T)
 
     def to_record(self):
         return {
@@ -100,6 +102,9 @@ def check_acceptable(oracle, term, cfg, anchor, point, g):
     Raises CertificateError when the pair is malformed (point outside the
     domain of psi, or g provably not a subgradient there); a well-formed pair
     that merely violates the beta inequality comes back with accepted=False.
+    The certificate keeps f(T) and grad f(T), evaluated once here, for the
+    callers that need them next (the inner loop's next step and trace row,
+    the outer loops' objective value and estimating update).
     """
     anchor = np.asarray(anchor, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -113,7 +118,8 @@ def check_acceptable(oracle, term, cfg, anchor, point, g):
         )
     pp = cfg.power(len(point))
     metric = pp.metric
-    residual = oracle.gradient(point) + g
+    grad = oracle.gradient(point)
+    residual = grad + g
     reg_residual = residual + cfg.h * pp.gradient(point - anchor)
     lhs = metric.dual_norm(reg_residual)
     rhs = metric.dual_norm(residual)
@@ -128,6 +134,8 @@ def check_acceptable(oracle, term, cfg, anchor, point, g):
         radius=metric.primal_norm(point - anchor),
         inner_product=float(np.dot(residual, anchor - point)),
         residual=residual,
+        gradient=grad,
+        f_value=oracle.value(point),
     )
 
 

@@ -20,11 +20,14 @@ L = 3/2, kappa = 1/3.
 The even Taylor terms are anchored at the fixed y, so their scalar data are
 constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
 residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
-``AnchorStack`` of the even orders 2, ..., 2q), and rho, grad rho and the
-Hessian matrix of rho contract those weights against x - y on every call; the
-k = 1 Hessian term D^2 f(y) does not depend on x and is formed once. The
-oracle's ``calls_by_order`` still names every order consumed, but counts the
-anchor's orders once per scaling function rather than once per call.
+``AnchorStack`` of the even orders 2, ..., 2q); the k = 1 Hessian term
+D^2 f(y) does not depend on x and is formed once. Each point then costs one
+pass, ``evaluate``: it forms d = x - y once, projects it once for all orders
+(``AnchorStack.contract``), takes |d| once for the power term, and gives rho,
+grad rho and, when asked, the Hessian matrix of rho. ``value``, ``gradient``
+and ``hessian_matrix`` are reads of that pass. The oracle's
+``calls_by_order`` still names every order consumed, but counts the anchor's
+orders once per scaling function rather than once per call.
 
 For p = 3 these constants follow from the bracket
 |D^3 f(y)[h][u,u]| <= D^2 f(y)[u,u]/xi + xi M_4 |h|^2 |u|^2/2 (convexity of f
@@ -67,47 +70,59 @@ class ScalingFunction:
         # the anchor's residuals and even-order weights, once per scaling function
         self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
-    # -- polynomial (even Taylor) part ----------------------------------
-    def poly_value(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return sum(
-            self.stack.directional(d, 2 * k) / math.factorial(2 * k)
-            for k in range(1, self.q + 1)
-        )
+    def evaluate(self, x, hessian=False):
+        """(rho(x), grad rho(x), Hessian matrix of rho at x or None), in one pass.
 
-    def poly_gradient(self, x):
+        The pass forms d = x - anchor once, projects it once for every order of
+        the anchor stack, and takes |d| once for the power term.
+        """
         d = np.asarray(x, dtype=float) - self.anchor
-        out = np.zeros_like(d)
-        for k in range(1, self.q + 1):
-            out = out + self.stack.apply(d, 2 * k, d) / math.factorial(2 * k - 1)
-        return out
+        value, grad, hess = self._poly(d, hessian)
+        p_value, p_grad, p_hess = self.pp._terms(d, hessian)
+        value = value + self.h * p_value
+        grad = grad + self.h * p_grad
+        if hessian:
+            hess = hess + self.h * p_hess
+        return value, grad, hess
+
+    def _poly(self, d, hessian):
+        """The even Taylor part's value, gradient and Hessian matrix at anchor + d.
+
+        Each contraction is divided by its factorial before it is added, and
+        the value sums from 0 as ``sum`` does. The order-2 matrix D^2 f(y) does
+        not depend on d and is formed once per stack.
+        """
+        value, grad, hess = 0, np.zeros_like(d), None
+        for k, (form, covector, matrix) in self.stack.contract(d, hessian).items():
+            value = value + form / math.factorial(k)
+            grad = grad + covector / math.factorial(k - 1)
+            if hessian:  # the first order is 2, whose factorial (k - 2)! is 1
+                hess = matrix if hess is None else hess + matrix / math.factorial(k - 2)
+        return value, grad, hess
+
+    # -- reads of one pass ------------------------------------------------
+    def poly_value(self, x):
+        return self._poly(np.asarray(x, dtype=float) - self.anchor, False)[0]
 
     def poly_hessian_matrix(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        out = self.stack.hessian  # the k = 1 term does not depend on x
-        for k in range(2, self.q + 1):
-            out = out + self.stack.matrix(d, 2 * k) / math.factorial(2 * k - 2)
-        return out
+        return self._poly(np.asarray(x, dtype=float) - self.anchor, True)[2]
 
-    # -- full scaling function -------------------------------------------
     def value(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.poly_value(x) + self.h * self.pp.value(d)
+        return self.evaluate(x)[0]
 
     def gradient(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.poly_gradient(x) + self.h * self.pp.gradient(d)
+        return self.evaluate(x)[1]
 
     def hessian_matrix(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.poly_hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
+        return self.evaluate(x, hessian=True)[2]
 
 
 def bregman_distance(sf, x, z):
     """breg(x, z) = rho(z) - rho(x) - <grad rho(x), z - x> (anchored at x)."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    return sf.value(z) - sf.value(x) - float(np.dot(sf.gradient(x), z - x))
+    rho_x, grad_x, _ = sf.evaluate(x)
+    return sf.value(z) - rho_x - float(np.dot(grad_x, z - x))
 
 
 class RegularizedObjective:
@@ -121,13 +136,19 @@ class RegularizedObjective:
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.anchor))
         self.pp = PowerProx(self.p, self.metric)
 
-    def value(self, x):
+    def value(self, x, f_value=None):
+        """f(x) + H d(x - anchor); f_value, when given, is f(x)."""
         d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.value(x) + self.h * self.pp.value(d)
+        if f_value is None:
+            f_value = self.oracle.value(x)
+        return f_value + self.h * self.pp.value(d)
 
-    def gradient(self, x):
+    def gradient(self, x, grad_f=None):
+        """grad f(x) + H grad d(x - anchor); grad_f, when given, is grad f(x)."""
         d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.gradient(x) + self.h * self.pp.gradient(d)
+        if grad_f is None:
+            grad_f = self.oracle.gradient(x)
+        return grad_f + self.h * self.pp.gradient(d)
 
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor

@@ -39,11 +39,14 @@ from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_criterion
 from .verify import run_suite
 
 _MODES = ("plain", "accelerated", "bilevel", "example1", "example2")
+# the example modes run one fixed instance each; the solver modes default to this one
+_DEFAULT_PROBLEM = "quartic-abs-1d"
+_EXAMPLE_PROBLEMS = {"example1": "linear-nonneg-1d", "example2": "quartic-abs-1d"}
 
 
 @dataclass
 class RunConfig:
-    problem: str = "quartic-abs-1d"
+    problem: str = None  # None: the mode's own problem
     mode: str = "plain"
     p: int = 3
     beta: float = None
@@ -54,13 +57,29 @@ class RunConfig:
     max_inner: int = 2000
     out: str = None
 
+    def __post_init__(self):
+        if self.problem is None:
+            self.problem = _EXAMPLE_PROBLEMS.get(self.mode, _DEFAULT_PROBLEM)
+
     def validate(self):
         if self.mode not in _MODES:
             raise ValueError("unknown mode %r (choose from %s)" % (self.mode, ", ".join(_MODES)))
         if self.mode == "bilevel" and self.h is not None:
             raise ValueError("bilevel mode derives H from M; drop the explicit H")
+        if self.mode == "bilevel" and self.beta is not None:
+            raise ValueError("bilevel mode runs at beta = 1/p; drop the explicit beta")
         if self.p < 2:
             raise ValueError("p must be at least 2")
+        if self.mode in _EXAMPLE_PROBLEMS:
+            own = _EXAMPLE_PROBLEMS[self.mode]
+            if self.problem != own:
+                raise ValueError("%s scans %s; drop --problem %s" % (self.mode, own, self.problem))
+            if self.p != 3:
+                raise ValueError("%s runs at p = 3; drop --p %d" % (self.mode, self.p))
+            if self.mode == "example1" and self.m is not None:
+                raise ValueError("example1 takes no M; drop --m")
+            if self.mode == "example2" and self.h is not None:
+                raise ValueError("example2 derives H from M and beta; drop --h")
         return self
 
 
@@ -100,7 +119,7 @@ def _outdir(cfg):
     return out
 
 
-def _write_trace(cfg, trace, out):
+def _write_trace(cfg, trace, calls_by_order, out):
     (out / "outer.csv").write_text(trace.to_csv())
     for k, itrace in enumerate(trace.inner_traces, start=1):
         if itrace is not None:
@@ -111,6 +130,10 @@ def _write_trace(cfg, trace, out):
         eps=cfg.eps,
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
+        # oracle evaluations by derivative order (counted from the run's start)
+        calls_by_order={str(k): v for k, v in sorted(calls_by_order.items())},
+        # accelerated steps that kept x_k because F(T_k) > F(x_k)
+        fallbacks=int(sum(trace.aux.get("fallback", []))),
     )
     _write_json(out / "summary.json", summary)
 
@@ -122,6 +145,7 @@ def _solve(cfg, prob):
     Bi-level derives H from M; the other modes take H = --h when given.
     """
     p = cfg.p
+    prob.oracle.reset_counters()
     if cfg.m is not None:
         prob.m_override[p + 1] = float(cfg.m)
     if cfg.mode == "bilevel":
@@ -159,9 +183,10 @@ def run_command(cfg):
         return _run_example1(cfg)
     if cfg.mode == "example2":
         return _run_example2(cfg)
-    trace = _solve(cfg, get_problem(cfg.problem))
+    prob = get_problem(cfg.problem)
+    trace = _solve(cfg, prob)
     out = _outdir(cfg)
-    _write_trace(cfg, trace, out)
+    _write_trace(cfg, trace, prob.oracle.calls_by_order, out)
     print("%s: status=%s iterations=%d final_gap=%s" % (
         out, trace.status, trace.rows[-1].k, repr(trace.rows[-1].gap)))
     return 0 if trace.status == "converged" else 2
@@ -169,7 +194,7 @@ def run_command(cfg):
 
 def _run_example1(cfg):
     """Acceptance-region scan for f(x) = x on the nonnegative ray, p = 3."""
-    prob = get_problem("linear-nonneg-1d")
+    prob = get_problem(cfg.problem)
     beta = cfg.beta if cfg.beta is not None else 0.85
     h = cfg.h if cfg.h is not None else 1.0
     pcfg = ProxConfig(3, h, beta)
@@ -207,7 +232,7 @@ def _run_example1(cfg):
 
 def _run_example2(cfg):
     """Tensor-step criterion scan for f(x) = x^4 + |x| at x = 0.8, p = 3."""
-    prob = get_problem("quartic-abs-1d")
+    prob = get_problem(cfg.problem)
     gamma = 8.0 / 19.0
     beta = cfg.beta if cfg.beta is not None else 0.9
     m4 = cfg.m if cfg.m is not None else 24.0

@@ -20,7 +20,13 @@ condition holds, and 50 halvings without it raise ``NumericalError``.
 
 The scaling function of one inner solve is built once, with the anchor's
 even-order derivative weights (see ``bregman``); steps never evaluate a
-scalar derivative at the anchor again.
+scalar derivative at the anchor again. Every point costs one evaluation: one
+``ScalingFunction.evaluate`` pass gives rho, grad rho and the Hessian of rho
+at each Newton trial point, and an accepted point's pass serves the next
+Newton iteration, the next step and the trace's Bregman distance. f and
+grad f at a candidate are evaluated once, by its certificate, which the next
+step (grad f_reg) and the outer loop (F and the estimating update) read; the
+anchor's gradient is the only other one per solve.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acceptance import check_acceptable
-from .bregman import RegularizedObjective, ScalingFunction, bregman_distance
+from .bregman import RegularizedObjective, ScalingFunction
 from .errors import CapabilityError, NumericalError, ParameterError
 # bench/spans.py traces minimize_composite_1d through this binding
 from .univariate import decreasing_root, minimize_composite_1d  # noqa: F401
@@ -104,22 +110,34 @@ class StepSolver:
         self.term = term
         self.lsmooth = float(lsmooth)
 
-    def step(self, z):
-        """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z)."""
+    def step(self, z, grad_f=None, rho_z=None):
+        """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z).
+
+        c = grad f_reg(z). ``grad_f`` is grad f(z) and ``rho_z`` the pass
+        ``sf.evaluate(z, hessian=True)``, when the caller has them (from z's
+        certificate and from the step that returned z); otherwise they are
+        computed here. Returns (z+, g, rho at z+), the last being the pass at
+        z+ that the next step takes as its ``rho_z``. Each Newton iterate is
+        evaluated once: the line search's accepted point carries its rho,
+        grad rho and Hessian into the next iteration.
+        """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
-        c = self.reg.gradient(z)
+        c = self.reg.gradient(z, grad_f)
         two_l = 2.0 * self.lsmooth
-        rho_z = sf.gradient(z)
-        ctil = c - two_l * rho_z
+        if rho_z is None:
+            rho_z = sf.evaluate(z, hessian=True)
+        grad_z = rho_z[1]
+        ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
         w = term.project(z)
-        fw = two_l * sf.value(w) + float(np.dot(ctil, w)) + term.value(w)
+        at_w = rho_z if np.array_equal(w, z) else sf.evaluate(w, hessian=True)
+        fw = two_l * at_w[0] + float(np.dot(ctil, w)) + term.value(w)
         for _ in range(_NEWTON_CAP):
-            gw = two_l * sf.gradient(w) + ctil
+            gw = two_l * at_w[1] + ctil
             if term.subgradient_distance(w, -gw) <= 0.5 * tol:
                 break
-            hm = two_l * sf.hessian_matrix(w)
+            hm = two_l * at_w[2]
             nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
             hm = hm + nu * np.eye(len(w))
             cand = self._model_min(w, gw, hm)
@@ -129,7 +147,8 @@ class StepSolver:
             t = 1.0
             for _ in range(_HALVING_CAP):
                 wt = w + t * d
-                ft = two_l * sf.value(wt) + float(np.dot(ctil, wt)) + term.value(wt)
+                at_t = sf.evaluate(wt, hessian=True)
+                ft = two_l * at_t[0] + float(np.dot(ctil, wt)) + term.value(wt)
                 # the full step may rise by rounding; a shorter one must
                 # make the Armijo decrease
                 if t == 1.0:
@@ -142,13 +161,13 @@ class StepSolver:
             else:
                 raise NumericalError("prox-Newton line search failed after %d halvings"
                                      % _HALVING_CAP)
-            w, fw = wt, ft
-        g = two_l * (rho_z - sf.gradient(w)) - c
+            w, fw, at_w = wt, ft, at_t
+        g = two_l * (grad_z - at_w[1]) - c
         dist = term.subgradient_distance(w, g)
         if dist > 100.0 * tol:
             raise NumericalError("prox-Newton step residual %.3e > %.1e" % (dist, 100.0 * tol),
                                  residual=dist)
-        return w, g
+        return w, g, at_w
 
     def _model_min(self, w, grad, hm):
         """argmin q(z) = <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi.
@@ -255,16 +274,15 @@ def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False)
     sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
     solver = StepSolver(sf, reg, term, rc.lsmooth)
-
-    def phi(x):
-        return reg.value(x) + term.value(x)
-
     z = anchor.copy()
-    trace = InnerTrace(rows=[InnerRow(0, phi(z), np.nan, np.nan, np.nan, np.nan)])
+    # rho at z and grad f(z) pass from step to step; the first step computes grad f(anchor)
+    rho_z, grad_f = sf.evaluate(z, hessian=True), None
+    trace = InnerTrace(rows=[InnerRow(0, reg.value(z) + term.value(z),
+                                      np.nan, np.nan, np.nan, np.nan)])
     if keep_points:
         trace.points.append(z.copy())
     for i in range(1, max_iter + 1):
-        z_new, g = solver.step(z)
+        z_new, g, rho_new = solver.step(z, grad_f, rho_z)
         cert = check_acceptable(oracle, term, cfg, anchor, z_new, g)
         if cert.rhs > 0:
             ratio = cert.lhs / cert.rhs
@@ -274,10 +292,11 @@ def inner_solve(oracle, term, cfg, rc, anchor, max_iter=2000, keep_points=False)
             float(np.abs(z_new - z).max()) <= 1e-14 * (1.0 + float(np.abs(z).max()))
         )
         if not fixed_point:
-            trace.rows.append(
-                InnerRow(i, phi(z_new), bregman_distance(sf, z, z_new), cert.lhs, cert.rhs, ratio)
-            )
-        z = z_new
+            phi = reg.value(z_new, cert.f_value) + term.value(z_new)
+            # breg(z, z_new) from the passes at both ends
+            breg = rho_new[0] - rho_z[0] - float(np.dot(rho_z[1], z_new - z))
+            trace.rows.append(InnerRow(i, phi, breg, cert.lhs, cert.rhs, ratio))
+        z, rho_z, grad_f = z_new, rho_new, cert.gradient
         if keep_points and not fixed_point:
             trace.points.append(z.copy())
         if cert.accepted:

@@ -107,8 +107,13 @@ class MetricSpace:
         return np.eye(self.dimension)
 
     def primal_norm(self, x):
+        return self._norm_and_apply(x)[0]
+
+    def _norm_and_apply(self, x):
+        """(|x|, B x): the primal norm and the B x it is formed from."""
         x = self._check(x)
-        return float(np.sqrt(max(0.0, float(np.dot(self.apply(x), x)))))
+        bx = self.apply(x)
+        return float(np.sqrt(max(0.0, float(np.dot(bx, x))))), bx
 
     def dual_norm(self, g):
         g = self._check(g)
@@ -125,27 +130,30 @@ class PowerProx:
         self.metric = metric
 
     def value(self, h):
-        r = self.metric.primal_norm(h)
-        return r ** (self.p + 1) / (self.p + 1)
+        return self._terms(h)[0]
 
     def gradient(self, h):
-        r = self.metric.primal_norm(h)
-        if r == 0.0 and self.p > 1:
-            return np.zeros(self.metric.dimension)
-        return r ** (self.p - 1) * self.metric.apply(h)
+        return self._terms(h)[1]
 
     def hessian_matrix(self, h):
         """Dense D^2 d(h) = |h|^{p-1} B + (p-1)|h|^{p-3} (Bh)(Bh)^T (0 at h = 0, p >= 2)."""
-        r = self.metric.primal_norm(h)
-        n = self.metric.dimension
-        if self.p == 1:
-            return self.metric.matrix()
-        if r == 0.0:
-            return np.zeros((n, n))
-        bh = self.metric.apply(h)
-        return r ** (self.p - 1) * self.metric.matrix() + (
-            self.p - 1
-        ) * r ** (self.p - 3) * np.outer(bh, bh)
+        return self._terms(h, hessian=True)[2]
+
+    def _terms(self, h, hessian=False):
+        """d(h), its gradient and, when asked, its Hessian matrix, from one norm of h."""
+        r, bh = self.metric._norm_and_apply(h)
+        p, n = self.p, self.metric.dimension
+        value = r ** (p + 1) / (p + 1)
+        grad = np.zeros(n) if r == 0.0 and p > 1 else r ** (p - 1) * bh
+        hess = None
+        if hessian:
+            if p == 1:
+                hess = self.metric.matrix()
+            elif r == 0.0:
+                hess = np.zeros((n, n))
+            else:
+                hess = r ** (p - 1) * self.metric.matrix() + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+        return value, grad, hess
 
     def uniform_convexity_modulus(self):
         """Modulus c with d(y) >= d(x) + <grad d(x), y-x> + c |y-x|^{p+1}."""

@@ -14,16 +14,27 @@ whose k-th derivative tensors reduce to scalar derivatives,
 
 An oracle gives f, its gradient and its Hessian matrix at a point. Every
 contraction of a derivative of order k >= 2 goes through one set of helpers
-that take the order-k derivative data at a point (``_weights``): ``_form``
-gives D^k f[h]^k, ``_apply`` and ``_matrix`` the tensor D^k f[h]^{k-2}.
-``AnchorStack`` is the only public way to use them: it holds that data for
-the orders it is given at a fixed point y, evaluated once, and contracts it
-against a new h on every call without evaluating a scalar derivative again.
-A scaling function anchored at y (``bregman``) and a Taylor model at x
-(``tensor_step``) each build one. Scalar-derivative evaluations are counted
-per order in ``calls_by_order``, so a run can certify which derivative orders
-it consumed; a stack's orders are counted once per ``AnchorStack``, not once
-per use.
+that take the order-k derivative data at a point (``_weights``) and a
+direction h in the oracle's projected form (``_project``: a h for a
+separable oracle, h itself for a quadratic): ``_form`` gives D^k f[h]^k,
+``_apply`` and ``_matrix`` the tensor D^k f[h]^{k-2}. One projection of h
+serves every order and every contraction against h. ``AnchorStack`` is the
+only public way to use them: it holds that data for the orders it is given
+at a fixed point y, evaluated once, and contracts it against a new h on
+every call without evaluating a scalar derivative again; ``contract`` gives
+every order's form, covector and (when asked) matrix from one projection. A
+scaling function anchored at y (``bregman``) and a Taylor model at x
+(``tensor_step``) each build one.
+
+Scalar-derivative evaluations are counted per order in ``calls_by_order``,
+so a run can certify which derivative orders it consumed: order 0 counts
+values, order 1 gradients (one count per row of a separable oracle, one per
+call of a quadratic), and a stack's orders are counted once per
+``AnchorStack``, not once per use. The inner loop evaluates f and grad f
+once per certified candidate (in ``check_acceptable``) and grad f once more
+per anchor, and the outer loops read f(T) and grad f(T) from the
+certificate, so a bi-level run's order-1 count is rows x (inner steps +
+outer steps) when no inner solve ends at a fixed point.
 """
 
 from __future__ import annotations
@@ -75,19 +86,24 @@ class SmoothOracle:
         return self._matrix(self._weights(x, 2), None, 2)
 
     # -- the tensor algebra, on the order-k data at one point ---------------
+    # directions enter projected: ph = _project(h), pu = _project(u)
     def _weights(self, x, k):
         """Order-k derivative data at x; records its scalar evaluations."""
         raise NotImplementedError
 
-    def _form(self, w, h, k):
+    def _project(self, h):
+        """The projected form of a direction h, shared by every contraction."""
+        raise NotImplementedError
+
+    def _form(self, w, ph, k):
         """D^k f[h]^k from the order-k data w."""
         raise NotImplementedError
 
-    def _apply(self, w, h, k, u):
+    def _apply(self, w, ph, k, pu):
         """D^k f[h]^{k-2} u from the order-k data w."""
         raise NotImplementedError
 
-    def _matrix(self, w, h, k):
+    def _matrix(self, w, ph, k):
         """Dense D^k f[h]^{k-2} from the order-k data w."""
         raise NotImplementedError
 
@@ -111,15 +127,17 @@ class AnchorStack:
                 raise ParameterError("tensor order must be >= 2")
             self.weights[k] = oracle._weights(y, k)
 
+    def _project(self, h):
+        # order 2 does not depend on h, so it may be contracted with h = None
+        return None if h is None else self.oracle._project(self.oracle._check_vec(h))
+
     def directional(self, h, k):
         """D^k f(y)[h]^k."""
-        h = self.oracle._check_vec(h)
-        return self.oracle._form(self.weights[k], h, k)
+        return self.oracle._form(self.weights[k], self._project(h), k)
 
     def apply(self, h, k, u):
         """D^k f(y)[h]^{k-2} u."""
-        u = self.oracle._check_vec(u)
-        return self.oracle._apply(self.weights[k], h, k, u)
+        return self.oracle._apply(self.weights[k], self._project(h), k, self._project(u))
 
     def form(self, h, k, u):
         """D^k f(y)[h]^{k-2}[u, u]."""
@@ -128,12 +146,29 @@ class AnchorStack:
 
     def matrix(self, h, k):
         """Dense D^k f(y)[h]^{k-2}."""
-        return self.oracle._matrix(self.weights[k], h, k)
+        return self.oracle._matrix(self.weights[k], self._project(h), k)
+
+    def contract(self, h, hessian=False):
+        """{k: (D^k f(y)[h]^k, D^k f(y)[h]^{k-1}, dense D^k f(y)[h]^{k-2} or None)}.
+
+        One projection of h serves every order. The matrices are formed only
+        when ``hessian`` is set; the order-2 one is ``hessian``, which does
+        not depend on h.
+        """
+        oracle = self.oracle
+        ph = self._project(h)
+        out = {}
+        for k, w in self.weights.items():
+            mat = None
+            if hessian:
+                mat = self.hessian if k == 2 else oracle._matrix(w, ph, k)
+            out[k] = (oracle._form(w, ph, k), oracle._apply(w, ph, k, ph), mat)
+        return out
 
     @cached_property
     def hessian(self):
         """Dense D^2 f(y), computed on first use and read-only."""
-        out = self.matrix(None, 2)
+        out = self.oracle._matrix(self.weights[2], None, 2)
         out.flags.writeable = False
         return out
 
@@ -192,20 +227,24 @@ class SeparableObjective(SmoothOracle):
     def _weights(self, x, k):
         return self._derivs(self.residuals(x), k)
 
-    def _scaled(self, w, h, k):
+    # a direction is projected onto the rows: ph_i = <a_i, h>
+    def _project(self, h):
+        return self.a @ h
+
+    def _scaled(self, w, ph, k):
         """w_i <a_i, h>^(k-2): the row weights of D^k f[h]^{k-2}."""
         if k == 2:
             return w
-        return w * (self.a @ self._check_vec(h)) ** (k - 2)
+        return w * ph ** (k - 2)
 
-    def _form(self, w, h, k):
-        return float(np.dot(w, (self.a @ h) ** k))
+    def _form(self, w, ph, k):
+        return float(np.dot(w, ph ** k))
 
-    def _apply(self, w, h, k, u):
-        return self.a.T @ (self._scaled(w, h, k) * (self.a @ u))
+    def _apply(self, w, ph, k, pu):
+        return self.a.T @ (self._scaled(w, ph, k) * pu)
 
-    def _matrix(self, w, h, k):
-        return (self.a * self._scaled(w, h, k)[:, None]).T @ self.a
+    def _matrix(self, w, ph, k):
+        return (self.a * self._scaled(w, ph, k)[:, None]).T @ self.a
 
 
 class QuadraticObjective(SmoothOracle):
@@ -240,20 +279,24 @@ class QuadraticObjective(SmoothOracle):
         self._record(1, 1)
         return self.q @ x + self.c
 
-    # Q is the order-2 data; higher orders are None (zero tensors)
+    # Q is the order-2 data; higher orders are None (zero tensors). A
+    # direction is its own projection.
     def _weights(self, x, k):
         if k == 2:
             self._record(2, 1)
             return self.q
         return None
 
-    def _form(self, w, h, k):
-        return 0.0 if w is None else float(h @ w @ h)
+    def _project(self, h):
+        return h
 
-    def _apply(self, w, h, k, u):
-        return np.zeros(self.dimension) if w is None else w @ u
+    def _form(self, w, ph, k):
+        return 0.0 if w is None else float(ph @ w @ ph)
 
-    def _matrix(self, w, h, k):
+    def _apply(self, w, ph, k, pu):
+        return np.zeros(self.dimension) if w is None else w @ pu
+
+    def _matrix(self, w, ph, k):
         n = self.dimension
         return np.zeros((n, n)) if w is None else w.copy()
 

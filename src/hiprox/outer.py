@@ -250,8 +250,11 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
     return provider, cfg
 
 
-def _objective(problem, x):
-    return problem.oracle.value(x) + problem.term.value(x)
+def _objective(problem, x, f_value=None):
+    """F(x) = f(x) + psi(x); f_value, when given, is f(x) (a certificate's)."""
+    if f_value is None:
+        f_value = problem.oracle.value(x)
+    return f_value + problem.term.value(x)
 
 
 def _gap(problem, f_value):
@@ -305,7 +308,7 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
         anchor = x
         step = _prox_step(provider, anchor)
         x = step[0]
-        f_x = _objective(problem, x)
+        f_x = _objective(problem, x, step[1].f_value)
         bound = (
             bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
         )
@@ -335,11 +338,9 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
         step = _prox_step(provider, y)
-        t = step[0]
-        f_t = _objective(problem, t)
-        estimating_update(
-            state, t, problem.oracle.gradient(t), problem.oracle.value(t), a_next
-        )
+        t, cert = step[0], step[1]
+        f_t = _objective(problem, t, cert.f_value)
+        estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         fallback = f_t > f_x
         if not fallback:
             x, f_x = t, f_t

@@ -36,6 +36,8 @@ class Problem:
     sample_lo: np.ndarray = None
     sample_hi: np.ndarray = None
     description: str = ""
+    # (lo, hi) of the box on which the declared M bounds hold; None: everywhere
+    m_box: tuple = None
 
     @property
     def dimension(self):
@@ -334,6 +336,7 @@ def _neglog_sep():
         sample_lo=lo,
         sample_hi=hi,
         description="sum of -log(<a_i,x>-b_i) on a safe box; second-order-only scaling",
+        m_box=(lo, hi),  # the bounds take the residuals' minimum t_lo over the box
     )
 
 

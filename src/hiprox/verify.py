@@ -260,7 +260,7 @@ def _iteration_log_fit():
     residuals = []
     z = anchor.copy()
     for _ in range(5000):
-        z, g = solver.step(z)
+        z, g, _ = solver.step(z)
         residuals.append(sf.metric.dual_norm(reg.gradient(z) + g))
         if residuals[-1] <= 1e-9:
             break
@@ -328,6 +328,23 @@ def _odd_bracket_violation(stack, metric, y, x, u, p, m, xi=2.0):
     return abs(odd) - bound
 
 
+def _segment_points(prob, y, xs, xi=2.0):
+    """Sample points xs moved so that y +- xi (x - y) stays where prob's M bounds hold.
+
+    The bracket assumes its bound on the whole segment y +- xi h. When the
+    bounds are declared on a box (``prob.m_box``), xs are mapped affinely from
+    the sampling box onto the box of half-widths min(hi - y, y - lo) / xi
+    around y; otherwise they are returned as drawn. The draws are the same
+    either way, so later samples of the same generator do not move.
+    """
+    if prob.m_box is None:
+        return xs
+    lo, hi = prob.m_box
+    reach = np.minimum(hi - y, y - lo) / xi
+    unit = (2.0 * xs - (prob.sample_lo + prob.sample_hi)) / (prob.sample_hi - prob.sample_lo)
+    return y + reach * unit
+
+
 def _unit_directions(rng, count, n):
     us = rng.standard_normal((count, n))
     return us / np.linalg.norm(us, axis=1)[:, None]
@@ -381,11 +398,13 @@ def suite_sandwich(seed=0, pairs=1000):
             sfp = ScalingFunction(prob.oracle, anchor, p, hp, prob.metric)
             stack = AnchorStack(prob.oracle, anchor, range(2, p + 1))
             xs = prob.sample(rng, pairs)
-            for x, u in zip(xs, _unit_directions(rng, pairs, prob.dimension)):
+            segment_xs = _segment_points(prob, anchor, xs)
+            us = _unit_directions(rng, pairs, prob.dimension)
+            for x, xb, u in zip(xs, segment_xs, us):
                 psd_worst = max(psd_worst, -(u @ sfp.hessian_matrix(x) @ u))
                 bracket_worst = max(
                     bracket_worst,
-                    _odd_bracket_violation(stack, sfp.metric, anchor, x, u, p, m),
+                    _odd_bracket_violation(stack, sfp.metric, anchor, xb, u, p, m),
                 )
         results.append(CheckResult("sandwich", name + " rho hessian psd", psd_worst, 1e-10))
         results.append(

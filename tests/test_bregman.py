@@ -7,6 +7,7 @@ import pytest
 
 from hiprox import (
     AnchorStack,
+    MetricSpace,
     ParameterError,
     RegularizedObjective,
     RelativeConstants,
@@ -246,26 +247,35 @@ def test_hat_l_sampled_bounds_local_hessian():
 
 
 def _direct_scaling(oracle, anchor, sf, x):
-    """rho's value, gradient and Hessian from a fresh stack per contraction."""
-    n = len(anchor)
+    """rho, grad rho and its Hessian from a fresh stack per contraction.
+
+    Each contraction projects d on its own, and the power term is written
+    out: d(h) = r^(p+1)/(p+1), grad r^(p-1) B h and
+    Hessian r^(p-1) B + (p-1) r^(p-3) (Bh)(Bh)' with r = <Bh, h>^(1/2).
+    """
     d = x - anchor
+    q, p, h, metric = sf.q, sf.p, sf.h, sf.metric
 
     def fresh(k):
         return AnchorStack(oracle, anchor, (k,))
 
-    value = sum(
-        fresh(2 * k).directional(d, 2 * k) / math.factorial(2 * k) for k in range(1, sf.q + 1)
-    )
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for k in range(1, sf.q + 1):
+    value = sum(fresh(2 * k).directional(d, 2 * k) / math.factorial(2 * k)
+                for k in range(1, q + 1))
+    grad = np.zeros_like(d)
+    for k in range(1, q + 1):
         grad = grad + fresh(2 * k).apply(d, 2 * k, d) / math.factorial(2 * k - 1)
+    hess = fresh(2).hessian
+    for k in range(2, q + 1):
         hess = hess + fresh(2 * k).matrix(d, 2 * k) / math.factorial(2 * k - 2)
-    return (
-        value + sf.h * sf.pp.value(d),
-        grad + sf.h * sf.pp.gradient(d),
-        hess + sf.h * sf.pp.hessian_matrix(d),
-    )
+    bh = metric.apply(d)
+    r = float(np.sqrt(max(0.0, float(np.dot(bh, d)))))
+    n = len(d)
+    if r == 0.0:
+        p_grad, p_hess = np.zeros(n), np.zeros((n, n))
+    else:
+        p_grad = r ** (p - 1) * bh
+        p_hess = r ** (p - 1) * metric.matrix() + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+    return (value + h * (r ** (p + 1) / (p + 1)), grad + h * p_grad, hess + h * p_hess)
 
 
 @pytest.mark.parametrize("p", (3, 4, 5))
@@ -310,3 +320,42 @@ def test_anchor_stack_evaluates_each_order_once_per_row(name, p):
         assert oracle.calls_by_order == {2: q * rows}
     else:
         assert oracle.calls_by_order == {2 * k: rows for k in range(1, q + 1)}
+
+
+def _metric(kind, n, rng):
+    if kind == "identity":
+        return MetricSpace.euclidean(n)
+    if kind == "diagonal":
+        return MetricSpace(n, weights=rng.uniform(0.5, 2.0, n))
+    b = rng.standard_normal((n, n))
+    return MetricSpace(n, matrix=b @ b.T + n * np.eye(n))
+
+
+@pytest.mark.parametrize("metric_kind", ("identity", "diagonal", "dense"))
+@pytest.mark.parametrize("p", (3, 4, 5))
+@pytest.mark.parametrize("name", ("neglog-sep", "logistic-sep-3d", "quartic-sep-10d",
+                                  "ball-quadratic"))
+def test_one_pass_equals_separate_contractions_exactly(name, p, metric_kind):
+    # one projection of d for every order and one |d| give bit for bit the
+    # numbers of contracting each order and each power term on its own, for
+    # separable and quadratic oracles, in every metric, and at d = 0
+    prob = get_problem(name)
+    rng = np.random.default_rng(100 * p + len(name))
+    n = prob.dimension
+    metric = _metric(metric_kind, n, rng)
+    anchor = prob.sample(rng, 1)[0]
+    sf = ScalingFunction(prob.oracle, anchor, p, 2.5, metric)
+    for x in [anchor.copy()] + [anchor + 0.1 * rng.standard_normal(n) for _ in range(3)]:
+        value, grad, hess = _direct_scaling(prob.oracle, anchor, sf, x)
+        one_pass = sf.evaluate(x, hessian=True)
+        assert one_pass[0] == value
+        assert np.array_equal(one_pass[1], grad)
+        assert np.array_equal(one_pass[2], hess)
+        no_hessian = sf.evaluate(x)
+        assert no_hessian[0] == value and np.array_equal(no_hessian[1], grad)
+        assert no_hessian[2] is None
+        assert sf.value(x) == value
+        assert np.array_equal(sf.gradient(x), grad)
+        assert np.array_equal(sf.hessian_matrix(x), hess)
+    assert sf.evaluate(anchor)[0] == 0.0
+    assert not np.any(sf.evaluate(anchor)[1])

@@ -192,3 +192,54 @@ def test_load_config_defaults():
     assert cfg == RunConfig()
     with pytest.raises(ValueError):
         RunConfig(mode="steepest").validate()
+
+
+def test_bilevel_refuses_beta(tmp_path, capsys):
+    # bi-level runs at beta = 1/p, so an explicit beta would be ignored
+    assert main(["run", "--problem", "neglog-sep", "--mode", "bilevel", "--beta", "0.9",
+                 "--out", "runD"]) == 1
+    assert "beta" in capsys.readouterr().err
+    assert not (tmp_path / "runD").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, option",
+    (
+        ("example1", ["--problem", "neglog-sep"]),
+        ("example1", ["--p", "5"]),
+        ("example1", ["--m", "2.0"]),
+        ("example2", ["--problem", "neglog-sep"]),
+        ("example2", ["--p", "5"]),
+        ("example2", ["--h", "3.0"]),
+    ),
+)
+def test_example_modes_refuse_ignored_options(mode, option, tmp_path, capsys):
+    assert main(["run", "--mode", mode, "--out", "runE"] + option) == 1
+    assert option[0].lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "runE").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, problem", (("example1", "linear-nonneg-1d"), ("example2", "quartic-abs-1d"))
+)
+def test_example_modes_accept_their_own_problem(mode, problem, capsys):
+    # the default is the mode's own problem, and naming it is allowed
+    for args in ([], ["--problem", problem, "--p", "3"]):
+        assert main(["run", "--mode", mode, "--print-config"] + args) == 0
+        assert json.loads(capsys.readouterr().out)["problem"] == problem
+
+
+def test_summary_records_evaluations_and_fallbacks(tmp_path):
+    code = main(["run", "--problem", "neglog-sep", "--mode", "bilevel", "--p", "3",
+                 "--eps", "1e-6", "--max-outer", "100", "--out", "runF"])
+    assert code == 0
+    summary = json.loads((tmp_path / "runF" / "summary.json").read_text())
+    calls = summary["calls_by_order"]
+    assert set(calls) == {"0", "1", "2"}
+    # counted from the run's start: one gradient per certified candidate and
+    # one per anchor, for each of the oracle's rows
+    rows = get_problem("neglog-sep").oracle.a.shape[0]
+    assert calls["1"] == rows * (summary["inner_total"] + summary["iterations"])
+    assert isinstance(summary["fallbacks"], int) and summary["fallbacks"] >= 0
+    outer = (tmp_path / "runF" / "outer.csv").read_text()
+    assert "calls_by_order" not in outer and "fallbacks" not in outer

@@ -69,7 +69,7 @@ def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
             return two_l * float(sf.gradient(np.array([x]))[0]) + ctil
 
         ref = minimize_composite_1d(deriv, term, float(z[0]))
-        z_new, _ = solver.step(z)
+        z_new = solver.step(z)[0]
         assert abs(float(z_new[0]) - ref) <= 1e-12 * max(1.0, abs(ref))
         z = z_new
 
@@ -94,7 +94,7 @@ def test_step_subgradient_formula_and_optimality(problem_name, p):
     rng = np.random.default_rng(3)
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(4):
-        z_new, g = solver.step(z)
+        z_new, g, _ = solver.step(z)
         expected = 2.0 * rc.lsmooth * (sf.gradient(z) - sf.gradient(z_new)) - reg.gradient(z)
         np.testing.assert_allclose(g, expected, rtol=1e-10, atol=1e-12)
         assert term.contains(z_new)
@@ -111,7 +111,7 @@ def test_step_decreases_regularized_objective():
 
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(6):
-        z_new, _ = solver.step(z)
+        z_new = solver.step(z)[0]
         assert phi(z_new) <= phi(z) + 1e-12 * max(1.0, abs(phi(z)))
         z = z_new
 
@@ -127,7 +127,7 @@ def test_ball_step_on_boundary():
     z = np.asarray(prob.x0, dtype=float)
     hit_boundary = False
     for _ in range(10):
-        z_new, g = solver.step(z)
+        z_new, g, _ = solver.step(z)
         assert term.contains(z_new)
         d = z_new - term.center
         alpha = float(np.dot(g, d)) / term.radius ** 2

@@ -255,6 +255,30 @@ def test_biopt_run_is_the_accelerated_loop(name, p):
     assert (bilevel.mode, accel.mode) == ("bilevel", "accelerated")
 
 
+@pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
+                                     ("ball-quadratic", 5)])
+def test_biopt_run_evaluation_budget(name, p):
+    # every point costs one evaluation: grad f once per certified candidate
+    # (in its certificate, which the next step and the estimating update
+    # read) and once per anchor (the first step's grad f_reg); f once per
+    # candidate, once per anchor (the inner trace's row 0) and once at x_0
+    prob = get_problem(name)
+    oracle = prob.oracle
+    x0 = np.asarray(prob.x0, dtype=float)
+    oracle.reset_counters()
+    oracle.gradient(x0)
+    oracle.value(x0)
+    per_gradient, per_value = oracle.calls_by_order[1], oracle.calls_by_order[0]
+    oracle.reset_counters()
+    trace = biopt_run(prob, p, eps=1e-6, max_k=100)
+    assert trace.status == "converged"
+    # a solve that ends at a fixed point reports 0 steps but certified one candidate
+    candidates = sum(max(r.inner_iters, 1) for r in trace.rows[1:])
+    anchors = len(trace.rows) - 1
+    assert oracle.calls_by_order[1] == per_gradient * (candidates + anchors)
+    assert oracle.calls_by_order[0] == per_value * (candidates + anchors + 1)
+
+
 def test_biopt_rejects_degenerate_high_order_bound():
     # the quartic catalog entry has M_5 = 0, so p = 4 has no bi-level schedule
     prob = get_problem("quartic-1d")

@@ -7,7 +7,8 @@ import pytest
 
 from hiprox import AnchorStack, get_problem
 from hiprox.metric import MetricSpace
-from hiprox.verify import SUITES, _odd_bracket_violation, suite_bregman, suite_sandwich
+from hiprox.verify import (SUITES, _odd_bracket_violation, _segment_points, suite_bregman,
+                           suite_sandwich)
 
 
 def test_unit_weight_bracket_counterexample_at_p4():
@@ -34,6 +35,32 @@ def test_unit_weight_bracket_counterexample_at_p4():
     assert abs(unit_odd) - bound == pytest.approx(6.0, abs=1e-12)
     derived = _odd_bracket_violation(stack, MetricSpace.euclidean(1), y, x, u, p, m, xi)
     assert derived == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bracket_segments_stay_where_the_bounds_hold(seed):
+    # the odd bracket assumes M on the segment y +- 2h; neglog-sep declares
+    # its M on its box, and most raw sample pairs leave it
+    prob = get_problem("neglog-sep")
+    lo, hi = prob.m_box
+    rng = np.random.default_rng(seed)
+    y = prob.sample(rng, 1)[0]
+    xs = prob.sample(rng, 1000)
+
+    def leaves(points):
+        h = points - y
+        ends = np.concatenate([y + 2.0 * h, y - 2.0 * h])
+        # one rounding of y + 2h may pass an end of the box by an ulp
+        slack = 2.0 * np.spacing(np.maximum(abs(lo), abs(hi)))
+        return np.any((ends < lo - slack) | (ends > hi + slack), axis=1)
+
+    assert leaves(xs).mean() > 0.5
+    assert not leaves(_segment_points(prob, y, xs)).any()
+    # where the bounds hold everywhere the samples are used as drawn
+    logistic = get_problem("logistic-sep-3d")
+    drawn = logistic.sample(rng, 10)
+    assert logistic.m_box is None
+    assert _segment_points(logistic, drawn[0], drawn) is drawn
 
 
 @pytest.mark.parametrize("seed", range(5))
