@@ -128,7 +128,7 @@ def suite_estseq(seed=0):
     for k, cert in enumerate(trace.certificates):
         t = np.asarray(cert.point, dtype=float)
         _, a_next = coefficients(p, k, beta, h)
-        estimating_update(state, t, prob.oracle.gradient(t), prob.oracle.value(t), a_next)
+        estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         v = psi_argmin(state, prob.term, pp)
         psi_v = state.value(v, prob.term)
         key_worst = max(key_worst, state.a_total * trace.rows[k + 1].f_value - psi_v)
