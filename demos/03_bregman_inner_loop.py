@@ -38,7 +38,7 @@ print("H = 6 M_{p+1} / (p-1)! = %.0f gives xi = %.0f, mu = %.2f, L = %.2f, kappa
 print()
 
 anchor = np.asarray(prob.x0, dtype=float)
-res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, keep_points=True)
+res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor, keep_points=True)
 rows = res.trace.rows
 
 print("inner run from the catalog starting point (accepted after %d steps):" % res.iterations)
@@ -56,7 +56,7 @@ print("beta = 1/p = %.4f, at which point the pair (z, g) is returned." % cfg.bet
 sf = ScalingFunction(prob.oracle, anchor, p, h)
 reg = RegularizedObjective(prob.oracle, anchor, p, h)
 z_star = inner_solve(
-    prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, max_iter=200
+    prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, anchor, max_iter=200
 ).point
 b = [bregman_distance(sf, z, z_star) for z in res.trace.points[:-1]]
 print()

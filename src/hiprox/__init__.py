@@ -16,7 +16,6 @@ from .acceptance import (
     certificate_inequalities,
     check_acceptable,
     exact_prox_1d,
-    regularized_gradient,
 )
 from .bregman import (
     RegularizedObjective,
@@ -139,7 +138,6 @@ __all__ = [
     "minimize_composite_1d",
     "psi_argmin",
     "psi_prox_euclid",
-    "regularized_gradient",
     "relative_constants",
     "relative_sandwich_check",
     "run_suite",

@@ -88,14 +88,6 @@ class AcceptanceCertificate:
         }
 
 
-def regularized_gradient(oracle, cfg, anchor, x):
-    """grad f(x) + H |x-anchor|^{p-1} B (x-anchor)."""
-    x = np.asarray(x, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    pp = cfg.power(len(x))
-    return oracle.gradient(x) + cfg.h * pp.gradient(x - anchor)
-
-
 def check_acceptable(oracle, term, cfg, anchor, point, g):
     """Build the acceptance certificate for a candidate pair (point, g).
 

@@ -12,6 +12,13 @@ iterate whenever the prox output would increase F; the update rule only
 requires F(x_{k+1}) <= F(T_k), which both choices satisfy. Both loops share
 their start and their per-step record.
 
+Both loops call their provider as ``provider(anchor, start)``. The start is
+x_0 at the first step and afterwards the certificate of the previous prox
+point T_{k-1}; in the plain loop that point is the anchor itself. The inner
+loop starts there and reuses the certificate's f and grad f; the exact and
+tensor providers ignore the start. The loops hold the start, so a provider
+keeps no state between calls.
+
 The bi-level method (BiOPT) is the accelerated loop at H = 6 M_{p+1}/(p-1)!
 and beta = 1/p, with the certified Bregman inner loop as its
 acceptable-solution provider; ``biopt_run`` only assembles that
@@ -177,6 +184,13 @@ class OuterTrace:
     def inner_total(self):
         return int(sum(r.inner_iters for r in self.rows))
 
+    def worst_cert_ratio(self):
+        """max over the steps of cert_lhs / (beta cert_rhs), at most 1 up to the slack."""
+        beta = self.aux["config"]["beta"]
+        ratios = [r.cert_lhs / (beta * r.cert_rhs) if beta * r.cert_rhs > 0
+                  else (0.0 if r.cert_lhs == 0 else np.inf) for r in self.rows[1:]]
+        return max(ratios, default=float("nan"))
+
     def fitted_slope(self, k_lo=10, k_hi=100):
         ks = self.column("k")
         gaps = self.column("gap")
@@ -192,6 +206,9 @@ class OuterTrace:
             "status": self.status,
             "iterations": last.k,
             "inner_total": self.inner_total,
+            # prox-Newton iterations over every inner solve (0 for other providers)
+            "newton_iters": int(sum(t.newton_iters for t in self.inner_traces if t is not None)),
+            "worst_cert_ratio": self.worst_cert_ratio(),
             "final_f": last.f_value,
             "final_gap": last.gap,
             "fitted_slope": self.fitted_slope(),
@@ -203,7 +220,7 @@ class OuterTrace:
 def exact_prox_provider(oracle, term, cfg):
     """Acceptable-solution provider backed by the exact 1-D prox solver."""
 
-    def provider(anchor):
+    def provider(anchor, start):
         t, g = exact_prox_1d(oracle, term, cfg, anchor)
         cert = check_acceptable(oracle, term, cfg, anchor, t, g)
         if not cert.accepted:
@@ -217,12 +234,13 @@ def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
     """Acceptable-solution provider backed by the Bregman inner loop.
 
     m_next bounds D^{p+1} f; with cfg.h it fixes the inner loop's relative
-    constants (``relative_constants``).
+    constants (``relative_constants``). Each solve starts at the ``start``
+    its caller passes.
     """
     rc = relative_constants(cfg.p, cfg.h, m_next)
 
-    def provider(anchor):
-        res = inner_solve(oracle, term, cfg, rc, anchor, max_iter=max_iter)
+    def provider(anchor, start):
+        res = inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=max_iter)
         return res.point, res.subgradient, res.certificate, res.iterations, res.trace
 
     return provider
@@ -237,7 +255,7 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
     m, h = tensor_acceptance_map(p, beta, gamma, m_next)
     cfg = ProxConfig(p, h, beta)
 
-    def provider(anchor):
+    def provider(anchor, start):
         tm = TaylorModel(oracle, anchor, p, m)
         t, g, ok, _, _ = tensor_step_1d(tm, term, gamma)
         if not ok:
@@ -275,9 +293,9 @@ def _start(problem, cfg, mode):
     return trace, x, f_x, gap0
 
 
-def _prox_step(provider, anchor):
+def _prox_step(provider, anchor, start):
     """The provider's certified point at anchor: (T, certificate, inner iterations, trace)."""
-    t, _g, cert, iters, itrace = provider(anchor)
+    t, _g, cert, iters, itrace = provider(anchor, start)
     if not cert.accepted:
         raise NumericalError("provider returned a non-accepted certificate")
     return np.asarray(t, dtype=float), cert, iters, itrace
@@ -304,10 +322,11 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
     trace, x, f_x, gap0 = _start(problem, cfg, "plain")
     if d0 is None:
         d0 = problem.d0
+    start = x
     for k in range(1, max_k + 1):
         anchor = x
-        step = _prox_step(provider, anchor)
-        x = step[0]
+        step = _prox_step(provider, anchor, start)
+        x, start = step[0], step[1]
         f_x = _objective(problem, x, step[1].f_value)
         bound = (
             bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
@@ -333,12 +352,14 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
     trace.aux["psi_at_v"] = [state.value(v, problem.term)]
     trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
+    start = x
     for k in range(max_k):
         a_k, a_next = coefficients(cfg.p, k, cfg.beta, cfg.h)
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
-        step = _prox_step(provider, y)
+        step = _prox_step(provider, y, start)
         t, cert = step[0], step[1]
+        start = cert  # T_k, also when x keeps its value
         f_t = _objective(problem, t, cert.f_value)
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         fallback = f_t > f_x

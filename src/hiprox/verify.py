@@ -103,7 +103,7 @@ def suite_lemma1(seed=0):
         anchor = rng.uniform(prob.sample_lo, prob.sample_hi)
         for beta in (0.1, 1.0 / 3.0):
             cfg = ProxConfig(3, h, beta, metric=prob.metric)
-            res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor)
+            res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
             worst = max(worst, certificate_violation(res.certificate, cfg))
     results.append(CheckResult("lemma1", "quartic-sep-10d inner solve", worst, 1e-10))
     return results
@@ -156,8 +156,9 @@ def suite_estseq(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# bregman: inner-loop descent, contraction against a reference minimizer,
-# residual decay with trace-measured constants, iteration log fit
+# bregman: inner-loop descent, contraction against a reference minimizer
+# (from the anchor and from a seeded warm start), residual decay with
+# trace-measured constants, iteration log fit
 
 
 def suite_bregman(seed=0):
@@ -185,6 +186,8 @@ def suite_bregman(seed=0):
     descent_worst = -np.inf
     contraction_worst = -np.inf
     residual_worst = -np.inf
+    seeded_descent_worst = -np.inf
+    seeded_contraction_worst = -np.inf
     for name, p_run in (("quartic-sep-10d", 3), ("neglog-sep", 4)):
         pr = get_problem(name)
         m = pr.m_next(p_run)
@@ -195,23 +198,23 @@ def suite_bregman(seed=0):
         anchor = pr.term.project(
             np.asarray(pr.x0, dtype=float) + u * (pr.sample_hi - np.asarray(pr.x0))
         )
-        res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, keep_points=True)
+        # a warm start: any z0 in dom psi, here drawn from the sample box
+        seeded = pr.term.project(rng.uniform(pr.sample_lo, pr.sample_hi))
         sf = ScalingFunction(pr.oracle, anchor, p_run, h_run, cfg.metric)
         reg = RegularizedObjective(pr.oracle, anchor, p_run, h_run, cfg.metric)
+        res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, anchor, keep_points=True)
         rows, pts = res.trace.rows, res.trace.points
-        for i in range(1, len(rows)):
-            drop = rows[i - 1].phi - rows[i].phi
-            descent_worst = max(descent_worst, rc.lsmooth * rows[i].bregman_step - drop)
         z_star = _inner_reference(reg, pr.term, pts[-1])
         phi_star = reg.value(z_star) + pr.term.value(z_star)
-        b0 = bregman_distance(sf, pts[0], z_star)
-        for i in range(1, len(pts)):
-            bound = (1.0 - rc.kappa / 2.0) ** i * b0 + (phi_star - rows[i].phi) / (
-                2.0 * rc.lsmooth
-            )
-            contraction_worst = max(
-                contraction_worst, bregman_distance(sf, pts[i], z_star) - bound
-            )
+        descent, contraction = _descent_contraction(sf, rc, rows, pts, z_star, phi_star)
+        descent_worst = max(descent_worst, descent)
+        contraction_worst = max(contraction_worst, contraction)
+        warm = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, seeded, keep_points=True)
+        descent, contraction = _descent_contraction(
+            sf, rc, warm.trace.rows, warm.trace.points, z_star, phi_star
+        )
+        seeded_descent_worst = max(seeded_descent_worst, descent)
+        seeded_contraction_worst = max(seeded_contraction_worst, contraction)
         # residual decay with a trace-measured gradient-Lipschitz surrogate
         lip_loc = 0.0
         for i in range(1, len(pts)):
@@ -231,9 +234,31 @@ def suite_bregman(seed=0):
                 )
     results.append(CheckResult("bregman", "inner descent inequality", descent_worst, 1e-10))
     results.append(CheckResult("bregman", "inner contraction", contraction_worst, 1e-8))
+    results.append(CheckResult("bregman", "inner descent from a seeded z0",
+                               seeded_descent_worst, 1e-10))
+    results.append(CheckResult("bregman", "inner contraction from a seeded z0",
+                               seeded_contraction_worst, 1e-8))
     results.append(CheckResult("bregman", "residual decay (measured C)", residual_worst, 1e-10))
     results.append(_iteration_log_fit())
     return results
+
+
+def _descent_contraction(sf, rc, rows, pts, z_star, phi_star):
+    """Worst signed margins of one inner run's descent and contraction bounds.
+
+    Descent: phi(z_{i-1}) - phi(z_i) >= L breg(z_{i-1}, z_i). Contraction:
+    breg(z_i, z*) <= (1 - kappa/2)^i breg(z_0, z*) + (phi* - phi(z_i)) / (2L),
+    which counts from the run's own start z_0, whether or not it is the anchor.
+    """
+    descent = contraction = -np.inf
+    for i in range(1, len(rows)):
+        drop = rows[i - 1].phi - rows[i].phi
+        descent = max(descent, rc.lsmooth * rows[i].bregman_step - drop)
+    b0 = bregman_distance(sf, pts[0], z_star)
+    for i in range(1, len(pts)):
+        bound = (1.0 - rc.kappa / 2.0) ** i * b0 + (phi_star - rows[i].phi) / (2.0 * rc.lsmooth)
+        contraction = max(contraction, bregman_distance(sf, pts[i], z_star) - bound)
+    return descent, contraction
 
 
 def _inner_reference(reg, term, start):

@@ -3,6 +3,8 @@
 ``bench/spans.py`` wraps package functions where they are bound and names
 every inner step by ``StepSolver.route``; a cleanup that drops one of those
 names breaks ``python3 bench/run.py --trace 1``, so this test runs it once.
+Its ``inner.solves`` row counts ``inner_solve`` calls through the binding in
+``outer``, whatever arguments the provider passes.
 """
 
 import importlib.util
@@ -29,7 +31,7 @@ def test_tracer_counts_prox_newton_steps():
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
+        res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
     finally:
         tracer.uninstall()
     calls = tracer.take_pass()["calls"]
@@ -51,3 +53,21 @@ def test_tracer_counts_one_coefficient_pair_per_bilevel_step():
     assert calls.get("outer.coefficients", 0) == len(trace.rows) - 1 > 0
     assert calls.get("outer.aihopp_run", 0) == 1
     assert calls.get("outer.inner_prox_provider", 0) == 1
+
+
+def test_tracer_counts_one_inner_solve_per_bilevel_step():
+    # the provider passes the start T_{k-1} to inner_solve; the wrapper in
+    # outer must still see every solve once, and every step under it
+    prob = get_problem("neglog-sep")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)
+    finally:
+        tracer.uninstall()
+    calls = tracer.take_pass()["calls"]
+    assert trace.status == "converged"
+    steps = len(trace.rows) - 1
+    assert calls.get("inner.inner_solve", 0) == steps > 0
+    assert calls.get("inner.step.prox_newton", 0) == sum(max(r.inner_iters, 1)
+                                                         for r in trace.rows[1:])

@@ -9,13 +9,13 @@ from hiprox import (
     CertificateError,
     ParameterError,
     ProxConfig,
+    RegularizedObjective,
     acceptable_interval_1d,
     certificate_inequalities,
     check_acceptable,
     exact_prox_1d,
     get_problem,
     make_term,
-    regularized_gradient,
 )
 
 
@@ -42,9 +42,8 @@ def test_regularized_gradient_formula():
     anchor = np.array([0.3])
     x = np.array([1.1])
     expected = prob.oracle.gradient(x) + 2.0 * abs(1.1 - 0.3) ** 2 * (x - anchor)
-    np.testing.assert_allclose(
-        regularized_gradient(prob.oracle, cfg, anchor, x), expected, rtol=1e-12
-    )
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    np.testing.assert_allclose(reg.gradient(x), expected, rtol=1e-12)
 
 
 def test_exact_prox_linear_nonneg_interior():

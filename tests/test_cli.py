@@ -237,9 +237,34 @@ def test_summary_records_evaluations_and_fallbacks(tmp_path):
     calls = summary["calls_by_order"]
     assert set(calls) == {"0", "1", "2"}
     # counted from the run's start: one gradient per certified candidate and
-    # one per anchor, for each of the oracle's rows
+    # one at x_0, for each of the oracle's rows (later solves start at T_{k-1}
+    # and reuse its certificate's gradient)
     rows = get_problem("neglog-sep").oracle.a.shape[0]
-    assert calls["1"] == rows * (summary["inner_total"] + summary["iterations"])
+    assert calls["1"] == rows * (summary["inner_total"] + 1)
     assert isinstance(summary["fallbacks"], int) and summary["fallbacks"] >= 0
     outer = (tmp_path / "runF" / "outer.csv").read_text()
     assert "calls_by_order" not in outer and "fallbacks" not in outer
+
+
+def test_summary_records_newton_iterations_and_certificate_ratio(tmp_path):
+    code = main(["run", "--problem", "neglog-sep", "--mode", "bilevel", "--p", "3",
+                 "--eps", "1e-6", "--max-outer", "100", "--out", "runG"])
+    assert code == 0
+    summary = json.loads((tmp_path / "runG" / "summary.json").read_text())
+    assert isinstance(summary["newton_iters"], int)
+    assert summary["newton_iters"] >= summary["inner_total"] > 0
+    # the worst certificate came this close to its limit lhs = beta rhs
+    lines = (tmp_path / "runG" / "outer.csv").read_text().strip().split("\n")
+    assert lines[0] == "k,F,gap,bound_rhs,inner_iters,cert_lhs,cert_rhs"
+    cells = [line.split(",") for line in lines[2:]]
+    ratios = [float(c[5]) / (summary["beta"] * float(c[6])) for c in cells]
+    assert summary["worst_cert_ratio"] == max(ratios)
+    assert 0.0 < summary["worst_cert_ratio"] <= 1.0 + 1e-9
+    inner = (tmp_path / "runG" / "inner_k1.csv").read_text()
+    assert inner.splitlines()[0] == "i,phi,bregman_step,lhs,rhs,ratio"
+    # a run without an inner loop records no Newton iterations
+    assert main(["run", "--problem", "quartic-1d", "--mode", "plain", "--eps", "1e-6",
+                 "--max-outer", "200", "--out", "runH"]) == 0
+    plain = json.loads((tmp_path / "runH" / "summary.json").read_text())
+    assert plain["newton_iters"] == 0
+    assert 0.0 <= plain["worst_cert_ratio"] <= 1.0 + 1e-9

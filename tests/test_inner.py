@@ -157,7 +157,7 @@ def test_ball_step_on_boundary():
 )
 def test_inner_solve_returns_accepted_certificate(problem_name, p):
     prob, cfg, rc = _setup(problem_name, p)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
     cert = res.certificate
     assert cert.accepted
     assert cert.lhs <= cfg.beta * cert.rhs + 1e-12
@@ -171,7 +171,7 @@ def test_inner_solve_returns_accepted_certificate(problem_name, p):
 def test_inner_solve_fixed_point_zero_iterations():
     # anchoring at the unconstrained minimizer makes the anchor its own prox
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star, prob.x_star)
     assert res.iterations == 0
     assert len(res.trace.rows) == 1
     np.testing.assert_allclose(res.point, prob.x_star, atol=1e-12)
@@ -181,7 +181,7 @@ def test_inner_solve_fixed_point_zero_iterations():
 
 def test_inner_solve_keep_points():
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, keep_points=True)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0, keep_points=True)
     assert len(res.trace.points) == len(res.trace.rows)
     np.testing.assert_allclose(res.trace.points[0], prob.x0)
     np.testing.assert_allclose(res.trace.points[-1], res.point)
@@ -191,13 +191,72 @@ def test_inner_solve_validation():
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     bad_rc = RelativeConstants(xi=1.0, mu=0.0, lsmooth=2.0, kappa=0.0)
     with pytest.raises(ParameterError):
-        inner_solve(prob.oracle, prob.term, cfg, bad_rc, prob.x0)
+        inner_solve(prob.oracle, prob.term, cfg, bad_rc, prob.x0, prob.x0)
 
     nn = get_problem("linear-nonneg-1d")
     cfg1 = ProxConfig(p=3, h=2.0, beta=1.0 / 3.0)
     rc1 = relative_constants(3, 2.0, 1.0)
     with pytest.raises(ParameterError):
-        inner_solve(nn.oracle, nn.term, cfg1, rc1, np.array([-1.0]))
+        inner_solve(nn.oracle, nn.term, cfg1, rc1, np.array([-1.0]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "problem_name,p",
+    [("quartic-sep-10d", 3), ("neglog-sep", 4), ("ball-quadratic", 5), ("logistic-sep-3d", 3)],
+)
+def test_inner_solve_from_seeded_start(problem_name, p, seed):
+    # a warm start may be any point of dom psi: the run still ends on an
+    # accepted certificate, with phi nonincreasing from phi(z0)
+    prob, cfg, rc = _setup(problem_name, p)
+    rng = np.random.default_rng(seed)
+    anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
+    start = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start, keep_points=True)
+    cert = res.certificate
+    assert cert.accepted
+    assert cert.lhs <= cfg.beta * cert.rhs + 1e-12
+    np.testing.assert_array_equal(res.trace.start, start)
+    np.testing.assert_array_equal(res.trace.points[0], start)
+    phi = res.trace.column("phi")
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    assert phi[0] == reg.value(start) + prob.term.value(start)
+    assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
+    assert res.newton_iters >= res.iterations >= 1
+
+
+def test_inner_solve_start_by_certificate_reuses_its_evaluations():
+    # a start given by its certificate brings f and grad f along: the solve
+    # evaluates grad f only at its own candidates, and f only there too
+    prob, cfg, rc = _setup("neglog-sep", 3)
+    first = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
+    anchor = prob.term.project(np.asarray(prob.x0) + 0.05)
+    oracle = prob.oracle
+    oracle.reset_counters()
+    res = inner_solve(oracle, prob.term, cfg, rc, anchor, first.certificate)
+    np.testing.assert_array_equal(res.trace.start, first.point)
+    candidates = max(res.iterations, 1)
+    rows = oracle.a.shape[0]
+    assert oracle.calls_by_order[1] == rows * candidates
+    assert oracle.calls_by_order[0] == rows * candidates
+    # the same start as a bare point costs one more of each
+    oracle.reset_counters()
+    bare = inner_solve(oracle, prob.term, cfg, rc, anchor, first.point)
+    assert bare.trace.to_csv() == res.trace.to_csv()
+    assert oracle.calls_by_order[1] == rows * (candidates + 1)
+    assert oracle.calls_by_order[0] == rows * (candidates + 1)
+
+
+def test_inner_solve_rejects_start_outside_domain():
+    prob, cfg, rc = _setup("neglog-sep", 3)
+    outside = np.asarray(prob.term.hi, dtype=float) + 0.1
+    with pytest.raises(ParameterError):
+        inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, outside)
+    nn = get_problem("linear-nonneg-1d")
+    cfg1 = ProxConfig(p=3, h=2.0, beta=1.0 / 3.0)
+    rc1 = relative_constants(3, 2.0, 1.0)
+    with pytest.raises(ParameterError):
+        inner_solve(nn.oracle, nn.term, cfg1, rc1, np.array([1.0]), np.array([-1.0]))
 
 
 def test_inner_solve_iteration_cap():
@@ -205,13 +264,13 @@ def test_inner_solve_iteration_cap():
     prob, _, rc = _setup("quartic-sep-10d", 3)
     cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=0.0)
     with pytest.raises(NumericalError):
-        inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, max_iter=1)
+        inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0, max_iter=1)
 
 
 def test_trace_csv_deterministic():
     prob, cfg, rc = _setup("neglog-sep", 4)
-    res1 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
-    res2 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0)
+    res1 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
+    res2 = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
     csv = res1.trace.to_csv()
     assert csv == res2.trace.to_csv()
     lines = csv.strip().split("\n")

@@ -259,9 +259,11 @@ def test_biopt_run_is_the_accelerated_loop(name, p):
                                      ("ball-quadratic", 5)])
 def test_biopt_run_evaluation_budget(name, p):
     # every point costs one evaluation: grad f once per certified candidate
-    # (in its certificate, which the next step and the estimating update
-    # read) and once per anchor (the first step's grad f_reg); f once per
-    # candidate, once per anchor (the inner trace's row 0) and once at x_0
+    # (in its certificate, which the next step, the estimating update and the
+    # next inner solve read) and once at x_0 (the first step's grad f_reg); f
+    # once per candidate and twice at x_0 (F(x_0), and row 0 of the first
+    # inner trace). Every later solve starts at T_{k-1} and reuses its
+    # certificate's f and grad f, so an anchor costs no evaluation of either
     prob = get_problem(name)
     oracle = prob.oracle
     x0 = np.asarray(prob.x0, dtype=float)
@@ -274,9 +276,35 @@ def test_biopt_run_evaluation_budget(name, p):
     assert trace.status == "converged"
     # a solve that ends at a fixed point reports 0 steps but certified one candidate
     candidates = sum(max(r.inner_iters, 1) for r in trace.rows[1:])
-    anchors = len(trace.rows) - 1
-    assert oracle.calls_by_order[1] == per_gradient * (candidates + anchors)
-    assert oracle.calls_by_order[0] == per_value * (candidates + anchors + 1)
+    assert oracle.calls_by_order[1] == per_gradient * (candidates + 1)
+    assert oracle.calls_by_order[0] == per_value * (candidates + 2)
+
+
+@pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
+                                     ("ball-quadratic", 5)])
+def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
+    # solve k starts at T_{k-1}, the previous step's certified point, not at
+    # its anchor y_k; the first solve starts at its anchor x_0
+    prob = get_problem(name)
+    trace = biopt_run(prob, p, eps=1e-6, max_k=100)
+    assert trace.status == "converged"
+    itraces = trace.inner_traces
+    np.testing.assert_array_equal(itraces[0].start, prob.x0)
+    np.testing.assert_array_equal(trace.anchors[0], prob.x0)
+    for k in range(1, len(itraces)):
+        np.testing.assert_array_equal(itraces[k].start, trace.certificates[k - 1].point)
+    assert trace.summary()["newton_iters"] == sum(t.newton_iters for t in itraces) > 0
+
+
+def test_plain_loop_starts_at_its_anchor():
+    prob = get_problem("neglog-sep")
+    m = prob.m_next(3)
+    cfg = ProxConfig(p=3, h=bilevel_h(3, m), beta=1.0 / 3.0)
+    provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
+    trace = ihopp_run(prob, cfg, provider, eps=1e-6, max_k=100)
+    assert trace.status == "converged"
+    for anchor, itrace in zip(trace.anchors, trace.inner_traces):
+        np.testing.assert_array_equal(itrace.start, anchor)
 
 
 def test_biopt_rejects_degenerate_high_order_bound():

@@ -83,6 +83,7 @@ def test_bregman_suite_holds_across_seeds(seed):
     # signed margins: a row that holds with room reports a negative number
     margins = {r.name: r.violation for r in results}
     for name in ("Bregman nonnegativity", "inner descent inequality", "inner contraction",
+                 "inner descent from a seeded z0", "inner contraction from a seeded z0",
                  "residual decay (measured C)"):
         assert margins[name] < 0.0
 
