@@ -42,6 +42,7 @@ from .inner import (
     InnerResult,
     InnerTrace,
     StepSolver,
+    WarmStart,
     inner_solve,
 )
 from .metric import MetricSpace, PowerProx
@@ -111,6 +112,7 @@ __all__ = [
     "SmoothOracle",
     "StepSolver",
     "TaylorModel",
+    "WarmStart",
     "acceptable_interval_1d",
     "aihopp_run",
     "bilevel_h",

@@ -15,7 +15,10 @@ L-smooth relative to rho with
     mu = 1 - 1/xi,   L = 1 + 1/xi,   kappa = mu/L = (xi-1)/(xi+1).
 
 The concrete parameterization xi = 2, H = 6 M_{p+1}/(p-1)! gives mu = 1/2,
-L = 3/2, kappa = 1/3.
+L = 3/2, kappa = 1/3. The inner loop uses L only as its first step constant
+and as the cap of its backtracking, and mu as the floor (see ``inner``): each
+step runs at its own L_i in [mu, L], kept where the relative descent
+inequality holds at L_i.
 
 The even Taylor terms are anchored at the fixed y, so their scalar data are
 constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
@@ -36,8 +39,9 @@ obtained the same way weights the odd and even Taylor terms by unequal powers
 of xi and does not imply them; they are checked by sampling only (`verify
 sandwich`). They can fail at p >= 4: (x-1)^4 with a declared M_5 of 1e-3
 (a valid bound, the true one is 0) violates mu = 1/2 at y = 2, x = 0, where
-D^2 f(x) = 0. The inner loop does not trust them for correctness: every
-returned step passes the acceptance certificate.
+D^2 f(x) = 0. The inner loop does not trust them for correctness: a step at
+L_i < L is kept only where its descent test holds, a step at L is kept
+untested, and every returned point passes the acceptance certificate.
 """
 
 from __future__ import annotations
@@ -164,7 +168,13 @@ class RelativeConstants:
 
 
 def relative_constants(p, h, m_next):
-    """Solve xi (1 + xi) = (p-1)! H / M_{p+1} and derive (mu, L, kappa)."""
+    """Solve xi (1 + xi) = (p-1)! H / M_{p+1} and derive (mu, L, kappa).
+
+    The inner loop's step constant L_i starts at L and stays in [mu, L]: L is
+    its first value and its cap, mu its floor. These constants are a theorem
+    at p = 3 only; at p >= 4 they are checked by sampling (see the module
+    docstring), so L bounds the backtracking without guaranteeing descent.
+    """
     if m_next <= 0:
         raise ParameterError("M_{p+1} must be positive")
     if h <= 0:

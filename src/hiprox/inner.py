@@ -1,12 +1,12 @@
 """Certified inner loop: Bregman composite gradient steps on the scaling function.
 
-Each step solves
+Step i solves
 
-    z+ = argmin_z  <grad f_reg(z_i), z - z_i> + psi(z) + 2 L breg(z_i, z)
+    z+ = argmin_z  <grad f_reg(z_i), z - z_i> + psi(z) + 2 L_i breg(z_i, z)
 
 whose optimality conditions yield the constructive subgradient
 
-    g = 2 L (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
+    g = 2 L_i (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
 
 and the loop stops as soon as (z+, g) is acceptable for the proximal
 certificate at the anchor. Every step, in every dimension, is solved by one
@@ -18,9 +18,33 @@ model step is taken when it does not raise the objective by more than
 rounding (1e-15 |phi|); otherwise the step is halved until the Armijo
 condition holds, and 50 halvings without it raise ``NumericalError``.
 
-The loop starts at an explicit z0 in dom psi. The outer loops pass the
-previous outer step's certified point T_{k-1} (x_0 at the first step, where
-it is the anchor). The Bregman method's linear rate counts from
+The step constant L_i is backtracked between mu and L of
+``relative_constants`` (relative smoothness: Lu, Freund and Nesterov 2018;
+adaptive inexact models: Stonyakin et al. 2021). The factor 2 buys the
+descent: the step's optimality at w = z_i gives
+<grad f_reg(z_i), z+ - z_i> + psi(z+) - psi(z_i) <= -2 L_i breg(z_i, z+), so
+wherever the relative descent inequality
+
+    f_reg(z+) <= f_reg(z_i) + <grad f_reg(z_i), z+ - z_i> + L_i breg(z_i, z+)
+
+holds, phi(z_i) - phi(z+) >= L_i breg(z_i, z+), and with relative mu-strong
+convexity breg(z+, z*) <= (1 - mu/(2 L_i)) breg(z_i, z*) + (phi* - phi(z+))/(2 L_i)
+(``verify bregman`` checks both at each step's L_i). Testing at 2 L_i would
+keep the contraction but give only a nonincreasing phi. So a step whose
+candidate the certificate rejects is kept only if the inequality holds;
+otherwise L_i doubles (to at most L) and the step is redone from z_i. A
+step at L_i = L is kept untested, as with a fixed constant: at p >= 4, L is
+not a theorem (see ``bregman``), and the certificate, not L, guards every
+returned point. After a kept step L_i halves, but never below mu: under mu
+the inequality can fail only by rounding, and near convergence rounding
+would decide it. The test reads f(z+) from the certificate and breg(z_i, z+)
+from the two rho passes, so a kept step costs no oracle call beyond its
+certificate; a rejected candidate costs its certificate.
+
+The loop starts at an explicit z0 in dom psi (see ``WarmStart``). The outer
+loops pass the previous outer step's certified point T_{k-1} (x_0 at the
+first step, where it is the anchor) with the last constant that solve kept;
+the first solve starts at L. The Bregman method's linear rate counts from
 breg(z0, z*), and T_{k-1}, an approximate prox point of the previous anchor,
 tends to lie nearer the new prox point z* than the anchor y_k does (on the
 bench, inner steps fall 1.7 to 4.6 times). Nothing guarantees it: the
@@ -36,9 +60,9 @@ scalar derivative at the anchor again. Every point costs one evaluation: one
 at each Newton trial point, and an accepted point's pass serves the next
 Newton iteration, the next step and the trace's Bregman distance. f and
 grad f at a candidate are evaluated once, by its certificate, which the next
-step (grad f_reg) and the outer loop (F and the estimating update) read. A
-start given by its certificate brings its f and grad f along, so the first
-step evaluates neither; a start given as a point costs one of each.
+step (grad f_reg), the descent test and the outer loop (F and the estimating
+update) read. A start that brings f(z0) and grad f(z0) along evaluates
+neither; each one missing costs one evaluation.
 """
 
 from __future__ import annotations
@@ -73,14 +97,18 @@ class InnerRow:
 class InnerTrace:
     """Per-step record of one inner run; phi must be nonincreasing.
 
-    ``start`` is z0 and ``newton_iters`` the run's prox-Newton iterations;
-    neither goes into the CSV.
+    ``start`` is z0, ``newton_iters`` the run's prox-Newton iterations,
+    ``lsmooth`` the constant L_i of each kept step (``lsmooth[i - 1]`` is row
+    i's; a fixed-point exit keeps one constant and no row) and ``backtracks``
+    the number of rejected step candidates. None of them goes into the CSV.
     """
 
     rows: list = field(default_factory=list)
     points: list = field(default_factory=list)
     start: np.ndarray = None
     newton_iters: int = 0
+    lsmooth: list = field(default_factory=list)
+    backtracks: int = 0
 
     COLUMNS = ("i", "phi", "bregman_step", "lhs", "rhs", "ratio")
 
@@ -96,6 +124,27 @@ class InnerTrace:
                 )
             )
         return "\n".join(lines) + "\n"
+
+
+@dataclass
+class WarmStart:
+    """z0 of an inner solve, with what is already known there.
+
+    f(z0) and grad f(z0), when given, are not evaluated again; ``lsmooth`` is
+    the first step's constant, in [mu, L] (L when not given). The outer loops
+    start at x_0 with the f(x_0) of F(x_0), then at each certified point
+    T_{k-1} (``at``) with the last constant its solve kept.
+    """
+
+    point: np.ndarray
+    f_value: float = None
+    gradient: np.ndarray = None
+    lsmooth: float = None
+
+    @classmethod
+    def at(cls, cert, lsmooth=None):
+        """Start at a certificate's point with the f and grad f it holds."""
+        return cls(cert.point, cert.f_value, cert.gradient, lsmooth)
 
 
 @dataclass
@@ -119,8 +168,9 @@ class StepSolver:
     step is exact: one linear solve for psi = 0, an active-set method for the
     other separable psi and an eigenbasis solve for the ball. The full model
     step is taken unless it raises the objective by more than rounding;
-    otherwise the step is halved to the Armijo condition. ``newton_iters``
-    counts the model steps over every call.
+    otherwise the step is halved to the Armijo condition. ``lsmooth`` is the
+    step constant of a call that names none; ``newton_iters`` counts the
+    model steps over every call.
     """
 
     # bench/spans.py names each traced step by this attribute
@@ -135,10 +185,11 @@ class StepSolver:
         self.lsmooth = float(lsmooth)
         self.newton_iters = 0
 
-    def step(self, z, grad_f=None, rho_z=None):
+    def step(self, z, grad_reg=None, rho_z=None, lsmooth=None):
         """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z).
 
-        c = grad f_reg(z). ``grad_f`` is grad f(z) and ``rho_z`` the pass
+        c = grad f_reg(z) and L = ``lsmooth`` (the solver's constant when not
+        given). ``grad_reg`` is c and ``rho_z`` the pass
         ``sf.evaluate(z, hessian=True)``, when the caller has them (from z's
         certificate and from the step that returned z); otherwise they are
         computed here. Returns (z+, g, rho at z+), the last being the pass at
@@ -148,8 +199,8 @@ class StepSolver:
         """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
-        c = self.reg.gradient(z, grad_f)
-        two_l = 2.0 * self.lsmooth
+        c = self.reg.gradient(z) if grad_reg is None else grad_reg
+        two_l = 2.0 * (self.lsmooth if lsmooth is None else lsmooth)
         if rho_z is None:
             rho_z = sf.evaluate(z, hessian=True)
         grad_z = rho_z[1]
@@ -288,18 +339,20 @@ class StepSolver:
 def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points=False):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
-    ``start`` is a point of dom psi, or the acceptance certificate of one, whose
+    ``start`` is a point of dom psi, the acceptance certificate of one, whose
     f(z0) and grad f(z0) are then reused (row 0's phi and the first step's
-    grad f_reg). Returns an InnerResult whose trace rows carry (i, phi,
-    bregman_step, lhs, rhs, ratio) per step; row 0 records phi(z0), and the
-    trace keeps z0 and the run's prox-Newton iterations.
+    grad f_reg), or a ``WarmStart``, which may also carry the first step's
+    constant. Returns an InnerResult whose trace rows carry (i, phi,
+    bregman_step, lhs, rhs, ratio) per kept step; row 0 records phi(z0), and
+    the trace keeps z0, each kept step's L_i, the rejected candidates and the
+    run's prox-Newton iterations. ``max_iter`` bounds the kept steps.
 
     A start that the first step leaves in place (to rounding) is returned
     with 0 iterations and no row beyond row 0. The exit does not need
     z0 = anchor. A fixed point z+ = z of the step has
-    g = 2L (grad rho(z) - grad rho(z+)) - grad f_reg(z) = -grad f_reg(z) in
-    dpsi(z), so 0 lies in grad f_reg(z) + dpsi(z), whatever z0 was: z is the
-    exact prox point of the anchor, and its certificate's lhs
+    g = 2L_1 (grad rho(z) - grad rho(z+)) - grad f_reg(z) = -grad f_reg(z) in
+    dpsi(z), so 0 lies in grad f_reg(z) + dpsi(z), whatever z0 and L_1 were:
+    z is the exact prox point of the anchor, and its certificate's lhs
     |grad f_reg(z) + g|_* vanishes to rounding. At z0 = anchor, grad f_reg = grad f
     there, so the anchor is composite-stationary for F. At z0 = T_{k-1} the
     previous point is already the new prox point. Either way the exit still
@@ -309,24 +362,41 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         raise ParameterError("relative strong convexity requires xi > 1")
     anchor = np.asarray(anchor, dtype=float)
     if isinstance(start, AcceptanceCertificate):
-        z, f_z, grad_f = start.point, start.f_value, start.gradient
-    else:
-        z, f_z, grad_f = start, None, None
-    z = np.array(z, dtype=float)
+        start = WarmStart.at(start)
+    elif not isinstance(start, WarmStart):
+        start = WarmStart(start)
+    lcap = rc.lsmooth
+    l_i = lcap if start.lsmooth is None else float(start.lsmooth)
+    if not rc.mu <= l_i <= lcap:
+        raise ParameterError("the first step constant %r lies outside [mu, L]" % l_i)
+    z = np.array(start.point, dtype=float)
     if not term.contains(z):
         raise ParameterError("inner loop must start inside dom psi")
     sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    solver = StepSolver(sf, reg, term, rc.lsmooth)
-    # rho at z and grad f(z) pass from step to step
+    solver = StepSolver(sf, reg, term, lcap)
+    # rho at z, f_reg(z) and grad f_reg(z) pass from step to step
     rho_z = sf.evaluate(z, hessian=True)
-    trace = InnerTrace(rows=[InnerRow(0, reg.value(z, f_z) + term.value(z),
+    freg_z = reg.value(z, start.f_value)
+    c = reg.gradient(z, start.gradient)
+    trace = InnerTrace(rows=[InnerRow(0, freg_z + term.value(z),
                                       np.nan, np.nan, np.nan, np.nan)], start=z.copy())
     if keep_points:
         trace.points.append(z.copy())
-    for i in range(1, max_iter + 1):
-        z_new, g, rho_new = solver.step(z, grad_f, rho_z)
+    i = 0
+    while i < max_iter:
+        z_new, g, rho_new = solver.step(z, c, rho_z, l_i)
         cert = check_acceptable(oracle, term, cfg, anchor, z_new, g)
+        freg_new = reg.value(z_new, cert.f_value)
+        # breg(z, z_new) from the passes at both ends
+        breg = rho_new[0] - rho_z[0] - float(np.dot(rho_z[1], z_new - z))
+        if (not cert.accepted and l_i < lcap
+                and freg_new > freg_z + float(np.dot(c, z_new - z)) + l_i * breg):
+            # the relative descent inequality fails at L_i: redo the step from z
+            trace.backtracks += 1
+            l_i = min(2.0 * l_i, lcap)
+            continue
+        i += 1
         if cert.rhs > 0:
             ratio = cert.lhs / cert.rhs
         else:
@@ -334,17 +404,18 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         fixed_point = i == 1 and cert.accepted and (
             float(np.abs(z_new - z).max()) <= 1e-14 * (1.0 + float(np.abs(z).max()))
         )
+        trace.lsmooth.append(l_i)
         if not fixed_point:
-            phi = reg.value(z_new, cert.f_value) + term.value(z_new)
-            # breg(z, z_new) from the passes at both ends
-            breg = rho_new[0] - rho_z[0] - float(np.dot(rho_z[1], z_new - z))
+            phi = freg_new + term.value(z_new)
             trace.rows.append(InnerRow(i, phi, breg, cert.lhs, cert.rhs, ratio))
-        z, rho_z, grad_f = z_new, rho_new, cert.gradient
-        if keep_points and not fixed_point:
-            trace.points.append(z.copy())
+            if keep_points:
+                trace.points.append(z_new.copy())
         if cert.accepted:
             trace.newton_iters = solver.newton_iters
-            return InnerResult(z, g, cert, 0 if fixed_point else i, trace)
+            return InnerResult(z_new, g, cert, 0 if fixed_point else i, trace)
+        z, rho_z, freg_z = z_new, rho_new, freg_new
+        c = reg.gradient(z, cert.gradient)
+        l_i = max(0.5 * l_i, rc.mu)
     raise NumericalError(
         "inner loop exceeded %d iterations" % max_iter, residual=trace.rows[-1].ratio
     )

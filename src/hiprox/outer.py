@@ -12,12 +12,14 @@ iterate whenever the prox output would increase F; the update rule only
 requires F(x_{k+1}) <= F(T_k), which both choices satisfy. Both loops share
 their start and their per-step record.
 
-Both loops call their provider as ``provider(anchor, start)``. The start is
-x_0 at the first step and afterwards the certificate of the previous prox
-point T_{k-1}; in the plain loop that point is the anchor itself. The inner
-loop starts there and reuses the certificate's f and grad f; the exact and
-tensor providers ignore the start. The loops hold the start, so a provider
-keeps no state between calls.
+Both loops call their provider as ``provider(anchor, start)``, a
+``WarmStart``. The start is x_0, with the f(x_0) that F(x_0) took, at the first
+step, and afterwards the previous prox point T_{k-1} by its certificate, with
+the last step constant its inner solve kept; in the plain loop that point is
+the anchor itself. The inner loop starts there, reuses f (and grad f) and
+takes its first step at that constant; the exact and tensor providers ignore
+the start. The loops hold the start, so a provider keeps no state between
+calls.
 
 The bi-level method (BiOPT) is the accelerated loop at H = 6 M_{p+1}/(p-1)!
 and beta = 1/p, with the certified Bregman inner loop as its
@@ -34,7 +36,7 @@ import numpy as np
 from .acceptance import ProxConfig, check_acceptable, exact_prox_1d
 from .bregman import bilevel_h, relative_constants
 from .errors import CapabilityError, NumericalError, ParameterError
-from .inner import inner_solve
+from .inner import WarmStart, inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
 from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step_1d
@@ -108,9 +110,9 @@ def psi_argmin(state, term, pp):
     s, w, x0, p = state.s, state.a_total, state.x0, pp.p
     metric = pp.metric
     sn = metric.dual_norm(s)
-    if sn == 0.0:
-        return x0.copy()
     if w == 0.0 or term.kind == "zero":
+        if sn == 0.0:
+            return x0.copy()
         return x0 - sn ** ((1.0 - p) / p) * metric.apply_inv(s)
     if not metric.is_identity:
         raise CapabilityError("psi_argmin with a nontrivial term needs B = I")
@@ -201,13 +203,19 @@ class OuterTrace:
 
     def summary(self):
         last = self.rows[-1]
+        itraces = [t for t in self.inner_traces if t is not None]
+        lsmooth = [float(v) for t in itraces for v in t.lsmooth]
         out = {
             "mode": self.mode,
             "status": self.status,
             "iterations": last.k,
             "inner_total": self.inner_total,
             # prox-Newton iterations over every inner solve (0 for other providers)
-            "newton_iters": int(sum(t.newton_iters for t in self.inner_traces if t is not None)),
+            "newton_iters": int(sum(t.newton_iters for t in itraces)),
+            # [min, max] of the kept inner step constants L_i (None without an inner loop)
+            "lsmooth_range": [min(lsmooth), max(lsmooth)] if lsmooth else None,
+            # inner step candidates rejected by the relative descent test
+            "backtracks": int(sum(t.backtracks for t in itraces)),
             "worst_cert_ratio": self.worst_cert_ratio(),
             "final_f": last.f_value,
             "final_gap": last.gap,
@@ -282,23 +290,29 @@ def _gap(problem, f_value):
 
 
 def _start(problem, cfg, mode):
-    """A trace holding row 0 at x_0, plus x_0, F(x_0) and its gap."""
+    """A trace holding row 0 at x_0, plus the first provider start, F(x_0) and its gap."""
     x = np.asarray(problem.x0, dtype=float).copy()
-    f_x = _objective(problem, x)
+    f0 = problem.oracle.value(x)
+    f_x = _objective(problem, x, f0)
     gap0 = _gap(problem, f_x)
     trace = OuterTrace(mode=mode)
     trace.aux["config"] = {"p": cfg.p, "h": cfg.h, "beta": cfg.beta}
     trace.rows.append(OuterRow(0, f_x, gap0, np.inf, 0, np.nan, np.nan))
     trace.points.append(x.copy())
-    return trace, x, f_x, gap0
+    return trace, WarmStart(x, f0), f_x, gap0
 
 
 def _prox_step(provider, anchor, start):
-    """The provider's certified point at anchor: (T, certificate, inner iterations, trace)."""
+    """The provider's certified point at anchor: (T, certificate, inner iterations, trace).
+
+    Also returns the next step's start: T by its certificate, with the last
+    step constant its inner solve kept (none from the other providers).
+    """
     t, _g, cert, iters, itrace = provider(anchor, start)
     if not cert.accepted:
         raise NumericalError("provider returned a non-accepted certificate")
-    return np.asarray(t, dtype=float), cert, iters, itrace
+    restart = WarmStart.at(cert, itrace.lsmooth[-1] if itrace is not None else None)
+    return (np.asarray(t, dtype=float), cert, iters, itrace), restart
 
 
 def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
@@ -319,14 +333,14 @@ def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
 
 def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
     """Plain loop: anchor at x_k, accept the certified prox point."""
-    trace, x, f_x, gap0 = _start(problem, cfg, "plain")
+    trace, start, f_x, gap0 = _start(problem, cfg, "plain")
+    x = start.point
     if d0 is None:
         d0 = problem.d0
-    start = x
     for k in range(1, max_k + 1):
         anchor = x
-        step = _prox_step(provider, anchor, start)
-        x, start = step[0], step[1]
+        step, start = _prox_step(provider, anchor, start)
+        x = step[0]
         f_x = _objective(problem, x, step[1].f_value)
         bound = (
             bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
@@ -341,7 +355,8 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
     """Accelerated loop with estimating-sequence bookkeeping."""
     if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
-    trace, x, f_x, gap0 = _start(problem, cfg, "accelerated")
+    trace, start, f_x, gap0 = _start(problem, cfg, "accelerated")
+    x = start.point
     pp = cfg.power(len(x))
     if dist0 is None and problem.x_star is not None:
         dist0 = pp.metric.primal_norm(x - problem.x_star)
@@ -352,14 +367,13 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
     trace.aux["psi_at_v"] = [state.value(v, problem.term)]
     trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
-    start = x
     for k in range(max_k):
         a_k, a_next = coefficients(cfg.p, k, cfg.beta, cfg.h)
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
-        step = _prox_step(provider, y, start)
+        # the next start is T_k, also when x keeps its value
+        step, start = _prox_step(provider, y, start)
         t, cert = step[0], step[1]
-        start = cert  # T_k, also when x keeps its value
         f_t = _objective(problem, t, cert.f_value)
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         fallback = f_t > f_x

@@ -9,7 +9,7 @@ estseq, bregman, sandwich, theta, tensor, all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,8 +115,10 @@ def suite_lemma1(seed=0):
 
 def suite_estseq(seed=0):
     rng = np.random.default_rng(seed)
-    prob = get_problem("quartic-abs-1d")
-    p, beta, h = 3, 1.0 / 3.0, 3.0
+    # a seeded start on either side of x* = 0 and a seeded H
+    x0 = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)])
+    prob = replace(get_problem("quartic-abs-1d"), x0=x0, d0=abs(float(x0[0])))
+    p, beta, h = 3, 1.0 / 3.0, rng.uniform(1.0, 6.0)
     cfg = ProxConfig(p, h, beta)
     provider = exact_prox_provider(prob.oracle, prob.term, cfg)
     trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
@@ -140,8 +142,8 @@ def suite_estseq(seed=0):
             sandwich_worst = max(sandwich_worst, psi_x - upper, lower - psi_x)
     coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
-    for k in range(0, 10001, 97):
-        a_k, a_next = coefficients(p, k, beta, h)
+    for k in rng.integers(0, 10001, 100):
+        a_k, a_next = coefficients(p, int(k), beta, h)
         coeff_worst = max(coeff_worst, a_next ** ((p + 1.0) / p) - c_p / 2.0 * (a_k + a_next))
     part3_worst = -np.inf
     d_star = pp.value(np.asarray(prob.x0, dtype=float) - prob.x_star)
@@ -203,19 +205,18 @@ def suite_bregman(seed=0):
         sf = ScalingFunction(pr.oracle, anchor, p_run, h_run, cfg.metric)
         reg = RegularizedObjective(pr.oracle, anchor, p_run, h_run, cfg.metric)
         res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, anchor, keep_points=True)
-        rows, pts = res.trace.rows, res.trace.points
+        rows, pts, ls = res.trace.rows, res.trace.points, res.trace.lsmooth
         z_star = _inner_reference(reg, pr.term, pts[-1])
         phi_star = reg.value(z_star) + pr.term.value(z_star)
-        descent, contraction = _descent_contraction(sf, rc, rows, pts, z_star, phi_star)
+        descent, contraction = _descent_contraction(sf, rc.mu, res.trace, z_star, phi_star)
         descent_worst = max(descent_worst, descent)
         contraction_worst = max(contraction_worst, contraction)
         warm = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, seeded, keep_points=True)
-        descent, contraction = _descent_contraction(
-            sf, rc, warm.trace.rows, warm.trace.points, z_star, phi_star
-        )
+        descent, contraction = _descent_contraction(sf, rc.mu, warm.trace, z_star, phi_star)
         seeded_descent_worst = max(seeded_descent_worst, descent)
         seeded_contraction_worst = max(seeded_contraction_worst, contraction)
-        # residual decay with a trace-measured gradient-Lipschitz surrogate
+        # residual decay with a trace-measured gradient-Lipschitz surrogate,
+        # at each step's own constant L_i
         lip_loc = 0.0
         for i in range(1, len(pts)):
             dz = float(np.linalg.norm(pts[i] - pts[i - 1]))
@@ -224,9 +225,10 @@ def suite_bregman(seed=0):
                 lip_loc = max(lip_loc, dgrad / dz)
         sigma = h_run * sf.pp.uniform_convexity_modulus()
         if lip_loc > 0:
-            c_inst = rc.lsmooth * sigma / (2.0 * rc.lsmooth * lip_loc) ** (p_run + 1)
             for i in range(1, len(pts)):
-                gmap = 2.0 * rc.lsmooth * (sf.gradient(pts[i - 1]) - sf.gradient(pts[i]))
+                l_i = ls[i - 1]
+                c_inst = l_i * sigma / (2.0 * l_i * lip_loc) ** (p_run + 1)
+                gmap = 2.0 * l_i * (sf.gradient(pts[i - 1]) - sf.gradient(pts[i]))
                 drop = rows[i - 1].phi - rows[i].phi
                 residual_worst = max(
                     residual_worst,
@@ -243,20 +245,23 @@ def suite_bregman(seed=0):
     return results
 
 
-def _descent_contraction(sf, rc, rows, pts, z_star, phi_star):
+def _descent_contraction(sf, mu, trace, z_star, phi_star):
     """Worst signed margins of one inner run's descent and contraction bounds.
 
-    Descent: phi(z_{i-1}) - phi(z_i) >= L breg(z_{i-1}, z_i). Contraction:
-    breg(z_i, z*) <= (1 - kappa/2)^i breg(z_0, z*) + (phi* - phi(z_i)) / (2L),
+    Each step i is checked at the constant L_i it kept (``trace.lsmooth``).
+    Descent: phi(z_{i-1}) - phi(z_i) >= L_i breg(z_{i-1}, z_i). Contraction:
+    breg(z_i, z*) <= prod_{j<=i} (1 - mu/(2 L_j)) breg(z_0, z*) + (phi* - phi(z_i)) / (2 L_i),
     which counts from the run's own start z_0, whether or not it is the anchor.
     """
+    rows, pts, ls = trace.rows, trace.points, trace.lsmooth
     descent = contraction = -np.inf
     for i in range(1, len(rows)):
         drop = rows[i - 1].phi - rows[i].phi
-        descent = max(descent, rc.lsmooth * rows[i].bregman_step - drop)
-    b0 = bregman_distance(sf, pts[0], z_star)
+        descent = max(descent, ls[i - 1] * rows[i].bregman_step - drop)
+    rate = bregman_distance(sf, pts[0], z_star)
     for i in range(1, len(pts)):
-        bound = (1.0 - rc.kappa / 2.0) ** i * b0 + (phi_star - rows[i].phi) / (2.0 * rc.lsmooth)
+        rate *= 1.0 - mu / (2.0 * ls[i - 1])
+        bound = rate + (phi_star - rows[i].phi) / (2.0 * ls[i - 1])
         contraction = max(contraction, bregman_distance(sf, pts[i], z_star) - bound)
     return descent, contraction
 
@@ -483,11 +488,12 @@ def suite_tensor(seed=0):
     oracle, term = prob.oracle, prob.term
     m4 = 24.0
 
-    # composite model subdifferential is monotone on a grid when M >= p M4
-    tm = TaylorModel(oracle, np.array([0.8]), 3, convexity_threshold(3, m4))
+    # composite model subdifferential is monotone on a seeded grid, kink
+    # included, at a seeded anchor when M >= p M4
+    tm = TaylorModel(oracle, rng.uniform(-1.5, 1.5, 1), 3, convexity_threshold(3, m4))
     worst = -np.inf
     prev_hi = -np.inf
-    for t in np.linspace(-2.0, 2.0, 1001):
+    for t in np.sort(np.append(rng.uniform(-2.0, 2.0, 1000), 0.0)):
         gval = float(tm.augmented_gradient(np.array([t]))[0])
         if t > 0:
             lo = hi = gval + 1.0
@@ -509,23 +515,27 @@ def suite_tensor(seed=0):
     results.append(CheckResult("tensor", "model gradient bound", worst, 1e-10))
 
     # criterion region at M = 1.9 M4 is nonempty; the mapped acceptance level
-    # beta = (M4 + gamma M)/((1-gamma) M - M4) holds at every passing point
+    # beta = (M4 + gamma M)/((1-gamma) M - M4) holds at every passing point.
+    # The anchor and the grid around it and x* = 0 (kink included) are seeded;
+    # for |anchor| < 0.6 the region shrinks to the kink
     gamma = 8.0 / 19.0
-    anchor = np.array([0.8])
+    anchor = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.7, 1.5)])
+    a0 = float(anchor[0])
+    grid = np.append(rng.uniform(min(a0, 0.0) - 0.5, max(a0, 0.0) + 0.5, 2000), 0.0)
     m_lvl = 1.9 * m4
     h_lvl = m_lvl / 6.0
     beta_lvl = (m4 + gamma * m_lvl) / ((1.0 - gamma) * m_lvl - m4)
     tm_lvl = TaylorModel(oracle, anchor, 3, m_lvl)
     passing = 0
     worst = -np.inf
-    for t in np.linspace(-1.0, 1.5, 2000):
+    for t in grid:
         point = np.array([t])
         g = term.subgradient_select(point, -tm_lvl.augmented_gradient(point))
         ok, _, _ = tensor_criterion(tm_lvl, term, point, g, gamma)
         if ok:
             passing += 1
             res = float(oracle.gradient(point)[0] + g[0])
-            reg = res + h_lvl * abs(t - 0.8) ** 2 * (t - 0.8)
+            reg = res + h_lvl * abs(t - a0) ** 2 * (t - a0)
             worst = max(worst, abs(reg) - beta_lvl * abs(res) - 1e-12)
     if passing == 0:
         worst = np.inf
@@ -540,7 +550,7 @@ def suite_tensor(seed=0):
     tm_map = TaylorModel(oracle, anchor, 3, m_map)
     passing = 0
     worst = -np.inf
-    for t in np.linspace(-1.0, 1.5, 2000):
+    for t in grid:
         point = np.array([t])
         g = term.subgradient_select(point, -tm_map.augmented_gradient(point))
         ok, _, _ = tensor_criterion(tm_map, term, point, g, gamma)

@@ -35,7 +35,9 @@ def test_tracer_counts_prox_newton_steps():
     finally:
         tracer.uninstall()
     calls = tracer.take_pass()["calls"]
-    assert calls.get("inner.step.prox_newton", 0) == res.iterations > 0
+    # every step candidate is one traced step, the rejected ones too
+    assert calls.get("inner.step.prox_newton", 0) == res.iterations + res.trace.backtracks
+    assert res.iterations > 0
     assert calls.get("inner.step.univariate", 0) == 0
 
 
@@ -69,5 +71,6 @@ def test_tracer_counts_one_inner_solve_per_bilevel_step():
     assert trace.status == "converged"
     steps = len(trace.rows) - 1
     assert calls.get("inner.inner_solve", 0) == steps > 0
+    backtracks = sum(t.backtracks for t in trace.inner_traces)
     assert calls.get("inner.step.prox_newton", 0) == sum(max(r.inner_iters, 1)
-                                                         for r in trace.rows[1:])
+                                                         for r in trace.rows[1:]) + backtracks

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hiprox import get_problem
+from hiprox import get_problem, relative_constants
 from hiprox.cli import RunConfig, load_config, main
 
 
@@ -240,10 +240,28 @@ def test_summary_records_evaluations_and_fallbacks(tmp_path):
     # one at x_0, for each of the oracle's rows (later solves start at T_{k-1}
     # and reuse its certificate's gradient)
     rows = get_problem("neglog-sep").oracle.a.shape[0]
+    assert summary["backtracks"] == 0
     assert calls["1"] == rows * (summary["inner_total"] + 1)
     assert isinstance(summary["fallbacks"], int) and summary["fallbacks"] >= 0
     outer = (tmp_path / "runF" / "outer.csv").read_text()
-    assert "calls_by_order" not in outer and "fallbacks" not in outer
+    for key in ("calls_by_order", "fallbacks", "lsmooth", "backtracks"):
+        assert key not in outer
+    # the kept inner step constants lie in [mu, L]; a rejected step candidate
+    # is certified, so it costs one gradient as a kept one does
+    assert main(["run", "--problem", "quartic-1d", "--mode", "bilevel", "--p", "3",
+                 "--eps", "1e-6", "--max-outer", "200", "--out", "runF1"]) == 0
+    summary = json.loads((tmp_path / "runF1" / "summary.json").read_text())
+    quartic = get_problem("quartic-1d")
+    rc = relative_constants(3, summary["h"], quartic.m_next(3))
+    lo, hi = summary["lsmooth_range"]
+    assert rc.mu <= lo < hi == rc.lsmooth
+    assert isinstance(summary["backtracks"], int) and summary["backtracks"] > 0
+    cells = [line.split(",") for line in
+             (tmp_path / "runF1" / "outer.csv").read_text().strip().split("\n")[2:]]
+    candidates = sum(max(int(c[4]), 1) for c in cells) + summary["backtracks"]
+    assert summary["calls_by_order"]["1"] == quartic.oracle.a.shape[0] * (candidates + 1)
+    for path in (tmp_path / "runF1").glob("inner_k*.csv"):
+        assert path.read_text().splitlines()[0] == "i,phi,bregman_step,lhs,rhs,ratio"
 
 
 def test_summary_records_newton_iterations_and_certificate_ratio(tmp_path):

@@ -11,6 +11,7 @@ from hiprox import (
     RelativeConstants,
     ScalingFunction,
     StepSolver,
+    WarmStart,
     bilevel_h,
     biopt_run,
     get_problem,
@@ -192,6 +193,10 @@ def test_inner_solve_validation():
     bad_rc = RelativeConstants(xi=1.0, mu=0.0, lsmooth=2.0, kappa=0.0)
     with pytest.raises(ParameterError):
         inner_solve(prob.oracle, prob.term, cfg, bad_rc, prob.x0, prob.x0)
+    # a first step constant outside [mu, L]
+    for bad in (0.5 * rc.mu, 2.0 * rc.lsmooth):
+        with pytest.raises(ParameterError):
+            inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, WarmStart(prob.x0, lsmooth=bad))
 
     nn = get_problem("linear-nonneg-1d")
     cfg1 = ProxConfig(p=3, h=2.0, beta=1.0 / 3.0)
@@ -235,7 +240,8 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     oracle.reset_counters()
     res = inner_solve(oracle, prob.term, cfg, rc, anchor, first.certificate)
     np.testing.assert_array_equal(res.trace.start, first.point)
-    candidates = max(res.iterations, 1)
+    # rejected step candidates are certified too
+    candidates = max(res.iterations, 1) + res.trace.backtracks
     rows = oracle.a.shape[0]
     assert oracle.calls_by_order[1] == rows * candidates
     assert oracle.calls_by_order[0] == rows * candidates
@@ -245,6 +251,36 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     assert bare.trace.to_csv() == res.trace.to_csv()
     assert oracle.calls_by_order[1] == rows * (candidates + 1)
     assert oracle.calls_by_order[0] == rows * (candidates + 1)
+
+
+@pytest.mark.parametrize("problem_name,p", [("quartic-1d", 3), ("logistic-sep-3d", 5),
+                                            ("quartic-sep-10d", 3)])
+def test_kept_steps_meet_the_descent_test_at_their_constant(problem_name, p):
+    # from a start at L_1 = mu: every kept step below L that the certificate
+    # rejected passed f_reg(z+) <= f_reg(z) + <grad f_reg(z), z+ - z> + L_i breg(z, z+),
+    # L_i halves (to mu at least) after it, and every constant lies in [mu, L]
+    prob, cfg, rc = _setup(problem_name, p)
+    rng = np.random.default_rng(1)
+    anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
+    start = WarmStart(prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi)),
+                      lsmooth=rc.mu)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start, keep_points=True)
+    assert res.certificate.accepted
+    sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    pts, ls = res.trace.points, res.trace.lsmooth
+    assert len(ls) == res.iterations == len(pts) - 1 > 1
+    assert all(rc.mu <= v <= rc.lsmooth for v in ls)
+    for i in range(1, len(pts) - 1):
+        z, z_new = pts[i - 1], pts[i]
+        assert ls[i] >= max(0.5 * ls[i - 1], rc.mu)
+        if ls[i - 1] < rc.lsmooth:
+            breg = res.trace.rows[i].bregman_step
+            np.testing.assert_allclose(breg, sf.value(z_new) - sf.value(z)
+                                       - float(np.dot(sf.gradient(z), z_new - z)),
+                                       rtol=1e-9, atol=1e-15)
+            model = reg.value(z) + float(np.dot(reg.gradient(z), z_new - z)) + ls[i - 1] * breg
+            assert reg.value(z_new) <= model
 
 
 def test_inner_solve_rejects_start_outside_domain():

@@ -24,8 +24,10 @@ from hiprox import (
     inner_prox_provider,
     make_term,
     psi_argmin,
+    relative_constants,
     tensor_prox_provider,
 )
+from hiprox import outer as outer_module
 from hiprox.metric import MetricSpace
 
 
@@ -258,11 +260,11 @@ def test_biopt_run_is_the_accelerated_loop(name, p):
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
                                      ("ball-quadratic", 5)])
 def test_biopt_run_evaluation_budget(name, p):
-    # every point costs one evaluation: grad f once per certified candidate
-    # (in its certificate, which the next step, the estimating update and the
-    # next inner solve read) and once at x_0 (the first step's grad f_reg); f
-    # once per candidate and twice at x_0 (F(x_0), and row 0 of the first
-    # inner trace). Every later solve starts at T_{k-1} and reuses its
+    # every point costs one evaluation: f and grad f once per certified
+    # candidate (in its certificate, which the next step, the descent test,
+    # the estimating update and the next inner solve read) and once at x_0
+    # (F(x_0), whose f the first inner solve reuses, and the first step's
+    # grad f_reg). Every later solve starts at T_{k-1} and reuses its
     # certificate's f and grad f, so an anchor costs no evaluation of either
     prob = get_problem(name)
     oracle = prob.oracle
@@ -274,10 +276,12 @@ def test_biopt_run_evaluation_budget(name, p):
     oracle.reset_counters()
     trace = biopt_run(prob, p, eps=1e-6, max_k=100)
     assert trace.status == "converged"
-    # a solve that ends at a fixed point reports 0 steps but certified one candidate
+    # a solve that ends at a fixed point reports 0 steps but certified one
+    # candidate; a candidate the descent test rejects was certified too
     candidates = sum(max(r.inner_iters, 1) for r in trace.rows[1:])
+    candidates += sum(t.backtracks for t in trace.inner_traces)
     assert oracle.calls_by_order[1] == per_gradient * (candidates + 1)
-    assert oracle.calls_by_order[0] == per_value * (candidates + 2)
+    assert oracle.calls_by_order[0] == per_value * (candidates + 1)
 
 
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
@@ -294,6 +298,92 @@ def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
     for k in range(1, len(itraces)):
         np.testing.assert_array_equal(itraces[k].start, trace.certificates[k - 1].point)
     assert trace.summary()["newton_iters"] == sum(t.newton_iters for t in itraces) > 0
+
+
+def test_psi_argmin_with_zero_linear_part_is_the_prox_of_psi():
+    # s = 0 but A_k > 0: A_k |x| + d_4(x - x0) at x0 = 0.9, A_k = 2 is least
+    # at the kink 0, where 0 lies in 2 [-1, 1] + (0 - 0.9)^3; not at x0
+    pp = PowerProx(3, MetricSpace.euclidean(1))
+    term = make_term("abs-1d")
+    state = EstimatingState(power=pp, x0=np.array([0.9]), a_total=2.0)
+    np.testing.assert_array_equal(psi_argmin(state, term, pp), [0.0])
+    # with a small weight it moves toward 0 by (A_k)^{1/3}
+    state.a_total = 0.125
+    np.testing.assert_allclose(psi_argmin(state, term, pp), [0.4], rtol=1e-12)
+    # and with no term or no weight it stays at x0
+    state.a_total = 0.0
+    np.testing.assert_array_equal(psi_argmin(state, term, pp), [0.9])
+
+
+def _recording_provider(prob, cfg, m, starts):
+    """The Bregman inner provider, recording every start it is called with."""
+    provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
+
+    def recorded(anchor, start):
+        starts.append(start)
+        return provider(anchor, start)
+
+    return recorded
+
+
+@pytest.mark.parametrize("name, p", [("quartic-1d", 3), ("logistic-sep-3d", 5)])
+def test_step_constants_travel_beside_the_certificates(name, p):
+    # the first solve gets x_0 with f(x_0) and starts at L; solve k gets
+    # T_{k-1} by its certificate and the last constant solve k-1 kept
+    prob = get_problem(name)
+    m = prob.m_next(p)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    rc = relative_constants(p, cfg.h, m)
+    starts = []
+    trace = aihopp_run(prob, cfg, _recording_provider(prob, cfg, m, starts), eps=1e-6,
+                       max_k=200)
+    assert trace.status == "converged"
+    np.testing.assert_array_equal(starts[0].point, prob.x0)
+    assert starts[0].f_value == prob.oracle.value(prob.x0)
+    assert starts[0].gradient is None and starts[0].lsmooth is None
+    for k in range(1, len(starts)):
+        cert, itrace = trace.certificates[k - 1], trace.inner_traces[k - 1]
+        assert starts[k].point is cert.point and starts[k].gradient is cert.gradient
+        assert starts[k].f_value == cert.f_value
+        assert starts[k].lsmooth == itrace.lsmooth[-1]
+    kept = [v for t in trace.inner_traces for v in t.lsmooth]
+    assert all(rc.mu <= v <= rc.lsmooth for v in kept)
+    assert min(kept) < rc.lsmooth
+    summary = trace.summary()
+    assert summary["lsmooth_range"] == [min(kept), max(kept)]
+    assert summary["backtracks"] == sum(t.backtracks for t in trace.inner_traces) > 0
+
+
+def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
+    # make F(T_j) read larger at one step: x_{j+1} keeps x_j, while the next
+    # solve still starts at T_j with the last constant T_j's solve kept
+    prob = get_problem("neglog-sep")
+    p, m = 3, prob.m_next(3)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    j = 3
+    objective = outer_module._objective
+    calls = []
+
+    def inflated(problem, x, f_value=None):
+        calls.append(x)
+        value = objective(problem, x, f_value)
+        # call 0 is F(x_0); call k + 1 is F(T_k)
+        return value + 1.0 if len(calls) == j + 2 else value
+
+    monkeypatch.setattr(outer_module, "_objective", inflated)
+    starts = []
+    trace = aihopp_run(prob, cfg, _recording_provider(prob, cfg, m, starts), eps=-1.0,
+                       max_k=j + 3)
+    assert trace.aux["fallback"] == [k == j for k in range(j + 3)]
+    np.testing.assert_array_equal(trace.points[j + 1], trace.points[j])
+    assert trace.rows[j + 1].f_value == trace.rows[j].f_value
+    cert, itrace = trace.certificates[j], trace.inner_traces[j]
+    assert not np.array_equal(cert.point, trace.points[j + 1])
+    start = starts[j + 1]
+    assert start.point is cert.point and start.gradient is cert.gradient
+    assert start.f_value == cert.f_value
+    assert start.lsmooth == itrace.lsmooth[-1]
+    np.testing.assert_array_equal(trace.inner_traces[j + 1].start, cert.point)
 
 
 def test_plain_loop_starts_at_its_anchor():

@@ -90,9 +90,13 @@ def test_bregman_suite_holds_across_seeds(seed):
 
 # rows that hold with equality in exact arithmetic, so their signed margin is
 # rounding of either sign: an exact prox at beta = 0 meets the accepted-pair
-# triple with equality, and the quartic's Taylor gradient error equals its bound
+# triple with equality, and the quartic's Taylor gradient error equals its
+# bound. The estimating sandwich's upper side is A_1 (f(x) - f(T_0) -
+# <grad f(T_0), x - T_0>) at k = 0, whose sup over x is 0 (at x = T_0); from a
+# seeded start whose first prox point is x* = 0 it is A_1 x^4, below the
+# rounding of d(x - x_0) for the sample nearest 0 (seed 0 reads 0.0)
 _TIGHT_ROWS = {"quartic-1d exact prox", "quartic-abs-1d exact prox",
-               "linear-nonneg-1d exact prox", "model gradient bound"}
+               "linear-nonneg-1d exact prox", "model gradient bound", "estimating sandwich"}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -105,3 +109,22 @@ def test_suite_reports_signed_margins_across_seeds(suite, seed):
         assert np.isfinite(r.violation), r.line()
         if r.name not in _TIGHT_ROWS:
             assert r.violation < 0.0, r.line()
+
+
+# rows that ran on a fixed grid, run or anchor before their draws were seeded
+_SEEDED_ROWS = {"estseq": ("key inequality A_k F(x_k) <= Psi_k*", "coefficient growth",
+                           "minimizer distance bound"),
+                "tensor": ("model subdifferential monotone", "criterion region maps to acceptance",
+                           "target-beta map acceptance", "exact step criterion + acceptance")}
+
+
+@pytest.mark.parametrize("suite", sorted(_SEEDED_ROWS))
+def test_seeded_rows_move_with_the_seed(suite):
+    # each seed checks these rows on its own draws, each with room
+    margins = {}
+    for seed in range(5):
+        for r in SUITES[suite](seed):
+            margins.setdefault(r.name, []).append(r.violation)
+    for name in _SEEDED_ROWS[suite]:
+        assert len(set(margins[name])) == 5, (name, margins[name])
+        assert max(margins[name]) < 0.0, (name, margins[name])
