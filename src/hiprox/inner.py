@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acceptance import AcceptanceCertificate, check_acceptable
+from .acceptance import check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction
 from .errors import CapabilityError, NumericalError, ParameterError
 # bench/spans.py traces minimize_composite_1d through this binding
@@ -168,28 +168,26 @@ class StepSolver:
     step is exact: one linear solve for psi = 0, an active-set method for the
     other separable psi and an eigenbasis solve for the ball. The full model
     step is taken unless it raises the objective by more than rounding;
-    otherwise the step is halved to the Armijo condition. ``lsmooth`` is the
-    step constant of a call that names none; ``newton_iters`` counts the
-    model steps over every call.
+    otherwise the step is halved to the Armijo condition. ``newton_iters``
+    counts the model steps over every call.
     """
 
     # bench/spans.py names each traced step by this attribute
     route = "prox_newton"
 
-    def __init__(self, sf, reg, term, lsmooth):
+    def __init__(self, sf, reg, term):
         if not (term.is_separable or term.kind == "ball"):
             raise CapabilityError("no step solver for term kind %r" % term.kind)
         self.sf = sf
         self.reg = reg
         self.term = term
-        self.lsmooth = float(lsmooth)
         self.newton_iters = 0
 
-    def step(self, z, grad_reg=None, rho_z=None, lsmooth=None):
+    def step(self, z, lsmooth, grad_reg=None, rho_z=None):
         """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z).
 
-        c = grad f_reg(z) and L = ``lsmooth`` (the solver's constant when not
-        given). ``grad_reg`` is c and ``rho_z`` the pass
+        c = grad f_reg(z) and L = ``lsmooth``, the step's constant. ``grad_reg``
+        is c and ``rho_z`` the pass
         ``sf.evaluate(z, hessian=True)``, when the caller has them (from z's
         certificate and from the step that returned z); otherwise they are
         computed here. Returns (z+, g, rho at z+), the last being the pass at
@@ -200,7 +198,7 @@ class StepSolver:
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
         c = self.reg.gradient(z) if grad_reg is None else grad_reg
-        two_l = 2.0 * (self.lsmooth if lsmooth is None else lsmooth)
+        two_l = 2.0 * lsmooth
         if rho_z is None:
             rho_z = sf.evaluate(z, hessian=True)
         grad_z = rho_z[1]
@@ -339,10 +337,10 @@ class StepSolver:
 def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points=False):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
-    ``start`` is a point of dom psi, the acceptance certificate of one, whose
-    f(z0) and grad f(z0) are then reused (row 0's phi and the first step's
-    grad f_reg), or a ``WarmStart``, which may also carry the first step's
-    constant. Returns an InnerResult whose trace rows carry (i, phi,
+    ``start`` is a point of dom psi or a ``WarmStart``, whose f(z0) and
+    grad f(z0), when given, are reused (row 0's phi and the first step's
+    grad f_reg) and which may also carry the first step's constant
+    (``WarmStart.at`` starts at a certificate's point). Returns an InnerResult whose trace rows carry (i, phi,
     bregman_step, lhs, rhs, ratio) per kept step; row 0 records phi(z0), and
     the trace keeps z0, each kept step's L_i, the rejected candidates and the
     run's prox-Newton iterations. ``max_iter`` bounds the kept steps.
@@ -361,9 +359,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
     if rc.mu <= 0:
         raise ParameterError("relative strong convexity requires xi > 1")
     anchor = np.asarray(anchor, dtype=float)
-    if isinstance(start, AcceptanceCertificate):
-        start = WarmStart.at(start)
-    elif not isinstance(start, WarmStart):
+    if not isinstance(start, WarmStart):
         start = WarmStart(start)
     lcap = rc.lsmooth
     l_i = lcap if start.lsmooth is None else float(start.lsmooth)
@@ -374,7 +370,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         raise ParameterError("inner loop must start inside dom psi")
     sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    solver = StepSolver(sf, reg, term, lcap)
+    solver = StepSolver(sf, reg, term)
     # rho at z, f_reg(z) and grad f_reg(z) pass from step to step
     rho_z = sf.evaluate(z, hessian=True)
     freg_z = reg.value(z, start.f_value)
@@ -385,7 +381,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         trace.points.append(z.copy())
     i = 0
     while i < max_iter:
-        z_new, g, rho_new = solver.step(z, c, rho_z, l_i)
+        z_new, g, rho_new = solver.step(z, l_i, c, rho_z)
         cert = check_acceptable(oracle, term, cfg, anchor, z_new, g)
         freg_new = reg.value(z_new, cert.f_value)
         # breg(z, z_new) from the passes at both ends

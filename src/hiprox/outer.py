@@ -80,12 +80,11 @@ class EstimatingState:
 
     def value(self, x, term):
         x = np.asarray(x, dtype=float)
-        return (
-            self.c
-            + float(np.dot(self.s, x))
-            + self.a_total * term.value(x)
-            + self.power.value(x - self.x0)
-        )
+        return self.linear(x) + self.a_total * term.value(x) + self.power.value(x - self.x0)
+
+    def linear(self, x):
+        """c + <s, x>: the folded a_i [f(T_i) + <grad f(T_i), x - T_i>]."""
+        return self.c + float(np.dot(self.s, x))
 
 
 def estimating_update(state, point, grad_at_point, f_at_point, a_next):

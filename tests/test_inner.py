@@ -39,7 +39,7 @@ def _solver(prob, cfg, rc, anchor=None, term=None):
     term = prob.term if term is None else term
     sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    return StepSolver(sf, reg, term, rc.lsmooth), sf, reg, term
+    return StepSolver(sf, reg, term), sf, reg, term
 
 
 @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
             return two_l * float(sf.gradient(np.array([x]))[0]) + ctil
 
         ref = minimize_composite_1d(deriv, term, float(z[0]))
-        z_new = solver.step(z)[0]
+        z_new = solver.step(z, rc.lsmooth)[0]
         assert abs(float(z_new[0]) - ref) <= 1e-12 * max(1.0, abs(ref))
         z = z_new
 
@@ -95,7 +95,7 @@ def test_step_subgradient_formula_and_optimality(problem_name, p):
     rng = np.random.default_rng(3)
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(4):
-        z_new, g, _ = solver.step(z)
+        z_new, g, _ = solver.step(z, rc.lsmooth)
         expected = 2.0 * rc.lsmooth * (sf.gradient(z) - sf.gradient(z_new)) - reg.gradient(z)
         np.testing.assert_allclose(g, expected, rtol=1e-10, atol=1e-12)
         assert term.contains(z_new)
@@ -112,7 +112,7 @@ def test_step_decreases_regularized_objective():
 
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(6):
-        z_new = solver.step(z)[0]
+        z_new = solver.step(z, rc.lsmooth)[0]
         assert phi(z_new) <= phi(z) + 1e-12 * max(1.0, abs(phi(z)))
         z = z_new
 
@@ -128,7 +128,7 @@ def test_ball_step_on_boundary():
     z = np.asarray(prob.x0, dtype=float)
     hit_boundary = False
     for _ in range(10):
-        z_new, g, _ = solver.step(z)
+        z_new, g, _ = solver.step(z, rc.lsmooth)
         assert term.contains(z_new)
         d = z_new - term.center
         alpha = float(np.dot(g, d)) / term.radius ** 2
@@ -238,7 +238,7 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     anchor = prob.term.project(np.asarray(prob.x0) + 0.05)
     oracle = prob.oracle
     oracle.reset_counters()
-    res = inner_solve(oracle, prob.term, cfg, rc, anchor, first.certificate)
+    res = inner_solve(oracle, prob.term, cfg, rc, anchor, WarmStart.at(first.certificate))
     np.testing.assert_array_equal(res.trace.start, first.point)
     # rejected step candidates are certified too
     candidates = max(res.iterations, 1) + res.trace.backtracks

@@ -95,6 +95,8 @@ def test_estimating_state_value_and_update():
         + pp.value(x - x0)
     )
     np.testing.assert_allclose(state.value(x, term), direct, rtol=1e-12)
+    linear = 0.5 * (2.0 + g1 @ (x - t1)) + 1.25 * (-1.0 + g2 @ (x - t2))
+    np.testing.assert_allclose(state.linear(x), linear, rtol=1e-12)
     with pytest.raises(ParameterError):
         estimating_update(state, t1, g1, 0.0, 0.0)
 

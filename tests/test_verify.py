@@ -90,13 +90,9 @@ def test_bregman_suite_holds_across_seeds(seed):
 
 # rows that hold with equality in exact arithmetic, so their signed margin is
 # rounding of either sign: an exact prox at beta = 0 meets the accepted-pair
-# triple with equality, and the quartic's Taylor gradient error equals its
-# bound. The estimating sandwich's upper side is A_1 (f(x) - f(T_0) -
-# <grad f(T_0), x - T_0>) at k = 0, whose sup over x is 0 (at x = T_0); from a
-# seeded start whose first prox point is x* = 0 it is A_1 x^4, below the
-# rounding of d(x - x_0) for the sample nearest 0 (seed 0 reads 0.0)
+# triple with equality, and the quartic's Taylor gradient error equals its bound
 _TIGHT_ROWS = {"quartic-1d exact prox", "quartic-abs-1d exact prox",
-               "linear-nonneg-1d exact prox", "model gradient bound", "estimating sandwich"}
+               "linear-nonneg-1d exact prox", "model gradient bound"}
 
 
 @pytest.mark.parametrize("seed", range(5))
