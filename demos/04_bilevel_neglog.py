@@ -4,7 +4,10 @@ The outer level is the accelerated inexact proximal loop of order p; the
 inner level is the Bregman composite gradient scheme. The schedule ties all
 parameters to one constant, the derivative bound M_{p+1} over the working
 set: H = 6 M_{p+1} / (p-1)! and beta = 1/p, which makes the inner geometry
-(1/3)-conditioned regardless of dimension or p.
+(1/3)-conditioned regardless of dimension or p. Step k runs at its own
+M_k <= M_{p+1}, halved after a cheap inner solve and doubled after a dear
+one, and is certified at H_k = 6 M_k / (p-1)!; the printout shows the range
+M_k took.
 
 The objective sum_i -log(b_i - <a_i, x>) has a special structure: every even
 derivative of -log(t) is a power of the second, f^(2k) = (2k-1)! (f'')^k, so
@@ -26,12 +29,17 @@ for p in (3, 4, 5):
     print("p = %d: %s after %d outer steps, %d inner steps total, %.2fs"
           % (p, trace.status, last.k, trace.inner_total, elapsed))
     print("  F = %.12f  gap = %.3e" % (last.f_value, last.gap))
+    summary = trace.summary()
+    lo, hi = summary["m_range"]
+    print("  M_k in [%.3g, %.3g] (declared M_%d = %.3g): %d halvings, %d doublings"
+          % (lo, hi, p + 1, prob.m_next(p), summary["m_halvings"], summary["m_doublings"]))
     print("  oracle calls by derivative order: %s"
           % dict(sorted(prob.oracle.calls_by_order.items())))
     print()
 
-print("gap trajectory for p = 5 (outer k, gap, certified inner steps):")
+print("gap trajectory for p = 5 (outer k, gap, certified inner steps, M_k of step k):")
 prob = get_problem("neglog-sep")
 trace = biopt_run(prob, 5, eps=1e-6, max_k=200)
-for r in trace.rows:
-    print("  k=%-3d gap=%.3e  inner=%d" % (r.k, r.gap, r.inner_iters))
+print("  k=0   gap=%.3e" % trace.rows[0].gap)
+for r, m_k in zip(trace.rows[1:], trace.aux["m_k"]):
+    print("  k=%-3d gap=%.3e  inner=%d  M_k=%.4g" % (r.k, r.gap, r.inner_iters, m_k))

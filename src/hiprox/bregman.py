@@ -42,6 +42,13 @@ sandwich`). They can fail at p >= 4: (x-1)^4 with a declared M_5 of 1e-3
 D^2 f(x) = 0. The inner loop does not trust them for correctness: a step at
 L_i < L is kept only where its descent test holds, a step at L is kept
 untested, and every returned point passes the acceptance certificate.
+
+The bi-level loop also runs steps at an M_k below the declared M_{p+1}
+(``outer.adapt_m``), so possibly below the true bound on D^{p+1} f. The
+constants of ``relative_constants(p, H_k, M_k)`` are still mu = 1/2 and
+L = 3/2 there, but they are nominal even at p = 3: the bracket above needs
+M_k >= sup |D^{p+1} f|. Only the descent test and the certificate keep those
+steps correct.
 """
 
 from __future__ import annotations
@@ -172,7 +179,8 @@ def relative_constants(p, h, m_next):
 
     The inner loop's step constant L_i starts at L and stays in [mu, L]: L is
     its first value and its cap, mu its floor. These constants are a theorem
-    at p = 3 only; at p >= 4 they are checked by sampling (see the module
+    at p = 3 only, and only where m_next bounds D^{p+1} f; at p >= 4, or at
+    an adaptive M_k below the true bound, they are nominal (see the module
     docstring), so L bounds the backtracking without guaranteeing descent.
     """
     if m_next <= 0:

@@ -34,12 +34,15 @@ keep the contraction but give only a nonincreasing phi. So a step whose
 candidate the certificate rejects is kept only if the inequality holds;
 otherwise L_i doubles (to at most L) and the step is redone from z_i. A
 step at L_i = L is kept untested, as with a fixed constant: at p >= 4, L is
-not a theorem (see ``bregman``), and the certificate, not L, guards every
-returned point. After a kept step L_i halves, but never below mu: under mu
-the inequality can fail only by rounding, and near convergence rounding
-would decide it. The test reads f(z+) from the certificate and breg(z_i, z+)
-from the two rho passes, so a kept step costs no oracle call beyond its
-certificate; a rejected candidate costs its certificate.
+not a theorem (see ``bregman``), nor at any p when the bi-level loop runs at
+an M_k below the true bound on D^{p+1} f, where mu and L of
+``relative_constants(p, H_k, M_k)`` are nominal. The descent test and the
+certificate, not L, guard every returned point. After a kept step L_i
+halves, but never below mu: under mu the inequality can fail only by
+rounding, and near convergence rounding would decide it. The test reads
+f(z+) from the certificate and breg(z_i, z+) from the two rho passes, so a
+kept step costs no oracle call beyond its certificate; a rejected candidate
+costs its certificate.
 
 The loop starts at an explicit z0 in dom psi (see ``WarmStart``). The outer
 loops pass the previous outer step's certified point T_{k-1} (x_0 at the

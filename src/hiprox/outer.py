@@ -12,24 +12,31 @@ iterate whenever the prox output would increase F; the update rule only
 requires F(x_{k+1}) <= F(T_k), which both choices satisfy. Both loops share
 their start and their per-step record.
 
-Both loops call their provider as ``provider(anchor, start)``, a
-``WarmStart``. The start is x_0, with the f(x_0) that F(x_0) took, at the first
+Both loops call their provider as ``provider(anchor, start, scale)``. The
+start is a ``WarmStart``: x_0, with the f(x_0) that F(x_0) took, at the first
 step, and afterwards the previous prox point T_{k-1} by its certificate, with
 the last step constant its inner solve kept; in the plain loop that point is
 the anchor itself. The inner loop starts there, reuses f (and grad f) and
 takes its first step at that constant; the exact and tensor providers ignore
-the start. The loops hold the start, so a provider keeps no state between
+the start. ``scale`` is the step's M_k/M in (0, 1]: the provider certifies its
+point at H_k = scale * H. The plain loop and a fixed-H accelerated run pass 1.
+The loops hold the start and the scale, so a provider keeps no state between
 calls.
 
-The bi-level method (BiOPT) is the accelerated loop at H = 6 M_{p+1}/(p-1)!
-and beta = 1/p, with the certified Bregman inner loop as its
-acceptable-solution provider; ``biopt_run`` only assembles that
-configuration.
+The bi-level method (BiOPT) is the accelerated loop at beta = 1/p with the
+certified Bregman inner loop as its acceptable-solution provider, and step k
+at H_k = 6 M_k/(p-1)! for an M_k <= M_{p+1} that ``adapt_m`` halves after a
+cheap inner solve and doubles after a dear one (after the adaptive
+regularization of Grapiglia and Nesterov 2020). The schedule runs on a clock
+that ticks faster at smaller M_k (``coefficients``), so the estimating-sequence
+argument holds at each step's H_k and A_k never falls below its value at the
+declared M: the O(k^{-(p+1)}) bound at M_{p+1} still holds. Every step is
+certified at its own H_k, so no step is redone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,15 +49,39 @@ from .oracles import psi_prox_euclid
 from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step_1d
 from .univariate import decreasing_root
 
+# adapt_m halves M_k after an inner solve that kept at most _CHEAP steps and
+# doubles it after one that kept more than _DEAR. Bench cells, seed 0, outer
+# steps and prox-Newton iterations on catalog-p3 / catalog-p45: (1, 3) took
+# 171 / 57 and 1,276 / 558, (2, 3) 142 / 46 and 1,197 / 527, (2, 4) and (2, 5)
+# 135 / 46 and about 1,225 / 526; at a fixed M 449 / 78 and 2,029 / 599.
+# Solve times of (1, 3), (1, 5), (2, 3) and (2, 5) were within noise of each
+# other (nine interleaved passes). M_k never goes below _SCALE_FLOOR M:
+# converging bench solves reach M/2^20 at most (logistic-l1-10), but past
+# convergence (eps = -1, 1,500 steps) M_k keeps halving, and at M/2^30 a
+# quartic-sep-10d/p3 step needs a certificate below the rounding of its
+# residual, so the inner loop raises; at M/2^24 it does not.
+_CHEAP = 2
+_DEAR = 3
+_SCALE_FLOOR = 2.0 ** -24
 
-def coefficients(p, k, beta, h):
-    """(A_k, a_{k+1}) of the accelerated schedule A_k = (c_p/2)^p (k/(p+1))^{p+1}.
+
+def coefficients(p, tau, beta, h, tick=1.0):
+    """(A(tau), A(tau + tick) - A(tau)) of the schedule A(tau) = (c_p/2)^p (tau/(p+1))^{p+1}.
 
     c_p = ((1 - beta)/H)^{1/p}. At the bi-level pair beta = 1/p,
     H = 6 M_{p+1}/(p-1)! the lead (c_p/2)^p is (p-1)(p-1)!/(3p 2^{p+1} M_{p+1}).
+
+    The accelerated loop runs the schedule on a clock tau_k: step k at
+    H_k = s_k H (0 < s_k <= 1) ticks by s_k^{-1/(p+1)}, so A^{1/(p+1)} grows
+    by (c_p(H_k)/2)^{p/(p+1)}/(p+1), and the mean-value theorem gives
+    a_{k+1}^{(p+1)/p} <= (c_p(H_k)/2) A_{k+1}, the growth inequality of the
+    estimating-sequence argument at H_k. A fixed H ticks by exactly 1, so
+    tau_k = k and A_k = (c_p/2)^p (k/(p+1))^{p+1}.
     """
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    if tau < 0:
+        raise ParameterError("the clock tau must be nonnegative")
+    if tick <= 0:
+        raise ParameterError("the clock tick must be positive")
     if beta is None or h is None:
         raise ParameterError("the accelerated schedule needs beta and H")
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
@@ -59,7 +90,12 @@ def coefficients(p, k, beta, h):
     def a_of(j):
         return lead * (j / (p + 1.0)) ** (p + 1)
 
-    return a_of(k), a_of(k + 1) - a_of(k)
+    return a_of(tau), a_of(tau + tick) - a_of(tau)
+
+
+def clock_tick(p, scale):
+    """The schedule clock's tick at M_k/M = scale: scale^{-1/(p+1)}, 1 at scale 1."""
+    return scale ** (-1.0 / (p + 1))
 
 
 @dataclass
@@ -204,6 +240,8 @@ class OuterTrace:
         last = self.rows[-1]
         itraces = [t for t in self.inner_traces if t is not None]
         lsmooth = [float(v) for t in itraces for v in t.lsmooth]
+        m_k = self.aux.get("m_k")
+        scales = self.aux.get("m_scale", [])
         out = {
             "mode": self.mode,
             "status": self.status,
@@ -215,6 +253,11 @@ class OuterTrace:
             "lsmooth_range": [min(lsmooth), max(lsmooth)] if lsmooth else None,
             # inner step candidates rejected by the relative descent test
             "backtracks": int(sum(t.backtracks for t in itraces)),
+            # [min, max] of the bi-level M_k (None for the other modes), and
+            # how often M_k halved and doubled between steps
+            "m_range": [min(m_k), max(m_k)] if m_k else None,
+            "m_halvings": sum(b < a for a, b in zip(scales, scales[1:])),
+            "m_doublings": sum(b > a for a, b in zip(scales, scales[1:])),
             "worst_cert_ratio": self.worst_cert_ratio(),
             "final_f": last.f_value,
             "final_gap": last.gap,
@@ -224,12 +267,18 @@ class OuterTrace:
         return out
 
 
+def _scaled(cfg, scale):
+    """cfg at H = scale * cfg.h."""
+    return replace(cfg, h=scale * cfg.h)
+
+
 def exact_prox_provider(oracle, term, cfg):
     """Acceptable-solution provider backed by the exact 1-D prox solver."""
 
-    def provider(anchor, start):
-        t, g = exact_prox_1d(oracle, term, cfg, anchor)
-        cert = check_acceptable(oracle, term, cfg, anchor, t, g)
+    def provider(anchor, start, scale):
+        step_cfg = _scaled(cfg, scale)
+        t, g = exact_prox_1d(oracle, term, step_cfg, anchor)
+        cert = check_acceptable(oracle, term, step_cfg, anchor, t, g)
         if not cert.accepted:
             raise NumericalError("exact prox output failed acceptance")
         return t, g, cert, 0, None
@@ -240,14 +289,16 @@ def exact_prox_provider(oracle, term, cfg):
 def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
     """Acceptable-solution provider backed by the Bregman inner loop.
 
-    m_next bounds D^{p+1} f; with cfg.h it fixes the inner loop's relative
-    constants (``relative_constants``). Each solve starts at the ``start``
-    its caller passes.
+    m_next bounds D^{p+1} f. A solve at ``scale`` s runs at H = s cfg.h with
+    the relative constants of (s cfg.h, s m_next) (``relative_constants``);
+    their ratio, and so (mu, L), does not depend on s. Each solve starts at
+    the ``start`` its caller passes.
     """
-    rc = relative_constants(cfg.p, cfg.h, m_next)
 
-    def provider(anchor, start):
-        res = inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=max_iter)
+    def provider(anchor, start, scale):
+        step_cfg = _scaled(cfg, scale)
+        rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
+        res = inner_solve(oracle, term, step_cfg, rc, anchor, start, max_iter=max_iter)
         return res.point, res.subgradient, res.certificate, res.iterations, res.trace
 
     return provider
@@ -257,12 +308,15 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
     """1-D provider that takes one augmented-model tensor step per anchor.
 
     Returns (provider, cfg) where cfg carries the (M, H) pair under which a
-    criterion-passing tensor step is acceptable at level beta.
+    criterion-passing tensor step is acceptable at level beta. That pair
+    holds for the declared M_{p+1} only, so the provider runs at scale 1.
     """
     m, h = tensor_acceptance_map(p, beta, gamma, m_next)
     cfg = ProxConfig(p, h, beta)
 
-    def provider(anchor, start):
+    def provider(anchor, start, scale):
+        if scale != 1.0:
+            raise ParameterError("a tensor step is acceptable at the declared M only")
         tm = TaylorModel(oracle, anchor, p, m)
         t, g, ok, _, _ = tensor_step_1d(tm, term, gamma)
         if not ok:
@@ -301,13 +355,14 @@ def _start(problem, cfg, mode):
     return trace, WarmStart(x, f0), f_x, gap0
 
 
-def _prox_step(provider, anchor, start):
+def _prox_step(provider, anchor, start, scale=1.0):
     """The provider's certified point at anchor: (T, certificate, inner iterations, trace).
 
-    Also returns the next step's start: T by its certificate, with the last
-    step constant its inner solve kept (none from the other providers).
+    ``scale`` is the step's M_k/M. Also returns the next step's start: T by
+    its certificate, with the last step constant its inner solve kept (none
+    from the other providers).
     """
-    t, _g, cert, iters, itrace = provider(anchor, start)
+    t, _g, cert, iters, itrace = provider(anchor, start, scale)
     if not cert.accepted:
         raise NumericalError("provider returned a non-accepted certificate")
     restart = WarmStart.at(cert, itrace.lsmooth[-1] if itrace is not None else None)
@@ -350,8 +405,18 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
     return trace
 
 
-def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=None):
-    """Accelerated loop with estimating-sequence bookkeeping."""
+def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=None,
+               rule=None):
+    """Accelerated loop with estimating-sequence bookkeeping.
+
+    Step k runs its provider at s_k = M_k/M in (0, 1], that is at
+    H_k = s_k cfg.h, and advances the schedule's clock tau by
+    s_k^{-1/(p+1)} (``coefficients``). s_0 = 1; ``rule(s_k, inner_iters)``
+    gives s_{k+1}, capped at 1. Without a rule every step runs at cfg.h and
+    tau_k = k. ``aux["m_scale"]`` records s_k per step. Since tau_k >= k,
+    A_k is at least its fixed-H value, so the rate bound at cfg.h holds
+    whatever the rule does.
+    """
     if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
     trace, start, f_x, gap0 = _start(problem, cfg, "accelerated")
@@ -366,12 +431,15 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
     trace.aux["psi_at_v"] = [state.value(v, problem.term)]
     trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
+    trace.aux["m_scale"] = []
+    tau, scale = 0.0, 1.0
     for k in range(max_k):
-        a_k, a_next = coefficients(cfg.p, k, cfg.beta, cfg.h)
+        tick = clock_tick(cfg.p, scale)
+        a_k, a_next = coefficients(cfg.p, tau, cfg.beta, cfg.h, tick)
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
         # the next start is T_k, also when x keeps its value
-        step, start = _prox_step(provider, y, start)
+        step, start = _prox_step(provider, y, start, scale)
         t, cert = step[0], step[1]
         f_t = _objective(problem, t, cert.f_value)
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
@@ -390,17 +458,30 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
         trace.aux["psi_at_v"].append(psi_at_v)
         trace.aux["invariant_margin"].append(psi_at_v - a_total_next * f_x)
         trace.aux["fallback"].append(bool(fallback))
+        trace.aux["m_scale"].append(scale)
         if _record(trace, problem, x, f_x, bound, y, step, eps, rhs_tol):
             return trace
+        tau += tick
+        if rule is not None:
+            scale = min(1.0, rule(scale, step[2]))
     trace.status = "max_iter"
     return trace
 
 
-def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
-    """Bi-level run: the accelerated loop at H = 6 M_{p+1}/(p-1)! and beta = 1/p.
+def adapt_m(scale, inner_iters):
+    """Next M_k/M of the bi-level loop: halve after a cheap inner solve, double after a dear one."""
+    if inner_iters <= _CHEAP:
+        return max(0.5 * scale, _SCALE_FLOOR)
+    if inner_iters > _DEAR:
+        return 2.0 * scale
+    return scale
 
-    The Bregman inner loop is the provider; only the trace's label differs
-    from ``aihopp_run``.
+
+def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
+    """Bi-level run: the accelerated loop at beta = 1/p and H_k = 6 M_k/(p-1)!.
+
+    The Bregman inner loop is the provider, and M_k <= M_{p+1} adapts by
+    ``adapt_m``. ``aux["m_k"]`` records M_k per step.
     """
     m = problem.m_next(p)
     h = bilevel_h(p, m)
@@ -408,7 +489,9 @@ def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
     provider = inner_prox_provider(
         problem.oracle, problem.term, cfg, m, max_iter=max_inner
     )
-    trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol)
+    trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol,
+                       rule=adapt_m)
     trace.mode = "bilevel"
     trace.aux["relative_constants"] = relative_constants(p, h, m)
+    trace.aux["m_k"] = [scale * m for scale in trace.aux["m_scale"]]
     return trace

@@ -28,9 +28,11 @@ from .inner import StepSolver, inner_solve
 from .outer import (
     EstimatingState,
     aihopp_run,
+    clock_tick,
     coefficients,
     estimating_update,
     exact_prox_provider,
+    inner_prox_provider,
     psi_argmin,
 )
 from .oracles import AnchorStack
@@ -113,23 +115,24 @@ def suite_lemma1(seed=0):
 # estseq: estimating-sequence invariants along an accelerated run
 
 
-def suite_estseq(seed=0):
-    rng = np.random.default_rng(seed)
-    # a seeded start on either side of x* = 0 and a seeded H
-    x0 = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)])
-    prob = replace(get_problem("quartic-abs-1d"), x0=x0, d0=abs(float(x0[0])))
-    p, beta, h = 3, 1.0 / 3.0, rng.uniform(1.0, 6.0)
-    cfg = ProxConfig(p, h, beta)
-    provider = exact_prox_provider(prob.oracle, prob.term, cfg)
-    trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
+def _estseq_margins(prob, trace, cfg, rng):
+    """Worst key-inequality and sandwich margins along an accelerated trace.
+
+    Psi_k is folded again from the trace's certificates, with a_{k+1} from
+    the schedule at each step's clock (``aux["m_scale"]``), and compared with
+    100 seeded samples per step.
+    """
+    p, beta, h = cfg.p, cfg.beta, cfg.h
     pp = cfg.power(1)
     state = EstimatingState(power=pp, x0=np.asarray(prob.x0, dtype=float))
     sigma_p = pp.uniform_convexity_modulus()
-    key_worst = -np.inf
-    upper_worst = lower_worst = -np.inf
-    for k, cert in enumerate(trace.certificates):
+    key_worst = upper_worst = lower_worst = -np.inf
+    tau = 0.0
+    for k, (cert, scale) in enumerate(zip(trace.certificates, trace.aux["m_scale"])):
         t = np.asarray(cert.point, dtype=float)
-        _, a_next = coefficients(p, k, beta, h)
+        tick = clock_tick(p, scale)
+        _, a_next = coefficients(p, tau, beta, h, tick)
+        tau += tick
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         v = psi_argmin(state, prob.term, pp)
         psi_v = state.value(v, prob.term)
@@ -145,6 +148,25 @@ def suite_estseq(seed=0):
                               state.linear(xv) - state.a_total * prob.oracle.value(xv))
             lower = psi_v + sigma_p * abs(x - v[0]) ** (p + 1)
             lower_worst = max(lower_worst, lower - state.value(xv, prob.term))
+    return key_worst, upper_worst, lower_worst
+
+
+def _seeded_start(rng, prob):
+    """The 1-D prob from a seeded start on either side of x*, |x_0 - x*| in [0.5, 2]."""
+    d0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+    return replace(prob, x0=prob.x_star + d0, d0=abs(d0))
+
+
+def suite_estseq(seed=0):
+    rng = np.random.default_rng(seed)
+    # a seeded start on either side of x* = 0 and a seeded H
+    prob = _seeded_start(rng, get_problem("quartic-abs-1d"))
+    p, beta, h = 3, 1.0 / 3.0, rng.uniform(1.0, 6.0)
+    cfg = ProxConfig(p, h, beta)
+    provider = exact_prox_provider(prob.oracle, prob.term, cfg)
+    trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
+    pp = cfg.power(1)
+    key_worst, upper_worst, lower_worst = _estseq_margins(prob, trace, cfg, rng)
     coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
     for k in rng.integers(0, 10001, 100):
@@ -154,12 +176,49 @@ def suite_estseq(seed=0):
     d_star = pp.value(np.asarray(prob.x0, dtype=float) - prob.x_star)
     for v in trace.aux["v_points"]:
         part3_worst = max(part3_worst, pp.value(v - prob.x_star) - 2.0 ** (p - 1) * d_star)
+    # growth at H_k = s_k H on seeded clocks, s_k = 2^{-j}: relative margin
+    # of a_{k+1}^{(p+1)/p} <= (c_p(H_k)/2) A_{k+1}
+    tick_worst = -np.inf
+    for _ in range(5):
+        tau = 0.0
+        for scale in 2.0 ** -rng.integers(0, 31, 200):
+            tick = clock_tick(p, scale)
+            a_k, a_next = coefficients(p, tau, beta, h, tick)
+            tau += tick
+            c_k = ((1.0 - beta) / (scale * h)) ** (1.0 / p)
+            tick_worst = max(tick_worst,
+                             a_next ** ((p + 1.0) / p) / (c_k / 2.0 * (a_k + a_next)) - 1.0)
+    # replay of one adaptive bi-level run: a seeded start, and M_k halved,
+    # kept or doubled by seeded draws instead of by the inner solve's cost.
+    # It stops at gap 0: after x_k lands on the kink x* = 0 exactly, the next
+    # anchors and prox points are x* too, where the certificate reads 0 <= 0
+    replay = _seeded_start(rng, prob)
+    m = replay.m_next(p)
+    cfg_b = ProxConfig(p, bilevel_h(p, m), beta)
+
+    def seeded_rule(scale, inner_iters):
+        return scale * rng.choice((0.5, 0.5, 1.0, 2.0))
+
+    provider = inner_prox_provider(replay.oracle, replay.term, cfg_b, m)
+    run = aihopp_run(replay, cfg_b, provider, eps=0.0, max_k=50, rule=seeded_rule)
+    replay_rows = _estseq_margins(replay, run, cfg_b, rng)
+    cert_worst = -np.inf
+    for cert, scale in zip(run.certificates, run.aux["m_scale"]):
+        cfg_k = ProxConfig(p, bilevel_h(p, scale * m), beta)
+        again = check_acceptable(replay.oracle, replay.term, cfg_k, cert.anchor, cert.point,
+                                 cert.subgradient)
+        cert_worst = max(cert_worst, certificate_violation(again, cfg_k))
     return [
         CheckResult("estseq", "key inequality A_k F(x_k) <= Psi_k*", key_worst, 1e-8),
         CheckResult("estseq", "estimating sandwich upper", upper_worst, 1e-8),
         CheckResult("estseq", "estimating sandwich lower", lower_worst, 1e-8),
         CheckResult("estseq", "coefficient growth", coeff_worst, 1e-12),
         CheckResult("estseq", "minimizer distance bound", part3_worst, 1e-10),
+        CheckResult("estseq", "coefficient growth at H_k (relative)", tick_worst, 1e-12),
+        CheckResult("estseq", "adaptive key inequality at H_k", replay_rows[0], 1e-8),
+        CheckResult("estseq", "adaptive sandwich upper", replay_rows[1], 1e-8),
+        CheckResult("estseq", "adaptive sandwich lower", replay_rows[2], 1e-8),
+        CheckResult("estseq", "adaptive certificates at H_k", cert_worst, 1e-10),
     ]
 
 

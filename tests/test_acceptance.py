@@ -279,13 +279,15 @@ def test_11_bilevel_end_to_end():
         prob = get_problem("neglog-sep")
         prob.oracle.reset_counters()
         trace = biopt_run(prob, p, eps=1e-6, max_k=200)
-        cfg = ProxConfig(p, trace.aux["config"]["h"], trace.aux["config"]["beta"])
-        _store(trace, cfg)
+        # each step is certified at its own H_k = 6 M_k/(p-1)!
+        cfgs = [ProxConfig(p, bilevel_h(p, m_k), trace.aux["config"]["beta"])
+                for m_k in trace.aux["m_k"]]
+        CERT_STORE.extend(zip(trace.certificates, cfgs))
         gap = trace.rows[-1].gap
         orders = sorted(prob.oracle.calls_by_order)
         only_low = all(k <= 2 for k in orders)
         cert_worst = -np.inf
-        for cert in trace.certificates:
+        for cert, cfg in zip(trace.certificates, cfgs):
             for _n, (_okk, margin) in certificate_inequalities(cert, cfg).items():
                 cert_worst = max(cert_worst, -margin)
         ok = ok and trace.status == "converged" and gap <= 1e-6

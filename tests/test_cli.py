@@ -238,13 +238,27 @@ def test_summary_records_evaluations_and_fallbacks(tmp_path):
     assert set(calls) == {"0", "1", "2"}
     # counted from the run's start: one gradient per certified candidate and
     # one at x_0, for each of the oracle's rows (later solves start at T_{k-1}
-    # and reuse its certificate's gradient)
-    rows = get_problem("neglog-sep").oracle.a.shape[0]
-    assert summary["backtracks"] == 0
-    assert calls["1"] == rows * (summary["inner_total"] + 1)
-    assert isinstance(summary["fallbacks"], int) and summary["fallbacks"] >= 0
+    # and reuse its certificate's gradient); a solve that ends at a fixed
+    # point reports 0 steps but certified one candidate
+    neglog = get_problem("neglog-sep")
+    rows = neglog.oracle.a.shape[0]
     outer = (tmp_path / "runF" / "outer.csv").read_text()
-    for key in ("calls_by_order", "fallbacks", "lsmooth", "backtracks"):
+    cells = [line.split(",") for line in outer.strip().split("\n")[2:]]
+    candidates = sum(max(int(c[4]), 1) for c in cells) + summary["backtracks"]
+    assert calls["1"] == rows * (candidates + 1)
+    assert isinstance(summary["fallbacks"], int) and summary["fallbacks"] >= 0
+    # M_k starts at the declared M and moves inside (0, M] by halvings and
+    # doublings; the adaptive rule leaves the CSV's columns as they were
+    m = neglog.m_next(3)
+    lo, hi = summary["m_range"]
+    assert 0.0 < lo < hi == m
+    halvings, doublings = summary["m_halvings"], summary["m_doublings"]
+    assert isinstance(halvings, int) and isinstance(doublings, int)
+    assert halvings > 0 and doublings >= 0
+    assert lo >= m * 0.5 ** halvings
+    assert outer.splitlines()[0] == "k,F,gap,bound_rhs,inner_iters,cert_lhs,cert_rhs"
+    for key in ("calls_by_order", "fallbacks", "lsmooth", "backtracks", "m_range",
+                "m_halvings", "m_doublings"):
         assert key not in outer
     # the kept inner step constants lie in [mu, L]; a rejected step candidate
     # is certified, so it costs one gradient as a kept one does
@@ -285,4 +299,6 @@ def test_summary_records_newton_iterations_and_certificate_ratio(tmp_path):
                  "--max-outer", "200", "--out", "runH"]) == 0
     plain = json.loads((tmp_path / "runH" / "summary.json").read_text())
     assert plain["newton_iters"] == 0
+    # and keeps M fixed
+    assert plain["m_range"] is None and plain["m_halvings"] == plain["m_doublings"] == 0
     assert 0.0 <= plain["worst_cert_ratio"] <= 1.0 + 1e-9

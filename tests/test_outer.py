@@ -1,6 +1,9 @@
 """Outer loops: coefficient schedules, estimating sequences, rate bounds."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hiprox import (
     bilevel_h,
     biopt_run,
     bound_evaluator,
+    check_acceptable,
     coefficients,
     estimating_update,
     exact_prox_provider,
@@ -29,6 +33,8 @@ from hiprox import (
 )
 from hiprox import outer as outer_module
 from hiprox.metric import MetricSpace
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_coefficients_accelerated_frozen():
@@ -245,18 +251,73 @@ def test_biopt_run_converges():
 
 
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("ball-quadratic", 4)])
-def test_biopt_run_is_the_accelerated_loop(name, p):
-    # bi-level = the accelerated loop at (beta, H) = (1/p, 6 M/(p-1)!) driven
-    # by the Bregman inner loop, digit for digit
+def test_fixed_h_accelerated_loop_keeps_the_integer_schedule(name, p):
+    # without a rule every step runs at H and ticks by 1, so tau_k = k and
+    # A_k = (c_p/2)^p (k/(p+1))^{p+1} to the last digit
     prob = get_problem(name)
     m = prob.m_next(p)
-    bilevel = biopt_run(prob, p, eps=1e-6, max_k=60)
     cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
     provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
-    accel = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=60)
-    assert bilevel.status == accel.status == "converged"
-    assert bilevel.to_csv() == accel.to_csv()
-    assert (bilevel.mode, accel.mode) == ("bilevel", "accelerated")
+    trace = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=60)
+    assert trace.status == "converged"
+    steps = len(trace.rows) - 1
+    assert trace.aux["m_scale"] == [1.0] * steps
+    lead = (((1.0 - cfg.beta) / cfg.h) ** (1.0 / p) / 2.0) ** p
+    assert trace.aux["a_coeffs"] == [lead * (k / (p + 1.0)) ** (p + 1)
+                                     for k in range(steps + 1)]
+    for k in range(steps):
+        assert coefficients(p, float(k), cfg.beta, cfg.h) == coefficients(p, k, cfg.beta, cfg.h)
+
+
+@pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("quartic-sep-10d", 3),
+                                     ("logistic-sep-3d", 4), ("ball-quadratic", 5)])
+def test_biopt_run_adapts_m_below_the_declared_bound(name, p):
+    # M_k moves by halvings and doublings inside (0, M], each certificate
+    # holds at its own H_k = 6 M_k/(p-1)!, and the gap stays under the rate
+    # bound at the declared M
+    prob = get_problem(name)
+    m = prob.m_next(p)
+    trace = biopt_run(prob, p, eps=1e-6, max_k=200)
+    assert trace.status == "converged"
+    m_k = trace.aux["m_k"]
+    assert len(m_k) == len(trace.rows) - 1 and m_k[0] == m
+    assert all(0.0 < v <= m for v in m_k)
+    assert all(b / a in (0.5, 1.0, 2.0) for a, b in zip(m_k, m_k[1:]))
+    assert min(m_k) < m
+    for mk, cert in zip(m_k, trace.certificates):
+        cfg_k = ProxConfig(p, bilevel_h(p, mk), 1.0 / p, prob.metric)
+        assert check_acceptable(prob.oracle, prob.term, cfg_k, cert.anchor, cert.point,
+                                cert.subgradient).accepted
+    gaps, bounds = trace.column("gap"), trace.column("bound_rhs")
+    assert np.all(np.isfinite(bounds[1:]))
+    assert np.all(gaps[1:] <= bounds[1:])
+    margins = np.asarray(trace.aux["invariant_margin"], dtype=float)
+    assert np.all(margins >= -1e-8)
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload, label", [("catalog-p3", "quartic-sep-10d/p3"),
+                                             ("l1-logistic", "logistic-l1-10/p3")],
+                         ids=["quartic-sep-10d", "logistic-l1-10"])
+def test_biopt_run_solves_the_bench_cells_within_budget(workload, label):
+    # at the declared M, quartic-sep-10d/p3 stops at the 200-step budget
+    # (gap 4.2e-6) and logistic-l1-10/p3 raises a prox-Newton residual error
+    wl = _bench_workloads()
+    cell, = [c for c in wl.WORKLOADS[workload].build(np.random.default_rng(0))
+             if c.label == label]
+    wl.add_references([cell])
+    trace = biopt_run(cell.problem, cell.p, eps=cell.eps, max_k=wl.OUTER_BUDGET,
+                      rhs_tol=cell.rhs_tol)
+    assert trace.status == "converged"
+    assert wl.check_answer(cell, trace) is None
 
 
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
@@ -321,9 +382,9 @@ def _recording_provider(prob, cfg, m, starts):
     """The Bregman inner provider, recording every start it is called with."""
     provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
 
-    def recorded(anchor, start):
+    def recorded(anchor, start, scale):
         starts.append(start)
-        return provider(anchor, start)
+        return provider(anchor, start, scale)
 
     return recorded
 

@@ -109,7 +109,9 @@ def test_suite_reports_signed_margins_across_seeds(suite, seed):
 
 # rows that ran on a fixed grid, run or anchor before their draws were seeded
 _SEEDED_ROWS = {"estseq": ("key inequality A_k F(x_k) <= Psi_k*", "coefficient growth",
-                           "minimizer distance bound"),
+                           "minimizer distance bound", "coefficient growth at H_k (relative)",
+                           "adaptive key inequality at H_k", "adaptive sandwich upper",
+                           "adaptive sandwich lower", "adaptive certificates at H_k"),
                 "tensor": ("model subdifferential monotone", "criterion region maps to acceptance",
                            "target-beta map acceptance", "exact step criterion + acceptance")}
 
