@@ -16,7 +16,7 @@ so we can see the certificate carve out exactly that window.
 """
 import numpy as np
 
-from hiprox import ProxConfig, acceptable_interval_1d, check_acceptable, exact_prox_1d, get_problem
+from hiprox import ProxConfig, acceptable_interval_1d, check_acceptable, exact_prox, get_problem
 
 prob = get_problem("linear-nonneg-1d")
 beta = 0.85
@@ -24,7 +24,7 @@ cfg = ProxConfig(p=3, h=1.0, beta=beta)
 
 for anchor in (0.6, 1.4):
     av = np.array([anchor])
-    t, g = exact_prox_1d(prob.oracle, prob.term, cfg, av)
+    t, g = exact_prox(prob.oracle, prob.term, cfg, av)
     cert = check_acceptable(prob.oracle, prob.term, cfg, av, t, g)
     interval = acceptable_interval_1d(cfg, anchor)
     print("anchor xb = %.1f" % anchor)

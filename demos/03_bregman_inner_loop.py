@@ -62,7 +62,7 @@ reg = RegularizedObjective(prob.oracle, anchor, p, h)
 ref = inner_solve(
     prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, anchor, max_iter=200
 )
-z_star = ref.point
+z_star = ref.certificate.point
 print()
 print("reference solve at beta = 1e-8: %d steps, L_i in [%.2f, %.2f]"
       % (ref.iterations, min(ref.trace.lsmooth), max(ref.trace.lsmooth)))

@@ -19,7 +19,7 @@ from hiprox import (
     get_problem,
     tensor_acceptance_map,
     tensor_criterion,
-    tensor_step_1d,
+    tensor_step,
 )
 
 prob = get_problem("quartic-abs-1d")
@@ -35,7 +35,7 @@ print("target beta = %.1f, gamma = %s -> model constant M = %.0f, H = M/3! = %.0
 cfg = ProxConfig(3, h, beta)
 tm = TaylorModel(prob.oracle, anchor, 3, m)
 
-t, g, ok, lhs, rhs = tensor_step_1d(tm, prob.term, gamma)
+t, g, ok, lhs, rhs = tensor_step(tm, prob.term, gamma)
 cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
 print("exact augmented-model step: T = %.6f, criterion %.2e <= %.2e (%s)"
       % (t[0], lhs, gamma / (1 + gamma) * rhs, ok))

@@ -15,7 +15,6 @@ from .acceptance import (
     acceptable_interval_1d,
     certificate_inequalities,
     check_acceptable,
-    exact_prox_1d,
 )
 from .bregman import (
     RegularizedObjective,
@@ -43,6 +42,7 @@ from .inner import (
     InnerTrace,
     StepSolver,
     WarmStart,
+    exact_prox,
     inner_solve,
 )
 from .metric import MetricSpace, PowerProx
@@ -77,7 +77,7 @@ from .tensor_step import (
     lemma2_bound_check,
     tensor_acceptance_map,
     tensor_criterion,
-    tensor_step_1d,
+    tensor_step,
 )
 from .univariate import minimize_composite_1d
 from .verify import CheckResult, run_suite
@@ -124,7 +124,7 @@ __all__ = [
     "coefficients",
     "convexity_threshold",
     "estimating_update",
-    "exact_prox_1d",
+    "exact_prox",
     "exact_prox_provider",
     "fd_check",
     "get_problem",
@@ -146,7 +146,7 @@ __all__ = [
     "tensor_acceptance_map",
     "tensor_criterion",
     "tensor_prox_provider",
-    "tensor_step_1d",
+    "tensor_step",
     "theta_bound",
     "theta_constants",
 ]

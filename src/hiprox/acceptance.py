@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import CertificateError, ParameterError
 from .metric import MetricSpace, PowerProx
-from .univariate import minimize_composite_1d
 
 ACCEPT_SLACK = 1e-12
 INEQ_SLACK = 1e-10
@@ -151,26 +150,6 @@ def certificate_inequalities(cert, cfg, slack=INEQ_SLACK):
         m3 = inner - ((1 - beta) / h) ** (1.0 / p) * rhs ** ((p + 1.0) / p)
         out["progress_dual"] = (m3 >= -slack, m3)
     return out
-
-
-def exact_prox_1d(oracle, term, cfg, anchor):
-    """Exact proximal point in dimension 1 plus its constructive subgradient.
-
-    Minimizes f(x) + psi(x) + H |x-xb|^{p+1}/(p+1) by monotone
-    subdifferential bracketing, then rounds the optimality-condition
-    subgradient g = H |T-xb|^{p-1}(xb-T) - f'(T) into the subdifferential.
-    """
-    xb = float(np.asarray(anchor, dtype=float)[0])
-    p, h = cfg.p, cfg.h
-
-    def smooth_deriv(x):
-        arr = np.array([x])
-        return float(oracle.gradient(arr)[0]) + h * abs(x - xb) ** (p - 1) * (x - xb)
-
-    t = minimize_composite_1d(smooth_deriv, term, xb)
-    g_raw = h * abs(t - xb) ** (p - 1) * (xb - t) - float(oracle.gradient(np.array([t]))[0])
-    g = term.subgradient_select(np.array([t]), np.array([g_raw]))
-    return np.array([t]), g
 
 
 def acceptable_interval_1d(cfg, anchor, g=0.0):

@@ -26,7 +26,7 @@ residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
 ``AnchorStack`` of the even orders 2, ..., 2q); the k = 1 Hessian term
 D^2 f(y) does not depend on x and is formed once. Each point then costs one
 pass, ``evaluate``: it forms d = x - y once, projects it once for all orders
-(``AnchorStack.contract``), takes |d| once for the power term, and gives rho,
+(``AnchorStack.series``), takes |d| once for the power term, and gives rho,
 grad rho and, when asked, the Hessian matrix of rho. ``value``, ``gradient``
 and ``hessian_matrix`` are reads of that pass. The oracle's
 ``calls_by_order`` still names every order consumed, but counts the anchor's
@@ -85,10 +85,11 @@ class ScalingFunction:
         """(rho(x), grad rho(x), Hessian matrix of rho at x or None), in one pass.
 
         The pass forms d = x - anchor once, projects it once for every order of
-        the anchor stack, and takes |d| once for the power term.
+        the anchor stack (``AnchorStack.series``), and takes |d| once for the
+        power term.
         """
         d = np.asarray(x, dtype=float) - self.anchor
-        value, grad, hess = self._poly(d, hessian)
+        value, grad, hess = self.stack.series(d, hessian)
         p_value, p_grad, p_hess = self.pp._terms(d, hessian)
         value = value + self.h * p_value
         grad = grad + self.h * p_grad
@@ -96,27 +97,12 @@ class ScalingFunction:
             hess = hess + self.h * p_hess
         return value, grad, hess
 
-    def _poly(self, d, hessian):
-        """The even Taylor part's value, gradient and Hessian matrix at anchor + d.
-
-        Each contraction is divided by its factorial before it is added, and
-        the value sums from 0 as ``sum`` does. The order-2 matrix D^2 f(y) does
-        not depend on d and is formed once per stack.
-        """
-        value, grad, hess = 0, np.zeros_like(d), None
-        for k, (form, covector, matrix) in self.stack.contract(d, hessian).items():
-            value = value + form / math.factorial(k)
-            grad = grad + covector / math.factorial(k - 1)
-            if hessian:  # the first order is 2, whose factorial (k - 2)! is 1
-                hess = matrix if hess is None else hess + matrix / math.factorial(k - 2)
-        return value, grad, hess
-
     # -- reads of one pass ------------------------------------------------
     def poly_value(self, x):
-        return self._poly(np.asarray(x, dtype=float) - self.anchor, False)[0]
+        return self.stack.series(np.asarray(x, dtype=float) - self.anchor)[0]
 
     def poly_hessian_matrix(self, x):
-        return self._poly(np.asarray(x, dtype=float) - self.anchor, True)[2]
+        return self.stack.series(np.asarray(x, dtype=float) - self.anchor, True)[2]
 
     def value(self, x):
         return self.evaluate(x)[0]
@@ -164,6 +150,14 @@ class RegularizedObjective:
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return self.oracle.hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
+
+    def evaluate(self, x):
+        """(f_reg(x), grad f_reg(x), Hessian matrix of f_reg at x), from one norm of d."""
+        x = np.asarray(x, dtype=float)
+        value, grad, hess = self.pp._terms(x - self.anchor, hessian=True)
+        oracle = self.oracle
+        return (oracle.value(x) + self.h * value, oracle.gradient(x) + self.h * grad,
+                oracle.hessian_matrix(x) + self.h * hess)
 
 
 @dataclass

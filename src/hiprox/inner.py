@@ -9,14 +9,10 @@ whose optimality conditions yield the constructive subgradient
     g = 2 L_i (grad rho(z_i) - grad rho(z+)) - grad f_reg(z_i)  in  dpsi(z+),
 
 and the loop stops as soon as (z+, g) is acceptable for the proximal
-certificate at the anchor. Every step, in every dimension, is solved by one
-damped proximal Newton method (Lee, Sun and Saunders 2014; see
-``StepSolver``). Its model step is one linear solve for psi = 0, an exact
-primal active-set solve for the other separable psi (one linear solve on the
-free coordinates per pass), and an eigenbasis solve for the ball. The full
-model step is taken when it does not raise the objective by more than
-rounding (1e-15 |phi|); otherwise the step is halved until the Armijo
-condition holds, and 50 halvings without it raise ``NumericalError``.
+certificate at the anchor. Every step, in every dimension, is solved by
+``prox_newton``, the package's one minimizer of smooth convex + psi, which
+also gives the exact prox (``exact_prox``) and the tensor step
+(``tensor_step.tensor_step``).
 
 The step constant L_i is backtracked between mu and L of
 ``relative_constants`` (relative smoothness: Lu, Freund and Nesterov 2018;
@@ -33,39 +29,29 @@ convexity breg(z+, z*) <= (1 - mu/(2 L_i)) breg(z_i, z*) + (phi* - phi(z+))/(2 L
 keep the contraction but give only a nonincreasing phi. So a step whose
 candidate the certificate rejects is kept only if the inequality holds;
 otherwise L_i doubles (to at most L) and the step is redone from z_i. A
-step at L_i = L is kept untested, as with a fixed constant: at p >= 4, L is
-not a theorem (see ``bregman``), nor at any p when the bi-level loop runs at
-an M_k below the true bound on D^{p+1} f, where mu and L of
-``relative_constants(p, H_k, M_k)`` are nominal. The descent test and the
-certificate, not L, guard every returned point. After a kept step L_i
-halves, but never below mu: under mu the inequality can fail only by
-rounding, and near convergence rounding would decide it. The test reads
-f(z+) from the certificate and breg(z_i, z+) from the two rho passes, so a
-kept step costs no oracle call beyond its certificate; a rejected candidate
-costs its certificate.
+step at L_i = L is kept untested: at p >= 4, or at a bi-level M_k below the
+true bound on D^{p+1} f, mu and L are nominal (see ``bregman``), so the
+descent test and the certificate, not L, guard every returned point. After
+a kept step L_i halves, never below mu, where only rounding could fail the
+inequality. The test reads f(z+) from the certificate and breg(z_i, z+)
+from the two rho passes, so only a rejected candidate costs an oracle call
+beyond the certificates.
 
-The loop starts at an explicit z0 in dom psi (see ``WarmStart``). The outer
-loops pass the previous outer step's certified point T_{k-1} (x_0 at the
-first step, where it is the anchor) with the last constant that solve kept;
-the first solve starts at L. The Bregman method's linear rate counts from
-breg(z0, z*), and T_{k-1}, an approximate prox point of the previous anchor,
-tends to lie nearer the new prox point z* than the anchor y_k does (on the
-bench, inner steps fall 1.7 to 4.6 times). Nothing guarantees it: the
-contraction bound holds from any z0 in dom psi (``verify bregman`` checks it
-from a seeded start), so the start changes the step count and which
-acceptable point comes back, never the acceptance test. T_{k-1} is in dom
-psi by its certificate, so it needs no projection.
+The loop starts at an explicit z0 in dom psi (see ``WarmStart``): the outer
+loops pass the previous certified point T_{k-1} (x_0 at the first step)
+with the last constant that solve kept; the first solve starts at L. The
+linear rate counts from breg(z0, z*), and T_{k-1} tends to lie nearer the
+new prox point z* than the anchor does (on the bench, inner steps fall 1.7
+to 4.6 times). The contraction bound holds from any z0 in dom psi (``verify
+bregman`` checks it from a seeded start), so the start changes the step
+count, never the acceptance test.
 
-The scaling function of one inner solve is built once, with the anchor's
-even-order derivative weights (see ``bregman``); steps never evaluate a
-scalar derivative at the anchor again. Every point costs one evaluation: one
-``ScalingFunction.evaluate`` pass gives rho, grad rho and the Hessian of rho
-at each Newton trial point, and an accepted point's pass serves the next
-Newton iteration, the next step and the trace's Bregman distance. f and
-grad f at a candidate are evaluated once, by its certificate, which the next
-step (grad f_reg), the descent test and the outer loop (F and the estimating
-update) read. A start that brings f(z0) and grad f(z0) along evaluates
-neither; each one missing costs one evaluation.
+The scaling function of one inner solve is built once (see ``bregman``).
+Every point costs one ``ScalingFunction.evaluate`` pass (rho, its gradient
+and Hessian), which serves the next Newton iteration, the next step and the
+trace's Bregman distance. f and grad f at a candidate are evaluated once, by
+its certificate, which the next step, the descent test and the outer loop
+read; a start that brings them along evaluates neither.
 """
 
 from __future__ import annotations
@@ -74,9 +60,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acceptance import check_acceptable
+from .acceptance import ACCEPT_SLACK, check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction
-from .errors import CapabilityError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 # bench/spans.py traces minimize_composite_1d through this binding
 from .univariate import decreasing_root, minimize_composite_1d  # noqa: F401
 
@@ -152,35 +138,18 @@ class WarmStart:
 
 @dataclass
 class InnerResult:
-    point: np.ndarray
-    subgradient: np.ndarray
     certificate: object
     iterations: int
     trace: InnerTrace = None
 
-    @property
-    def newton_iters(self):
-        """Prox-Newton iterations over every step of the run."""
-        return self.trace.newton_iters
-
 
 class StepSolver:
-    """One inner step z -> z+ by a damped proximal Newton method.
-
-    One solver in every dimension, for separable psi and the ball. The model
-    step is exact: one linear solve for psi = 0, an active-set method for the
-    other separable psi and an eigenbasis solve for the ball. The full model
-    step is taken unless it raises the objective by more than rounding;
-    otherwise the step is halved to the Armijo condition. ``newton_iters``
-    counts the model steps over every call.
-    """
+    """One inner step z -> z+ by ``prox_newton``; ``newton_iters`` counts its model steps."""
 
     # bench/spans.py names each traced step by this attribute
     route = "prox_newton"
 
     def __init__(self, sf, reg, term):
-        if not (term.is_separable or term.kind == "ball"):
-            raise CapabilityError("no step solver for term kind %r" % term.kind)
         self.sf = sf
         self.reg = reg
         self.term = term
@@ -190,13 +159,10 @@ class StepSolver:
         """Minimize phi(w) = 2L rho(w) + <ctil, w> + psi(w), ctil = c - 2L grad rho(z).
 
         c = grad f_reg(z) and L = ``lsmooth``, the step's constant. ``grad_reg``
-        is c and ``rho_z`` the pass
-        ``sf.evaluate(z, hessian=True)``, when the caller has them (from z's
-        certificate and from the step that returned z); otherwise they are
-        computed here. Returns (z+, g, rho at z+), the last being the pass at
-        z+ that the next step takes as its ``rho_z``. Each Newton iterate is
-        evaluated once: the line search's accepted point carries its rho,
-        grad rho and Hessian into the next iteration.
+        is c and ``rho_z`` the pass ``sf.evaluate(z, hessian=True)``, when the
+        caller has them; otherwise they are computed here. Returns (z+, g, rho
+        at z+), the last being the next step's ``rho_z``: each Newton iterate's
+        rho pass rides along with phi's.
         """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
@@ -207,134 +173,185 @@ class StepSolver:
         grad_z = rho_z[1]
         ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
-        w = term.project(z)
-        at_w = rho_z if np.array_equal(w, z) else sf.evaluate(w, hessian=True)
-        fw = two_l * at_w[0] + float(np.dot(ctil, w)) + term.value(w)
-        for _ in range(_NEWTON_CAP):
-            gw = two_l * at_w[1] + ctil
-            if term.subgradient_distance(w, -gw) <= 0.5 * tol:
-                break
-            hm = two_l * at_w[2]
-            nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
-            hm = hm + nu * np.eye(len(w))
-            cand = self._model_min(w, gw, hm)
-            self.newton_iters += 1
-            d = cand - w
-            model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
-                           + term.value(cand) - term.value(w))
-            t = 1.0
-            for _ in range(_HALVING_CAP):
-                wt = w + t * d
-                at_t = sf.evaluate(wt, hessian=True)
-                ft = two_l * at_t[0] + float(np.dot(ctil, wt)) + term.value(wt)
-                # the full step may rise by rounding; a shorter one must
-                # make the Armijo decrease
-                if t == 1.0:
-                    limit = fw + 1e-15 * abs(fw)
-                else:
-                    limit = fw - 1e-4 * t * max(model_drop, 0.0)
-                if ft <= limit:
-                    break
-                t *= 0.5
-            else:
-                raise NumericalError("prox-Newton line search failed after %d halvings"
-                                     % _HALVING_CAP)
-            w, fw, at_w = wt, ft, at_t
-        g = two_l * (grad_z - at_w[1]) - c
+        w0 = term.project(z)
+        reuse = np.array_equal(w0, z)
+
+        def evaluate(w):
+            rho = rho_z if reuse and w is w0 else sf.evaluate(w, hessian=True)
+            return (two_l * rho[0] + float(np.dot(ctil, w)), two_l * rho[1] + ctil,
+                    two_l * rho[2], rho)
+
+        w, at_w, steps = prox_newton(evaluate, term, w0, 0.5 * tol)
+        self.newton_iters += steps
+        rho_w = at_w[3]
+        g = two_l * (grad_z - rho_w[1]) - c
         dist = term.subgradient_distance(w, g)
         if dist > 100.0 * tol:
             raise NumericalError("prox-Newton step residual %.3e > %.1e" % (dist, 100.0 * tol),
                                  residual=dist)
-        return w, g, at_w
+        return w, g, rho_w
 
-    def _model_min(self, w, grad, hm):
-        """argmin q(z) = <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi.
 
-        psi = 0 takes one linear solve and the ball an eigenbasis solve. Other
-        separable psi take a monotone primal active-set method (More and
-        Toraldo 1991): each coordinate is fixed at a kink or free on a piece of
-        slope s_i, as at w to start, and y solves the free block. A segment
-        z -> y that leaves a piece ends at y clipped into the pieces if that
-        lowers q, else at the first kink, which is fixed. Otherwise z = y, and
-        fixed coordinates whose multiplier -r_i lies outside dpsi_i(z_i) by
-        more than rounding are freed (after a zero-length step only the
-        furthest). q never rises; a pass cap raises ``NumericalError``.
-        """
-        term = self.term
-        if term.kind == "zero":
-            return w - np.linalg.solve(hm, grad)
-        if not term.is_separable:
-            return self._ball_quadratic(w, grad, hm)
-        n = len(w)
-        z = term.project(w)
-        lo, hi = term.subdifferential(z)
-        fixed = lo < hi
-        slope = np.where(fixed, 0.0, lo)
-        moved = True
-        for _ in range(_PASS_CAP * n):
+def prox_newton(evaluate, term, w, tol):
+    """argmin s + psi by damped proximal Newton (Lee, Sun and Saunders 2014): (w, pass, steps).
+
+    ``evaluate(w)`` is one pass: s(w), grad s(w), the Hessian H of s, then
+    anything the caller keeps. A step minimizes the model with H + 1e-11 (1 +
+    max |H_ii|) I plus psi exactly (``_model_min``), is taken whole unless s + psi
+    rises by more than 1e-15 |s + psi|, else halved to the Armijo condition (50
+    halvings raise ``NumericalError``). Stops once -grad s(w) is within ``tol``
+    of dpsi(w), or after ``_NEWTON_CAP`` steps.
+    """
+    at_w = evaluate(w)
+    fw = at_w[0] + term.value(w)
+    steps = 0
+    for _ in range(_NEWTON_CAP):
+        gw = at_w[1]
+        if term.subgradient_distance(w, -gw) <= tol:
+            break
+        hm = at_w[2]
+        nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
+        hm = hm + nu * np.eye(len(w))
+        cand = _model_min(term, w, gw, hm)
+        steps += 1
+        d = cand - w
+        model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
+                       + term.value(cand) - term.value(w))
+        t = 1.0
+        for _ in range(_HALVING_CAP):
+            wt = w + t * d
+            at_t = evaluate(wt)
+            ft = at_t[0] + term.value(wt)
+            # the full step may rise by rounding; a shorter one must
+            # make the Armijo decrease
+            if t == 1.0:
+                limit = fw + 1e-15 * abs(fw)
+            else:
+                limit = fw - 1e-4 * t * max(model_drop, 0.0)
+            if ft <= limit:
+                break
+            t *= 0.5
+        else:
+            raise NumericalError("prox-Newton line search failed after %d halvings"
+                                 % _HALVING_CAP)
+        w, fw, at_w = wt, ft, at_t
+    return w, at_w, steps
+
+
+def residual_tol(slack, metric, start):
+    """``prox_newton``'s tolerance for an exact solve from a residual ``start``.
+
+    The residual falls by slack/2 relative to ``start``, exact at the scale of
+    its own step, and below slack/2 in the dual norm, |v|_* <= |v| /
+    sqrt(lambda_min(B)): a check with additive ``slack`` keeps half for rounding.
+    """
+    return 0.5 * slack * min(1.0, start) * float(np.sqrt(np.linalg.eigvalsh(metric.matrix())[0]))
+
+
+def exact_prox(oracle, term, cfg, anchor):
+    """Exact prox point T of f + psi at the anchor, in ``cfg.metric``, and g in dpsi(T).
+
+    ``prox_newton`` minimizes f_reg + psi from the projected anchor to the
+    ``residual_tol`` of ``ACCEPT_SLACK``, and g is nearest to -grad f_reg(T),
+    so the pair certifies at every beta, beta = 0 included.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    w0 = term.project(anchor)
+    tol = residual_tol(ACCEPT_SLACK, reg.metric,
+                       term.subgradient_distance(w0, -reg.gradient(w0)))
+    t, at_t, _ = prox_newton(reg.evaluate, term, w0, tol)
+    return t, term.subgradient_select(t, -at_t[1])
+
+
+def _model_min(term, w, grad, hm):
+    """argmin q(z) = <grad, z-w> + (z-w)'hm(z-w)/2 + psi(z), by the kind of psi.
+
+    psi = 0 takes one linear solve and the ball an eigenbasis solve. Other
+    separable psi take a monotone primal active-set method (More and
+    Toraldo 1991): each coordinate is fixed at a kink or free on a piece of
+    slope s_i, as at w to start, and y solves the free block. A segment
+    z -> y that leaves a piece ends at y clipped into the pieces if that
+    lowers q, else at the first kink, which is fixed. Otherwise z = y, and
+    fixed coordinates whose multiplier -r_i lies outside dpsi_i(z_i) by
+    more than rounding are freed (after a zero-length step only the
+    furthest). q never rises; a pass cap raises ``NumericalError``.
+    """
+    if term.kind == "zero":
+        return w - np.linalg.solve(hm, grad)
+    if not term.is_separable:
+        return _ball_quadratic(term, w, grad, hm)
+    n = len(w)
+    z = term.project(w)
+    lo, hi = term.subdifferential(z)
+    fixed = lo < hi
+    slope = np.where(fixed, 0.0, lo)
+    moved = True
+    for _ in range(_PASS_CAP * n):
+        r = grad + hm @ (z - w)
+        nfixed = np.count_nonzero(fixed)
+        if nfixed < n:
+            f = ~fixed
+            hff = hm[np.ix_(f, f)] if nfixed else hm
+            lof, hif = (b[f] for b in term.piece(slope))
+            zf, rs = z[f], r[f] + slope[f]
+            y = zf - np.linalg.solve(hff, rs)
+            new = np.minimum(np.maximum(y, lof), hif)
+            out = new != y
+            if np.count_nonzero(out):
+                d = new - zf
+                if float(d @ rs) + 0.5 * float(d @ hff @ d) >= 0.0:
+                    # the clipped point does not lower q: stop at the first kink
+                    alpha = np.where(out, d, 1.0) / np.where(out, y - zf, 1.0)
+                    a = alpha.min()
+                    out &= alpha <= a
+                    new = np.where(out, new, np.clip(zf + a * (y - zf), lof, hif))
+                moved = bool(np.count_nonzero(new != zf))
+                z[f] = new
+                fixed[f] = out
+                continue
+            if not nfixed:
+                return y
+            moved = bool(np.count_nonzero(y != zf))
+            z[f] = y
             r = grad + hm @ (z - w)
-            nfixed = np.count_nonzero(fixed)
-            if nfixed < n:
-                f = ~fixed
-                hff = hm[np.ix_(f, f)] if nfixed else hm
-                lof, hif = (b[f] for b in term.piece(slope))
-                zf, rs = z[f], r[f] + slope[f]
-                y = zf - np.linalg.solve(hff, rs)
-                new = np.minimum(np.maximum(y, lof), hif)
-                out = new != y
-                if np.count_nonzero(out):
-                    d = new - zf
-                    if float(d @ rs) + 0.5 * float(d @ hff @ d) >= 0.0:
-                        # the clipped point does not lower q: stop at the first kink
-                        alpha = np.where(out, d, 1.0) / np.where(out, y - zf, 1.0)
-                        a = alpha.min()
-                        out &= alpha <= a
-                        new = np.where(out, new, np.clip(zf + a * (y - zf), lof, hif))
-                    moved = bool(np.count_nonzero(new != zf))
-                    z[f] = new
-                    fixed[f] = out
-                    continue
-                if not nfixed:
-                    return y
-                moved = bool(np.count_nonzero(y != zf))
-                z[f] = y
-                r = grad + hm @ (z - w)
-            lo, hi = term.subdifferential(z)
-            up, down = -r - hi, lo + r
-            viol = np.where(fixed, np.maximum(up, down), -np.inf)
-            # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
-            slack = n * np.spacing(abs(grad).max() + abs(hm).max() * abs(z - w).sum())
-            free = viol > slack
-            if not np.count_nonzero(free):
-                return z
-            if not moved:
-                free = viol >= viol.max()
-            fixed &= ~free
-            slope = np.where(free, np.where(up > down, hi, lo), slope)
-        raise NumericalError("active-set model step reached %d passes" % (_PASS_CAP * n))
+        lo, hi = term.subdifferential(z)
+        up, down = -r - hi, lo + r
+        viol = np.where(fixed, np.maximum(up, down), -np.inf)
+        # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
+        slack = n * np.spacing(abs(grad).max() + abs(hm).max() * abs(z - w).sum())
+        free = viol > slack
+        if not np.count_nonzero(free):
+            return z
+        if not moved:
+            free = viol >= viol.max()
+        fixed &= ~free
+        slope = np.where(free, np.where(up > down, hi, lo), slope)
+    raise NumericalError("active-set model step reached %d passes" % (_PASS_CAP * n))
 
-    def _ball_quadratic(self, w, grad, hm):
-        """argmin <grad, z-w> + (z-w)'hm(z-w)/2 over |z - center| <= radius.
 
-        A trust-region subproblem shifted to the ball's center (More and
-        Sorensen 1983): z - center = (hm + a I)^{-1} (hm (w - center) - grad)
-        for the least multiplier a >= 0 that puts z in the ball, solved in
-        the eigenbasis of hm. hm is positive definite (prox-Newton adds a
-        multiple of I), so |z - center| decreases in a and there is no hard
-        case.
-        """
-        center, radius = self.term.center, self.term.radius
-        lam, vec = np.linalg.eigh(hm)
-        bt = vec.T @ (hm @ (w - center) - grad)
+def _ball_quadratic(term, w, grad, hm):
+    """argmin <grad, z-w> + (z-w)'hm(z-w)/2 over |z - center| <= radius.
 
-        def excess(a):
-            return float(np.linalg.norm(bt / (lam + a))) - radius
+    A trust-region subproblem shifted to the ball's center (More and
+    Sorensen 1983): z - center = (hm + a I)^{-1} (hm (w - center) - grad)
+    for the least multiplier a >= 0 that puts z in the ball, solved in
+    the eigenbasis of hm. hm is positive definite (prox-Newton adds a
+    multiple of I), so |z - center| decreases in a and there is no hard
+    case.
+    """
+    center, radius = term.center, term.radius
+    lam, vec = np.linalg.eigh(hm)
+    bt = vec.T @ (hm @ (w - center) - grad)
 
-        a = 0.0
-        if excess(a) > 0.0:
-            # |bt| / radius would be a root if lam were 0, so it brackets
-            a = decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
-        return center + vec @ (bt / (lam + a))
+    def excess(a):
+        return float(np.linalg.norm(bt / (lam + a))) - radius
+
+    a = 0.0
+    if excess(a) > 0.0:
+        # |bt| / radius would be a root if lam were 0, so it brackets
+        a = decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
+    return center + vec @ (bt / (lam + a))
 
 
 def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points=False):
@@ -411,7 +428,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
                 trace.points.append(z_new.copy())
         if cert.accepted:
             trace.newton_iters = solver.newton_iters
-            return InnerResult(z_new, g, cert, 0 if fixed_point else i, trace)
+            return InnerResult(cert, 0 if fixed_point else i, trace)
         z, rho_z, freg_z = z_new, rho_new, freg_new
         c = reg.gradient(z, cert.gradient)
         l_i = max(0.5 * l_i, rc.mu)

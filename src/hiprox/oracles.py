@@ -21,10 +21,10 @@ separable oracle, h itself for a quadratic): ``_form`` gives D^k f[h]^k,
 serves every order and every contraction against h. ``AnchorStack`` is the
 only public way to use them: it holds that data for the orders it is given
 at a fixed point y, evaluated once, and contracts it against a new h on
-every call without evaluating a scalar derivative again; ``contract`` gives
-every order's form, covector and (when asked) matrix from one projection. A
-scaling function anchored at y (``bregman``) and a Taylor model at x
-(``tensor_step``) each build one.
+every call without evaluating a scalar derivative again; ``series`` sums
+every order's Taylor term, gradient and (when asked) Hessian from one
+projection. A scaling function anchored at y (``bregman``) and a Taylor
+model at x (``tensor_step``) each build one.
 
 Scalar-derivative evaluations are counted per order in ``calls_by_order``,
 so a run can certify which derivative orders it consumed: order 0 counts
@@ -39,6 +39,7 @@ outer steps) when no inner solve ends at a fixed point.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -148,22 +149,27 @@ class AnchorStack:
         """Dense D^k f(y)[h]^{k-2}."""
         return self.oracle._matrix(self.weights[k], self._project(h), k)
 
-    def contract(self, h, hessian=False):
-        """{k: (D^k f(y)[h]^k, D^k f(y)[h]^{k-1}, dense D^k f(y)[h]^{k-2} or None)}.
+    def series(self, h, hessian=False, value=0, grad=None):
+        """The stack's Taylor sums at h, from one projection of h.
 
-        One projection of h serves every order. The matrices are formed only
-        when ``hessian`` is set; the order-2 one is ``hessian``, which does
-        not depend on h.
+        Returns value + sum_k D^k f(y)[h]^k / k!, grad + sum_k D^k f(y)[h]^{k-1} / (k-1)!
+        (from 0 when grad is None) and, when ``hessian`` is set and the stack
+        is not empty, the dense sum_k D^k f(y)[h]^{k-2} / (k-2)!, whose order-2
+        term is ``hessian``; else None. Each term is divided by its factorial
+        before it is added.
         """
         oracle = self.oracle
         ph = self._project(h)
-        out = {}
+        if grad is None:
+            grad = np.zeros_like(h)
+        hess = None
         for k, w in self.weights.items():
-            mat = None
-            if hessian:
+            value = value + oracle._form(w, ph, k) / math.factorial(k)
+            grad = grad + oracle._apply(w, ph, k, ph) / math.factorial(k - 1)
+            if hessian:  # the first order is 2, whose factorial (k - 2)! is 1
                 mat = self.hessian if k == 2 else oracle._matrix(w, ph, k)
-            out[k] = (oracle._form(w, ph, k), oracle._apply(w, ph, k, ph), mat)
-        return out
+                hess = mat if hess is None else hess + mat / math.factorial(k - 2)
+        return value, grad, hess
 
     @cached_property
     def hessian(self):

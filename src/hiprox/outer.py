@@ -20,8 +20,8 @@ the anchor itself. The inner loop starts there, reuses f (and grad f) and
 takes its first step at that constant; the exact and tensor providers ignore
 the start. ``scale`` is the step's M_k/M in (0, 1]: the provider certifies its
 point at H_k = scale * H. The plain loop and a fixed-H accelerated run pass 1.
-The loops hold the start and the scale, so a provider keeps no state between
-calls.
+A provider returns (certificate, inner iterations, inner trace or None) and
+keeps no state between calls.
 
 The bi-level method (BiOPT) is the accelerated loop at beta = 1/p with the
 certified Bregman inner loop as its acceptable-solution provider, and step k
@@ -40,13 +40,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .acceptance import ProxConfig, check_acceptable, exact_prox_1d
+from .acceptance import ProxConfig, check_acceptable
 from .bregman import bilevel_h, relative_constants
 from .errors import CapabilityError, NumericalError, ParameterError
-from .inner import WarmStart, inner_solve
+from .inner import WarmStart, exact_prox, inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
-from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step_1d
+from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step
 from .univariate import decreasing_root
 
 # adapt_m halves M_k after an inner solve that kept at most _CHEAP steps and
@@ -273,15 +273,15 @@ def _scaled(cfg, scale):
 
 
 def exact_prox_provider(oracle, term, cfg):
-    """Acceptable-solution provider backed by the exact 1-D prox solver."""
+    """Acceptable-solution provider backed by the exact prox (``exact_prox``)."""
 
     def provider(anchor, start, scale):
         step_cfg = _scaled(cfg, scale)
-        t, g = exact_prox_1d(oracle, term, step_cfg, anchor)
+        t, g = exact_prox(oracle, term, step_cfg, anchor)
         cert = check_acceptable(oracle, term, step_cfg, anchor, t, g)
         if not cert.accepted:
             raise NumericalError("exact prox output failed acceptance")
-        return t, g, cert, 0, None
+        return cert, 0, None
 
     return provider
 
@@ -299,13 +299,13 @@ def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
         step_cfg = _scaled(cfg, scale)
         rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
         res = inner_solve(oracle, term, step_cfg, rc, anchor, start, max_iter=max_iter)
-        return res.point, res.subgradient, res.certificate, res.iterations, res.trace
+        return res.certificate, res.iterations, res.trace
 
     return provider
 
 
 def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
-    """1-D provider that takes one augmented-model tensor step per anchor.
+    """Provider that takes one augmented-model tensor step per anchor (``tensor_step``).
 
     Returns (provider, cfg) where cfg carries the (M, H) pair under which a
     criterion-passing tensor step is acceptable at level beta. That pair
@@ -318,13 +318,13 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
         if scale != 1.0:
             raise ParameterError("a tensor step is acceptable at the declared M only")
         tm = TaylorModel(oracle, anchor, p, m)
-        t, g, ok, _, _ = tensor_step_1d(tm, term, gamma)
+        t, g, ok, _, _ = tensor_step(tm, term, gamma)
         if not ok:
             raise NumericalError("tensor step failed its inexactness criterion")
         cert = check_acceptable(oracle, term, cfg, anchor, t, g)
         if not cert.accepted:
             raise NumericalError("tensor step output failed acceptance")
-        return t, g, cert, 1, None
+        return cert, 1, None
 
     return provider, cfg
 
@@ -362,11 +362,11 @@ def _prox_step(provider, anchor, start, scale=1.0):
     its certificate, with the last step constant its inner solve kept (none
     from the other providers).
     """
-    t, _g, cert, iters, itrace = provider(anchor, start, scale)
+    cert, iters, itrace = provider(anchor, start, scale)
     if not cert.accepted:
         raise NumericalError("provider returned a non-accepted certificate")
     restart = WarmStart.at(cert, itrace.lsmooth[-1] if itrace is not None else None)
-    return (np.asarray(t, dtype=float), cert, iters, itrace), restart
+    return (cert.point, cert, iters, itrace), restart
 
 
 def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):

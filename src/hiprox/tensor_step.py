@@ -1,4 +1,4 @@
-"""Regularized Taylor models and inexact tensor steps (dimension 1).
+"""Regularized Taylor models and inexact tensor steps.
 
 The degree-p Taylor model of f at x and its power-augmented version are
 
@@ -18,7 +18,9 @@ which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
 
 A ``TaylorModel`` evaluates f(x), grad f(x) and the derivative stack of
 orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``);
-the model's value and gradient then only contract that stack against y - x.
+each point then costs one ``evaluate`` pass, which gives both models. A
+``tensor_step`` minimizes the augmented model plus psi by ``inner.prox_newton``,
+in every dimension, as the inner loop's steps and the exact prox do.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .inner import prox_newton, residual_tol
 from .metric import MetricSpace, PowerProx
 from .oracles import AnchorStack
-from .univariate import minimize_composite_1d
 
 CRITERION_SLACK = 1e-12
 
@@ -53,27 +55,32 @@ class TaylorModel:
         self.g0 = oracle.gradient(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
-    def taylor_value(self, y):
+    def evaluate(self, y, hessian=False):
+        """(model, augmented model) at y, each (value, gradient, Hessian or None).
+
+        One pass: d = y - x once, one ``AnchorStack.series``, |d| once.
+        """
         d = np.asarray(y, dtype=float) - self.x
-        val = self.f0 + float(np.dot(self.g0, d))
-        for k in range(2, self.p + 1):
-            val += self.stack.directional(d, k) / math.factorial(k)
-        return val
+        model = self.stack.series(d, hessian, self.f0 + float(np.dot(self.g0, d)), self.g0)
+        p_value, p_grad, p_hess = self._pp._terms(d, hessian)
+        c = self.prox_h
+        hess = None
+        if hessian:
+            hess = c * p_hess if model[2] is None else model[2] + c * p_hess
+        return model, (model[0] + c * p_value, model[1] + c * p_grad, hess)
+
+    # -- reads of one pass ------------------------------------------------
+    def taylor_value(self, y):
+        return self.evaluate(y)[0][0]
 
     def taylor_gradient(self, y):
-        d = np.asarray(y, dtype=float) - self.x
-        out = self.g0
-        for k in range(2, self.p + 1):
-            out = out + self.stack.apply(d, k, d) / math.factorial(k - 1)
-        return out
+        return self.evaluate(y)[0][1]
 
     def augmented_value(self, y):
-        d = np.asarray(y, dtype=float) - self.x
-        return self.taylor_value(y) + self.m / math.factorial(self.p) * self._pp.value(d)
+        return self.evaluate(y)[1][0]
 
     def augmented_gradient(self, y):
-        d = np.asarray(y, dtype=float) - self.x
-        return self.taylor_gradient(y) + self.m / math.factorial(self.p) * self._pp.gradient(d)
+        return self.evaluate(y)[1][1]
 
     @property
     def prox_h(self):
@@ -86,26 +93,22 @@ def convexity_threshold(p, m_next):
     return p * m_next
 
 
-def tensor_step_1d(tm, term, gamma):
-    """Minimize the augmented model plus psi in dimension 1.
+def tensor_step(tm, term, gamma):
+    """Minimize the augmented model plus psi: (T, g, criterion_ok, lhs, rhs).
 
-    Returns (T, g, criterion_ok, lhs, rhs) where the criterion compares the
-    augmented-gradient residual against gamma/(1+gamma) times the model
-    residual; an exact minimizer always passes.
+    ``prox_newton`` runs from the projected x to the ``residual_tol`` of
+    ``CRITERION_SLACK``, and g is nearest to -grad augmented(T), so the step
+    passes ``tensor_criterion`` at every gamma, gamma = 0 included.
     """
-    if tm.oracle.dimension != 1:
-        raise ParameterError("tensor steps are implemented in dimension 1 only")
     if gamma < 0:
         raise ParameterError("gamma must be >= 0")
-
-    def smooth_deriv(y):
-        return float(tm.augmented_gradient(np.array([y]))[0])
-
-    t = minimize_composite_1d(smooth_deriv, term, float(tm.x[0]))
-    ty = np.array([t])
-    g = term.subgradient_select(ty, -tm.augmented_gradient(ty))
-    ok, lhs, rhs = tensor_criterion(tm, term, ty, g, gamma)
-    return ty, g, ok, lhs, rhs
+    w0 = term.project(tm.x)
+    tol = residual_tol(CRITERION_SLACK, tm.metric,
+                       term.subgradient_distance(w0, -tm.augmented_gradient(w0)))
+    t, at_t, _ = prox_newton(lambda y: tm.evaluate(y, hessian=True)[1], term, w0, tol)
+    g = term.subgradient_select(t, -at_t[1])
+    ok, lhs, rhs = tensor_criterion(tm, term, t, g, gamma)
+    return t, g, ok, lhs, rhs
 
 
 def tensor_criterion(tm, term, y, g, gamma, slack=CRITERION_SLACK):
@@ -116,9 +119,9 @@ def tensor_criterion(tm, term, y, g, gamma, slack=CRITERION_SLACK):
     """
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
-    metric = tm.metric
-    lhs = metric.dual_norm(tm.augmented_gradient(y) + g)
-    rhs = metric.dual_norm(tm.taylor_gradient(y) + g)
+    model, augmented = tm.evaluate(y)
+    lhs = tm.metric.dual_norm(augmented[1] + g)
+    rhs = tm.metric.dual_norm(model[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + slack, lhs, rhs
 
 
@@ -153,9 +156,7 @@ def lemma2_bound_check(tm, y, g, gamma, m_next, slack=1e-10):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     metric = tm.metric
-    d = y - tm.x
-    pp = PowerProx(tm.p, metric)
-    lhs = metric.dual_norm(tm.oracle.gradient(y) + tm.prox_h * pp.gradient(d) + g)
+    lhs = metric.dual_norm(tm.oracle.gradient(y) + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
     rhs = metric.dual_norm(tm.oracle.gradient(y) + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + slack * max(1.0, bound)

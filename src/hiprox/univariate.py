@@ -1,16 +1,15 @@
-"""Exact minimization of a univariate convex composite s(x) + psi(x).
+"""The reference bisection for univariate composites, and ``decreasing_root``.
 
-The right derivative of a convex function is nondecreasing, so the minimizer
-is inf{x : s'(x) + psi'_+(x) >= 0}. psi is read through its subdifferential
-[psi'_-(x), psi'_+(x)] and its pieces: the pieces of slope -inf and +inf are
-psi's first and last, so their ends are the domain ends and the kinks next to
-them (0 for l1-type terms, lo and hi for a box). Those candidates are tested
-exactly first; otherwise the sign condition is bracketed by doubling and
-bisected to width 1e-14.
+``minimize_composite_1d`` minimizes s(x) + psi(x) for convex s given s'. No
+solver calls it: every minimization in the package is ``inner.prox_newton``.
+It stays as an independent reference for the tests, and the bench tracer
+counts calls through ``inner``'s binding. The minimizer is
+inf{x : s'(x) + psi'_+(x) >= 0}; psi's domain ends and the kinks next to
+them (the ends of its first and last pieces) are tested exactly first, then
+the sign condition is bracketed by doubling and bisected to width 1e-14.
 
-``decreasing_root`` closes the scalar root equations of the multivariate
-solvers (the ball multiplier of the inner step, the radius of ``psi_argmin``)
-by capped doubling and ``brentq``.
+``decreasing_root`` closes scalar root equations (the ball multiplier of the
+model step, the radius of ``psi_argmin``) by capped doubling and ``brentq``.
 """
 
 from __future__ import annotations
@@ -39,16 +38,9 @@ def decreasing_root(phi, lo, hi):
 
 
 def minimize_composite_1d(smooth_deriv, term, center):
-    """Return the minimizer of s + psi given s' and a bracketing seed.
+    """The minimizer of s + psi, s' = ``smooth_deriv``, for a separable ``term``.
 
-    Parameters
-    ----------
-    smooth_deriv : callable
-        Derivative of the smooth convex part.
-    term : SimpleTerm
-        Separable composite term (``subdifferential`` and ``piece``).
-    center : float
-        Expansion seed (any point; convergence does not depend on it).
+    ``center`` seeds the bracket expansion; the result does not depend on it.
     """
     if not term.is_separable:
         raise CapabilityError("no 1-d minimizer for term kind %r" % term.kind)

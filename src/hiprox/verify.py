@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acceptance import ProxConfig, certificate_inequalities, check_acceptable, exact_prox_1d
+from .acceptance import ProxConfig, certificate_inequalities, check_acceptable
 from .bregman import (
     RegularizedObjective,
     ScalingFunction,
@@ -24,7 +24,7 @@ from .bregman import (
     relative_sandwich_check,
     theta_bound,
 )
-from .inner import StepSolver, inner_solve
+from .inner import StepSolver, exact_prox, inner_solve
 from .outer import (
     EstimatingState,
     aihopp_run,
@@ -34,6 +34,7 @@ from .outer import (
     exact_prox_provider,
     inner_prox_provider,
     psi_argmin,
+    tensor_prox_provider,
 )
 from .oracles import AnchorStack
 from .problems import get_problem
@@ -42,7 +43,7 @@ from .tensor_step import (
     convexity_threshold,
     tensor_acceptance_map,
     tensor_criterion,
-    tensor_step_1d,
+    tensor_step,
 )
 
 
@@ -90,7 +91,7 @@ def suite_lemma1(seed=0):
             anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
             for beta in (0.0, 0.1, 1.0 / 3.0):
                 cfg = ProxConfig(3, 2.0, beta)
-                t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+                t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
                 cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
                 if not cert.accepted:
                     worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
@@ -223,7 +224,7 @@ def suite_estseq(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# bregman: inner-loop descent, contraction against a reference minimizer
+# bregman: inner-loop descent, contraction against the exact prox point
 # (from the anchor and from a seeded warm start), residual decay with
 # trace-measured constants, iteration log fit
 
@@ -271,7 +272,7 @@ def suite_bregman(seed=0):
         reg = RegularizedObjective(pr.oracle, anchor, p_run, h_run, cfg.metric)
         res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, anchor, keep_points=True)
         rows, pts, ls = res.trace.rows, res.trace.points, res.trace.lsmooth
-        z_star = _inner_reference(reg, pr.term, pts[-1])
+        z_star = exact_prox(pr.oracle, pr.term, cfg, anchor)[0]
         phi_star = reg.value(z_star) + pr.term.value(z_star)
         descent, contraction = _descent_contraction(sf, rc.mu, res.trace, z_star, phi_star)
         descent_worst = max(descent_worst, descent)
@@ -329,17 +330,6 @@ def _descent_contraction(sf, mu, trace, z_star, phi_star):
         bound = rate + (phi_star - rows[i].phi) / (2.0 * ls[i - 1])
         contraction = max(contraction, bregman_distance(sf, pts[i], z_star) - bound)
     return descent, contraction
-
-
-def _inner_reference(reg, term, start):
-    """1e-12-accurate minimizer of f_reg + psi by reference Newton solvers."""
-    from .problems import box_newton_reference, newton_reference
-
-    if term.kind == "zero":
-        return newton_reference(reg, start)
-    if term.kind == "box":
-        return box_newton_reference(reg, term.lo, term.hi, start)
-    raise ValueError("no reference route for term kind %r" % term.kind)
 
 
 def _iteration_log_fit():
@@ -627,10 +617,27 @@ def suite_tensor(seed=0):
         worst = np.inf
     results.append(CheckResult("tensor", "target-beta map acceptance", worst, 1e-12))
 
-    t_step, g_step, ok, _, _ = tensor_step_1d(tm_map, term, gamma)
+    t_step, g_step, ok, _, _ = tensor_step(tm_map, term, gamma)
     cert = check_acceptable(oracle, term, cfg, anchor, t_step, g_step)
     worst = cert.lhs - cfg.beta * cert.rhs if ok else np.inf
     results.append(CheckResult("tensor", "exact step criterion + acceptance", worst, 1e-12))
+
+    # a seeded accelerated tensor-step run in dimension 3: every step passes
+    # the criterion (rechecked on a fresh model) and its certificate
+    prob = get_problem("logistic-sep-3d")
+    prob = replace(prob, x0=prob.sample(rng, 1)[0])
+    beta = 1.0 / 3.0
+    gamma = beta / (2.0 * (1.0 + beta))
+    m_next = prob.m_next(3)
+    provider, cfg = tensor_prox_provider(prob.oracle, prob.term, 3, beta, gamma, m_next)
+    run = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=200)
+    m_map, _ = tensor_acceptance_map(3, beta, gamma, m_next)
+    worst = -np.inf if run.status == "converged" else np.inf
+    for cert in run.certificates:
+        tm_run = TaylorModel(prob.oracle, cert.anchor, 3, m_map)
+        _, lhs, rhs = tensor_criterion(tm_run, prob.term, cert.point, cert.subgradient, gamma)
+        worst = max(worst, lhs - gamma / (1.0 + gamma) * rhs, certificate_violation(cert, cfg))
+    results.append(CheckResult("tensor", "logistic-sep-3d accelerated tensor steps", worst, 1e-10))
     return results
 
 

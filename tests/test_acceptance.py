@@ -17,7 +17,7 @@ from hiprox import (
     biopt_run,
     bilevel_h,
     check_acceptable,
-    exact_prox_1d,
+    exact_prox,
     exact_prox_provider,
     get_problem,
     ihopp_run,
@@ -133,7 +133,7 @@ def test_04_certificate_inequalities_everywhere():
             anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
             for beta in (0.0, 0.1, 1.0 / 3.0):
                 cfg = ProxConfig(3, 2.0, beta)
-                t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+                t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
                 cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
                 if cert.accepted:
                     pairs.append((cert, cfg))
@@ -202,7 +202,7 @@ def test_07_acceptance_region_scan():
     for beta_t in np.linspace(0.0, 0.95, 20):
         for anchor in (0.6, 1.4):
             cfg_t = ProxConfig(3, h, beta_t)
-            t, g = exact_prox_1d(prob.oracle, prob.term, cfg_t, np.array([anchor]))
+            t, g = exact_prox(prob.oracle, prob.term, cfg_t, np.array([anchor]))
             cert = check_acceptable(
                 prob.oracle, prob.term, cfg_t, np.array([anchor]), t, g
             )

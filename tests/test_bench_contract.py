@@ -10,6 +10,8 @@ Its ``inner.solves`` row counts ``inner_solve`` calls through the binding in
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from hiprox import ProxConfig, bilevel_h, get_problem, inner_solve, outer, relative_constants
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -39,6 +41,31 @@ def test_tracer_counts_prox_newton_steps():
     assert calls.get("inner.step.prox_newton", 0) == res.iterations + res.trace.backtracks
     assert res.iterations > 0
     assert calls.get("inner.step.univariate", 0) == 0
+
+
+@pytest.mark.parametrize("provider_kind", ["exact", "tensor"])
+def test_exact_prox_and_tensor_steps_feed_no_bregman_step_rows(provider_kind):
+    # the exact prox and the tensor step share prox-Newton with the Bregman
+    # step, but only StepSolver.step counts as an inner step, and nothing
+    # reaches the bisection any more
+    prob = get_problem("quartic-abs-1d")
+    if provider_kind == "exact":
+        cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=1.0 / 3.0)
+        provider = outer.exact_prox_provider(prob.oracle, prob.term, cfg)
+    else:
+        provider, cfg = outer.tensor_prox_provider(prob.oracle, prob.term, 3, 0.9, 8.0 / 19.0,
+                                                   prob.m_next(3))
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        trace = outer.ihopp_run(prob, cfg, provider, eps=1e-8, max_k=100)
+    finally:
+        tracer.uninstall()
+    calls = tracer.take_pass()["calls"]
+    assert trace.status == "converged"
+    assert calls.get("acceptance.check_acceptable", 0) == len(trace.rows) - 1 > 0
+    assert calls.get("inner.step.prox_newton", 0) == 0
+    assert not [name for name in calls if name.startswith("univariate.")]
 
 
 def test_tracer_counts_one_coefficient_pair_per_bilevel_step():

@@ -13,10 +13,13 @@ from hiprox import (
     acceptable_interval_1d,
     certificate_inequalities,
     check_acceptable,
-    exact_prox_1d,
+    exact_prox,
+    exact_prox_provider,
     get_problem,
+    ihopp_run,
     make_term,
 )
+from hiprox.metric import MetricSpace
 
 
 def test_prox_config_validation():
@@ -50,7 +53,7 @@ def test_exact_prox_linear_nonneg_interior():
     # f(x) = x on x >= 0, H = 1, p = 3: stationarity (T - xb)^3 = -1
     prob = get_problem("linear-nonneg-1d")
     cfg = ProxConfig(3, 1.0, 0.85)
-    t, g = exact_prox_1d(prob.oracle, prob.term, cfg, np.array([1.4]))
+    t, g = exact_prox(prob.oracle, prob.term, cfg, np.array([1.4]))
     np.testing.assert_allclose(t, [0.4], atol=1e-12)
     np.testing.assert_allclose(g, [0.0], atol=1e-12)
     cert = check_acceptable(prob.oracle, prob.term, cfg, np.array([1.4]), t, g)
@@ -62,7 +65,7 @@ def test_exact_prox_linear_nonneg_boundary():
     # anchor 0.6: unconstrained root lands at -0.4, so T = 0 with g < 0
     prob = get_problem("linear-nonneg-1d")
     cfg = ProxConfig(3, 1.0, 0.85)
-    t, g = exact_prox_1d(prob.oracle, prob.term, cfg, np.array([0.6]))
+    t, g = exact_prox(prob.oracle, prob.term, cfg, np.array([0.6]))
     np.testing.assert_allclose(t, [0.0], atol=1e-12)
     np.testing.assert_allclose(g, [0.6 ** 3 - 1.0], atol=1e-12)
     cert = check_acceptable(prob.oracle, prob.term, cfg, np.array([0.6]), t, g)
@@ -77,7 +80,7 @@ def test_exact_prox_degenerate_box():
     assert term.subgradient_select(np.array([0.5]), np.array([-3.0]))[0] == -3.0
     cfg = ProxConfig(3, 1.0, 0.85)
     anchor = np.array([0.5])
-    t, g = exact_prox_1d(prob.oracle, term, cfg, anchor)
+    t, g = exact_prox(prob.oracle, term, cfg, anchor)
     assert t[0] == 0.5 and g[0] == -1.0
     assert check_acceptable(prob.oracle, term, cfg, anchor, t, g).accepted
 
@@ -90,9 +93,22 @@ def test_exact_prox_accepted_at_beta_zero():
         anchor = np.array([rng.uniform(-2.0, 2.0)])
         for beta in (0.0, 0.1, 1.0 / 3.0, 0.85):
             cfg = ProxConfig(3, 2.0, beta)
-            t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+            t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
             cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
             assert cert.accepted
+
+
+def test_exact_prox_solves_in_the_configured_metric():
+    # with B = 4 the prox term is H <B(x - xb), x - xb>^2 / 4: a Euclidean
+    # solve lands elsewhere, and the certificate, measured in B, rejects it
+    prob = get_problem("quartic-abs-1d")
+    cfg = ProxConfig(3, 2.0, 0.0, metric=MetricSpace(1, weights=[4.0]))
+    for a in (1.7, -0.9, 0.3):
+        anchor = np.array([a])
+        t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
+        assert check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g).accepted
+    trace = ihopp_run(prob, cfg, exact_prox_provider(prob.oracle, prob.term, cfg), eps=1e-8)
+    assert trace.status == "converged"
 
 
 def test_acceptable_interval_closed_form():
@@ -142,7 +158,7 @@ def test_accepted_pair_inequalities():
         anchor = np.array([rng.uniform(-2.0, 2.0)])
         beta = rng.uniform(0.0, 1.0 / 3.0)
         cfg = ProxConfig(3, 2.0, beta)
-        t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+        t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
         cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
         checks = certificate_inequalities(cert, cfg)
         assert set(checks) == {"radius", "progress", "progress_dual"}
@@ -155,7 +171,7 @@ def test_progress_dual_requires_small_beta():
     prob = get_problem("quartic-abs-1d")
     cfg = ProxConfig(3, 2.0, 0.5)  # beta > 1/p
     anchor = np.array([1.5])
-    t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+    t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
     cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
     checks = certificate_inequalities(cert, cfg)
     assert set(checks) == {"radius", "progress"}
@@ -165,7 +181,7 @@ def test_certificate_record_fields():
     prob = get_problem("quartic-1d")
     cfg = ProxConfig(3, 2.0, 0.1)
     anchor = np.array([2.0])
-    t, g = exact_prox_1d(prob.oracle, prob.term, cfg, anchor)
+    t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
     cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
     rec = cert.to_record()
     assert rec["accepted"]

@@ -1,5 +1,7 @@
 """Inner Bregman loop: the prox-Newton step, per-step optimality, certificate exit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,18 @@ from hiprox import (
     RelativeConstants,
     ScalingFunction,
     StepSolver,
+    TaylorModel,
     WarmStart,
     bilevel_h,
     biopt_run,
+    exact_prox,
     get_problem,
+    inner,
     inner_solve,
     make_term,
     minimize_composite_1d,
     relative_constants,
+    tensor_step,
 )
 
 
@@ -34,9 +40,9 @@ def _setup(problem_name, p, h=None, beta=None):
     return prob, cfg, rc
 
 
-def _solver(prob, cfg, rc, anchor=None, term=None):
+def _solver(prob, cfg, rc, anchor=None):
     anchor = np.asarray(prob.x0 if anchor is None else anchor, dtype=float)
-    term = prob.term if term is None else term
+    term = prob.term
     sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     return StepSolver(sf, reg, term), sf, reg, term
@@ -47,14 +53,20 @@ def _solver(prob, cfg, rc, anchor=None, term=None):
     [
         ("quartic-1d", 3, None, None),
         ("quartic-1d", 4, None, 1.0),  # M_5 = 0 is declared; any M > 0 defines a model
+        ("quartic-1d", 5, None, 1.0),
         ("quartic-abs-1d", 3, None, None),
+        ("quartic-abs-1d", 4, None, 1.0),
         ("quartic-abs-1d", 5, None, 1.0),
         ("linear-nonneg-1d", 3, 2.0, 1.0),
+        ("linear-nonneg-1d", 4, 2.0, 1.0),
+        ("linear-nonneg-1d", 5, 2.0, 1.0),
     ],
 )
 def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
-    # in dimension 1 the prox-Newton step must land where exact bracketing
-    # of the same Bregman model does: s'(x) = 2L rho'(x) + c - 2L rho'(z)
+    # in dimension 1 prox-Newton must land where exact bracketing of the same
+    # problem does: the Bregman step, s'(x) = 2L rho'(x) + c - 2L rho'(z); the
+    # exact prox, s'(x) = f'(x) + H |x - xb|^{p-1} (x - xb); and the tensor
+    # step at M = p! H, s' = the augmented model's derivative
     prob = get_problem(problem_name)
     m = prob.m_next(p) if m is None else m
     h = bilevel_h(p, m) if h is None else h
@@ -62,6 +74,10 @@ def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
     rc = relative_constants(p, h, m)
     solver, sf, reg, term = _solver(prob, cfg, rc)
     two_l = 2.0 * rc.lsmooth
+
+    def lands(x, ref):
+        assert abs(float(x[0]) - ref) <= 1e-12 * max(1.0, abs(ref)), (x, ref)
+
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(4):
         ctil = float(reg.gradient(z)[0] - two_l * sf.gradient(z)[0])
@@ -71,8 +87,24 @@ def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
 
         ref = minimize_composite_1d(deriv, term, float(z[0]))
         z_new = solver.step(z, rc.lsmooth)[0]
-        assert abs(float(z_new[0]) - ref) <= 1e-12 * max(1.0, abs(ref))
+        lands(z_new, ref)
         z = z_new
+    rng = np.random.default_rng(p)
+    for anchor in term.project(rng.uniform(prob.sample_lo, prob.sample_hi, (5, 1))):
+        xb = float(anchor[0])
+
+        def prox_deriv(x):
+            fx = float(prob.oracle.gradient(np.array([x]))[0])
+            return fx + h * abs(x - xb) ** (p - 1) * (x - xb)
+
+        lands(exact_prox(prob.oracle, term, cfg, anchor)[0],
+              minimize_composite_1d(prox_deriv, term, xb))
+        tm = TaylorModel(prob.oracle, anchor, p, math.factorial(p) * h)
+
+        def model_deriv(x):
+            return float(tm.augmented_gradient(np.array([x]))[0])
+
+        lands(tensor_step(tm, term, 0.0)[0], minimize_composite_1d(model_deriv, term, xb))
 
 
 @pytest.mark.parametrize(
@@ -175,8 +207,8 @@ def test_inner_solve_fixed_point_zero_iterations():
     res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star, prob.x_star)
     assert res.iterations == 0
     assert len(res.trace.rows) == 1
-    np.testing.assert_allclose(res.point, prob.x_star, atol=1e-12)
-    np.testing.assert_allclose(res.subgradient, 0.0, atol=1e-10)
+    np.testing.assert_allclose(res.certificate.point, prob.x_star, atol=1e-12)
+    np.testing.assert_allclose(res.certificate.subgradient, 0.0, atol=1e-10)
     assert res.certificate.accepted
 
 
@@ -185,7 +217,7 @@ def test_inner_solve_keep_points():
     res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0, keep_points=True)
     assert len(res.trace.points) == len(res.trace.rows)
     np.testing.assert_allclose(res.trace.points[0], prob.x0)
-    np.testing.assert_allclose(res.trace.points[-1], res.point)
+    np.testing.assert_allclose(res.trace.points[-1], res.certificate.point)
 
 
 def test_inner_solve_validation():
@@ -227,7 +259,7 @@ def test_inner_solve_from_seeded_start(problem_name, p, seed):
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     assert phi[0] == reg.value(start) + prob.term.value(start)
     assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
-    assert res.newton_iters >= res.iterations >= 1
+    assert res.trace.newton_iters >= res.iterations >= 1
 
 
 def test_inner_solve_start_by_certificate_reuses_its_evaluations():
@@ -239,7 +271,7 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     oracle = prob.oracle
     oracle.reset_counters()
     res = inner_solve(oracle, prob.term, cfg, rc, anchor, WarmStart.at(first.certificate))
-    np.testing.assert_array_equal(res.trace.start, first.point)
+    np.testing.assert_array_equal(res.trace.start, first.certificate.point)
     # rejected step candidates are certified too
     candidates = max(res.iterations, 1) + res.trace.backtracks
     rows = oracle.a.shape[0]
@@ -247,7 +279,7 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     assert oracle.calls_by_order[0] == rows * candidates
     # the same start as a bare point costs one more of each
     oracle.reset_counters()
-    bare = inner_solve(oracle, prob.term, cfg, rc, anchor, first.point)
+    bare = inner_solve(oracle, prob.term, cfg, rc, anchor, first.certificate.point)
     assert bare.trace.to_csv() == res.trace.to_csv()
     assert oracle.calls_by_order[1] == rows * (candidates + 1)
     assert oracle.calls_by_order[0] == rows * (candidates + 1)
@@ -321,9 +353,8 @@ def test_trace_csv_deterministic():
 
 
 def _model_min(term, w, g, hm):
-    prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    solver, _, _, _ = _solver(prob, cfg, rc, term=term)
-    return solver._model_min(np.asarray(w, float), np.asarray(g, float), np.asarray(hm, float))
+    return inner._model_min(term, np.asarray(w, float), np.asarray(g, float),
+                            np.asarray(hm, float))
 
 
 def _kkt_scale(w, g, hm, z):
@@ -337,8 +368,7 @@ def test_model_min_reaches_model_optimality(seed):
     # (the active-set method, the eigenbasis solve for the ball, one linear
     # solve for psi = 0) ends at a point where -(g + hm (z - w)) lies in
     # dpsi(z), for random PSD models, some with eigenvalues 1e-4 to 1e2
-    prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    n = prob.dimension
+    n = get_problem("quartic-sep-10d").dimension
     rng = np.random.default_rng(seed)
     terms = (
         make_term("box", lo=-rng.uniform(0.1, 1.0, n), hi=rng.uniform(0.1, 1.0, n)),
@@ -348,7 +378,6 @@ def test_model_min_reaches_model_optimality(seed):
         make_term("zero"),
     )
     for term in terms:
-        solver, _, _, _ = _solver(prob, cfg, rc, term=term)
         for ill in (False, False, False, True, True):
             if ill:
                 q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -359,7 +388,7 @@ def test_model_min_reaches_model_optimality(seed):
                 hm = b @ b.T / n + 0.05 * np.eye(n)
             w = term.project(rng.uniform(-1.0, 1.0, n))
             g = 2.0 * rng.standard_normal(n)
-            z = solver._model_min(w, g, hm)
+            z = _model_min(term, w, g, hm)
             # the active-set method clips exactly; |z - c| on the ball is rounded
             assert term.contains(z, tol=0.0 if term.is_separable else 1e-14 * term.radius)
             res = term.subgradient_distance(z, -(g + hm @ (z - w)))

@@ -478,6 +478,27 @@ def test_tensor_provider_drives_plain_loop():
     assert all(r.inner_iters == 1 for r in trace.rows[1:])
 
 
+@pytest.mark.parametrize("name", ["logistic-sep-3d", "quartic-sep-10d"])
+def test_tensor_steps_read_order_p_where_bilevel_stops_at_2q(name):
+    # the paper's 2q claim at p = 3: one tensor step per accelerated outer
+    # step reads D^3 f, while the bi-level loop reads no derivative above
+    # order 2q = 2, and both reach the same gap
+    beta = 1.0 / 3.0
+    tensor_prob = get_problem(name)
+    provider, cfg = tensor_prox_provider(tensor_prob.oracle, tensor_prob.term, 3, beta,
+                                         beta / (2.0 * (1.0 + beta)), tensor_prob.m_next(3))
+    tensor_prob.oracle.reset_counters()
+    tensor = aihopp_run(tensor_prob, cfg, provider, eps=1e-6, max_k=400)
+    bilevel_prob = get_problem(name)
+    bilevel_prob.oracle.reset_counters()
+    bilevel = biopt_run(bilevel_prob, 3, eps=1e-6, max_k=400)
+    assert tensor.status == bilevel.status == "converged"
+    assert all(r.inner_iters == 1 for r in tensor.rows[1:])
+    assert 3 in tensor_prob.oracle.calls_by_order
+    assert max(tensor_prob.oracle.calls_by_order) == 3
+    assert max(bilevel_prob.oracle.calls_by_order) == 2
+
+
 def test_outer_trace_csv_and_summary():
     prob = get_problem("quartic-abs-1d")
     cfg = ProxConfig(p=3, h=72.0, beta=1.0 / 3.0)

@@ -18,7 +18,7 @@ from hiprox import (
     make_term,
     tensor_acceptance_map,
     tensor_criterion,
-    tensor_step_1d,
+    tensor_step,
 )
 
 
@@ -118,7 +118,7 @@ def test_linear_objective_step_closed_form():
     term = make_term("zero")
     for p, m, x in ((3, 6.0, 2.0), (3, 48.0, 0.5), (2, 4.0, 1.0)):
         tm = TaylorModel(oracle, np.array([x]), p, m)
-        t, g, ok, lhs, rhs = tensor_step_1d(tm, term, 0.25)
+        t, g, ok, lhs, rhs = tensor_step(tm, term, 0.25)
         expected = x - (math.factorial(p) / m) ** (1.0 / p)
         np.testing.assert_allclose(t, [expected], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g, [0.0], atol=1e-14)
@@ -148,7 +148,7 @@ def test_exact_step_always_passes_criterion():
     for _ in range(20):
         x = rng.uniform(-1.5, 1.5)
         tm = TaylorModel(oracle, np.array([x]), 3, 45.6)
-        t, g, ok, lhs, _ = tensor_step_1d(tm, term, 0.0)
+        t, g, ok, lhs, _ = tensor_step(tm, term, 0.0)
         assert ok
         assert lhs <= 1e-9
 
@@ -214,7 +214,7 @@ def test_target_beta_map_chain():
             cert = check_acceptable(oracle, term, cfg, anchor, point, g)
             assert cert.accepted
     assert passing > 0
-    t, g, ok, _, _ = tensor_step_1d(tm, term, gamma)
+    t, g, ok, _, _ = tensor_step(tm, term, gamma)
     assert ok
     assert check_acceptable(oracle, term, cfg, anchor, t, g).accepted
 
@@ -224,7 +224,7 @@ def test_lemma2_bound_check():
     gamma = 8.0 / 19.0
     m, _ = tensor_acceptance_map(3, 0.9, gamma, 24.0)
     tm = TaylorModel(oracle, np.array([0.8]), 3, m)
-    t, g, ok, _, _ = tensor_step_1d(tm, term, gamma)
+    t, g, ok, _, _ = tensor_step(tm, term, gamma)
     assert ok
     lhs, bound, bound_ok = lemma2_bound_check(tm, t, g, gamma, 24.0)
     assert bound_ok

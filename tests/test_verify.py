@@ -113,7 +113,8 @@ _SEEDED_ROWS = {"estseq": ("key inequality A_k F(x_k) <= Psi_k*", "coefficient g
                            "adaptive key inequality at H_k", "adaptive sandwich upper",
                            "adaptive sandwich lower", "adaptive certificates at H_k"),
                 "tensor": ("model subdifferential monotone", "criterion region maps to acceptance",
-                           "target-beta map acceptance", "exact step criterion + acceptance")}
+                           "target-beta map acceptance", "exact step criterion + acceptance",
+                           "logistic-sep-3d accelerated tensor steps")}
 
 
 @pytest.mark.parametrize("suite", sorted(_SEEDED_ROWS))
