@@ -71,7 +71,7 @@ from .outer import (
 from .problems import Problem, get_problem, list_problems
 from .scalar_families import make_family
 from .simple_terms import make_term
-from .tensor_step import (
+from .tensor import (
     TaylorModel,
     convexity_threshold,
     lemma2_bound_check,

@@ -16,6 +16,13 @@ An accepted pair obeys three computable inequalities used by the outer loops:
     (ii)  <grad f(T)+g, xb-T>  >=  (H/(1+beta)) |T-xb|^{p+1}
     (iii) <grad f(T)+g, xb-T>  >=  ((1-beta)/H)^{1/p} |grad f(T)+g|_*^{(p+1)/p}
           (the last provided beta <= 1/p).
+
+A certificate costs one residual pass of f at T (f and grad f together).
+Inside the inner loop it also reads |T - xb| and grad d(T - xb) from the
+scaling function's pass at T, and the membership distance of g from the
+step that produced the pair, so d and its norm are formed once per
+candidate; the certificate still runs its own membership test on that
+distance.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ class ProxConfig:
     h: float
     beta: float
     metric: MetricSpace = None
+    _power: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 1:
@@ -56,8 +64,12 @@ class ProxConfig:
         return self.beta <= 1.0 / self.p + 1e-15
 
     def power(self, dimension):
-        metric = self.metric if self.metric is not None else MetricSpace.euclidean(dimension)
-        return PowerProx(self.p, metric)
+        """The power regularizer d in this metric (Euclidean when None), built once per dimension."""
+        pp = self._power.get(dimension)
+        if pp is None:
+            metric = self.metric if self.metric is not None else MetricSpace.euclidean(dimension)
+            pp = self._power[dimension] = PowerProx(self.p, metric)
+        return pp
 
 
 @dataclass
@@ -87,33 +99,45 @@ class AcceptanceCertificate:
         }
 
 
-def check_acceptable(oracle, term, cfg, anchor, point, g):
+def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
     """Build the acceptance certificate for a candidate pair (point, g).
 
     Raises CertificateError when the pair is malformed (point outside the
     domain of psi, or g provably not a subgradient there); a well-formed pair
     that merely violates the beta inequality comes back with accepted=False.
-    The certificate keeps f(T) and grad f(T), evaluated once here, for the
-    callers that need them next (the inner loop's next step and trace row,
-    the outer loops' objective value and estimating update).
+    The certificate keeps f(T) and grad f(T), evaluated here from one residual
+    pass (``value_and_gradient``), for the callers that need them next (the
+    inner loop's next step and trace row, the outer loops' objective value
+    and estimating update).
+
+    A caller that already has them passes ``gap``, the distance
+    ``term.subgradient_distance(point, g)``, and ``power``, the pair
+    (|d|, grad d(d)) at d = point - anchor in ``cfg``'s metric; neither is
+    computed again. The inner loop reads both off its step: the membership
+    check of ``StepSolver.step`` and the scaling function's pass at the
+    point (``ScalingFunction.evaluate``), which shares this anchor and metric.
     """
     anchor = np.asarray(anchor, dtype=float)
     point = np.asarray(point, dtype=float)
     g = np.asarray(g, dtype=float)
     if not term.contains(point):
         raise CertificateError("candidate point lies outside dom psi")
-    gap = term.subgradient_distance(point, g)
+    if gap is None:
+        gap = term.subgradient_distance(point, g)
     if gap > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(g))):
         raise CertificateError(
             "g is not a subgradient of psi at the candidate (distance %.3e)" % gap
         )
     pp = cfg.power(len(point))
-    metric = pp.metric
-    grad = oracle.gradient(point)
+    if power is None:
+        _, d_grad, _, radius = pp._terms(point - anchor)
+    else:
+        radius, d_grad = power
+    f_value, grad = oracle.value_and_gradient(point)
     residual = grad + g
-    reg_residual = residual + cfg.h * pp.gradient(point - anchor)
-    lhs = metric.dual_norm(reg_residual)
-    rhs = metric.dual_norm(residual)
+    reg_residual = residual + cfg.h * d_grad
+    lhs = pp.metric.dual_norm(reg_residual)
+    rhs = pp.metric.dual_norm(residual)
     return AcceptanceCertificate(
         anchor=anchor,
         point=point,
@@ -122,11 +146,11 @@ def check_acceptable(oracle, term, cfg, anchor, point, g):
         rhs=rhs,
         beta=cfg.beta,
         accepted=lhs <= cfg.beta * rhs + ACCEPT_SLACK,
-        radius=metric.primal_norm(point - anchor),
+        radius=radius,
         inner_product=float(np.dot(residual, anchor - point)),
         residual=residual,
         gradient=grad,
-        f_value=oracle.value(point),
+        f_value=f_value,
     )
 
 

@@ -27,8 +27,10 @@ residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
 D^2 f(y) does not depend on x and is formed once. Each point then costs one
 pass, ``evaluate``: it forms d = x - y once, projects it once for all orders
 (``AnchorStack.series``), takes |d| once for the power term, and gives rho,
-grad rho and, when asked, the Hessian matrix of rho. ``value``, ``gradient``
-and ``hessian_matrix`` are reads of that pass. The oracle's
+grad rho and, when asked, the Hessian matrix of rho, with |d|, d(d) and
+grad d(d): the inner loop reads f_reg, grad f_reg and the acceptance
+certificate at the point off them. ``value``, ``gradient`` and
+``hessian_matrix`` are reads of that pass. The oracle's
 ``calls_by_order`` still names every order consumed, but counts the anchor's
 orders once per scaling function rather than once per call.
 
@@ -82,20 +84,22 @@ class ScalingFunction:
         self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
     def evaluate(self, x, hessian=False):
-        """(rho(x), grad rho(x), Hessian matrix of rho at x or None), in one pass.
+        """One pass at x: (rho, grad rho, Hessian matrix of rho or None, |d|, d(d), grad d(d)).
 
         The pass forms d = x - anchor once, projects it once for every order of
         the anchor stack (``AnchorStack.series``), and takes |d| once for the
-        power term.
+        power term. The last three items are that power term's own: the same
+        anchor and metric give f_reg(x) = f(x) + H d(d), grad f_reg(x) and the
+        acceptance certificate at x without another norm of d.
         """
         d = np.asarray(x, dtype=float) - self.anchor
         value, grad, hess = self.stack.series(d, hessian)
-        p_value, p_grad, p_hess = self.pp._terms(d, hessian)
+        p_value, p_grad, p_hess, radius = self.pp._terms(d, hessian)
         value = value + self.h * p_value
         grad = grad + self.h * p_grad
         if hessian:
             hess = hess + self.h * p_hess
-        return value, grad, hess
+        return value, grad, hess, radius, p_value, p_grad
 
     # -- reads of one pass ------------------------------------------------
     def poly_value(self, x):
@@ -118,7 +122,7 @@ def bregman_distance(sf, x, z):
     """breg(x, z) = rho(z) - rho(x) - <grad rho(x), z - x> (anchored at x)."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    rho_x, grad_x, _ = sf.evaluate(x)
+    rho_x, grad_x = sf.evaluate(x)[:2]
     return sf.value(z) - rho_x - float(np.dot(grad_x, z - x))
 
 
@@ -154,10 +158,10 @@ class RegularizedObjective:
     def evaluate(self, x):
         """(f_reg(x), grad f_reg(x), Hessian matrix of f_reg at x), from one norm of d."""
         x = np.asarray(x, dtype=float)
-        value, grad, hess = self.pp._terms(x - self.anchor, hessian=True)
-        oracle = self.oracle
-        return (oracle.value(x) + self.h * value, oracle.gradient(x) + self.h * grad,
-                oracle.hessian_matrix(x) + self.h * hess)
+        value, grad, hess, _ = self.pp._terms(x - self.anchor, hessian=True)
+        f_value, grad_f = self.oracle.value_and_gradient(x)
+        return (f_value + self.h * value, grad_f + self.h * grad,
+                self.oracle.hessian_matrix(x) + self.h * hess)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .outer import (
     inner_prox_provider,
 )
 from .problems import get_problem, list_problems
-from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_criterion
+from .tensor import TaylorModel, tensor_acceptance_map, tensor_criterion
 from .verify import run_suite
 
 _MODES = ("plain", "accelerated", "bilevel", "example1", "example2")

@@ -12,7 +12,7 @@ and the loop stops as soon as (z+, g) is acceptable for the proximal
 certificate at the anchor. Every step, in every dimension, is solved by
 ``prox_newton``, the package's one minimizer of smooth convex + psi, which
 also gives the exact prox (``exact_prox``) and the tensor step
-(``tensor_step.tensor_step``).
+(``tensor.tensor_step``).
 
 The step constant L_i is backtracked between mu and L of
 ``relative_constants`` (relative smoothness: Lu, Freund and Nesterov 2018;
@@ -48,10 +48,17 @@ count, never the acceptance test.
 
 The scaling function of one inner solve is built once (see ``bregman``).
 Every point costs one ``ScalingFunction.evaluate`` pass (rho, its gradient
-and Hessian), which serves the next Newton iteration, the next step and the
-trace's Bregman distance. f and grad f at a candidate are evaluated once, by
-its certificate, which the next step, the descent test and the outer loop
-read; a start that brings them along evaluates neither.
+and Hessian, and the power term's |d|, d(d) and grad d(d)), which serves the
+next Newton iteration, the next step and the trace's Bregman distance. At a
+candidate z+ the certificate reads |d| and grad d(d) off that pass, and
+f_reg(z+) and the next step's grad f_reg are formed from it, so d and its
+norm are formed once per point. f and grad f at a candidate come from one
+residual pass, in its certificate, which the next step, the descent test and
+the outer loop read; a start that brings them along evaluates neither. The
+certificate also takes the membership distance of g that the step has
+computed for its own residual check; both checks still run on it. Within a
+Newton iteration psi(w) is evaluated once, and the Hessian shift is added on
+the diagonal.
 """
 
 from __future__ import annotations
@@ -161,8 +168,9 @@ class StepSolver:
         c = grad f_reg(z) and L = ``lsmooth``, the step's constant. ``grad_reg``
         is c and ``rho_z`` the pass ``sf.evaluate(z, hessian=True)``, when the
         caller has them; otherwise they are computed here. Returns (z+, g, rho
-        at z+), the last being the next step's ``rho_z``: each Newton iterate's
-        rho pass rides along with phi's.
+        pass at z+, distance from g to dpsi(z+)): the pass is the next step's
+        ``rho_z`` (each Newton iterate's rho pass rides along with phi's), and
+        the pass and the distance are what the certificate of (z+, g) reads.
         """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
@@ -189,7 +197,7 @@ class StepSolver:
         if dist > 100.0 * tol:
             raise NumericalError("prox-Newton step residual %.3e > %.1e" % (dist, 100.0 * tol),
                                  residual=dist)
-        return w, g, rho_w
+        return w, g, rho_w, dist
 
 
 def prox_newton(evaluate, term, w, tol):
@@ -203,25 +211,27 @@ def prox_newton(evaluate, term, w, tol):
     of dpsi(w), or after ``_NEWTON_CAP`` steps.
     """
     at_w = evaluate(w)
-    fw = at_w[0] + term.value(w)
+    psi_w = term.value(w)
+    fw = at_w[0] + psi_w
+    diag = np.arange(len(w))
     steps = 0
     for _ in range(_NEWTON_CAP):
         gw = at_w[1]
         if term.subgradient_distance(w, -gw) <= tol:
             break
-        hm = at_w[2]
-        nu = 1e-11 * (1.0 + float(np.abs(np.diag(hm)).max()))
-        hm = hm + nu * np.eye(len(w))
+        hm = at_w[2].copy()
+        hm[diag, diag] += 1e-11 * (1.0 + float(np.abs(hm[diag, diag]).max()))
         cand = _model_min(term, w, gw, hm)
         steps += 1
         d = cand - w
         model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
-                       + term.value(cand) - term.value(w))
+                       + term.value(cand) - psi_w)
         t = 1.0
         for _ in range(_HALVING_CAP):
             wt = w + t * d
             at_t = evaluate(wt)
-            ft = at_t[0] + term.value(wt)
+            psi_t = term.value(wt)
+            ft = at_t[0] + psi_t
             # the full step may rise by rounding; a shorter one must
             # make the Armijo decrease
             if t == 1.0:
@@ -234,7 +244,7 @@ def prox_newton(evaluate, term, w, tol):
         else:
             raise NumericalError("prox-Newton line search failed after %d halvings"
                                  % _HALVING_CAP)
-        w, fw, at_w = wt, ft, at_t
+        w, fw, at_w, psi_w = wt, ft, at_t, psi_t
     return w, at_w, steps
 
 
@@ -287,12 +297,13 @@ def _model_min(term, w, grad, hm):
     fixed = lo < hi
     slope = np.where(fixed, 0.0, lo)
     moved = True
+    gmax, hmax = abs(grad).max(), abs(hm).max()
     for _ in range(_PASS_CAP * n):
         r = grad + hm @ (z - w)
         nfixed = np.count_nonzero(fixed)
         if nfixed < n:
             f = ~fixed
-            hff = hm[np.ix_(f, f)] if nfixed else hm
+            hff = hm[f][:, f] if nfixed else hm
             lof, hif = (b[f] for b in term.piece(slope))
             zf, rs = z[f], r[f] + slope[f]
             y = zf - np.linalg.solve(hff, rs)
@@ -319,7 +330,7 @@ def _model_min(term, w, grad, hm):
         up, down = -r - hi, lo + r
         viol = np.where(fixed, np.maximum(up, down), -np.inf)
         # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
-        slack = n * np.spacing(abs(grad).max() + abs(hm).max() * abs(z - w).sum())
+        slack = n * np.spacing(gmax + hmax * abs(z - w).sum())
         free = viol > slack
         if not np.count_nonzero(free):
             return z
@@ -401,9 +412,12 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         trace.points.append(z.copy())
     i = 0
     while i < max_iter:
-        z_new, g, rho_new = solver.step(z, l_i, c, rho_z)
-        cert = check_acceptable(oracle, term, cfg, anchor, z_new, g)
-        freg_new = reg.value(z_new, cert.f_value)
+        z_new, g, rho_new, gap = solver.step(z, l_i, c, rho_z)
+        # the certificate, f_reg(z_new) and the next grad f_reg read the power
+        # term's |d|, d(d) and grad d(d) off the rho pass at z_new
+        cert = check_acceptable(oracle, term, cfg, anchor, z_new, g, gap,
+                                (rho_new[3], rho_new[5]))
+        freg_new = cert.f_value + sf.h * rho_new[4]
         # breg(z, z_new) from the passes at both ends
         breg = rho_new[0] - rho_z[0] - float(np.dot(rho_z[1], z_new - z))
         if (not cert.accepted and l_i < lcap
@@ -430,7 +444,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
             trace.newton_iters = solver.newton_iters
             return InnerResult(cert, 0 if fixed_point else i, trace)
         z, rho_z, freg_z = z_new, rho_new, freg_new
-        c = reg.gradient(z, cert.gradient)
+        c = cert.gradient + sf.h * rho_new[5]
         l_i = max(0.5 * l_i, rc.mu)
     raise NumericalError(
         "inner loop exceeded %d iterations" % max_iter, residual=trace.rows[-1].ratio

@@ -15,6 +15,8 @@ which is bounded below by ``|h|^{p-1} B``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionError, ParameterError
@@ -129,6 +131,13 @@ class PowerProx:
         self.p = int(p)
         self.metric = metric
 
+    @cached_property
+    def _b(self):
+        """Dense B, assembled on the first Hessian and read-only."""
+        out = self.metric.matrix()
+        out.flags.writeable = False
+        return out
+
     def value(self, h):
         return self._terms(h)[0]
 
@@ -140,7 +149,7 @@ class PowerProx:
         return self._terms(h, hessian=True)[2]
 
     def _terms(self, h, hessian=False):
-        """d(h), its gradient and, when asked, its Hessian matrix, from one norm of h."""
+        """(d(h), grad d(h), Hessian matrix of d at h or None, |h|), from one norm of h."""
         r, bh = self.metric._norm_and_apply(h)
         p, n = self.p, self.metric.dimension
         value = r ** (p + 1) / (p + 1)
@@ -148,12 +157,12 @@ class PowerProx:
         hess = None
         if hessian:
             if p == 1:
-                hess = self.metric.matrix()
+                hess = self._b.copy()
             elif r == 0.0:
                 hess = np.zeros((n, n))
             else:
-                hess = r ** (p - 1) * self.metric.matrix() + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
-        return value, grad, hess
+                hess = r ** (p - 1) * self._b + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+        return value, grad, hess, r
 
     def uniform_convexity_modulus(self):
         """Modulus c with d(y) >= d(x) + <grad d(x), y-x> + c |y-x|^{p+1}."""

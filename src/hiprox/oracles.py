@@ -24,7 +24,7 @@ at a fixed point y, evaluated once, and contracts it against a new h on
 every call without evaluating a scalar derivative again; ``series`` sums
 every order's Taylor term, gradient and (when asked) Hessian from one
 projection. A scaling function anchored at y (``bregman``) and a Taylor
-model at x (``tensor_step``) each build one.
+model at x (``tensor``) each build one.
 
 Scalar-derivative evaluations are counted per order in ``calls_by_order``,
 so a run can certify which derivative orders it consumed: order 0 counts
@@ -35,6 +35,13 @@ once per certified candidate (in ``check_acceptable``) and grad f once more
 per anchor, and the outer loops read f(T) and grad f(T) from the
 certificate, so a bi-level run's order-1 count is rows x (inner steps +
 outer steps) when no inner solve ends at a fixed point.
+
+A separable oracle forms the residual vector t = a x - b once per point and
+hands it whole to its scalar family (``scalar_families``), one call per
+order, which keeps the digits of a per-scalar libm evaluation;
+``value_and_gradient`` takes f and grad f from that one residual pass
+and records the same counts as ``value`` and ``gradient`` called apart. The
+values f_i(t_i) are summed left to right.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ class SmoothOracle:
 
     def gradient(self, x):
         raise NotImplementedError
+
+    def value_and_gradient(self, x):
+        """(f(x), grad f(x)), recorded as one value and one gradient."""
+        return self.value(x), self.gradient(x)
 
     def hessian_matrix(self, x):
         return self._matrix(self._weights(x, 2), None, 2)
@@ -218,16 +229,23 @@ class SeparableObjective(SmoothOracle):
         # neg-log style families produce even orders > 2 from f'' alone
         recorded = 2 if (fam.even_from_second and k % 2 == 0 and k > 2) else k
         self._record(recorded, len(t))
-        return np.array([fam.derivative(ti, k) for ti in t])
+        return fam.derivative(t, k)
+
+    def _value(self, t):
+        # summed left to right, as a per-row loop would
+        self._record(0, len(t))
+        return float(sum(self.family.value(t).tolist()))
 
     def value(self, x):
-        t = self.residuals(x)
-        self._record(0, len(t))
-        return float(sum(self.family.value(ti) for ti in t))
+        return self._value(self.residuals(x))
 
     def gradient(self, x):
         t = self.residuals(x)
         return self.a.T @ self._derivs(t, 1)
+
+    def value_and_gradient(self, x):
+        t = self.residuals(x)
+        return self._value(t), self.a.T @ self._derivs(t, 1)
 
     # the scalar derivatives f_i^(k)(t_i) are the order-k data
     def _weights(self, x, k):

@@ -46,7 +46,7 @@ from .errors import CapabilityError, NumericalError, ParameterError
 from .inner import WarmStart, exact_prox, inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
-from .tensor_step import TaylorModel, tensor_acceptance_map, tensor_step
+from .tensor import TaylorModel, tensor_acceptance_map, tensor_step
 from .univariate import decreasing_root
 
 # adapt_m halves M_k after an inner solve that kept at most _CHEAP steps and

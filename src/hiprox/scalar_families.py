@@ -1,8 +1,20 @@
 """Scalar function families for separable objectives f(x) = sum_i f_i(<a_i, x> - b_i).
 
-Each family evaluates value and k-th derivatives at scalar arguments and
+Each family evaluates values and k-th derivatives at a whole residual vector
+t at once: ``value(t)`` and ``derivative(t, k)`` take a 1-d float array and
+return an array of the same shape, entry i belonging to t_i. Each family also
 reports sup |f^(k)| over an interval (used for box-restricted smoothness
-constants). The neg-log family exposes the identity
+constants).
+
+The arrays carry the digits of a per-scalar evaluation. Every transcendental
+call (``math.log``, ``math.exp``, ``math.log1p``) and every power ``**`` is a
+per-scalar Python-float call over ``t.tolist()``, on the platform's libm;
+only + - * / are vectorized, since numpy's ``exp``, ``log`` and ``**`` (even
+``t * t`` for ``t ** 2``) round differently on a share of arguments, and the
+solver's traces are compared byte for byte. Callers that sum values sum them
+left to right (``sum``), not by ``np.sum``.
+
+The neg-log family exposes the identity
 
     f^(2k)(t) = (2k-1)! * (f''(t))^k,
 
@@ -20,6 +32,11 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 
+def _powers(t, k):
+    """t_i ** k for each entry, by Python pow on floats."""
+    return np.array([v ** k for v in t.tolist()])
+
+
 class ScalarFamily:
     """Base scalar family. Subclasses define value/derivative/derivative_sup."""
 
@@ -30,8 +47,13 @@ class ScalarFamily:
     domain_low = None
 
     def check_domain(self, t):
-        if self.domain_low is not None and t <= self.domain_low:
-            raise DomainError("argument %r outside domain (> %r)" % (t, self.domain_low))
+        """Raise DomainError naming the first entry of t outside the open domain."""
+        if self.domain_low is not None:
+            bad = np.flatnonzero(t <= self.domain_low)
+            if bad.size:
+                i = int(bad[0])
+                raise DomainError("argument %r (entry %d) outside domain (> %r)"
+                                  % (float(t[i]), i, self.domain_low), index=i)
 
     def value(self, t):
         raise NotImplementedError
@@ -50,10 +72,10 @@ class Linear(ScalarFamily):
     name = "linear"
 
     def value(self, t):
-        return float(t)
+        return np.array(t, dtype=float)
 
     def derivative(self, t, k):
-        return 1.0 if k == 1 else 0.0
+        return np.full(np.shape(t), 1.0 if k == 1 else 0.0)
 
     def derivative_sup(self, k, t_lo, t_hi):
         return 1.0 if k == 1 else 0.0
@@ -65,23 +87,20 @@ class Quartic(ScalarFamily):
     name = "quartic"
 
     def value(self, t):
-        return float(t) ** 4
+        return _powers(t, 4)
 
     def derivative(self, t, k):
-        t = float(t)
         if k == 1:
-            return 4.0 * t ** 3
+            return 4.0 * _powers(t, 3)
         if k == 2:
-            return 12.0 * t ** 2
+            return 12.0 * _powers(t, 2)
         if k == 3:
-            return 24.0 * t
-        if k == 4:
-            return 24.0
-        return 0.0
+            return 24.0 * np.asarray(t, dtype=float)
+        return np.full(np.shape(t), 24.0 if k == 4 else 0.0)
 
     def derivative_sup(self, k, t_lo, t_hi):
         m = max(abs(t_lo), abs(t_hi))
-        return abs(self.derivative(m, k)) if k != 4 else 24.0
+        return abs(float(self.derivative(np.array([m]), k)[0])) if k != 4 else 24.0
 
 
 class NegLog(ScalarFamily):
@@ -93,15 +112,15 @@ class NegLog(ScalarFamily):
 
     def value(self, t):
         self.check_domain(t)
-        return -math.log(t)
+        return np.array([-math.log(v) for v in t.tolist()])
 
     def derivative(self, t, k):
         self.check_domain(t)
         if k % 2 == 0 and k > 2:
             # route even orders through f'' (exact identity)
-            d2 = 1.0 / (float(t) * float(t))
-            return math.factorial(k - 1) * d2 ** (k // 2)
-        return (-1.0) ** k * math.factorial(k - 1) / float(t) ** k
+            d2 = 1.0 / (t * t)
+            return math.factorial(k - 1) * _powers(d2, k // 2)
+        return (-1.0) ** k * math.factorial(k - 1) / _powers(t, k)
 
     def derivative_sup(self, k, t_lo, t_hi):
         if t_lo <= 0:
@@ -133,29 +152,28 @@ class Logistic(ScalarFamily):
             self._poly[j + 1] = nxt
         return self._poly[k]
 
-    @staticmethod
-    def _sigmoid(t):
-        t = float(t)
-        if t >= 0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)
-        return e / (1.0 + e)
+    def _horner(self, k, s):
+        """f^(k) as its polynomial in s, by Horner's rule from the top coefficient."""
+        y = np.zeros_like(s)
+        for coeff in self._coeffs(k)[::-1]:
+            y = y * s + coeff
+        return y
 
     def value(self, t):
-        t = float(t)
-        return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+        tail = np.array([math.log1p(math.exp(-abs(v))) for v in t.tolist()])
+        return np.maximum(t, 0.0) + tail
 
     def derivative(self, t, k):
-        s = self._sigmoid(t)
-        c = self._coeffs(k)
-        return float(np.polyval(c[::-1], s))
+        # s = 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, both from e = e^-|t|
+        e = np.array([math.exp(-abs(v)) for v in t.tolist()])
+        s = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return self._horner(k, s)
 
     def derivative_sup(self, k, t_lo, t_hi):
         # |f^(k)| depends on t only through s in (0,1); a dense s-grid gives
         # the global sup to plotting accuracy, padded by 5%.
-        c = self._coeffs(k)
         s = np.linspace(1e-9, 1.0 - 1e-9, 20001)
-        return 1.05 * float(np.abs(np.polyval(c[::-1], s)).max())
+        return 1.05 * float(np.abs(self._horner(k, s)).max())
 
 
 class Power(ScalarFamily):
@@ -170,13 +188,13 @@ class Power(ScalarFamily):
         self.exponent = m
 
     def value(self, t):
-        return float(t) ** self.exponent
+        return _powers(t, self.exponent)
 
     def derivative(self, t, k):
         m = self.exponent
         if k > m:
-            return 0.0
-        return math.factorial(m) / math.factorial(m - k) * float(t) ** (m - k)
+            return np.zeros(np.shape(t))
+        return math.factorial(m) / math.factorial(m - k) * _powers(t, m - k)
 
     def derivative_sup(self, k, t_lo, t_hi):
         m = max(abs(t_lo), abs(t_hi))

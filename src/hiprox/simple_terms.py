@@ -137,7 +137,7 @@ class NonnegTerm(SimpleTerm):
         return 0.0 if self.contains(x) else _INF
 
     def contains(self, x, tol=1e-9):
-        return bool(np.all(np.asarray(x, dtype=float) >= -tol))
+        return bool((np.asarray(x, dtype=float) >= -tol).all())
 
     def project(self, x):
         return np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -163,13 +163,18 @@ class BoxTerm(SimpleTerm):
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ParameterError("box bounds must satisfy lo <= hi elementwise")
+        # (lo - tol, hi + tol) by tol, formed once
+        self._padded = {}
 
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        bounds = self._padded.get(tol)
+        if bounds is None:
+            bounds = self._padded[tol] = (self.lo - tol, self.hi + tol)
+        return bool((x >= bounds[0]).all() and (x <= bounds[1]).all())
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)

@@ -51,8 +51,7 @@ class TaylorModel:
         self.m = float(m)
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.x))
         self._pp = PowerProx(self.p, self.metric)
-        self.f0 = oracle.value(self.x)
-        self.g0 = oracle.gradient(self.x)
+        self.f0, self.g0 = oracle.value_and_gradient(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
     def evaluate(self, y, hessian=False):
@@ -62,7 +61,7 @@ class TaylorModel:
         """
         d = np.asarray(y, dtype=float) - self.x
         model = self.stack.series(d, hessian, self.f0 + float(np.dot(self.g0, d)), self.g0)
-        p_value, p_grad, p_hess = self._pp._terms(d, hessian)
+        p_value, p_grad, p_hess, _ = self._pp._terms(d, hessian)
         c = self.prox_h
         hess = None
         if hessian:

@@ -38,7 +38,7 @@ from .outer import (
 )
 from .oracles import AnchorStack
 from .problems import get_problem
-from .tensor_step import (
+from .tensor import (
     TaylorModel,
     convexity_threshold,
     tensor_acceptance_map,
@@ -345,7 +345,7 @@ def _iteration_log_fit():
     residuals = []
     z = anchor.copy()
     for _ in range(5000):
-        z, g, _ = solver.step(z, rc.lsmooth)
+        z, g = solver.step(z, rc.lsmooth)[:2]
         residuals.append(sf.metric.dual_norm(reg.gradient(z) + g))
         if residuals[-1] <= 1e-9:
             break

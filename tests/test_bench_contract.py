@@ -101,3 +101,19 @@ def test_tracer_counts_one_inner_solve_per_bilevel_step():
     backtracks = sum(t.backtracks for t in trace.inner_traces)
     assert calls.get("inner.step.prox_newton", 0) == sum(max(r.inner_iters, 1)
                                                          for r in trace.rows[1:]) + backtracks
+
+
+def test_tracer_sees_the_array_family_methods():
+    # the tracer wraps the family methods named value and derivative; on
+    # arrays each call covers one residual vector, so the rows stay non-zero
+    prob = get_problem("neglog-sep")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)
+    finally:
+        tracer.uninstall()
+    calls = tracer.take_pass()["calls"]
+    assert trace.status == "converged"
+    assert calls.get("scalar_families.NegLog.derivative", 0) > 0
+    assert calls.get("scalar_families.NegLog.value", 0) > 0

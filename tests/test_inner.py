@@ -1,11 +1,14 @@
 """Inner Bregman loop: the prox-Newton step, per-step optimality, certificate exit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hiprox import (
+    AcceptanceCertificate,
+    MetricSpace,
     NumericalError,
     ParameterError,
     ProxConfig,
@@ -17,6 +20,7 @@ from hiprox import (
     WarmStart,
     bilevel_h,
     biopt_run,
+    check_acceptable,
     exact_prox,
     get_problem,
     inner,
@@ -127,7 +131,7 @@ def test_step_subgradient_formula_and_optimality(problem_name, p):
     rng = np.random.default_rng(3)
     z = np.asarray(prob.x0, dtype=float)
     for _ in range(4):
-        z_new, g, _ = solver.step(z, rc.lsmooth)
+        z_new, g = solver.step(z, rc.lsmooth)[:2]
         expected = 2.0 * rc.lsmooth * (sf.gradient(z) - sf.gradient(z_new)) - reg.gradient(z)
         np.testing.assert_allclose(g, expected, rtol=1e-10, atol=1e-12)
         assert term.contains(z_new)
@@ -160,7 +164,7 @@ def test_ball_step_on_boundary():
     z = np.asarray(prob.x0, dtype=float)
     hit_boundary = False
     for _ in range(10):
-        z_new, g, _ = solver.step(z, rc.lsmooth)
+        z_new, g = solver.step(z, rc.lsmooth)[:2]
         assert term.contains(z_new)
         d = z_new - term.center
         alpha = float(np.dot(g, d)) / term.radius ** 2
@@ -449,3 +453,67 @@ def test_biopt_run_ball_quadratic_high_order(p):
     trace = biopt_run(get_problem("ball-quadratic"), p, eps=1e-6)
     assert trace.status == "converged"
     assert trace.rows[-1].gap <= 1e-6
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "quartic-sep-10d",
+                                  "ball-quadratic"])
+def test_certificate_from_the_rho_pass_equals_one_from_scratch(name, p, weighted):
+    # the inner loop hands the certificate |d| and grad d(d) from the rho pass
+    # at z+ and the step's membership distance, and forms f_reg(z+) and
+    # grad f_reg(z+) from the same pass: all bit for bit what check_acceptable,
+    # reg.value and reg.gradient compute on their own
+    prob = get_problem(name)
+    n = prob.dimension
+    rng = np.random.default_rng(10 * p + n + weighted)
+    metric = MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)) if weighted else None
+    cfg = ProxConfig(p=p, h=2.5, beta=1.0 / p, metric=metric)
+    anchor = prob.sample(rng, 1)[0]
+    sf = ScalingFunction(prob.oracle, anchor, p, cfg.h, metric)
+    reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, metric)
+    solver = StepSolver(sf, reg, prob.term)
+    z = prob.term.project(anchor + 0.05 * rng.standard_normal(n))
+    for _ in range(3):
+        z_new, g, rho, gap = solver.step(z, rng.uniform(0.5, 1.5))
+        assert gap == prob.term.subgradient_distance(z_new, g)
+        reused = check_acceptable(prob.oracle, prob.term, cfg, anchor, z_new, g, gap,
+                                  (rho[3], rho[5]))
+        scratch = check_acceptable(prob.oracle, prob.term, cfg, anchor, z_new, g)
+        for f in dataclasses.fields(AcceptanceCertificate):
+            assert _same(getattr(reused, f.name), getattr(scratch, f.name)), f.name
+        assert reused.f_value + sf.h * rho[4] == reg.value(z_new)
+        assert np.array_equal(reused.gradient + sf.h * rho[5], reg.gradient(z_new))
+        z = z_new
+
+
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "ball-quadratic"])
+def test_value_and_gradient_is_one_pass_of_the_two_calls(name):
+    prob = get_problem(name)
+    oracle = prob.oracle
+    x = prob.sample(np.random.default_rng(5), 1)[0]
+    oracle.reset_counters()
+    f_value, grad = oracle.value_and_gradient(x)
+    one_pass = dict(oracle.calls_by_order)
+    oracle.reset_counters()
+    assert f_value == oracle.value(x)
+    assert np.array_equal(grad, oracle.gradient(x))
+    assert one_pass == oracle.calls_by_order
+
+
+@pytest.mark.parametrize("name,p", [("neglog-sep", 3), ("logistic-sep-3d", 4), ("neglog-sep", 5)])
+def test_inner_rows_read_f_reg_off_the_rho_pass(name, p):
+    # each row's phi is f_reg + psi at its point, bit for bit as reg.value gives it
+    prob, cfg, rc = _setup(name, p)
+    anchor = np.asarray(prob.x0, dtype=float)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor, keep_points=True)
+    reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, cfg.metric)
+    assert len(res.trace.rows) > 1
+    for row, z in zip(res.trace.rows, res.trace.points):
+        assert row.phi == reg.value(z) + prob.term.value(z)

@@ -29,8 +29,9 @@ def _direct_tensor(oracle, x, hs):
     t = oracle.a @ x - oracle.b
     k = len(hs)
     out = 0.0
+    derivs = oracle.family.derivative(t, k)
     for i in range(oracle.a.shape[0]):
-        prod = oracle.family.derivative(t[i], k)
+        prod = float(derivs[i])
         for h in hs:
             prod *= float(np.dot(oracle.a[i], h))
         out += prod

@@ -231,3 +231,13 @@ def test_lemma2_bound_check():
     assert lhs <= bound + 1e-10
     with pytest.raises(ParameterError):
         lemma2_bound_check(TaylorModel(oracle, np.array([0.8]), 3, 10.0), t, g, gamma, 24.0)
+
+
+def test_tensor_module_is_not_shadowed_by_the_function():
+    # the module is hiprox.tensor; hiprox.tensor_step stays the function
+    import hiprox
+    import hiprox.tensor as tensor
+    from hiprox.tensor import TaylorModel as imported
+
+    assert imported is TaylorModel is tensor.TaylorModel
+    assert hiprox.tensor_step is tensor.tensor_step and callable(hiprox.tensor_step)
