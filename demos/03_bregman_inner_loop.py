@@ -19,7 +19,6 @@ import numpy as np
 
 from hiprox import (
     ProxConfig,
-    RegularizedObjective,
     ScalingFunction,
     bilevel_h,
     bregman_distance,
@@ -40,7 +39,7 @@ print("H = 6 M_{p+1} / (p-1)! = %.0f gives xi = %.0f, mu = %.2f, L = %.2f, kappa
 print()
 
 anchor = np.asarray(prob.x0, dtype=float)
-res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor, keep_points=True)
+res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
 rows = res.trace.rows
 
 print("inner run from the catalog starting point (accepted after %d steps; candidates"
@@ -58,7 +57,6 @@ print("beta = 1/p = %.4f, at which point the pair (z, g) is returned." % cfg.bet
 # geometric contraction toward the subproblem minimizer (rerun the loop with
 # a nearly-exact acceptance level to get a reference solution)
 sf = ScalingFunction(prob.oracle, anchor, p, h)
-reg = RegularizedObjective(prob.oracle, anchor, p, h)
 ref = inner_solve(
     prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, anchor, max_iter=200
 )

@@ -60,7 +60,7 @@ class ProxConfig:
 
     @property
     def beta_le_inv_p(self):
-        """Whether beta <= 1/p (required by the plain outer loop's theory)."""
+        """Whether beta <= 1/p: ``aihopp_run`` and the ``progress_dual`` inequality need it."""
         return self.beta <= 1.0 / self.p + 1e-15
 
     def power(self, dimension):
@@ -87,17 +87,6 @@ class AcceptanceCertificate:
     gradient: np.ndarray = field(default=None, repr=False)  # grad f(T), as computed
     f_value: float = None  # f(T)
 
-    def to_record(self):
-        return {
-            "point": [float(v) for v in self.point],
-            "subgradient": [float(v) for v in self.subgradient],
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "beta": float(self.beta),
-            "accepted": bool(self.accepted),
-            "radius": float(self.radius),
-        }
-
 
 def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
     """Build the acceptance certificate for a candidate pair (point, g).
@@ -106,7 +95,7 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
     domain of psi, or g provably not a subgradient there); a well-formed pair
     that merely violates the beta inequality comes back with accepted=False.
     The certificate keeps f(T) and grad f(T), evaluated here from one residual
-    pass (``value_and_gradient``), for the callers that need them next (the
+    pass (``oracle.evaluate``), for the callers that need them next (the
     inner loop's next step and trace row, the outer loops' objective value
     and estimating update).
 
@@ -133,7 +122,7 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
         _, d_grad, _, radius = pp._terms(point - anchor)
     else:
         radius, d_grad = power
-    f_value, grad = oracle.value_and_gradient(point)
+    f_value, grad, _ = oracle.evaluate(point)
     residual = grad + g
     reg_residual = residual + cfg.h * d_grad
     lhs = pp.metric.dual_norm(reg_residual)

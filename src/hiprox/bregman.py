@@ -127,7 +127,11 @@ def bregman_distance(sf, x, z):
 
 
 class RegularizedObjective:
-    """f(x) + H d(x - anchor): the inner-loop objective's smooth part."""
+    """f_reg(x) = f(x) + H d(x - anchor), minimized by ``exact_prox``.
+
+    The inner loop forms f_reg from the scaling function's pass instead,
+    which carries the same H d(x - anchor).
+    """
 
     def __init__(self, oracle, anchor, p, h, metric=None):
         self.oracle = oracle
@@ -137,31 +141,24 @@ class RegularizedObjective:
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.anchor))
         self.pp = PowerProx(self.p, self.metric)
 
-    def value(self, x, f_value=None):
-        """f(x) + H d(x - anchor); f_value, when given, is f(x)."""
+    def value(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
-        if f_value is None:
-            f_value = self.oracle.value(x)
-        return f_value + self.h * self.pp.value(d)
+        return self.oracle.value(x) + self.h * self.pp.value(d)
 
-    def gradient(self, x, grad_f=None):
-        """grad f(x) + H grad d(x - anchor); grad_f, when given, is grad f(x)."""
+    def gradient(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
-        if grad_f is None:
-            grad_f = self.oracle.gradient(x)
-        return grad_f + self.h * self.pp.gradient(d)
+        return self.oracle.gradient(x) + self.h * self.pp.gradient(d)
 
     def hessian_matrix(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
         return self.oracle.hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
 
     def evaluate(self, x):
-        """(f_reg(x), grad f_reg(x), Hessian matrix of f_reg at x), from one norm of d."""
+        """(f_reg(x), grad f_reg(x), Hessian matrix of f_reg at x), from one residual pass."""
         x = np.asarray(x, dtype=float)
         value, grad, hess, _ = self.pp._terms(x - self.anchor, hessian=True)
-        f_value, grad_f = self.oracle.value_and_gradient(x)
-        return (f_value + self.h * value, grad_f + self.h * grad,
-                self.oracle.hessian_matrix(x) + self.h * hess)
+        f_value, grad_f, hess_f = self.oracle.evaluate(x, hessian=True)
+        return f_value + self.h * value, grad_f + self.h * grad, hess_f + self.h * hess
 
 
 @dataclass

@@ -54,7 +54,6 @@ class RunConfig:
     m: float = None
     eps: float = 1e-8
     max_outer: int = 100
-    max_inner: int = 2000
     out: str = None
 
     def __post_init__(self):
@@ -129,7 +128,6 @@ def _write_trace(cfg, trace, calls_by_order, out):
         problem=cfg.problem,
         eps=cfg.eps,
         max_outer=cfg.max_outer,
-        max_inner=cfg.max_inner,
         # oracle evaluations by derivative order (counted from the run's start)
         calls_by_order={str(k): v for k, v in sorted(calls_by_order.items())},
         # accelerated steps that kept x_k because F(T_k) > F(x_k)
@@ -149,7 +147,7 @@ def _solve(cfg, prob):
     if cfg.m is not None:
         prob.m_override[p + 1] = float(cfg.m)
     if cfg.mode == "bilevel":
-        return biopt_run(prob, p, eps=cfg.eps, max_k=cfg.max_outer, max_inner=cfg.max_inner)
+        return biopt_run(prob, p, eps=cfg.eps, max_k=cfg.max_outer)
     beta = cfg.beta if cfg.beta is not None else 1.0 / p
     m = prob.m_next(p)
     m_positive = bool(np.isfinite(m) and m > 0)
@@ -171,9 +169,7 @@ def _solve(cfg, prob):
     if prob.dimension == 1:
         provider = exact_prox_provider(prob.oracle, prob.term, pcfg)
     else:
-        provider = inner_prox_provider(
-            prob.oracle, prob.term, pcfg, m, max_iter=cfg.max_inner
-        )
+        provider = inner_prox_provider(prob.oracle, prob.term, pcfg, m)
     runner = ihopp_run if cfg.mode == "plain" else aihopp_run
     return runner(prob, pcfg, provider, eps=cfg.eps, max_k=cfg.max_outer)
 
@@ -291,7 +287,7 @@ def rates_command(args):
     for name in problems:
         for mode in modes:
             for p in ps:
-                table.append(_rate_row(name, mode, p, levels, args.max_outer, args.max_inner))
+                table.append(_rate_row(name, mode, p, levels, args.max_outer))
     widths = [max(len(row[j]) for row in table) for j in range(len(header))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -302,12 +298,12 @@ def rates_command(args):
     return 0
 
 
-def _rate_row(name, mode, p, levels, max_outer, max_inner):
+def _rate_row(name, mode, p, levels, max_outer):
     prob = get_problem(name)
     if prob.f_star is None:
         return [name, mode, str(p), "N/A", "N/A", "N/A", "N/A", "N/A"]
-    cfg = RunConfig(problem=name, mode=mode, p=p, eps=min(levels), max_outer=max_outer,
-                    max_inner=max_inner).validate()
+    cfg = RunConfig(problem=name, mode=mode, p=p, eps=min(levels),
+                    max_outer=max_outer).validate()
     trace = _solve(cfg, prob)
     ks = trace.column("k")
     gaps = trace.column("gap")
@@ -355,7 +351,6 @@ def build_parser():
     p_run.add_argument("--m", type=float)
     p_run.add_argument("--eps", type=float)
     p_run.add_argument("--max-outer", type=int, dest="max_outer")
-    p_run.add_argument("--max-inner", type=int, dest="max_inner")
     p_run.add_argument("--out")
     p_run.add_argument("--print-config", action="store_true")
 
@@ -371,7 +366,6 @@ def build_parser():
     p_rates.add_argument("--modes", default="plain,accelerated")
     p_rates.add_argument("--p", default="3")
     p_rates.add_argument("--max-outer", type=int, default=300, dest="max_outer")
-    p_rates.add_argument("--max-inner", type=int, default=2000, dest="max_inner")
     p_rates.add_argument("--out")
 
     sub.add_parser("list-problems", help="show the catalog")

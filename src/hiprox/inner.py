@@ -51,14 +51,14 @@ Every point costs one ``ScalingFunction.evaluate`` pass (rho, its gradient
 and Hessian, and the power term's |d|, d(d) and grad d(d)), which serves the
 next Newton iteration, the next step and the trace's Bregman distance. At a
 candidate z+ the certificate reads |d| and grad d(d) off that pass, and
-f_reg(z+) and the next step's grad f_reg are formed from it, so d and its
-norm are formed once per point. f and grad f at a candidate come from one
-residual pass, in its certificate, which the next step, the descent test and
-the outer loop read; a start that brings them along evaluates neither. The
-certificate also takes the membership distance of g that the step has
-computed for its own residual check; both checks still run on it. Within a
-Newton iteration psi(w) is evaluated once, and the Hessian shift is added on
-the diagonal.
+f_reg(z+) and the next step's grad f_reg are formed from it (and z0's from
+the pass at z0), so d and its norm are formed once per point. f and grad f
+at a candidate come from one residual pass, in its certificate, which the
+next step, the descent test and the outer loop read; a start that brings
+them along evaluates neither. The certificate also takes the membership
+distance of g that the step has computed for its own residual check; both
+checks still run on it. Within a Newton iteration psi(w) is evaluated once,
+and the Hessian shift is added on the diagonal.
 """
 
 from __future__ import annotations
@@ -93,15 +93,15 @@ class InnerRow:
 class InnerTrace:
     """Per-step record of one inner run; phi must be nonincreasing.
 
-    ``start`` is z0, ``newton_iters`` the run's prox-Newton iterations,
-    ``lsmooth`` the constant L_i of each kept step (``lsmooth[i - 1]`` is row
-    i's; a fixed-point exit keeps one constant and no row) and ``backtracks``
-    the number of rejected step candidates. None of them goes into the CSV.
+    ``points[i]`` is row i's point (``points[0]`` is z0), ``newton_iters``
+    the run's prox-Newton iterations, ``lsmooth`` the constant L_i of each
+    kept step (``lsmooth[i - 1]`` is row i's; a fixed-point exit keeps one
+    constant and no row beyond row 0) and ``backtracks`` the number of
+    rejected step candidates. None of them goes into the CSV.
     """
 
     rows: list = field(default_factory=list)
     points: list = field(default_factory=list)
-    start: np.ndarray = None
     newton_iters: int = 0
     lsmooth: list = field(default_factory=list)
     backtracks: int = 0
@@ -156,9 +156,8 @@ class StepSolver:
     # bench/spans.py names each traced step by this attribute
     route = "prox_newton"
 
-    def __init__(self, sf, reg, term):
+    def __init__(self, sf, term):
         self.sf = sf
-        self.reg = reg
         self.term = term
         self.newton_iters = 0
 
@@ -174,10 +173,10 @@ class StepSolver:
         """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
-        c = self.reg.gradient(z) if grad_reg is None else grad_reg
-        two_l = 2.0 * lsmooth
         if rho_z is None:
             rho_z = sf.evaluate(z, hessian=True)
+        c = sf.oracle.gradient(z) + sf.h * rho_z[5] if grad_reg is None else grad_reg
+        two_l = 2.0 * lsmooth
         grad_z = rho_z[1]
         ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
@@ -365,16 +364,17 @@ def _ball_quadratic(term, w, grad, hm):
     return center + vec @ (bt / (lam + a))
 
 
-def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points=False):
+def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
     ``start`` is a point of dom psi or a ``WarmStart``, whose f(z0) and
     grad f(z0), when given, are reused (row 0's phi and the first step's
     grad f_reg) and which may also carry the first step's constant
-    (``WarmStart.at`` starts at a certificate's point). Returns an InnerResult whose trace rows carry (i, phi,
-    bregman_step, lhs, rhs, ratio) per kept step; row 0 records phi(z0), and
-    the trace keeps z0, each kept step's L_i, the rejected candidates and the
-    run's prox-Newton iterations. ``max_iter`` bounds the kept steps.
+    (``WarmStart.at`` starts at a certificate's point). Returns an
+    InnerResult whose trace rows carry (i, phi, bregman_step, lhs, rhs,
+    ratio) per kept step; row 0 records phi(z0), and the trace keeps each
+    row's point, each kept step's L_i, the rejected candidates and the run's
+    prox-Newton iterations. ``max_iter`` bounds the kept steps.
 
     A start that the first step leaves in place (to rounding) is returned
     with 0 iterations and no row beyond row 0. The exit does not need
@@ -400,16 +400,16 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
     if not term.contains(z):
         raise ParameterError("inner loop must start inside dom psi")
     sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    solver = StepSolver(sf, reg, term)
-    # rho at z, f_reg(z) and grad f_reg(z) pass from step to step
+    solver = StepSolver(sf, term)
+    # rho at z, f_reg(z) and grad f_reg(z) pass from step to step; f_reg and
+    # grad f_reg read the power term's d(d) and grad d(d) off the rho pass
     rho_z = sf.evaluate(z, hessian=True)
-    freg_z = reg.value(z, start.f_value)
-    c = reg.gradient(z, start.gradient)
+    f_z = oracle.value(z) if start.f_value is None else start.f_value
+    grad_f = oracle.gradient(z) if start.gradient is None else start.gradient
+    freg_z = f_z + sf.h * rho_z[4]
+    c = grad_f + sf.h * rho_z[5]
     trace = InnerTrace(rows=[InnerRow(0, freg_z + term.value(z),
-                                      np.nan, np.nan, np.nan, np.nan)], start=z.copy())
-    if keep_points:
-        trace.points.append(z.copy())
+                                      np.nan, np.nan, np.nan, np.nan)], points=[z.copy()])
     i = 0
     while i < max_iter:
         z_new, g, rho_new, gap = solver.step(z, l_i, c, rho_z)
@@ -438,8 +438,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000, keep_points
         if not fixed_point:
             phi = freg_new + term.value(z_new)
             trace.rows.append(InnerRow(i, phi, breg, cert.lhs, cert.rhs, ratio))
-            if keep_points:
-                trace.points.append(z_new.copy())
+            trace.points.append(z_new.copy())
         if cert.accepted:
             trace.newton_iters = solver.newton_iters
             return InnerResult(cert, 0 if fixed_point else i, trace)

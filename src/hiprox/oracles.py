@@ -31,17 +31,19 @@ so a run can certify which derivative orders it consumed: order 0 counts
 values, order 1 gradients (one count per row of a separable oracle, one per
 call of a quadratic), and a stack's orders are counted once per
 ``AnchorStack``, not once per use. The inner loop evaluates f and grad f
-once per certified candidate (in ``check_acceptable``) and grad f once more
-per anchor, and the outer loops read f(T) and grad f(T) from the
-certificate, so a bi-level run's order-1 count is rows x (inner steps +
-outer steps) when no inner solve ends at a fixed point.
+once per certified candidate (in ``check_acceptable``), a rejected one
+included, and each inner solve starts from the f and grad f its start
+brings along; the outer loops read f(T) and grad f(T) from the certificate.
+So a bi-level run's order-1 count is rows x (candidates + 1): the one is
+grad f(x_0), and a solve that ends at a fixed point counts one candidate.
 
 A separable oracle forms the residual vector t = a x - b once per point and
 hands it whole to its scalar family (``scalar_families``), one call per
 order, which keeps the digits of a per-scalar libm evaluation;
-``value_and_gradient`` takes f and grad f from that one residual pass
-and records the same counts as ``value`` and ``gradient`` called apart. The
-values f_i(t_i) are summed left to right.
+``evaluate`` takes f, grad f and, when asked, the Hessian matrix from that
+one residual pass and records the same counts as ``value``, ``gradient``
+and ``hessian_matrix`` called apart. The values f_i(t_i) are summed left to
+right.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class SmoothOracle:
     def gradient(self, x):
         raise NotImplementedError
 
-    def value_and_gradient(self, x):
-        """(f(x), grad f(x)), recorded as one value and one gradient."""
-        return self.value(x), self.gradient(x)
+    def evaluate(self, x, hessian=False):
+        """(f(x), grad f(x), Hessian matrix of f at x or None), recorded as the separate calls."""
+        return self.value(x), self.gradient(x), self.hessian_matrix(x) if hessian else None
 
     def hessian_matrix(self, x):
         return self._matrix(self._weights(x, 2), None, 2)
@@ -243,9 +245,10 @@ class SeparableObjective(SmoothOracle):
         t = self.residuals(x)
         return self.a.T @ self._derivs(t, 1)
 
-    def value_and_gradient(self, x):
+    def evaluate(self, x, hessian=False):
         t = self.residuals(x)
-        return self._value(t), self.a.T @ self._derivs(t, 1)
+        value, grad = self._value(t), self.a.T @ self._derivs(t, 1)
+        return value, grad, self._matrix(self._derivs(t, 2), None, 2) if hessian else None
 
     # the scalar derivatives f_i^(k)(t_i) are the order-k data
     def _weights(self, x, k):

@@ -286,7 +286,7 @@ def exact_prox_provider(oracle, term, cfg):
     return provider
 
 
-def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
+def inner_prox_provider(oracle, term, cfg, m_next):
     """Acceptable-solution provider backed by the Bregman inner loop.
 
     m_next bounds D^{p+1} f. A solve at ``scale`` s runs at H = s cfg.h with
@@ -298,7 +298,7 @@ def inner_prox_provider(oracle, term, cfg, m_next, max_iter=2000):
     def provider(anchor, start, scale):
         step_cfg = _scaled(cfg, scale)
         rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
-        res = inner_solve(oracle, term, step_cfg, rc, anchor, start, max_iter=max_iter)
+        res = inner_solve(oracle, term, step_cfg, rc, anchor, start)
         return res.certificate, res.iterations, res.trace
 
     return provider
@@ -385,28 +385,27 @@ def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
     return False
 
 
-def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, d0=None, rhs_tol=None):
-    """Plain loop: anchor at x_k, accept the certified prox point."""
+def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None):
+    """Plain loop: anchor at x_k, accept the certified prox point.
+
+    The rate bound reads its distance from ``problem.d0`` (nan without one).
+    """
     trace, start, f_x, gap0 = _start(problem, cfg, "plain")
     x = start.point
-    if d0 is None:
-        d0 = problem.d0
+    d0 = problem.d0
     for k in range(1, max_k + 1):
         anchor = x
         step, start = _prox_step(provider, anchor, start)
         x = step[0]
         f_x = _objective(problem, x, step[1].f_value)
-        bound = (
-            bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
-        )
+        bound = bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
         if _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
             return trace
     trace.status = "max_iter"
     return trace
 
 
-def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=None,
-               rule=None):
+def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=None):
     """Accelerated loop with estimating-sequence bookkeeping.
 
     Step k runs its provider at s_k = M_k/M in (0, 1], that is at
@@ -415,20 +414,19 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
     gives s_{k+1}, capped at 1. Without a rule every step runs at cfg.h and
     tau_k = k. ``aux["m_scale"]`` records s_k per step. Since tau_k >= k,
     A_k is at least its fixed-H value, so the rate bound at cfg.h holds
-    whatever the rule does.
+    whatever the rule does. The bound reads its distance |x_0 - x*| from
+    ``problem.x_star`` (nan without one).
     """
     if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
     trace, start, f_x, gap0 = _start(problem, cfg, "accelerated")
     x = start.point
     pp = cfg.power(len(x))
-    if dist0 is None and problem.x_star is not None:
-        dist0 = pp.metric.primal_norm(x - problem.x_star)
+    dist0 = None if problem.x_star is None else pp.metric.primal_norm(x - problem.x_star)
     state = EstimatingState(power=pp, x0=x.copy())
     v = x.copy()
     trace.aux["a_coeffs"] = [0.0]
     trace.aux["v_points"] = [v.copy()]
-    trace.aux["psi_at_v"] = [state.value(v, problem.term)]
     trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
     trace.aux["m_scale"] = []
@@ -448,14 +446,10 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, dist0=None, rhs_tol=No
             x, f_x = t, f_t
         v = psi_argmin(state, problem.term, pp)
         psi_at_v = state.value(v, problem.term)
-        bound = (
-            bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
-            if dist0 is not None
-            else np.nan
-        )
+        bound = (bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
+                 if dist0 is not None else np.nan)
         trace.aux["a_coeffs"].append(a_total_next)
         trace.aux["v_points"].append(v.copy())
-        trace.aux["psi_at_v"].append(psi_at_v)
         trace.aux["invariant_margin"].append(psi_at_v - a_total_next * f_x)
         trace.aux["fallback"].append(bool(fallback))
         trace.aux["m_scale"].append(scale)
@@ -477,7 +471,7 @@ def adapt_m(scale, inner_iters):
     return scale
 
 
-def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
+def biopt_run(problem, p, eps=0.0, max_k=50, rhs_tol=None):
     """Bi-level run: the accelerated loop at beta = 1/p and H_k = 6 M_k/(p-1)!.
 
     The Bregman inner loop is the provider, and M_k <= M_{p+1} adapts by
@@ -486,9 +480,7 @@ def biopt_run(problem, p, eps=0.0, max_k=50, max_inner=2000, rhs_tol=None):
     m = problem.m_next(p)
     h = bilevel_h(p, m)
     cfg = ProxConfig(p, h, 1.0 / p, metric=problem.metric)
-    provider = inner_prox_provider(
-        problem.oracle, problem.term, cfg, m, max_iter=max_inner
-    )
+    provider = inner_prox_provider(problem.oracle, problem.term, cfg, m)
     trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol,
                        rule=adapt_m)
     trace.mode = "bilevel"

@@ -11,13 +11,13 @@ The weighted Euclidean prox solves, in the identity metric,
 A separable term describes each coordinate once, as a convex piecewise-linear
 function: ``subdifferential(x)`` gives dpsi_i(x_i) = [lo_i, hi_i] (lo_i < hi_i
 exactly at a kink or a bound) and ``piece(slope)`` the closed interval on which
-psi_i has that slope; the inner loop's active-set model step and the
-univariate minimizer read both, the latter taking psi's one-sided derivatives
-from the subdifferential and its domain ends and kinks from the pieces of
-slope -inf and +inf. ``subgradient_select(x, target)`` clips ``target`` into
-[lo, hi], the element of the subdifferential closest to it (used by
-diagnostics and by the exact 1-D prox to round its constructive subgradient
-into the set).
+psi_i has that slope; the active-set model step of ``inner.prox_newton``
+reads both. (So does the univariate minimizer, which only the tests use as a
+reference: it takes psi's one-sided derivatives from the subdifferential and
+its domain ends and kinks from the pieces of slope -inf and +inf.)
+``subgradient_select(x, target)`` clips ``target`` into [lo, hi], the
+element of the subdifferential closest to it: the exact prox and the tensor
+step take their g from it, and the example scans and diagnostics use it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def _soft(v, thr):
 
 class SimpleTerm:
     kind = "base"
-    is_indicator = False
     is_separable = True
 
     def value(self, x):
@@ -131,7 +130,6 @@ class Abs1d(L1Term):
 
 class NonnegTerm(SimpleTerm):
     kind = "nonneg"
-    is_indicator = True
 
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
@@ -156,7 +154,6 @@ class NonnegTerm(SimpleTerm):
 
 class BoxTerm(SimpleTerm):
     kind = "box"
-    is_indicator = True
 
     def __init__(self, lo, hi):
         self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -193,7 +190,6 @@ class BoxTerm(SimpleTerm):
 
 class BallTerm(SimpleTerm):
     kind = "ball"
-    is_indicator = True
     is_separable = False
 
     def __init__(self, center, radius):

@@ -51,7 +51,7 @@ class TaylorModel:
         self.m = float(m)
         self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.x))
         self._pp = PowerProx(self.p, self.metric)
-        self.f0, self.g0 = oracle.value_and_gradient(self.x)
+        self.f0, self.g0, _ = oracle.evaluate(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
     def evaluate(self, y, hessian=False):

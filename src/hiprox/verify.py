@@ -270,14 +270,14 @@ def suite_bregman(seed=0):
         seeded = pr.term.project(rng.uniform(pr.sample_lo, pr.sample_hi))
         sf = ScalingFunction(pr.oracle, anchor, p_run, h_run, cfg.metric)
         reg = RegularizedObjective(pr.oracle, anchor, p_run, h_run, cfg.metric)
-        res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, anchor, keep_points=True)
+        res = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, anchor)
         rows, pts, ls = res.trace.rows, res.trace.points, res.trace.lsmooth
         z_star = exact_prox(pr.oracle, pr.term, cfg, anchor)[0]
         phi_star = reg.value(z_star) + pr.term.value(z_star)
         descent, contraction = _descent_contraction(sf, rc.mu, res.trace, z_star, phi_star)
         descent_worst = max(descent_worst, descent)
         contraction_worst = max(contraction_worst, contraction)
-        warm = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, seeded, keep_points=True)
+        warm = inner_solve(pr.oracle, pr.term, cfg, rc, anchor, seeded)
         descent, contraction = _descent_contraction(sf, rc.mu, warm.trace, z_star, phi_star)
         seeded_descent_worst = max(seeded_descent_worst, descent)
         seeded_contraction_worst = max(seeded_contraction_worst, contraction)
@@ -341,7 +341,7 @@ def _iteration_log_fit():
     anchor = np.asarray(prob.x0, dtype=float) + 0.3
     sf = ScalingFunction(prob.oracle, anchor, 3, h, prob.metric)
     reg = RegularizedObjective(prob.oracle, anchor, 3, h, prob.metric)
-    solver = StepSolver(sf, reg, prob.term)
+    solver = StepSolver(sf, prob.term)
     residuals = []
     z = anchor.copy()
     for _ in range(5000):

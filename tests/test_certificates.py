@@ -177,19 +177,6 @@ def test_progress_dual_requires_small_beta():
     assert set(checks) == {"radius", "progress"}
 
 
-def test_certificate_record_fields():
-    prob = get_problem("quartic-1d")
-    cfg = ProxConfig(3, 2.0, 0.1)
-    anchor = np.array([2.0])
-    t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
-    cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
-    rec = cert.to_record()
-    assert rec["accepted"]
-    np.testing.assert_allclose(rec["radius"], abs(float(t[0]) - 2.0), rtol=1e-12)
-    assert rec["beta"] == 0.1
-    assert rec["lhs"] <= 0.1 * rec["rhs"] + 1e-12
-
-
 def test_check_acceptable_rejects_bad_subgradient():
     prob = get_problem("quartic-abs-1d")
     cfg = ProxConfig(3, 2.0, 0.1)

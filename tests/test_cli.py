@@ -1,12 +1,13 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hiprox import get_problem, relative_constants
-from hiprox.cli import RunConfig, load_config, main
+from hiprox import NumericalError, StepSolver, get_problem, relative_constants
+from hiprox.cli import RunConfig, build_parser, load_config, main
 
 
 @pytest.fixture(autouse=True)
@@ -180,11 +181,28 @@ def test_iteration_limit_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_numerical_failure_exit_code(capsys):
-    code = main(["run", "--problem", "quartic-sep-10d", "--mode", "plain",
-                 "--max-inner", "1"])
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NumericalError("prox-Newton step residual 1.000e-06 > 1.0e-10")
+
+    monkeypatch.setattr(StepSolver, "step", fail)
+    code = main(["run", "--problem", "quartic-sep-10d", "--mode", "plain"])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: prox-Newton step residual" in capsys.readouterr().err
+
+
+def test_run_parser_dests_are_the_config_fields():
+    # main() passes on only RunConfig's fields, so a flag with any other dest
+    # would be dropped without an error
+    args = build_parser().parse_args(["run"])
+    dests = set(vars(args)) - {"command"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests == fields | {"config", "print_config"}
+    # the inner loop's cap is not a run option
+    assert "max_inner" not in fields
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--max-inner", "5"])
+    assert exc.value.code == 1
 
 
 def test_load_config_defaults():

@@ -1,6 +1,7 @@
 """Inner Bregman loop: the prox-Newton step, per-step optimality, certificate exit."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hiprox import (
     RegularizedObjective,
     RelativeConstants,
     ScalingFunction,
+    SmoothOracle,
     StepSolver,
     TaylorModel,
     WarmStart,
@@ -49,7 +51,7 @@ def _solver(prob, cfg, rc, anchor=None):
     term = prob.term
     sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    return StepSolver(sf, reg, term), sf, reg, term
+    return StepSolver(sf, term), sf, reg, term
 
 
 @pytest.mark.parametrize(
@@ -217,11 +219,18 @@ def test_inner_solve_fixed_point_zero_iterations():
 
 
 def test_inner_solve_keep_points():
+    # the trace keeps one point per row on every exit: z0 and each kept step
+    # on a normal exit, and z0 alone on a fixed-point exit with 0 iterations
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0, keep_points=True)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
+    assert res.iterations == len(res.trace.rows) - 1 > 0
     assert len(res.trace.points) == len(res.trace.rows)
-    np.testing.assert_allclose(res.trace.points[0], prob.x0)
-    np.testing.assert_allclose(res.trace.points[-1], res.certificate.point)
+    np.testing.assert_array_equal(res.trace.points[0], prob.x0)
+    np.testing.assert_array_equal(res.trace.points[-1], res.certificate.point)
+    fixed = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star, prob.x_star)
+    assert fixed.iterations == 0
+    assert len(fixed.trace.points) == len(fixed.trace.rows) == 1
+    np.testing.assert_array_equal(fixed.trace.points[0], prob.x_star)
 
 
 def test_inner_solve_validation():
@@ -253,11 +262,10 @@ def test_inner_solve_from_seeded_start(problem_name, p, seed):
     rng = np.random.default_rng(seed)
     anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
     start = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start, keep_points=True)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start)
     cert = res.certificate
     assert cert.accepted
     assert cert.lhs <= cfg.beta * cert.rhs + 1e-12
-    np.testing.assert_array_equal(res.trace.start, start)
     np.testing.assert_array_equal(res.trace.points[0], start)
     phi = res.trace.column("phi")
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
@@ -275,7 +283,7 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     oracle = prob.oracle
     oracle.reset_counters()
     res = inner_solve(oracle, prob.term, cfg, rc, anchor, WarmStart.at(first.certificate))
-    np.testing.assert_array_equal(res.trace.start, first.certificate.point)
+    np.testing.assert_array_equal(res.trace.points[0], first.certificate.point)
     # rejected step candidates are certified too
     candidates = max(res.iterations, 1) + res.trace.backtracks
     rows = oracle.a.shape[0]
@@ -300,7 +308,7 @@ def test_kept_steps_meet_the_descent_test_at_their_constant(problem_name, p):
     anchor = prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi))
     start = WarmStart(prob.term.project(rng.uniform(prob.sample_lo, prob.sample_hi)),
                       lsmooth=rc.mu)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start, keep_points=True)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start)
     assert res.certificate.accepted
     sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
@@ -478,7 +486,7 @@ def test_certificate_from_the_rho_pass_equals_one_from_scratch(name, p, weighted
     anchor = prob.sample(rng, 1)[0]
     sf = ScalingFunction(prob.oracle, anchor, p, cfg.h, metric)
     reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, metric)
-    solver = StepSolver(sf, reg, prob.term)
+    solver = StepSolver(sf, prob.term)
     z = prob.term.project(anchor + 0.05 * rng.standard_normal(n))
     for _ in range(3):
         z_new, g, rho, gap = solver.step(z, rng.uniform(0.5, 1.5))
@@ -495,16 +503,63 @@ def test_certificate_from_the_rho_pass_equals_one_from_scratch(name, p, weighted
 
 @pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "ball-quadratic"])
 def test_value_and_gradient_is_one_pass_of_the_two_calls(name):
+    # oracle.evaluate gives f, grad f and (when asked) the Hessian matrix bit
+    # for bit as value, gradient and hessian_matrix do, with the same counts
     prob = get_problem(name)
     oracle = prob.oracle
     x = prob.sample(np.random.default_rng(5), 1)[0]
+    for hessian in (False, True):
+        oracle.reset_counters()
+        f_value, grad, hess = oracle.evaluate(x, hessian)
+        one_pass = dict(oracle.calls_by_order)
+        oracle.reset_counters()
+        assert f_value == oracle.value(x)
+        assert np.array_equal(grad, oracle.gradient(x))
+        if hessian:
+            assert np.array_equal(hess, oracle.hessian_matrix(x))
+        else:
+            assert hess is None
+        assert one_pass == oracle.calls_by_order
+
+
+@pytest.mark.parametrize("name", ["logistic-sep-3d", "neglog-sep"])
+def test_exact_prox_forms_the_residuals_once_per_point(name, monkeypatch):
+    # each prox-Newton point of the exact prox costs one residual pass
+    # (f, grad f and the Hessian together), plus one for grad f at the start;
+    # the result and the counts are those of the separate calls
+    prob = get_problem(name)
+    oracle = prob.oracle
+    cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=1.0 / 3.0, metric=prob.metric)
+    anchor = prob.sample(np.random.default_rng(2), 1)[0]
+    residuals, evaluate = oracle.residuals, RegularizedObjective.evaluate
+    passes, points = [], []
+    monkeypatch.setattr(oracle, "residuals", lambda x: passes.append(1) or residuals(x))
+    monkeypatch.setattr(RegularizedObjective, "evaluate",
+                        lambda reg, x: points.append(1) or evaluate(reg, x))
     oracle.reset_counters()
-    f_value, grad = oracle.value_and_gradient(x)
+    t, g = exact_prox(oracle, prob.term, cfg, anchor)
     one_pass = dict(oracle.calls_by_order)
+    assert len(points) > 2
+    assert len(passes) == len(points) + 1
+    # the same solve from separate value, gradient and Hessian calls
+    monkeypatch.setattr(oracle, "evaluate", functools.partial(SmoothOracle.evaluate, oracle))
     oracle.reset_counters()
-    assert f_value == oracle.value(x)
-    assert np.array_equal(grad, oracle.gradient(x))
+    t_apart, g_apart = exact_prox(oracle, prob.term, cfg, anchor)
+    assert np.array_equal(t, t_apart) and np.array_equal(g, g_apart)
     assert one_pass == oracle.calls_by_order
+
+
+@pytest.mark.parametrize("name,p", [("neglog-sep", 3), ("logistic-sep-3d", 4),
+                                    ("ball-quadratic", 5)])
+def test_step_forms_grad_f_reg_from_the_rho_pass(name, p):
+    # without grad_reg, a step takes grad f + H grad d off the rho pass at z:
+    # the same digits as one given grad f_reg from RegularizedObjective
+    prob, cfg, rc = _setup(name, p)
+    solver, sf, reg, term = _solver(prob, cfg, rc)
+    z = term.project(np.asarray(prob.x0, dtype=float) + 0.05)
+    own = solver.step(z, rc.lsmooth)
+    given = solver.step(z, rc.lsmooth, reg.gradient(z))
+    assert np.array_equal(own[0], given[0]) and np.array_equal(own[1], given[1])
 
 
 @pytest.mark.parametrize("name,p", [("neglog-sep", 3), ("logistic-sep-3d", 4), ("neglog-sep", 5)])
@@ -512,7 +567,7 @@ def test_inner_rows_read_f_reg_off_the_rho_pass(name, p):
     # each row's phi is f_reg + psi at its point, bit for bit as reg.value gives it
     prob, cfg, rc = _setup(name, p)
     anchor = np.asarray(prob.x0, dtype=float)
-    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor, keep_points=True)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
     reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, cfg.metric)
     assert len(res.trace.rows) > 1
     for row, z in zip(res.trace.rows, res.trace.points):

@@ -356,10 +356,10 @@ def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
     trace = biopt_run(prob, p, eps=1e-6, max_k=100)
     assert trace.status == "converged"
     itraces = trace.inner_traces
-    np.testing.assert_array_equal(itraces[0].start, prob.x0)
+    np.testing.assert_array_equal(itraces[0].points[0], prob.x0)
     np.testing.assert_array_equal(trace.anchors[0], prob.x0)
     for k in range(1, len(itraces)):
-        np.testing.assert_array_equal(itraces[k].start, trace.certificates[k - 1].point)
+        np.testing.assert_array_equal(itraces[k].points[0], trace.certificates[k - 1].point)
     assert trace.summary()["newton_iters"] == sum(t.newton_iters for t in itraces) > 0
 
 
@@ -446,7 +446,7 @@ def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
     assert start.point is cert.point and start.gradient is cert.gradient
     assert start.f_value == cert.f_value
     assert start.lsmooth == itrace.lsmooth[-1]
-    np.testing.assert_array_equal(trace.inner_traces[j + 1].start, cert.point)
+    np.testing.assert_array_equal(trace.inner_traces[j + 1].points[0], cert.point)
 
 
 def test_plain_loop_starts_at_its_anchor():
@@ -457,7 +457,7 @@ def test_plain_loop_starts_at_its_anchor():
     trace = ihopp_run(prob, cfg, provider, eps=1e-6, max_k=100)
     assert trace.status == "converged"
     for anchor, itrace in zip(trace.anchors, trace.inner_traces):
-        np.testing.assert_array_equal(itrace.start, anchor)
+        np.testing.assert_array_equal(itrace.points[0], anchor)
 
 
 def test_biopt_rejects_degenerate_high_order_bound():
