@@ -90,15 +90,20 @@ class ScalingFunction:
         the anchor stack (``AnchorStack.series``), and takes |d| once for the
         power term. The last three items are that power term's own: the same
         anchor and metric give f_reg(x) = f(x) + H d(d), grad f_reg(x) and the
-        acceptance certificate at x without another norm of d.
+        acceptance certificate at x without another norm of d. The gradient
+        and Hessian of rho are new arrays, which the caller may overwrite.
         """
         d = np.asarray(x, dtype=float) - self.anchor
         value, grad, hess = self.stack.series(d, hessian)
         p_value, p_grad, p_hess, radius = self.pp._terms(d, hessian)
         value = value + self.h * p_value
-        grad = grad + self.h * p_grad
+        # both sums go into new arrays of the pass (the series' gradient and
+        # the power term's Hessian); p_grad is returned as it is
+        grad += self.h * p_grad
         if hessian:
-            hess = hess + self.h * p_hess
+            p_hess *= self.h
+            p_hess += hess
+            hess = p_hess
         return value, grad, hess, radius, p_value, p_grad
 
     # -- reads of one pass ------------------------------------------------

@@ -58,11 +58,14 @@ next step, the descent test and the outer loop read; a start that brings
 them along evaluates neither. The certificate also takes the membership
 distance of g that the step has computed for its own residual check; both
 checks still run on it. Within a Newton iteration psi(w) is evaluated once,
-and the Hessian shift is added on the diagonal.
+and the Hessian shift is added in place, on the diagonal of the Hessian the
+pass has just formed; the model decrease that the Armijo test reads is formed
+only when the full step is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +184,7 @@ class StepSolver:
         ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
         w0 = term.project(z)
-        reuse = np.array_equal(w0, z)
+        reuse = bool((w0 == z).all())
 
         def evaluate(w):
             rho = rho_z if reuse and w is w0 else sf.evaluate(w, hessian=True)
@@ -203,31 +206,33 @@ def prox_newton(evaluate, term, w, tol):
     """argmin s + psi by damped proximal Newton (Lee, Sun and Saunders 2014): (w, pass, steps).
 
     ``evaluate(w)`` is one pass: s(w), grad s(w), the Hessian H of s, then
-    anything the caller keeps. A step minimizes the model with H + 1e-11 (1 +
-    max |H_ii|) I plus psi exactly (``_model_min``), is taken whole unless s + psi
-    rises by more than 1e-15 |s + psi|, else halved to the Armijo condition (50
-    halvings raise ``NumericalError``). Stops once -grad s(w) is within ``tol``
-    of dpsi(w), or after ``_NEWTON_CAP`` steps.
+    anything the caller keeps. H must be a new array at every call:
+    prox-Newton adds its shift to H's diagonal in place. A step minimizes the
+    model with H + 1e-11 (1 + max |H_ii|) I plus psi exactly (``_model_min``),
+    is taken whole unless s + psi rises by more than 1e-15 |s + psi|, else
+    halved to the Armijo condition (50 halvings raise ``NumericalError``); the
+    model decrease that condition reads is formed only then. Stops once
+    -grad s(w) is within ``tol`` of dpsi(w), or after ``_NEWTON_CAP`` steps.
+    The pass returned is the one at the returned w, its H unshifted.
     """
     at_w = evaluate(w)
     psi_w = term.value(w)
     fw = at_w[0] + psi_w
-    diag = np.arange(len(w))
     steps = 0
     for _ in range(_NEWTON_CAP):
         gw = at_w[1]
         if term.subgradient_distance(w, -gw) <= tol:
             break
-        hm = at_w[2].copy()
-        hm[diag, diag] += 1e-11 * (1.0 + float(np.abs(hm[diag, diag]).max()))
+        hm = at_w[2]
+        diag = np.einsum("ii->i", hm)  # a writable view of H's diagonal
+        diag += 1e-11 * (1.0 + float(np.abs(diag).max()))
         cand = _model_min(term, w, gw, hm)
         steps += 1
         d = cand - w
-        model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
-                       + term.value(cand) - psi_w)
+        model_drop = None
         t = 1.0
         for _ in range(_HALVING_CAP):
-            wt = w + t * d
+            wt = w + d if t == 1.0 else w + t * d
             at_t = evaluate(wt)
             psi_t = term.value(wt)
             ft = at_t[0] + psi_t
@@ -236,6 +241,9 @@ def prox_newton(evaluate, term, w, tol):
             if t == 1.0:
                 limit = fw + 1e-15 * abs(fw)
             else:
+                if model_drop is None:
+                    model_drop = -(float(np.dot(gw, d)) + 0.5 * float(d @ hm @ d)
+                                   + term.value(cand) - psi_w)
                 limit = fw - 1e-4 * t * max(model_drop, 0.0)
             if ft <= limit:
                 break
@@ -254,7 +262,7 @@ def residual_tol(slack, metric, start):
     its own step, and below slack/2 in the dual norm, |v|_* <= |v| /
     sqrt(lambda_min(B)): a check with additive ``slack`` keeps half for rounding.
     """
-    return 0.5 * slack * min(1.0, start) * float(np.sqrt(np.linalg.eigvalsh(metric.matrix())[0]))
+    return 0.5 * slack * min(1.0, start) * math.sqrt(metric.min_eigenvalue)
 
 
 def exact_prox(oracle, term, cfg, anchor):
@@ -284,7 +292,8 @@ def _model_min(term, w, grad, hm):
     lowers q, else at the first kink, which is fixed. Otherwise z = y, and
     fixed coordinates whose multiplier -r_i lies outside dpsi_i(z_i) by
     more than rounding are freed (after a zero-length step only the
-    furthest). q never rises; a pass cap raises ``NumericalError``.
+    furthest). A pass that frees coordinates keeps z, so the next pass reuses
+    its model gradient. q never rises; a pass cap raises ``NumericalError``.
     """
     if term.kind == "zero":
         return w - np.linalg.solve(hm, grad)
@@ -297,8 +306,11 @@ def _model_min(term, w, grad, hm):
     slope = np.where(fixed, 0.0, lo)
     moved = True
     gmax, hmax = abs(grad).max(), abs(hm).max()
+    r = None  # the model gradient at z, kept while z does not move
     for _ in range(_PASS_CAP * n):
-        r = grad + hm @ (z - w)
+        if r is None:
+            dz = z - w
+            r = grad + hm @ dz
         nfixed = np.count_nonzero(fixed)
         if nfixed < n:
             f = ~fixed
@@ -319,17 +331,19 @@ def _model_min(term, w, grad, hm):
                 moved = bool(np.count_nonzero(new != zf))
                 z[f] = new
                 fixed[f] = out
+                r = None
                 continue
             if not nfixed:
                 return y
             moved = bool(np.count_nonzero(y != zf))
             z[f] = y
-            r = grad + hm @ (z - w)
+            dz = z - w
+            r = grad + hm @ dz
         lo, hi = term.subdifferential(z)
         up, down = -r - hi, lo + r
         viol = np.where(fixed, np.maximum(up, down), -np.inf)
         # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
-        slack = n * np.spacing(gmax + hmax * abs(z - w).sum())
+        slack = n * np.spacing(gmax + hmax * abs(dz).sum())
         free = viol > slack
         if not np.count_nonzero(free):
             return z

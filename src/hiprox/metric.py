@@ -15,9 +15,11 @@ which is bounded below by ``|h|^{p-1} B``.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import DimensionError, ParameterError
 
@@ -34,7 +36,7 @@ class MetricSpace:
         Positive diagonal of B. Mutually exclusive with ``matrix``.
     matrix : array_like, optional
         Dense SPD B. Symmetry is enforced up to a relative 1e-12 and the
-        Cholesky factor is cached for dual-norm solves.
+        Cholesky factor is cached for dual-norm solves (``cho_solve``).
     """
 
     def __init__(self, dimension, weights=None, matrix=None):
@@ -96,8 +98,7 @@ class MetricSpace:
         if self._weights is not None:
             return g / self._weights
         if self._matrix is not None:
-            y = np.linalg.solve(self._chol, g)
-            return np.linalg.solve(self._chol.T, y)
+            return cho_solve((self._chol, True), g)
         return g.copy()
 
     def matrix(self):
@@ -108,18 +109,27 @@ class MetricSpace:
             return np.diag(self._weights)
         return np.eye(self.dimension)
 
+    @cached_property
+    def min_eigenvalue(self):
+        """lambda_min(B), formed once: 1 for the identity, the least weight for a diagonal B."""
+        if self._weights is not None:
+            return float(self._weights.min())
+        if self._matrix is not None:
+            return float(np.linalg.eigvalsh(self._matrix)[0])
+        return 1.0
+
     def primal_norm(self, x):
         return self._norm_and_apply(x)[0]
 
     def _norm_and_apply(self, x):
-        """(|x|, B x): the primal norm and the B x it is formed from."""
+        """(|x|, B x): the primal norm and the B x it is formed from (x itself for the identity)."""
         x = self._check(x)
-        bx = self.apply(x)
-        return float(np.sqrt(max(0.0, float(np.dot(bx, x))))), bx
+        bx = x if self.is_identity else self.apply(x)
+        return math.sqrt(max(0.0, float(np.dot(bx, x)))), bx
 
     def dual_norm(self, g):
         g = self._check(g)
-        return float(np.sqrt(max(0.0, float(np.dot(g, self.apply_inv(g))))))
+        return math.sqrt(max(0.0, float(np.dot(g, g if self.is_identity else self.apply_inv(g)))))
 
 
 class PowerProx:
@@ -149,7 +159,10 @@ class PowerProx:
         return self._terms(h, hessian=True)[2]
 
     def _terms(self, h, hessian=False):
-        """(d(h), grad d(h), Hessian matrix of d at h or None, |h|), from one norm of h."""
+        """(d(h), grad d(h), Hessian matrix of d at h or None, |h|), from one norm of h.
+
+        Every array returned is new, so a caller may overwrite it.
+        """
         r, bh = self.metric._norm_and_apply(h)
         p, n = self.p, self.metric.dimension
         value = r ** (p + 1) / (p + 1)
@@ -161,7 +174,10 @@ class PowerProx:
             elif r == 0.0:
                 hess = np.zeros((n, n))
             else:
-                hess = r ** (p - 1) * self._b + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+                # r^(p-1) B + (p-1) r^(p-3) (Bh)(Bh)^T, the rank-one part formed in place
+                hess = bh[:, None] * bh
+                hess *= (p - 1) * r ** (p - 3)
+                hess += r ** (p - 1) * self._b
         return value, grad, hess, r
 
     def uniform_convexity_modulus(self):

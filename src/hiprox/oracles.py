@@ -140,6 +140,9 @@ class AnchorStack:
             if k < 2:
                 raise ParameterError("tensor order must be >= 2")
             self.weights[k] = oracle._weights(y, k)
+        # (k, data, k!, (k-1)!, (k-2)!) per order, for ``series``
+        self._orders = [(k, w, math.factorial(k), math.factorial(k - 1), math.factorial(k - 2))
+                        for k, w in self.weights.items()]
 
     def _project(self, h):
         # order 2 does not depend on h, so it may be contracted with h = None
@@ -169,19 +172,24 @@ class AnchorStack:
         (from 0 when grad is None) and, when ``hessian`` is set and the stack
         is not empty, the dense sum_k D^k f(y)[h]^{k-2} / (k-2)!, whose order-2
         term is ``hessian``; else None. Each term is divided by its factorial
-        before it is added.
+        (formed once per stack) before it is added; the exact division of a
+        gradient term by 1 is skipped. A stack that is not empty returns a new
+        gradient array, and a new Hessian unless it is of order 2 alone: then
+        the Hessian is the read-only ``hessian`` itself.
         """
         oracle = self.oracle
         ph = self._project(h)
+        hess = None
+        for k, w, fk, fk1, fk2 in self._orders:
+            value = value + oracle._form(w, ph, k) / fk
+            term = oracle._apply(w, ph, k, ph)
+            # a new array; from grad = None as 0 + term, so a -0.0 becomes 0.0
+            grad = (0.0 if grad is None else grad) + (term / fk1 if fk1 > 1 else term)
+            if hessian:
+                mat = self.hessian if k == 2 else oracle._matrix(w, ph, k) / fk2
+                hess = mat if hess is None else hess + mat
         if grad is None:
             grad = np.zeros_like(h)
-        hess = None
-        for k, w in self.weights.items():
-            value = value + oracle._form(w, ph, k) / math.factorial(k)
-            grad = grad + oracle._apply(w, ph, k, ph) / math.factorial(k - 1)
-            if hessian:  # the first order is 2, whose factorial (k - 2)! is 1
-                mat = self.hessian if k == 2 else oracle._matrix(w, ph, k)
-                hess = mat if hess is None else hess + mat / math.factorial(k - 2)
         return value, grad, hess
 
     @cached_property

@@ -22,6 +22,8 @@ step take their g from it, and the example scans and diagnostics use it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ParameterError
@@ -75,8 +77,8 @@ class SimpleTerm:
 
     def subgradient_distance(self, x, target):
         """Euclidean distance from target to the subdifferential at x."""
-        sel = self.subgradient_select(x, target)
-        return float(np.linalg.norm(np.asarray(target, dtype=float) - sel))
+        gap = np.asarray(target, dtype=float) - self.subgradient_select(x, target)
+        return math.sqrt(float(np.dot(gap, gap)))
 
 
 class ZeroTerm(SimpleTerm):
@@ -90,6 +92,11 @@ class ZeroTerm(SimpleTerm):
 
     def subdifferential(self, x):
         return np.zeros(np.shape(x)), np.zeros(np.shape(x))
+
+    def subgradient_distance(self, x, target):
+        # dpsi = {0} everywhere
+        target = np.asarray(target, dtype=float)
+        return math.sqrt(float(np.dot(target, target)))
 
     def piece(self, slope):
         return np.full(np.shape(slope), -_INF), np.full(np.shape(slope), _INF)

@@ -32,6 +32,7 @@ from hiprox import (
     relative_constants,
     tensor_step,
 )
+from hiprox.simple_terms import ZeroTerm
 
 
 def _setup(problem_name, p, h=None, beta=None):
@@ -572,3 +573,116 @@ def test_inner_rows_read_f_reg_off_the_rho_pass(name, p):
     assert len(res.trace.rows) > 1
     for row, z in zip(res.trace.rows, res.trace.points):
         assert row.phi == reg.value(z) + prob.term.value(z)
+
+
+class _CountingZero(ZeroTerm):
+    """psi = 0 that counts its value calls."""
+
+    def __init__(self):
+        self.values = 0
+
+    def value(self, x):
+        self.values += 1
+        return 0.0
+
+
+def _pseudo_huber(w):
+    root = math.sqrt(1.0 + float(w[0]) ** 2)
+    return root, w / root, np.array([[1.0 / root ** 3]])
+
+
+def test_prox_newton_halves_a_rising_full_step_to_the_armijo_decrease():
+    # s(w) = sqrt(1 + w^2) from w = 2: the full Newton step d = -w (1 + w^2)
+    # lands at -8, where s rises; halving accepts the first t that makes the
+    # Armijo decrease 1e-4 t (model decrease), here t = 1/4
+    points = []
+    term = _CountingZero()
+    w0 = np.array([2.0])
+    w, at_w, steps = inner.prox_newton(lambda w: points.append(w) or _pseudo_huber(w),
+                                       term, w0, 1e-12)
+    d = points[1] - w0
+    assert points[2].tobytes() == (w0 + 0.5 * d).tobytes()
+    assert points[3].tobytes() == (w0 + 0.25 * d).tobytes()
+    s0, g0, h0 = _pseudo_huber(w0)
+    hm = h0[0, 0] + 1e-11 * (1.0 + h0[0, 0])
+    model_drop = -(float(g0[0] * d[0]) + 0.5 * hm * d[0] ** 2)
+    assert model_drop > 0.0
+    values = [_pseudo_huber(p)[0] for p in points[1:4]]
+    assert values[0] > s0  # the full step rises
+    assert values[1] > s0 - 1e-4 * 0.5 * model_drop
+    assert values[2] <= s0 - 1e-4 * 0.25 * model_drop
+    # the next Newton step starts at the accepted point and is whole
+    assert abs(points[4][0]) < abs(points[3][0])
+    assert abs(w[0]) <= 1e-12 and at_w[1][0] == w[0] / math.sqrt(1.0 + w[0] ** 2)
+    assert steps == len(points) - 3
+    # psi is read at every point, and once more at the candidate of the one
+    # step that halved: the model decrease is formed only there
+    assert term.values == len(points) + 1
+
+
+def test_prox_newton_takes_a_full_step_without_the_model_decrease():
+    # a strictly convex quadratic: every step is whole, so psi is read once per
+    # point and never at a model candidate
+    points = []
+
+    def evaluate(w):
+        points.append(w)
+        return 0.5 * float(w @ w) + float(w.sum()), w + 1.0, np.eye(2)
+
+    term = _CountingZero()
+    w, _, steps = inner.prox_newton(evaluate, term, np.array([3.0, -2.0]), 1e-12)
+    np.testing.assert_allclose(w, [-1.0, -1.0], rtol=0, atol=1e-12)
+    assert steps >= 1 and len(points) == steps + 1
+    assert term.values == len(points)
+
+
+def test_prox_newton_line_search_raises_after_fifty_halvings():
+    # s rises off w0 in every direction while its gradient points away: the
+    # step is halved 50 times, t = 1, 1/2, ..., 2^-49, and then raises
+    w0 = np.array([0.0])
+    points = []
+
+    def evaluate(w):
+        points.append(w)
+        return float(w[0] != 0.0), np.array([1.0]), np.array([[1.0]])
+
+    with pytest.raises(NumericalError, match="50 halvings"):
+        inner.prox_newton(evaluate, make_term("zero"), w0, 1e-12)
+    assert len(points) == 1 + 50
+    d = points[1] - w0
+    assert d[0] < 0.0
+    assert [p.tobytes() for p in points[2:]] == [(w0 + 0.5 ** k * d).tobytes()
+                                                 for k in range(1, 50)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
+def test_in_place_work_leaves_the_solve_constants_alone(name, p, weighted, monkeypatch):
+    # prox-Newton shifts each pass's Hessian in place, and the rho pass sums
+    # into its own arrays: D^2 f(y) of the anchor stack and B of the power
+    # term, shared by every pass of the solve, stay bit for bit and read-only
+    prob = get_problem(name)
+    n = prob.dimension
+    rng = np.random.default_rng(p + 10 * weighted)
+    metric = MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)) if weighted else prob.metric
+    h = bilevel_h(p, prob.m_next(p))
+    cfg = ProxConfig(p=p, h=h, beta=1.0 / p, metric=metric)
+    rc = relative_constants(p, h, prob.m_next(p))
+    built = []
+
+    class Recording(ScalingFunction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(inner, "ScalingFunction", Recording)
+    anchor = np.asarray(prob.x0, dtype=float)
+    res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
+    assert res.trace.newton_iters > 0
+    (sf,) = built
+    stack_hessian = sf.stack.hessian
+    assert not stack_hessian.flags.writeable and not sf.pp._b.flags.writeable
+    fresh = prob.oracle._matrix(sf.stack.weights[2], None, 2)
+    assert stack_hessian.tobytes() == fresh.tobytes()
+    assert sf.pp._b.tobytes() == sf.metric.matrix().tobytes()

@@ -176,3 +176,52 @@ def test_uniform_convexity_modulus_tight_on_the_ray():
     assert lhs == pytest.approx(
         pp.uniform_convexity_modulus() * np.linalg.norm(y - x) ** 2
     )
+
+
+@pytest.mark.parametrize("kind", ["identity", "weighted", "dense"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_power_prox_hessian_is_the_textbook_formula_bit_for_bit(p, kind):
+    # the Hessian builds its rank-one part in place; the digits are those of
+    # r^(p-1) B + (p-1) r^(p-3) (Bh)(Bh)^T, and at r = 0 of B (p = 1) or 0
+    rng = np.random.default_rng(10 * p + len(kind))
+    n = 4
+    metric = {"identity": MetricSpace(n),
+              "weighted": MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)),
+              "dense": MetricSpace(n, matrix=_random_spd(rng, n))}[kind]
+    b = metric.matrix()
+    pp = PowerProx(p, metric)
+    for h in (np.zeros(n), rng.standard_normal(n), 1e-3 * rng.standard_normal(n)):
+        bh = metric.apply(h)
+        r = float(np.sqrt(max(0.0, float(np.dot(bh, h)))))
+        if r == 0.0:
+            textbook = b if p == 1 else np.zeros((n, n))
+        else:
+            textbook = r ** (p - 1) * b + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+        assert np.array_equal(pp.hessian_matrix(h), textbook)
+    # B itself is shared by every Hessian, unchanged and read-only
+    assert pp._b.tobytes() == b.tobytes() and not pp._b.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["identity", "weighted", "dense"])
+def test_apply_and_apply_inv_return_new_arrays(kind):
+    # apply and apply_inv hand back a new array, also for the identity
+    rng = np.random.default_rng(7)
+    n = 3
+    metric = {"identity": MetricSpace(n),
+              "weighted": MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)),
+              "dense": MetricSpace(n, matrix=_random_spd(rng, n))}[kind]
+    x = rng.standard_normal(n)
+    kept = x.copy()
+    for out in (metric.apply(x), metric.apply_inv(x)):
+        assert not np.shares_memory(out, x)
+        out[:] = 0.0
+    assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 59, 100])
+def test_min_eigenvalue_is_the_eigvalsh_of_b(n):
+    # lambda_min(B) formed once per metric: the digits eigvalsh gives B
+    rng = np.random.default_rng(n)
+    for metric in (MetricSpace(n), MetricSpace(n, weights=rng.uniform(0.1, 10.0, n)),
+                   MetricSpace(n, matrix=_random_spd(rng, n))):
+        assert metric.min_eigenvalue == float(np.linalg.eigvalsh(metric.matrix())[0])
