@@ -27,7 +27,8 @@ distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +63,12 @@ class ProxConfig:
     def beta_le_inv_p(self):
         """Whether beta <= 1/p: ``aihopp_run`` and the ``progress_dual`` inequality need it."""
         return self.beta <= 1.0 / self.p + 1e-15
+
+    def scaled(self, scale):
+        """This config at H = scale * h, sharing its power regularizers: d does not depend on H."""
+        out = replace(self, h=scale * self.h)
+        out._power = self._power
+        return out
 
     def power(self, dimension):
         """The power regularizer d in this metric (Euclidean when None), built once per dimension."""
@@ -113,7 +120,7 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
         raise CertificateError("candidate point lies outside dom psi")
     if gap is None:
         gap = term.subgradient_distance(point, g)
-    if gap > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(g))):
+    if gap > MEMBERSHIP_TOL * (1.0 + math.sqrt(float(np.dot(g, g)))):
         raise CertificateError(
             "g is not a subgradient of psi at the candidate (distance %.3e)" % gap
         )

@@ -65,10 +65,24 @@ from .metric import MetricSpace, PowerProx
 from .oracles import AnchorStack
 
 
-class ScalingFunction:
-    """Even-order Taylor part of f at the anchor plus H d(x - anchor)."""
+def _power_prox(p, metric, power, dimension):
+    """``power`` when given (a ``PowerProx`` of order p), else d of order p in ``metric``."""
+    if power is None:
+        return PowerProx(p, metric if metric is not None else MetricSpace.euclidean(dimension))
+    if power.p != p:
+        raise ParameterError("the power regularizer has order %d, not p = %d" % (power.p, p))
+    return power
 
-    def __init__(self, oracle, anchor, p, h, metric=None):
+
+class ScalingFunction:
+    """Even-order Taylor part of f at the anchor plus H d(x - anchor).
+
+    ``power``, a ``PowerProx`` of order p, is shared when given, and its
+    metric is then the scaling function's: d does not depend on H or the
+    anchor, so the inner loop passes the one its config builds per run.
+    """
+
+    def __init__(self, oracle, anchor, p, h, metric=None, power=None):
         if p < 2:
             raise ParameterError("scaling functions need p >= 2")
         if h < 0:
@@ -78,8 +92,8 @@ class ScalingFunction:
         self.p = int(p)
         self.q = self.p // 2
         self.h = float(h)
-        self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.anchor))
-        self.pp = PowerProx(self.p, self.metric)
+        self.pp = _power_prox(self.p, metric, power, len(self.anchor))
+        self.metric = self.pp.metric
         # the anchor's residuals and even-order weights, once per scaling function
         self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
@@ -135,16 +149,17 @@ class RegularizedObjective:
     """f_reg(x) = f(x) + H d(x - anchor), minimized by ``exact_prox``.
 
     The inner loop forms f_reg from the scaling function's pass instead,
-    which carries the same H d(x - anchor).
+    which carries the same H d(x - anchor). ``power`` is shared when given,
+    as in ``ScalingFunction``.
     """
 
-    def __init__(self, oracle, anchor, p, h, metric=None):
+    def __init__(self, oracle, anchor, p, h, metric=None, power=None):
         self.oracle = oracle
         self.anchor = np.asarray(anchor, dtype=float)
         self.p = int(p)
         self.h = float(h)
-        self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.anchor))
-        self.pp = PowerProx(self.p, self.metric)
+        self.pp = _power_prox(self.p, metric, power, len(self.anchor))
+        self.metric = self.pp.metric
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.anchor

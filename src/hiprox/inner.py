@@ -69,6 +69,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .acceptance import ACCEPT_SLACK, check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction
@@ -206,14 +207,16 @@ def prox_newton(evaluate, term, w, tol):
     """argmin s + psi by damped proximal Newton (Lee, Sun and Saunders 2014): (w, pass, steps).
 
     ``evaluate(w)`` is one pass: s(w), grad s(w), the Hessian H of s, then
-    anything the caller keeps. H must be a new array at every call:
-    prox-Newton adds its shift to H's diagonal in place. A step minimizes the
-    model with H + 1e-11 (1 + max |H_ii|) I plus psi exactly (``_model_min``),
-    is taken whole unless s + psi rises by more than 1e-15 |s + psi|, else
-    halved to the Armijo condition (50 halvings raise ``NumericalError``); the
-    model decrease that condition reads is formed only then. Stops once
-    -grad s(w) is within ``tol`` of dpsi(w), or after ``_NEWTON_CAP`` steps.
-    The pass returned is the one at the returned w, its H unshifted.
+    anything the caller keeps. H must be a new C-contiguous array at every
+    call: prox-Newton adds its shift to H's diagonal in place, through a
+    strided view of H (an H in any other layout is copied first and the copy
+    shifted). A step minimizes the model with H + 1e-11 (1 + max |H_ii|) I
+    plus psi exactly (``_model_min``), is taken whole unless s + psi rises by
+    more than 1e-15 |s + psi|, else halved to the Armijo condition (50
+    halvings raise ``NumericalError``); the model decrease that condition
+    reads is formed only then. Stops once -grad s(w) is within ``tol`` of
+    dpsi(w), or after ``_NEWTON_CAP`` steps. The pass returned is the one at
+    the returned w, its H unshifted.
     """
     at_w = evaluate(w)
     psi_w = term.value(w)
@@ -223,8 +226,8 @@ def prox_newton(evaluate, term, w, tol):
         gw = at_w[1]
         if term.subgradient_distance(w, -gw) <= tol:
             break
-        hm = at_w[2]
-        diag = np.einsum("ii->i", hm)  # a writable view of H's diagonal
+        hm = np.ascontiguousarray(at_w[2])
+        diag = hm.reshape(-1)[:: len(w) + 1]  # a writable view of H's diagonal
         diag += 1e-11 * (1.0 + float(np.abs(diag).max()))
         cand = _model_min(term, w, gw, hm)
         steps += 1
@@ -273,7 +276,7 @@ def exact_prox(oracle, term, cfg, anchor):
     so the pair certifies at every beta, beta = 0 included.
     """
     anchor = np.asarray(anchor, dtype=float)
-    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric, cfg.power(len(anchor)))
     w0 = term.project(anchor)
     tol = residual_tol(ACCEPT_SLACK, reg.metric,
                        term.subgradient_distance(w0, -reg.gradient(w0)))
@@ -294,9 +297,12 @@ def _model_min(term, w, grad, hm):
     more than rounding are freed (after a zero-length step only the
     furthest). A pass that frees coordinates keeps z, so the next pass reuses
     its model gradient. q never rises; a pass cap raises ``NumericalError``.
+    Both linear solves (psi = 0 and the free block) are one LAPACK LU call
+    (``_solve``), which leaves hm and the free block as they are: the clip
+    test and prox-Newton's Armijo decrease read them afterwards.
     """
     if term.kind == "zero":
-        return w - np.linalg.solve(hm, grad)
+        return w - _solve(hm, grad)
     if not term.is_separable:
         return _ball_quadratic(term, w, grad, hm)
     n = len(w)
@@ -317,7 +323,7 @@ def _model_min(term, w, grad, hm):
             hff = hm[f][:, f] if nfixed else hm
             lof, hif = (b[f] for b in term.piece(slope))
             zf, rs = z[f], r[f] + slope[f]
-            y = zf - np.linalg.solve(hff, rs)
+            y = zf - _solve(hff, rs)
             new = np.minimum(np.maximum(y, lof), hif)
             out = new != y
             if np.count_nonzero(out):
@@ -354,6 +360,20 @@ def _model_min(term, w, grad, hm):
     raise NumericalError("active-set model step reached %d passes" % (_PASS_CAP * n))
 
 
+def _solve(a, b):
+    """a^{-1} b by one LAPACK LU call (``dgesv``), a and b left as they are.
+
+    Raises ``np.linalg.LinAlgError`` for an exactly singular a, as
+    ``np.linalg.solve`` does, without numpy's Python wrapper around the call.
+    """
+    _, _, x, info = dgesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    if info < 0:
+        raise ValueError("dgesv: illegal value in argument %d" % -info)
+    return x
+
+
 def _ball_quadratic(term, w, grad, hm):
     """argmin <grad, z-w> + (z-w)'hm(z-w)/2 over |z - center| <= radius.
 
@@ -369,12 +389,13 @@ def _ball_quadratic(term, w, grad, hm):
     bt = vec.T @ (hm @ (w - center) - grad)
 
     def excess(a):
-        return float(np.linalg.norm(bt / (lam + a))) - radius
+        v = bt / (lam + a)
+        return math.sqrt(float(np.dot(v, v))) - radius
 
     a = 0.0
     if excess(a) > 0.0:
         # |bt| / radius would be a root if lam were 0, so it brackets
-        a = decreasing_root(excess, 0.0, float(np.linalg.norm(bt)) / radius)
+        a = decreasing_root(excess, 0.0, math.sqrt(float(np.dot(bt, bt))) / radius)
     return center + vec @ (bt / (lam + a))
 
 
@@ -413,7 +434,8 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
     z = np.array(start.point, dtype=float)
     if not term.contains(z):
         raise ParameterError("inner loop must start inside dom psi")
-    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    # d and its metric are the config's, built once per run (see ProxConfig.scaled)
+    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric, cfg.power(len(anchor)))
     solver = StepSolver(sf, term)
     # rho at z, f_reg(z) and grad f_reg(z) pass from step to step; f_reg and
     # grad f_reg read the power term's d(d) and grad d(d) off the rho pass

@@ -77,6 +77,13 @@ class MetricSpace:
     def is_identity(self):
         return self._weights is None and self._matrix is None
 
+    @property
+    def diagonal(self):
+        """B's diagonal when B is diagonal (the scalar 1.0 for the identity), else None."""
+        if self._matrix is not None:
+            return None
+        return 1.0 if self._weights is None else self._weights
+
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -140,10 +147,12 @@ class PowerProx:
             raise ParameterError("p must be an integer >= 1")
         self.p = int(p)
         self.metric = metric
+        # B's diagonal, None for a dense B (read by every Hessian)
+        self._b_diag = metric.diagonal
 
     @cached_property
     def _b(self):
-        """Dense B, assembled on the first Hessian and read-only."""
+        """Dense B, read-only: assembled on the first Hessian that adds it (p = 1 or a dense B)."""
         out = self.metric.matrix()
         out.flags.writeable = False
         return out
@@ -161,7 +170,9 @@ class PowerProx:
     def _terms(self, h, hessian=False):
         """(d(h), grad d(h), Hessian matrix of d at h or None, |h|), from one norm of h.
 
-        Every array returned is new, so a caller may overwrite it.
+        Every array returned is new, so a caller may overwrite it. A diagonal
+        B (the identity too) goes onto the Hessian's diagonal in place, so
+        only p = 1 and a dense B read the dense ``_b``.
         """
         r, bh = self.metric._norm_and_apply(h)
         p, n = self.p, self.metric.dimension
@@ -177,7 +188,11 @@ class PowerProx:
                 # r^(p-1) B + (p-1) r^(p-3) (Bh)(Bh)^T, the rank-one part formed in place
                 hess = bh[:, None] * bh
                 hess *= (p - 1) * r ** (p - 3)
-                hess += r ** (p - 1) * self._b
+                if self._b_diag is None:
+                    hess += r ** (p - 1) * self._b
+                else:
+                    # a writable view of the diagonal (hess is new and C-contiguous)
+                    hess.reshape(-1)[:: n + 1] += r ** (p - 1) * self._b_diag
         return value, grad, hess, r
 
     def uniform_convexity_modulus(self):

@@ -36,7 +36,8 @@ certified at its own H_k, so no step is redone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,7 +158,8 @@ def psi_argmin(state, term, pp):
         return psi_prox_euclid(term, s / w, x0, tau / w)
 
     def radius_gap(r):
-        return float(np.linalg.norm(candidate(r) - x0)) - r
+        d = candidate(r) - x0
+        return math.sqrt(float(np.dot(d, d))) - r
 
     r_lo = 1e-12
     if radius_gap(r_lo) <= 0.0:
@@ -267,16 +269,11 @@ class OuterTrace:
         return out
 
 
-def _scaled(cfg, scale):
-    """cfg at H = scale * cfg.h."""
-    return replace(cfg, h=scale * cfg.h)
-
-
 def exact_prox_provider(oracle, term, cfg):
     """Acceptable-solution provider backed by the exact prox (``exact_prox``)."""
 
     def provider(anchor, start, scale):
-        step_cfg = _scaled(cfg, scale)
+        step_cfg = cfg.scaled(scale)
         t, g = exact_prox(oracle, term, step_cfg, anchor)
         cert = check_acceptable(oracle, term, step_cfg, anchor, t, g)
         if not cert.accepted:
@@ -296,7 +293,7 @@ def inner_prox_provider(oracle, term, cfg, m_next):
     """
 
     def provider(anchor, start, scale):
-        step_cfg = _scaled(cfg, scale)
+        step_cfg = cfg.scaled(scale)
         rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
         res = inner_solve(oracle, term, step_cfg, rc, anchor, start)
         return res.certificate, res.iterations, res.trace

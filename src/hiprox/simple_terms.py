@@ -210,11 +210,11 @@ class BallTerm(SimpleTerm):
 
     def contains(self, x, tol=1e-9):
         d = np.asarray(x, dtype=float) - self.center
-        return bool(np.linalg.norm(d) <= self.radius + tol)
+        return math.sqrt(float(np.dot(d, d))) <= self.radius + tol
 
     def project(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        r = np.linalg.norm(d)
+        r = math.sqrt(float(np.dot(d, d)))
         if r <= self.radius:
             return self.center + d
         return self.center + d * (self.radius / r)
@@ -227,7 +227,7 @@ class BallTerm(SimpleTerm):
         if not self.contains(x):
             raise DomainError("point outside the ball")
         d = x - self.center
-        r = float(np.linalg.norm(d))
+        r = math.sqrt(float(np.dot(d, d)))
         out = np.zeros_like(x)
         if r >= self.radius - 1e-12 and r > 0:
             # normal cone is the ray {alpha d : alpha >= 0}

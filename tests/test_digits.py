@@ -1,18 +1,31 @@
-"""Digits guard: the catalog's bi-level CSVs, byte for byte.
+"""Digits guard: the bench's bi-level CSVs, byte for byte.
 
-The hashes are sha256 of ``biopt_run(problem, p, eps=1e-6, max_k=200).to_csv()``
-for the cells the benchmark's catalog workloads solve (every catalog problem
-with a finite M_{p+1} at p = 3; neglog-sep, logistic-sep-3d and
-ball-quadratic at p = 4 and 5), on x86-64 with numpy's OpenBLAS and one BLAS
-thread. A speed-up keeps every digit. A change that moves digits on purpose
-records the new hashes here and says why in CHANGES.md.
+The hashes are sha256 of ``biopt_run(...).to_csv()``, on x86-64 with one BLAS
+thread (``conftest.py`` sets it). Two OpenBLAS builds take part: numpy's
+(0.3.31) runs everything numpy computes, and scipy's (0.3.30) runs the LAPACK
+LU solve of every prox-Newton step (``scipy.linalg.lapack.dgesv``). A
+speed-up keeps every digit. A change that moves digits on purpose records the
+new hashes here and says why in CHANGES.md.
+
+- The catalog cells of the benchmark's catalog workloads, at eps = 1e-6 and
+  max_k = 200: every catalog problem with a finite M_{p+1} at p = 3, and
+  neglog-sep, logistic-sep-3d and ball-quadratic at p = 4 and 5.
+- The base instances of the two synthetic workloads, from the generators of
+  ``bench/workloads.py`` at generator seed 0, solved at p = 3 to
+  rhs_tol = 1e-4 with max_k = 200. Their iteration counts are pinned too, so
+  a change of digits shows whether the work moved with them.
 """
 
 import hashlib
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hiprox import biopt_run, get_problem
+from hiprox import MetricSpace, PowerProx, biopt_run, get_problem
 
 CSV_SHA256 = {
     ("ball-quadratic", 3): "c162cfb30e38dbfb555bea777cca716282524ed2434a9b7149f91e5790d84822",
@@ -35,3 +48,73 @@ def test_bilevel_csv_keeps_its_digits(name, p):
     trace = biopt_run(get_problem(name), p, eps=1e-6, max_k=200)
     assert trace.status == "converged"
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == CSV_SHA256[(name, p)]
+
+
+def _count_power_proxes(monkeypatch):
+    built = []
+    init = PowerProx.__init__
+
+    def counting(self, p, metric):
+        built.append(self)
+        init(self, p, metric)
+
+    monkeypatch.setattr(PowerProx, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("name,p", [("logistic-sep-3d", 3), ("ball-quadratic", 4),
+                                    ("neglog-sep", 5)])
+def test_bilevel_run_builds_one_power_regularizer(name, p, monkeypatch):
+    # d does not depend on H: every inner solve, certificate and the
+    # accelerated loop's psi_argmin share one PowerProx, with the same digits
+    built = _count_power_proxes(monkeypatch)
+    trace = biopt_run(get_problem(name), p, eps=1e-6, max_k=200)
+    assert len(trace.rows) > 2 and len(built) == 1
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == CSV_SHA256[(name, p)]
+
+
+def test_bilevel_run_with_a_dense_metric_forms_b_once(monkeypatch):
+    # a dense B is assembled once per run, not once per inner solve
+    problem = get_problem("logistic-sep-3d")
+    n = problem.dimension
+    b = np.eye(n) + 0.25 * np.ones((n, n))
+    built = _count_power_proxes(monkeypatch)
+    trace = biopt_run(replace(problem, metric=MetricSpace(n, matrix=b)), 3, eps=1e-6, max_k=200)
+    assert trace.status == "converged" and len(trace.rows) > 2
+    (pp,) = built
+    assert "_b" in vars(pp) and pp._b.tobytes() == b.tobytes()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+# (outer steps, inner steps, prox-Newton iterations, sha256 of the CSV)
+SYNTHETIC = {
+    "neglog-box-100": (11, 20, 83,
+                       "61da2f7c8efb138178e29470395082b4e73b464199255270fe04cac6f24c44f0"),
+    "logistic-l1-10": (23, 41, 214,
+                       "f9d8c58a946933de661fc5d4eaefd02d7f5fbf4ee011c9277005d9796a39937e"),
+}
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC))
+def test_synthetic_csv_keeps_its_digits_and_counts(name):
+    wl = _load_workloads()
+    make = {"neglog-box-100": lambda: wl.neglog_box(100, 0),
+            "logistic-l1-10": lambda: wl.logistic_l1(10, 0)}[name]
+    problem = make()
+    assert problem.name == name
+    trace = biopt_run(problem, 3, max_k=200, rhs_tol=1e-4)
+    assert trace.status == "converged"
+    counts = (trace.rows[-1].k, trace.inner_total, trace.summary()["newton_iters"])
+    outer, inner, newton, digest = SYNTHETIC[name]
+    assert counts == (outer, inner, newton)
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest

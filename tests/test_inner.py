@@ -655,17 +655,9 @@ def test_prox_newton_line_search_raises_after_fifty_halvings():
                                                  for k in range(1, 50)]
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("p", [3, 4, 5])
-@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
-def test_in_place_work_leaves_the_solve_constants_alone(name, p, weighted, monkeypatch):
-    # prox-Newton shifts each pass's Hessian in place, and the rho pass sums
-    # into its own arrays: D^2 f(y) of the anchor stack and B of the power
-    # term, shared by every pass of the solve, stay bit for bit and read-only
+def _recorded_solve(name, p, metric, monkeypatch):
+    """One inner solve from the anchor x0 of a catalog problem, and its scaling function."""
     prob = get_problem(name)
-    n = prob.dimension
-    rng = np.random.default_rng(p + 10 * weighted)
-    metric = MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)) if weighted else prob.metric
     h = bilevel_h(p, prob.m_next(p))
     cfg = ProxConfig(p=p, h=h, beta=1.0 / p, metric=metric)
     rc = relative_constants(p, h, prob.m_next(p))
@@ -681,8 +673,107 @@ def test_in_place_work_leaves_the_solve_constants_alone(name, p, weighted, monke
     res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
     assert res.trace.newton_iters > 0
     (sf,) = built
+    # the scaling function shares the config's power regularizer
+    assert sf.pp is cfg.power(prob.dimension)
+    return prob, sf
+
+
+def _assert_stack_hessian_untouched(prob, sf):
     stack_hessian = sf.stack.hessian
-    assert not stack_hessian.flags.writeable and not sf.pp._b.flags.writeable
+    assert not stack_hessian.flags.writeable
     fresh = prob.oracle._matrix(sf.stack.weights[2], None, 2)
     assert stack_hessian.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
+def test_in_place_work_leaves_the_solve_constants_alone(name, p, weighted, monkeypatch):
+    # prox-Newton shifts each pass's Hessian in place, and the rho pass sums
+    # into its own arrays: D^2 f(y) of the anchor stack, shared by every pass
+    # of the solve, stays bit for bit and read-only. An identity or diagonal B
+    # goes onto the diagonal of each pass's Hessian, so no dense B is formed,
+    # and the weights stay as they were
+    n = get_problem(name).dimension
+    rng = np.random.default_rng(p + 10 * weighted)
+    weights = rng.uniform(0.5, 2.0, n)
+    metric = MetricSpace(n, weights=weights.copy()) if weighted else get_problem(name).metric
+    prob, sf = _recorded_solve(name, p, metric, monkeypatch)
+    _assert_stack_hessian_untouched(prob, sf)
+    assert "_b" not in vars(sf.pp)
+    if weighted:
+        assert sf.metric.diagonal.tobytes() == weights.tobytes()
+    else:
+        assert sf.metric.diagonal == 1.0
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
+def test_dense_metric_forms_b_once_and_leaves_it_alone(name, p, monkeypatch):
+    # a dense B is still added as a matrix: formed once, read-only, bit for bit
+    n = get_problem(name).dimension
+    a = np.random.default_rng(p).standard_normal((n, n))
+    b = a.T @ a + n * np.eye(n)
+    prob, sf = _recorded_solve(name, p, MetricSpace(n, matrix=b), monkeypatch)
+    _assert_stack_hessian_untouched(prob, sf)
+    assert "_b" in vars(sf.pp)
+    assert not sf.pp._b.flags.writeable
     assert sf.pp._b.tobytes() == sf.metric.matrix().tobytes()
+
+
+def _singular_case(kind):
+    # (term, w, grad): at w every l1 coordinate is free on slope +lam, so the
+    # l1 model step solves the whole Newton matrix as its free block
+    term = make_term("zero") if kind == "zero" else make_term("l1", lam=0.1)
+    return term, np.array([1.0, 2.0]), np.array([1.0, -1.0])
+
+
+@pytest.mark.parametrize("kind", ["zero", "l1"])
+def test_model_min_raises_on_an_exactly_singular_newton_matrix(kind):
+    # the psi = 0 solve and the free-block solve are one LAPACK LU call each,
+    # which raises LinAlgError as np.linalg.solve does
+    term, w, grad = _singular_case(kind)
+    hm = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        inner._model_min(term, w, grad, hm)
+
+
+@pytest.mark.parametrize("kind", ["zero", "l1"])
+def test_model_min_solves_leave_the_newton_matrix_alone(kind):
+    # the clip test and the Armijo decrease read hm after the solve
+    term, w, grad = _singular_case(kind)
+    hm = np.array([[2.0, 0.5], [0.5, 1.0]])
+    kept_hm, kept_grad = hm.copy(), grad.copy()
+    z = inner._model_min(term, w, grad, hm)
+    assert hm.tobytes() == kept_hm.tobytes() and grad.tobytes() == kept_grad.tobytes()
+    slope = 0.0 if kind == "zero" else 0.1
+    np.testing.assert_allclose(z, w - np.linalg.solve(hm, grad + slope), rtol=1e-14, atol=0)
+
+
+def test_prox_newton_shifts_a_hessian_in_any_layout(monkeypatch):
+    # the shift goes through a strided view of a C-contiguous H; a Fortran-
+    # ordered or strided H is copied and the copy shifted, never left unshifted
+    hess = np.array([[2.0, 0.5], [0.5, 1.0]])
+    shifted = hess + 1e-11 * (1.0 + 2.0) * np.eye(2)
+    layouts = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+               "strided": lambda a: np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)[::2, ::2]}
+    seen = []
+    model_min = inner._model_min
+
+    def spy(term, w, grad, hm):
+        seen.append(hm.copy())
+        return model_min(term, w, grad, hm)
+
+    monkeypatch.setattr(inner, "_model_min", spy)
+    runs = {}
+    for name, layout in layouts.items():
+        seen.clear()
+
+        def evaluate(w):
+            return 0.5 * float(w @ hess @ w) + float(w.sum()), hess @ w + 1.0, layout(hess.copy())
+
+        w, _, steps = inner.prox_newton(evaluate, make_term("zero"), np.array([3.0, -2.0]), 1e-12)
+        assert steps >= 1 and len(seen) == steps
+        assert all(hm.tobytes() == shifted.tobytes() for hm in seen)
+        runs[name] = (w.tobytes(), steps)
+    assert runs["F"] == runs["C"] and runs["strided"] == runs["C"]
