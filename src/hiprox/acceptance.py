@@ -86,11 +86,9 @@ class AcceptanceCertificate:
     subgradient: np.ndarray
     lhs: float
     rhs: float
-    beta: float
     accepted: bool
     radius: float = 0.0  # |T - xb|
     inner_product: float = 0.0  # <grad f(T)+g, xb-T>
-    residual: np.ndarray = field(default=None, repr=False)  # grad f(T)+g
     gradient: np.ndarray = field(default=None, repr=False)  # grad f(T), as computed
     f_value: float = None  # f(T)
 
@@ -140,20 +138,18 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
         subgradient=g,
         lhs=lhs,
         rhs=rhs,
-        beta=cfg.beta,
         accepted=lhs <= cfg.beta * rhs + ACCEPT_SLACK,
         radius=radius,
         inner_product=float(np.dot(residual, anchor - point)),
-        residual=residual,
         gradient=grad,
         f_value=f_value,
     )
 
 
-def certificate_inequalities(cert, cfg, slack=INEQ_SLACK):
-    """Evaluate the three accepted-pair inequalities with additive slack.
+def certificate_inequalities(cert, cfg):
+    """Evaluate the three accepted-pair inequalities with additive slack ``INEQ_SLACK``.
 
-    Returns a dict name -> (satisfied, margin) where margin >= -slack means
+    Returns a dict name -> (satisfied, margin) where margin >= -INEQ_SLACK means
     satisfied: "radius" is the two-sided residual sandwich, "progress" the
     anchor-progress inner product, and "progress_dual" (present only when
     beta <= 1/p) the dual-norm progress bound.
@@ -163,34 +159,29 @@ def certificate_inequalities(cert, cfg, slack=INEQ_SLACK):
     out = {}
     reg_power = h * r ** p
     m1 = min(reg_power - (1 - beta) * rhs, (1 + beta) * rhs - reg_power)
-    out["radius"] = (m1 >= -slack, m1)
+    out["radius"] = (m1 >= -INEQ_SLACK, m1)
     m2 = inner - h / (1 + beta) * r ** (p + 1)
-    out["progress"] = (m2 >= -slack, m2)
+    out["progress"] = (m2 >= -INEQ_SLACK, m2)
     if cfg.beta_le_inv_p:
         m3 = inner - ((1 - beta) / h) ** (1.0 / p) * rhs ** ((p + 1.0) / p)
-        out["progress_dual"] = (m3 >= -slack, m3)
+        out["progress_dual"] = (m3 >= -INEQ_SLACK, m3)
     return out
 
 
-def acceptable_interval_1d(cfg, anchor, g=0.0):
+def acceptable_interval_1d(cfg, anchor):
     """Closed-form acceptance interval for the instance f(x) = x with the
     nonnegative-orthant term (p = 3).
 
-    For a fixed admissible subgradient value g the acceptable points solve
-    |1 + g + H (T-xb)^3| <= beta |1+g|, intersected with the set where g is
-    actually a subgradient (g = 0 for T > 0; g <= 0 at T = 0). Returns a
-    closed interval (lo, hi) or None when empty.
+    g = 0 is a subgradient of the term at every T >= 0, and the only one at
+    T > 0; the pair (T, 0) is acceptable where |1 + H (T-xb)^3| <= beta.
+    Returns that closed interval (lo, hi) of T >= 0, or None when it is
+    empty.
     """
     if cfg.p != 3:
         raise ParameterError("the closed form is specific to p = 3")
     xb = float(anchor if np.isscalar(anchor) else np.asarray(anchor, dtype=float)[0])
-    w = 1.0 + g
-    lower = xb - float(np.cbrt((w + cfg.beta * abs(w)) / cfg.h))
-    upper = xb - float(np.cbrt((w - cfg.beta * abs(w)) / cfg.h))
-    if g == 0.0:
-        if upper < 0.0:
-            return None
-        return (max(lower, 0.0), upper)
-    if g < 0.0:
-        return (0.0, 0.0) if lower <= 0.0 <= upper else None
-    return None  # g > 0 is a subgradient nowhere on the orthant
+    lower = xb - float(np.cbrt((1.0 + cfg.beta) / cfg.h))
+    upper = xb - float(np.cbrt((1.0 - cfg.beta) / cfg.h))
+    if upper < 0.0:
+        return None
+    return (max(lower, 0.0), upper)

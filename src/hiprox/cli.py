@@ -11,7 +11,8 @@ Subcommands:
 loop), summary.json, and scan.csv for the two example modes. Exit codes:
 0 converged / clean finish, 1 bad configuration or unknown problem,
 2 iteration limit, 3 numerical failure. Identical configs produce
-byte-identical CSVs (floats are serialized with repr).
+byte-identical CSVs: every trace and scan CSV goes through one writer,
+``inner.csv_text``, which serializes floats with repr.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .acceptance import ProxConfig, acceptable_interval_1d, check_acceptable
 from .bregman import bilevel_h
 from .errors import CertificateError, NumericalError, ParameterError
+from .inner import csv_text
 from .outer import (
     aihopp_run,
     biopt_run,
@@ -196,7 +198,7 @@ def _run_example1(cfg):
     pcfg = ProxConfig(3, h, beta)
     out = _outdir(cfg)
     anchors = (0.6, 1.4)
-    lines = ["anchor,point,subgradient,lhs,rhs,accepted"]
+    rows = []
     endpoints = {}
     for anchor in anchors:
         av = np.array([anchor])
@@ -205,24 +207,15 @@ def _run_example1(cfg):
             target = -(prob.oracle.gradient(point) + h * abs(t - anchor) ** 2 * (point - av))
             g = prob.term.subgradient_select(point, target)
             cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g)
-            lines.append(
-                "%s,%s,%s,%s,%s,%d"
-                % (
-                    repr(float(anchor)),
-                    repr(float(t)),
-                    repr(float(g[0])),
-                    repr(cert.lhs),
-                    repr(cert.rhs),
-                    int(cert.accepted),
-                )
-            )
+            rows.append((anchor, t, g[0], cert.lhs, cert.rhs, int(cert.accepted)))
         interval = acceptable_interval_1d(pcfg, anchor)
         endpoints["anchor=%s" % repr(float(anchor))] = list(interval) if interval else None
-    (out / "scan.csv").write_text("\n".join(lines) + "\n")
+    columns = ("anchor", "point", "subgradient", "lhs", "rhs", "accepted")
+    (out / "scan.csv").write_text(csv_text(columns, rows))
     summary = {"mode": "example1", "p": 3, "h": h, "beta": beta}
     summary.update(endpoints)
     _write_json(out / "summary.json", summary)
-    print("%s: wrote scan.csv (%d rows)" % (out, len(lines) - 1))
+    print("%s: wrote scan.csv (%d rows)" % (out, len(rows)))
     return 0
 
 
@@ -237,7 +230,7 @@ def _run_example2(cfg):
     anchor = np.array([0.8])
     tm = TaylorModel(prob.oracle, anchor, 3, m)
     out = _outdir(cfg)
-    lines = ["point,subgradient,crit_lhs,crit_rhs,criterion_ok,cert_lhs,cert_rhs,accepted"]
+    rows = []
     n_pass = n_accept = 0
     for t in np.linspace(-1.0, 1.5, 2001):
         point = np.array([t])
@@ -246,20 +239,10 @@ def _run_example2(cfg):
         cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g)
         n_pass += int(ok)
         n_accept += int(ok and cert.accepted)
-        lines.append(
-            "%s,%s,%s,%s,%d,%s,%s,%d"
-            % (
-                repr(float(t)),
-                repr(float(g[0])),
-                repr(float(lhs)),
-                repr(float(rhs)),
-                int(ok),
-                repr(cert.lhs),
-                repr(cert.rhs),
-                int(cert.accepted),
-            )
-        )
-    (out / "scan.csv").write_text("\n".join(lines) + "\n")
+        rows.append((t, g[0], lhs, rhs, int(ok), cert.lhs, cert.rhs, int(cert.accepted)))
+    columns = ("point", "subgradient", "crit_lhs", "crit_rhs", "criterion_ok", "cert_lhs",
+               "cert_rhs", "accepted")
+    (out / "scan.csv").write_text(csv_text(columns, rows))
     _write_json(
         out / "summary.json",
         {

@@ -66,7 +66,7 @@ only when the full step is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -81,6 +81,18 @@ _RES_TOL = 1e-12
 _NEWTON_CAP = 200
 _HALVING_CAP = 50
 _PASS_CAP = 20
+
+
+def csv_text(columns, rows):
+    """CSV text: a header of ``columns``, then one line per row of cells.
+
+    An int cell is written by ``str``, any other by ``repr(float(v))``, so
+    equal runs give equal bytes. Every trace and scan CSV is written here.
+    """
+    lines = [",".join(columns)]
+    lines += [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -116,14 +128,7 @@ class InnerTrace:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
     def to_csv(self):
-        lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.i)] + [repr(float(v)) for v in (r.phi, r.bregman_step, r.lhs, r.rhs, r.ratio)]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(self.COLUMNS, map(astuple, self.rows))
 
 
 @dataclass

@@ -39,7 +39,9 @@ grad f(x_0), and a solve that ends at a fixed point counts one candidate.
 
 A separable oracle forms the residual vector t = a x - b once per point and
 hands it whole to its scalar family (``scalar_families``), one call per
-order, which keeps the digits of a per-scalar libm evaluation;
+order, which keeps the digits of a per-scalar libm evaluation and, for a
+family with an open domain, raises ``DomainError`` naming the first row
+outside it;
 ``evaluate`` takes f, grad f and, when asked, the Hessian matrix from that
 one residual pass and records the same counts as ``value``, ``gradient``
 and ``hessian_matrix`` called apart. The values f_i(t_i) are summed left to
@@ -53,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, ParameterError
 
 _MACHINE_H1 = 1e-5
 _MACHINE_H2 = 1e-4
@@ -222,29 +224,22 @@ class SeparableObjective(SmoothOracle):
         self.dimension = self.a.shape[1]
 
     def residuals(self, x):
-        x = self._check_vec(x)
-        t = self.a @ x - self.b
-        lo = self.family.domain_low
-        if lo is not None:
-            bad = np.where(t <= lo)[0]
-            if bad.size:
-                raise DomainError(
-                    "row %d argument %r outside domain" % (bad[0], t[bad[0]]),
-                    index=int(bad[0]),
-                )
-        return t
+        """t = a x - b; the family checks its domain on every call (``check_domain``)."""
+        return self.a @ self._check_vec(x) - self.b
 
+    # each count is recorded once the family has accepted t
     def _derivs(self, t, k):
         fam = self.family
+        out = fam.derivative(t, k)
         # neg-log style families produce even orders > 2 from f'' alone
-        recorded = 2 if (fam.even_from_second and k % 2 == 0 and k > 2) else k
-        self._record(recorded, len(t))
-        return fam.derivative(t, k)
+        self._record(2 if (fam.even_from_second and k % 2 == 0 and k > 2) else k, len(t))
+        return out
 
     def _value(self, t):
-        # summed left to right, as a per-row loop would
+        values = self.family.value(t)
         self._record(0, len(t))
-        return float(sum(self.family.value(t).tolist()))
+        # summed left to right, as a per-row loop would
+        return float(sum(values.tolist()))
 
     def value(self, x):
         return self._value(self.residuals(x))
@@ -345,20 +340,21 @@ def psi_prox_euclid(term, s, c, tau):
     return term.prox(s, c, tau)
 
 
-def fd_check(oracle, x, h, order, eps=None):
+def fd_check(oracle, x, h, order):
     """Central-difference consistency check; returns a relative error.
 
-    order 1 compares (f(x+eh) - f(x-eh))/(2e) with D f(x)[h]; order 2
-    compares the second central difference with <h, D^2 f(x) h>.
+    order 1 compares (f(x+eh) - f(x-eh))/(2e) with D f(x)[h] at e = 1e-5;
+    order 2 compares the second central difference with <h, D^2 f(x) h> at
+    e = 1e-4.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     if order == 1:
-        e = _MACHINE_H1 if eps is None else eps
+        e = _MACHINE_H1
         fd = (oracle.value(x + e * h) - oracle.value(x - e * h)) / (2 * e)
         exact = float(oracle.gradient(x) @ h)
     elif order == 2:
-        e = _MACHINE_H2 if eps is None else eps
+        e = _MACHINE_H2
         fd = (
             oracle.value(x + e * h) - 2 * oracle.value(x) + oracle.value(x - e * h)
         ) / e ** 2

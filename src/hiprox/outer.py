@@ -20,8 +20,8 @@ the anchor itself. The inner loop starts there, reuses f (and grad f) and
 takes its first step at that constant; the exact and tensor providers ignore
 the start. ``scale`` is the step's M_k/M in (0, 1]: the provider certifies its
 point at H_k = scale * H. The plain loop and a fixed-H accelerated run pass 1.
-A provider returns (certificate, inner iterations, inner trace or None) and
-keeps no state between calls.
+A provider returns an ``InnerResult`` (certificate, inner iterations, inner
+trace or None) and keeps no state between calls.
 
 The bi-level method (BiOPT) is the accelerated loop at beta = 1/p with the
 certified Bregman inner loop as its acceptable-solution provider, and step k
@@ -37,14 +37,14 @@ certified at its own H_k, so no step is redone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .acceptance import ProxConfig, check_acceptable
 from .bregman import bilevel_h, relative_constants
 from .errors import CapabilityError, NumericalError, ParameterError
-from .inner import WarmStart, exact_prox, inner_solve
+from .inner import InnerResult, WarmStart, csv_text, exact_prox, inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
 from .tensor import TaylorModel, tensor_acceptance_map, tensor_step
@@ -136,15 +136,15 @@ def estimating_update(state, point, grad_at_point, f_at_point, a_next):
     return state
 
 
-def psi_argmin(state, term, pp):
-    """argmin over x of <s, x> + A_k psi(x) + d_{p+1}(x - x0).
+def psi_argmin(state, term):
+    """argmin over x of <s, x> + A_k psi(x) + d_{p+1}(x - x0), d being ``state.power``.
 
     Scalarized on the step radius: for trial r the candidate solves the
     Euclidean prox with weight tau = r^{p-1} (rescaled by the psi-weight),
     and the radius equation |x(r) - x0| = r is closed by bracketing.
     """
-    s, w, x0, p = state.s, state.a_total, state.x0, pp.p
-    metric = pp.metric
+    s, w, x0, p = state.s, state.a_total, state.x0, state.power.p
+    metric = state.power.metric
     sn = metric.dual_norm(s)
     if w == 0.0 or term.kind == "zero":
         if sn == 0.0:
@@ -197,7 +197,6 @@ class OuterTrace:
     mode: str
     rows: list = field(default_factory=list)
     points: list = field(default_factory=list)
-    anchors: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
     inner_traces: list = field(default_factory=list)
     aux: dict = field(default_factory=dict)
@@ -210,14 +209,7 @@ class OuterTrace:
         return np.array([getattr(r, attr) for r in self.rows], dtype=float)
 
     def to_csv(self):
-        lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            cells = [str(r.k)]
-            cells += [repr(float(v)) for v in (r.f_value, r.gap, r.bound_rhs)]
-            cells.append(str(r.inner_iters))
-            cells += [repr(float(v)) for v in (r.cert_lhs, r.cert_rhs)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.COLUMNS, map(astuple, self.rows))
 
     @property
     def inner_total(self):
@@ -278,7 +270,7 @@ def exact_prox_provider(oracle, term, cfg):
         cert = check_acceptable(oracle, term, step_cfg, anchor, t, g)
         if not cert.accepted:
             raise NumericalError("exact prox output failed acceptance")
-        return cert, 0, None
+        return InnerResult(cert, 0)
 
     return provider
 
@@ -295,8 +287,7 @@ def inner_prox_provider(oracle, term, cfg, m_next):
     def provider(anchor, start, scale):
         step_cfg = cfg.scaled(scale)
         rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
-        res = inner_solve(oracle, term, step_cfg, rc, anchor, start)
-        return res.certificate, res.iterations, res.trace
+        return inner_solve(oracle, term, step_cfg, rc, anchor, start)
 
     return provider
 
@@ -321,7 +312,7 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
         cert = check_acceptable(oracle, term, cfg, anchor, t, g)
         if not cert.accepted:
             raise NumericalError("tensor step output failed acceptance")
-        return cert, 1, None
+        return InnerResult(cert, 1)
 
     return provider, cfg
 
@@ -353,29 +344,29 @@ def _start(problem, cfg, mode):
 
 
 def _prox_step(provider, anchor, start, scale=1.0):
-    """The provider's certified point at anchor: (T, certificate, inner iterations, trace).
+    """The provider's ``InnerResult`` at anchor, and the next step's start.
 
-    ``scale`` is the step's M_k/M. Also returns the next step's start: T by
-    its certificate, with the last step constant its inner solve kept (none
-    from the other providers).
+    ``scale`` is the step's M_k/M. The start is the certified point T by its
+    certificate, with the last step constant its inner solve kept (none from
+    the other providers).
     """
-    cert, iters, itrace = provider(anchor, start, scale)
+    result = provider(anchor, start, scale)
+    cert, itrace = result.certificate, result.trace
     if not cert.accepted:
         raise NumericalError("provider returned a non-accepted certificate")
     restart = WarmStart.at(cert, itrace.lsmooth[-1] if itrace is not None else None)
-    return (cert.point, cert, iters, itrace), restart
+    return result, restart
 
 
-def _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
+def _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
     """Append one outer step; True (status converged) once gap <= eps or rhs <= rhs_tol."""
-    _, cert, iters, itrace = step
+    cert = result.certificate
     gap = _gap(problem, f_x)
     k = len(trace.rows)
-    trace.rows.append(OuterRow(k, f_x, gap, bound, iters, cert.lhs, cert.rhs))
+    trace.rows.append(OuterRow(k, f_x, gap, bound, result.iterations, cert.lhs, cert.rhs))
     trace.points.append(x.copy())
-    trace.anchors.append(anchor)
     trace.certificates.append(cert)
-    trace.inner_traces.append(itrace)
+    trace.inner_traces.append(result.trace)
     if (np.isfinite(gap) and gap <= eps) or (rhs_tol is not None and cert.rhs <= rhs_tol):
         trace.status = "converged"
         return True
@@ -391,12 +382,11 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None):
     x = start.point
     d0 = problem.d0
     for k in range(1, max_k + 1):
-        anchor = x
-        step, start = _prox_step(provider, anchor, start)
-        x = step[0]
-        f_x = _objective(problem, x, step[1].f_value)
+        result, start = _prox_step(provider, x, start)
+        x = result.certificate.point
+        f_x = _objective(problem, x, result.certificate.f_value)
         bound = bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
-        if _record(trace, problem, x, f_x, bound, anchor, step, eps, rhs_tol):
+        if _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
             return trace
     trace.status = "max_iter"
     return trace
@@ -434,14 +424,15 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
         # the next start is T_k, also when x keeps its value
-        step, start = _prox_step(provider, y, start, scale)
-        t, cert = step[0], step[1]
+        result, start = _prox_step(provider, y, start, scale)
+        cert = result.certificate
+        t = cert.point
         f_t = _objective(problem, t, cert.f_value)
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
         fallback = f_t > f_x
         if not fallback:
             x, f_x = t, f_t
-        v = psi_argmin(state, problem.term, pp)
+        v = psi_argmin(state, problem.term)
         psi_at_v = state.value(v, problem.term)
         bound = (bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
                  if dist0 is not None else np.nan)
@@ -450,11 +441,11 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
         trace.aux["invariant_margin"].append(psi_at_v - a_total_next * f_x)
         trace.aux["fallback"].append(bool(fallback))
         trace.aux["m_scale"].append(scale)
-        if _record(trace, problem, x, f_x, bound, y, step, eps, rhs_tol):
+        if _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
             return trace
         tau += tick
         if rule is not None:
-            scale = min(1.0, rule(scale, step[2]))
+            scale = min(1.0, rule(scale, result.iterations))
     trace.status = "max_iter"
     return trace
 

@@ -61,13 +61,13 @@ class Problem:
 
 # -- reference solvers (independent of the certified loops) -----------------
 
-def newton_reference(oracle, x0, tol=1e-12, max_iter=200):
-    """Damped Newton for smooth unconstrained minimization."""
+def newton_reference(oracle, x0):
+    """Damped Newton for smooth unconstrained minimization, to |grad f| <= 1e-12 in 200 steps."""
     x = np.asarray(x0, dtype=float).copy()
     n = len(x)
-    for _ in range(max_iter):
+    for _ in range(200):
         g = oracle.gradient(x)
-        if float(np.linalg.norm(g)) <= tol:
+        if float(np.linalg.norm(g)) <= 1e-12:
             return x
         hm = oracle.hessian_matrix(x) + 1e-12 * np.eye(n)
         d = np.linalg.solve(hm, -g)
@@ -84,8 +84,8 @@ def newton_reference(oracle, x0, tol=1e-12, max_iter=200):
     raise NumericalError("Newton reference did not converge")
 
 
-def box_newton_reference(oracle, lo, hi, x0, tol=1e-12, max_iter=300):
-    """Projected (active-set) Newton for min f over a box."""
+def box_newton_reference(oracle, lo, hi, x0):
+    """Projected (active-set) Newton for min f over a box, to KKT residual 1e-12 in 300 steps."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -97,9 +97,9 @@ def box_newton_reference(oracle, lo, hi, x0, tol=1e-12, max_iter=300):
         r = np.where((x >= hi - edge) & (r < 0), 0.0, r)
         return float(np.abs(r).max())
 
-    for _ in range(max_iter):
+    for _ in range(300):
         g = oracle.gradient(x)
-        if kkt_residual(x, g) <= tol:
+        if kkt_residual(x, g) <= 1e-12:
             return x
         fixed = ((x <= lo + edge) & (g > 0)) | ((x >= hi - edge) & (g < 0))
         free = ~fixed
@@ -146,13 +146,13 @@ def trs_reference(q, c, radius):
     return vec @ (-ct / (lam + mu)), mu
 
 
-def composite_min_1d(problem, lo, hi, grid=200001):
-    """Grid + golden refinement global minimizer of F on [lo, hi]."""
-    xs = np.linspace(lo, hi, grid)
+def composite_min_1d(problem, lo, hi):
+    """Global minimizer of F on [lo, hi]: a 200,001-point grid, then golden-section refinement."""
+    xs = np.linspace(lo, hi, 200001)
     vals = np.array([problem.objective(np.array([x])) for x in xs])
     i = int(np.argmin(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    b = xs[min(i + 1, len(xs) - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
@@ -173,8 +173,8 @@ def composite_min_1d(problem, lo, hi, grid=200001):
     return x, problem.objective(np.array([x]))
 
 
-def level_radius_1d(problem, span=50.0):
-    """max |x - x*| over the sublevel set {F(x) <= F(x0)} in dimension 1."""
+def level_radius_1d(problem):
+    """max |x - x*| over the sublevel set {F(x) <= F(x0)} in dimension 1, within 50 of x*."""
     if problem.dimension != 1 or problem.x_star is None:
         raise ParameterError("level radius helper needs a solved 1-D problem")
     xs = float(problem.x_star[0])
@@ -186,7 +186,7 @@ def level_radius_1d(problem, span=50.0):
 
     out = 0.0
     for sign in (-1.0, 1.0):
-        hi = xs + sign * span
+        hi = xs + sign * 50.0
         if excess(hi) <= 0:
             raise NumericalError("sublevel set not bracketed")
         r = brentq(excess, xs, hi, xtol=1e-13)

@@ -4,7 +4,9 @@ Each family evaluates values and k-th derivatives at a whole residual vector
 t at once: ``value(t)`` and ``derivative(t, k)`` take a 1-d float array and
 return an array of the same shape, entry i belonging to t_i. Each family also
 reports sup |f^(k)| over an interval (used for box-restricted smoothness
-constants).
+constants). A family with an open domain (neg-log) checks t on every call
+and raises ``DomainError`` naming the first entry outside it: the row of the
+oracle that formed t (``check_domain``). The quartic is ``Power(4)``.
 
 The arrays carry the digits of a per-scalar evaluation. Every transcendental
 call (``math.log``, ``math.exp``, ``math.log1p``) and every power ``**`` is a
@@ -47,13 +49,13 @@ class ScalarFamily:
     domain_low = None
 
     def check_domain(self, t):
-        """Raise DomainError naming the first entry of t outside the open domain."""
+        """Raise DomainError naming the first entry (row) of t outside the open domain."""
         if self.domain_low is not None:
             bad = np.flatnonzero(t <= self.domain_low)
             if bad.size:
                 i = int(bad[0])
-                raise DomainError("argument %r (entry %d) outside domain (> %r)"
-                                  % (float(t[i]), i, self.domain_low), index=i)
+                raise DomainError("row %d argument %r outside domain (> %r)"
+                                  % (i, float(t[i]), self.domain_low), index=i)
 
     def value(self, t):
         raise NotImplementedError
@@ -79,28 +81,6 @@ class Linear(ScalarFamily):
 
     def derivative_sup(self, k, t_lo, t_hi):
         return 1.0 if k == 1 else 0.0
-
-
-class Quartic(ScalarFamily):
-    """f(t) = t^4."""
-
-    name = "quartic"
-
-    def value(self, t):
-        return _powers(t, 4)
-
-    def derivative(self, t, k):
-        if k == 1:
-            return 4.0 * _powers(t, 3)
-        if k == 2:
-            return 12.0 * _powers(t, 2)
-        if k == 3:
-            return 24.0 * np.asarray(t, dtype=float)
-        return np.full(np.shape(t), 24.0 if k == 4 else 0.0)
-
-    def derivative_sup(self, k, t_lo, t_hi):
-        m = max(abs(t_lo), abs(t_hi))
-        return abs(float(self.derivative(np.array([m]), k)[0])) if k != 4 else 24.0
 
 
 class NegLog(ScalarFamily):
@@ -203,6 +183,15 @@ class Power(ScalarFamily):
         return math.factorial(self.exponent) / math.factorial(self.exponent - k) * m ** (
             self.exponent - k
         )
+
+
+class Quartic(Power):
+    """f(t) = t^4: ``Power(4)`` under its catalog name."""
+
+    name = "quartic"
+
+    def __init__(self):
+        super().__init__(4)
 
 
 _FAMILIES = {

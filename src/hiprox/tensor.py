@@ -38,9 +38,9 @@ CRITERION_SLACK = 1e-12
 
 
 class TaylorModel:
-    """Degree-p Taylor model of ``oracle`` at ``x`` with augmentation M."""
+    """Degree-p Taylor model of ``oracle`` at ``x`` with augmentation M, in the Euclidean norm."""
 
-    def __init__(self, oracle, x, p, m, metric=None):
+    def __init__(self, oracle, x, p, m):
         if p < 1:
             raise ParameterError("p must be >= 1")
         if m < 0:
@@ -49,7 +49,7 @@ class TaylorModel:
         self.x = np.asarray(x, dtype=float)
         self.p = int(p)
         self.m = float(m)
-        self.metric = metric if metric is not None else MetricSpace.euclidean(len(self.x))
+        self.metric = MetricSpace.euclidean(len(self.x))
         self._pp = PowerProx(self.p, self.metric)
         self.f0, self.g0, _ = oracle.evaluate(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
@@ -69,14 +69,8 @@ class TaylorModel:
         return model, (model[0] + c * p_value, model[1] + c * p_grad, hess)
 
     # -- reads of one pass ------------------------------------------------
-    def taylor_value(self, y):
-        return self.evaluate(y)[0][0]
-
     def taylor_gradient(self, y):
         return self.evaluate(y)[0][1]
-
-    def augmented_value(self, y):
-        return self.evaluate(y)[1][0]
 
     def augmented_gradient(self, y):
         return self.evaluate(y)[1][1]
@@ -110,18 +104,19 @@ def tensor_step(tm, term, gamma):
     return t, g, ok, lhs, rhs
 
 
-def tensor_criterion(tm, term, y, g, gamma, slack=CRITERION_SLACK):
+def tensor_criterion(tm, term, y, g, gamma):
     """Evaluate the inexactness criterion at an arbitrary candidate pair.
 
     Returns (ok, lhs, rhs) with lhs the augmented-gradient residual and rhs
-    the model residual the criterion compares against.
+    the model residual the criterion compares against; ok allows an additive
+    ``CRITERION_SLACK``.
     """
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
     model, augmented = tm.evaluate(y)
     lhs = tm.metric.dual_norm(augmented[1] + g)
     rhs = tm.metric.dual_norm(model[1] + g)
-    return lhs <= gamma / (1.0 + gamma) * rhs + slack, lhs, rhs
+    return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs
 
 
 def tensor_acceptance_map(p, beta, gamma, m_next):
@@ -142,12 +137,13 @@ def tensor_acceptance_map(p, beta, gamma, m_next):
     return m, m / math.factorial(p)
 
 
-def lemma2_bound_check(tm, y, g, gamma, m_next, slack=1e-10):
+def lemma2_bound_check(tm, y, g, gamma, m_next):
     """Check the residual transfer bound satisfied by criterion-passing steps.
 
     Returns (lhs, bound, ok) with
     lhs   = |grad f(T) + (M/p!) grad d(T-x) + g|_*,
-    bound = (M_{p+1} + gamma M)/((1-gamma) M - M_{p+1}) |grad f(T) + g|_*.
+    bound = (M_{p+1} + gamma M)/((1-gamma) M - M_{p+1}) |grad f(T) + g|_*,
+    and ok allowing a relative slack of 1e-10 (absolute below bound 1).
     """
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -158,4 +154,4 @@ def lemma2_bound_check(tm, y, g, gamma, m_next, slack=1e-10):
     lhs = metric.dual_norm(tm.oracle.gradient(y) + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
     rhs = metric.dual_norm(tm.oracle.gradient(y) + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
-    return lhs, bound, lhs <= bound + slack * max(1.0, bound)
+    return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

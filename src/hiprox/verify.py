@@ -135,7 +135,7 @@ def _estseq_margins(prob, trace, cfg, rng):
         _, a_next = coefficients(p, tau, beta, h, tick)
         tau += tick
         estimating_update(state, t, cert.gradient, cert.f_value, a_next)
-        v = psi_argmin(state, prob.term, pp)
+        v = psi_argmin(state, prob.term)
         psi_v = state.value(v, prob.term)
         key_worst = max(key_worst, state.a_total * trace.rows[k + 1].f_value - psi_v)
         for x in rng.uniform(-2.0, 2.0, 100):
@@ -413,19 +413,19 @@ def _odd_bracket_violation(stack, metric, y, x, u, p, m, xi=2.0):
     return abs(odd) - bound
 
 
-def _segment_points(prob, y, xs, xi=2.0):
-    """Sample points xs moved so that y +- xi (x - y) stays where prob's M bounds hold.
+def _segment_points(prob, y, xs):
+    """Sample points xs moved so that y +- 2 (x - y) stays where prob's M bounds hold.
 
-    The bracket assumes its bound on the whole segment y +- xi h. When the
-    bounds are declared on a box (``prob.m_box``), xs are mapped affinely from
-    the sampling box onto the box of half-widths min(hi - y, y - lo) / xi
+    The bracket assumes its bound on the whole segment y +- xi h, xi = 2. When
+    the bounds are declared on a box (``prob.m_box``), xs are mapped affinely
+    from the sampling box onto the box of half-widths min(hi - y, y - lo) / 2
     around y; otherwise they are returned as drawn. The draws are the same
     either way, so later samples of the same generator do not move.
     """
     if prob.m_box is None:
         return xs
     lo, hi = prob.m_box
-    reach = np.minimum(hi - y, y - lo) / xi
+    reach = np.minimum(hi - y, y - lo) / 2.0
     unit = (2.0 * xs - (prob.sample_lo + prob.sample_hi)) / (prob.sample_hi - prob.sample_lo)
     return y + reach * unit
 
@@ -506,7 +506,7 @@ def suite_sandwich(seed=0, pairs=1000):
 # theta: norm domination of the Bregman distance on a radius-R ball
 
 
-def suite_theta(seed=0, samples=1000):
+def suite_theta(seed=0):
     rng = np.random.default_rng(seed)
     results = []
     for name, plist in (("neglog-sep", (3, 4, 5)), ("quartic-sep-10d", (3,))):
@@ -520,7 +520,7 @@ def suite_theta(seed=0, samples=1000):
             hat_l = hat_l_sampled(sf, radius, rng)
             theta, _ = theta_bound(p, radius, hat_l, h=h)
             worst = -np.inf
-            for _ in range(samples):
+            for _ in range(1000):
                 dx = rng.standard_normal(prob.dimension)
                 dx *= rng.uniform(0.0, radius) / np.linalg.norm(dx)
                 dy = rng.standard_normal(prob.dimension)

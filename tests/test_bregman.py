@@ -66,6 +66,7 @@ def test_scaling_function_poly_part_even_orders_only():
     # at p in {4, 5} the polynomial part adds the fourth-order term
     prob = get_problem("neglog-sep")
     anchor = np.asarray(prob.x0, dtype=float)
+    # at H = 0, rho is the polynomial part alone
     sf4 = ScalingFunction(prob.oracle, anchor, 4, 0.0)
     x = anchor + 0.05
     d = x - anchor
@@ -73,9 +74,9 @@ def test_scaling_function_poly_part_even_orders_only():
     t = oracle.a @ anchor - oracle.b
     d2 = d @ oracle.hessian_matrix(anchor) @ d / 2.0
     d4 = sum(oracle.family.derivative(t, 4) * (oracle.a @ d) ** 4) / 24.0
-    np.testing.assert_allclose(sf4.poly_value(x), d2 + d4, rtol=1e-11)
+    np.testing.assert_allclose(sf4.evaluate(x)[0], d2 + d4, rtol=1e-11)
     sf3 = ScalingFunction(prob.oracle, anchor, 3, 0.0)
-    np.testing.assert_allclose(sf3.poly_value(x), d2, rtol=1e-11)
+    np.testing.assert_allclose(sf3.evaluate(x)[0], d2, rtol=1e-11)
 
 
 def test_scaling_function_validation():

@@ -14,6 +14,10 @@ new hashes here and says why in CHANGES.md.
   ``bench/workloads.py`` at generator seed 0, solved at p = 3 to
   rhs_tol = 1e-4 with max_k = 200. Their iteration counts are pinned too, so
   a change of digits shows whether the work moved with them.
+- The files the command line writes, which its docstring promises are
+  byte-identical across runs: ``scan.csv`` of the two example modes, and
+  ``outer.csv`` with every ``inner_k<k>.csv`` of a plain, an accelerated and
+  a bi-level run of neglog-sep at p = 3.
 """
 
 import hashlib
@@ -26,6 +30,7 @@ import numpy as np
 import pytest
 
 from hiprox import MetricSpace, PowerProx, biopt_run, get_problem
+from hiprox.cli import main
 
 CSV_SHA256 = {
     ("ball-quadratic", 3): "c162cfb30e38dbfb555bea777cca716282524ed2434a9b7149f91e5790d84822",
@@ -118,3 +123,43 @@ def test_synthetic_csv_keeps_its_digits_and_counts(name):
     outer, inner, newton, digest = SYNTHETIC[name]
     assert counts == (outer, inner, newton)
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+
+
+# sha256 of scan.csv per example mode
+SCAN_SHA256 = {
+    "example1": "a6521f0bf8ff1547179f4748edef32e8f788033ea73fe59e12ac416405262631",
+    "example2": "b679bf7d6481b013c0f531b897fac295d19f013665d9612b42f4c09c3588fc27",
+}
+
+
+@pytest.mark.parametrize("mode", list(SCAN_SHA256))
+def test_cli_scan_keeps_its_bytes(mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--mode", mode, "--out", "scan"]) == 0
+    digest = hashlib.sha256((tmp_path / "scan" / "scan.csv").read_bytes()).hexdigest()
+    assert digest == SCAN_SHA256[mode]
+
+
+# (inner_k*.csv files, sha256 of outer.csv, sha256 of the inner files in k order)
+RUN_SHA256 = {
+    "plain": (5, "ec97f125d0dff35ee6c788747db22c705edc9c0fd503f8911cc23c179ed76cd1",
+              "e5d6dc503d6b9fc9930fb6ae660d8be2b1951d12d4a367c3980a3e348e3fae54"),
+    "accelerated": (14, "32edda0c272ccb12db53606ed83cbd36ca5697258195ee6c68f8f9be44304953",
+                    "6fd1d378fcb9ae11db4b9ad9f8fb02b57f8aadb17d78afc47806f3dd1684984b"),
+    "bilevel": (7, "f9f8811d80bca86b5c8e8a2a8d307f2bffff746084ee58e05e0f86ce55ca8fc3",
+                "dbd0ddfa9f8a8e382c43d5769ed159d222f1df52160b81f56a704d5cab91a3f4"),
+}
+
+
+@pytest.mark.parametrize("mode", list(RUN_SHA256))
+def test_cli_run_keeps_its_bytes(mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--problem", "neglog-sep", "--mode", mode, "--eps", "1e-6",
+                 "--max-outer", "100", "--out", "run"]) == 0
+    out = tmp_path / "run"
+    inner = sorted(out.glob("inner_k*.csv"), key=lambda path: int(path.stem[len("inner_k"):]))
+    count, outer_digest, inner_digest = RUN_SHA256[mode]
+    assert len(inner) == count
+    assert hashlib.sha256((out / "outer.csv").read_bytes()).hexdigest() == outer_digest
+    joined = b"".join(path.read_bytes() for path in inner)
+    assert hashlib.sha256(joined).hexdigest() == inner_digest

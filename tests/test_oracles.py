@@ -125,12 +125,14 @@ def test_neglog_domain_error_reports_row():
     oracle = SeparableObjective(
         np.eye(2), np.array([0.0, 0.0]), make_family("neg-log")
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as excinfo:
         oracle.value(np.array([1.0, -1.0]))
+    assert excinfo.value.index == 1
     try:
         oracle.gradient(np.array([1.0, -1.0]))
     except DomainError as exc:
         assert "row 1" in str(exc)
+        assert exc.index == 1
     else:
         pytest.fail("expected a DomainError")
 

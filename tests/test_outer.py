@@ -115,7 +115,7 @@ def test_psi_argmin_zero_term_closed_form():
         state = EstimatingState(power=pp, x0=x0)
         estimating_update(state, x0, rng.standard_normal(3), 0.0, 1.0)
         term = make_term("zero")
-        v = psi_argmin(state, term, pp)
+        v = psi_argmin(state, term)
         s = state.s
         sn = metric.dual_norm(s)
         np.testing.assert_allclose(
@@ -132,7 +132,7 @@ def test_psi_argmin_zero_gradient_returns_anchor():
     pp = PowerProx(3, MetricSpace.euclidean(2))
     state = EstimatingState(power=pp, x0=np.array([1.0, -2.0]))
     term = make_term("zero")
-    np.testing.assert_allclose(psi_argmin(state, term, pp), state.x0)
+    np.testing.assert_allclose(psi_argmin(state, term), state.x0)
 
 
 @pytest.mark.parametrize("kind,kwargs", [("l1", {"lam": 0.6}), ("nonneg", {})])
@@ -146,7 +146,7 @@ def test_psi_argmin_composite_optimality(kind, kwargs):
         a1, a2 = rng.uniform(0.2, 1.5, size=2)
         estimating_update(state, x0, rng.standard_normal(5), 1.0, a1)
         estimating_update(state, x0, rng.standard_normal(5), 1.0, a2)
-        v = psi_argmin(state, term, pp)
+        v = psi_argmin(state, term)
         assert term.contains(v)
         r = np.linalg.norm(v - x0)
         g = -(state.s + r ** 2 * (v - x0)) / state.a_total
@@ -164,7 +164,7 @@ def test_psi_argmin_needs_identity_metric_with_term():
     state = EstimatingState(power=pp, x0=np.ones(3))
     estimating_update(state, np.ones(3), np.ones(3), 0.0, 1.0)
     with pytest.raises(CapabilityError):
-        psi_argmin(state, make_term("l1", lam=1.0), pp)
+        psi_argmin(state, make_term("l1", lam=1.0))
 
 
 def test_bound_evaluator_values():
@@ -357,7 +357,7 @@ def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
     assert trace.status == "converged"
     itraces = trace.inner_traces
     np.testing.assert_array_equal(itraces[0].points[0], prob.x0)
-    np.testing.assert_array_equal(trace.anchors[0], prob.x0)
+    np.testing.assert_array_equal(trace.certificates[0].anchor, prob.x0)
     for k in range(1, len(itraces)):
         np.testing.assert_array_equal(itraces[k].points[0], trace.certificates[k - 1].point)
     assert trace.summary()["newton_iters"] == sum(t.newton_iters for t in itraces) > 0
@@ -369,13 +369,13 @@ def test_psi_argmin_with_zero_linear_part_is_the_prox_of_psi():
     pp = PowerProx(3, MetricSpace.euclidean(1))
     term = make_term("abs-1d")
     state = EstimatingState(power=pp, x0=np.array([0.9]), a_total=2.0)
-    np.testing.assert_array_equal(psi_argmin(state, term, pp), [0.0])
+    np.testing.assert_array_equal(psi_argmin(state, term), [0.0])
     # with a small weight it moves toward 0 by (A_k)^{1/3}
     state.a_total = 0.125
-    np.testing.assert_allclose(psi_argmin(state, term, pp), [0.4], rtol=1e-12)
+    np.testing.assert_allclose(psi_argmin(state, term), [0.4], rtol=1e-12)
     # and with no term or no weight it stays at x0
     state.a_total = 0.0
-    np.testing.assert_array_equal(psi_argmin(state, term, pp), [0.9])
+    np.testing.assert_array_equal(psi_argmin(state, term), [0.9])
 
 
 def _recording_provider(prob, cfg, m, starts):
@@ -456,8 +456,8 @@ def test_plain_loop_starts_at_its_anchor():
     provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
     trace = ihopp_run(prob, cfg, provider, eps=1e-6, max_k=100)
     assert trace.status == "converged"
-    for anchor, itrace in zip(trace.anchors, trace.inner_traces):
-        np.testing.assert_array_equal(itrace.points[0], anchor)
+    for cert, itrace in zip(trace.certificates, trace.inner_traces):
+        np.testing.assert_array_equal(itrace.points[0], cert.anchor)
 
 
 def test_biopt_rejects_degenerate_high_order_bound():

@@ -35,7 +35,7 @@ def test_taylor_model_reproduces_polynomials_exactly():
     for y in (-1.0, 0.0, 0.5, 1.3):
         h = y - 0.8
         expected = 0.8 ** 4 + 4 * 0.8 ** 3 * h + 6 * 0.8 ** 2 * h ** 2 + 4 * 0.8 * h ** 3
-        np.testing.assert_allclose(tm.taylor_value(np.array([y])), expected, rtol=1e-12)
+        np.testing.assert_allclose(tm.evaluate(np.array([y]))[0][0], expected, rtol=1e-12)
         grad = 4 * 0.8 ** 3 + 12 * 0.8 ** 2 * h + 12 * 0.8 * h ** 2
         np.testing.assert_allclose(tm.taylor_gradient(np.array([y]))[0], grad, rtol=1e-12)
 
@@ -48,7 +48,7 @@ def test_taylor_remainder_order():
     for y in rng.uniform(-1.5, 1.5, 20):
         yv = np.array([y])
         np.testing.assert_allclose(
-            oracle.value(yv) - tm.taylor_value(yv), (y - 0.8) ** 4, atol=1e-12
+            oracle.value(yv) - tm.evaluate(yv)[0][0], (y - 0.8) ** 4, atol=1e-12
         )
 
 
@@ -60,8 +60,8 @@ def test_augmented_value_and_gradient():
     y = np.array([1.2])
     d = 0.4
     np.testing.assert_allclose(
-        tm.augmented_value(y),
-        tm.taylor_value(y) + m / 24.0 * d ** 4,
+        tm.evaluate(y)[1][0],
+        tm.evaluate(y)[0][0] + m / 24.0 * d ** 4,
         rtol=1e-12,
     )
     np.testing.assert_allclose(
@@ -69,7 +69,8 @@ def test_augmented_value_and_gradient():
         tm.taylor_gradient(y)[0] + m / 6.0 * d ** 3,
         rtol=1e-12,
     )
-    fd = (tm.augmented_value(np.array([1.2 + 1e-6])) - tm.augmented_value(np.array([1.2 - 1e-6]))) / 2e-6
+    fd = (tm.evaluate(np.array([1.2 + 1e-6]))[1][0]
+          - tm.evaluate(np.array([1.2 - 1e-6]))[1][0]) / 2e-6
     np.testing.assert_allclose(tm.augmented_gradient(y)[0], fd, rtol=1e-8)
 
 
@@ -87,9 +88,9 @@ def test_taylor_model_evaluates_each_order_once(p):
     for _ in range(10):
         y = x + 0.3 * rng.standard_normal(3)
         u = rng.standard_normal(3)
-        fd = (tm.augmented_value(y + 1e-6 * u) - tm.augmented_value(y - 1e-6 * u)) / 2e-6
+        fd = (tm.evaluate(y + 1e-6 * u)[1][0] - tm.evaluate(y - 1e-6 * u)[1][0]) / 2e-6
         np.testing.assert_allclose(np.dot(tm.augmented_gradient(y), u), fd, rtol=1e-6, atol=1e-8)
-        tm.taylor_value(y)
+        tm.evaluate(y)
         tm.taylor_gradient(y)
     assert oracle.calls_by_order == {k: rows for k in range(p + 1)}
 
