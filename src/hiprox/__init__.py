@@ -22,7 +22,6 @@ from .bregman import (
     ScalingFunction,
     bilevel_h,
     bregman_distance,
-    hat_l_literal,
     hat_l_sampled,
     relative_constants,
     relative_sandwich_check,
@@ -51,7 +50,6 @@ from .oracles import (
     QuadraticObjective,
     SeparableObjective,
     SmoothOracle,
-    fd_check,
     psi_prox_euclid,
 )
 from .outer import (
@@ -126,9 +124,7 @@ __all__ = [
     "estimating_update",
     "exact_prox",
     "exact_prox_provider",
-    "fd_check",
     "get_problem",
-    "hat_l_literal",
     "hat_l_sampled",
     "ihopp_run",
     "inner_prox_provider",

@@ -234,24 +234,6 @@ def relative_sandwich_check(sf, reg, rc, pairs):
 # norm domination of the Bregman distance
 
 
-def hat_l_literal(p, d1):
-    """Literal smoothness constant of the polynomial part.
-
-    Evaluates sum_{k=1}^q 4 (1-(2 d1^2)^{2k-1})(2^{2k-1}-1) /
-    ((1-2 d1^2)(2k-1)!) with the ratio computed as a geometric sum so the
-    value stays positive and finite at d1 = 1/sqrt(2). Note this expression
-    carries no derivative magnitudes of f (for q = 1 it is the constant 4),
-    so the sampled constant is what the domination suite actually uses.
-    """
-    q = p // 2
-    x = 2.0 * d1 * d1
-    total = 0.0
-    for k in range(1, q + 1):
-        geo = sum(x ** j for j in range(2 * k - 1))  # (1-x^(2k-1))/(1-x)
-        total += 4.0 * geo * (2 ** (2 * k - 1) - 1) / math.factorial(2 * k - 1)
-    return total
-
-
 def hat_l_sampled(sf, radius, rng):
     """Sampled gradient-Lipschitz constant of the polynomial part on a ball.
 

@@ -263,30 +263,32 @@ def prox_newton(evaluate, term, w, tol):
     return w, at_w, steps
 
 
-def residual_tol(slack, metric, start):
-    """``prox_newton``'s tolerance for an exact solve from a residual ``start``.
+def _composite_argmin(evaluate, gradient, term, start, slack, metric):
+    """argmin of a smooth part plus psi, T, and g in dpsi(T) nearest to -grad(T).
 
-    The residual falls by slack/2 relative to ``start``, exact at the scale of
-    its own step, and below slack/2 in the dual norm, |v|_* <= |v| /
-    sqrt(lambda_min(B)): a check with additive ``slack`` keeps half for rounding.
+    ``prox_newton`` runs on ``evaluate`` from ``start`` projected onto dom psi.
+    Its tolerance lets the residual fall by slack/2 relative to the one at
+    that point, exact at the scale of its own step, and below slack/2 in the
+    dual norm, |v|_* <= |v| / sqrt(lambda_min(B)) for B of ``metric``: a check
+    with additive ``slack`` keeps half for rounding.
     """
-    return 0.5 * slack * min(1.0, start) * math.sqrt(metric.min_eigenvalue)
+    w0 = term.project(start)
+    tol = (0.5 * slack * min(1.0, term.subgradient_distance(w0, -gradient(w0)))
+           * math.sqrt(metric.min_eigenvalue))
+    t, at_t, _ = prox_newton(evaluate, term, w0, tol)
+    return t, term.subgradient_select(t, -at_t[1])
 
 
 def exact_prox(oracle, term, cfg, anchor):
     """Exact prox point T of f + psi at the anchor, in ``cfg.metric``, and g in dpsi(T).
 
-    ``prox_newton`` minimizes f_reg + psi from the projected anchor to the
-    ``residual_tol`` of ``ACCEPT_SLACK``, and g is nearest to -grad f_reg(T),
-    so the pair certifies at every beta, beta = 0 included.
+    ``_composite_argmin`` minimizes f_reg + psi from the anchor at the
+    ``ACCEPT_SLACK`` tolerance, and g is nearest to -grad f_reg(T), so the
+    pair certifies at every beta, beta = 0 included.
     """
     anchor = np.asarray(anchor, dtype=float)
     reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric, cfg.power(len(anchor)))
-    w0 = term.project(anchor)
-    tol = residual_tol(ACCEPT_SLACK, reg.metric,
-                       term.subgradient_distance(w0, -reg.gradient(w0)))
-    t, at_t, _ = prox_newton(reg.evaluate, term, w0, tol)
-    return t, term.subgradient_select(t, -at_t[1])
+    return _composite_argmin(reg.evaluate, reg.gradient, term, anchor, ACCEPT_SLACK, reg.metric)
 
 
 def _model_min(term, w, grad, hm):

@@ -57,9 +57,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-_MACHINE_H1 = 1e-5
-_MACHINE_H2 = 1e-4
-
 
 class SmoothOracle:
     """Interface for smooth convex objectives with derivative stacks."""
@@ -338,27 +335,3 @@ class QuadraticObjective(SmoothOracle):
 def psi_prox_euclid(term, s, c, tau):
     """argmin_z <s, z> + psi(z) + (tau/2)|z - c|^2 (identity metric)."""
     return term.prox(s, c, tau)
-
-
-def fd_check(oracle, x, h, order):
-    """Central-difference consistency check; returns a relative error.
-
-    order 1 compares (f(x+eh) - f(x-eh))/(2e) with D f(x)[h] at e = 1e-5;
-    order 2 compares the second central difference with <h, D^2 f(x) h> at
-    e = 1e-4.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if order == 1:
-        e = _MACHINE_H1
-        fd = (oracle.value(x + e * h) - oracle.value(x - e * h)) / (2 * e)
-        exact = float(oracle.gradient(x) @ h)
-    elif order == 2:
-        e = _MACHINE_H2
-        fd = (
-            oracle.value(x + e * h) - 2 * oracle.value(x) + oracle.value(x - e * h)
-        ) / e ** 2
-        exact = float(h @ oracle.hessian_matrix(x) @ h)
-    else:
-        raise ParameterError("fd_check supports orders 1 and 2")
-    return abs(fd - exact) / max(1.0, abs(exact))

@@ -21,7 +21,8 @@ takes its first step at that constant; the exact and tensor providers ignore
 the start. ``scale`` is the step's M_k/M in (0, 1]: the provider certifies its
 point at H_k = scale * H. The plain loop and a fixed-H accelerated run pass 1.
 A provider returns an ``InnerResult`` (certificate, inner iterations, inner
-trace or None) and keeps no state between calls.
+trace or None) and keeps no state between calls; the loops raise
+``NumericalError`` on a certificate that is not accepted.
 
 The bi-level method (BiOPT) is the accelerated loop at beta = 1/p with the
 certified Bregman inner loop as its acceptable-solution provider, and step k
@@ -267,10 +268,7 @@ def exact_prox_provider(oracle, term, cfg):
     def provider(anchor, start, scale):
         step_cfg = cfg.scaled(scale)
         t, g = exact_prox(oracle, term, step_cfg, anchor)
-        cert = check_acceptable(oracle, term, step_cfg, anchor, t, g)
-        if not cert.accepted:
-            raise NumericalError("exact prox output failed acceptance")
-        return InnerResult(cert, 0)
+        return InnerResult(check_acceptable(oracle, term, step_cfg, anchor, t, g), 0)
 
     return provider
 
@@ -309,18 +307,13 @@ def tensor_prox_provider(oracle, term, p, beta, gamma, m_next):
         t, g, ok, _, _ = tensor_step(tm, term, gamma)
         if not ok:
             raise NumericalError("tensor step failed its inexactness criterion")
-        cert = check_acceptable(oracle, term, cfg, anchor, t, g)
-        if not cert.accepted:
-            raise NumericalError("tensor step output failed acceptance")
-        return InnerResult(cert, 1)
+        return InnerResult(check_acceptable(oracle, term, cfg, anchor, t, g), 1)
 
     return provider, cfg
 
 
-def _objective(problem, x, f_value=None):
-    """F(x) = f(x) + psi(x); f_value, when given, is f(x) (a certificate's)."""
-    if f_value is None:
-        f_value = problem.oracle.value(x)
+def _objective(problem, x, f_value):
+    """F(x) = f_value + psi(x), where f_value is f(x) (a certificate's)."""
     return f_value + problem.term.value(x)
 
 

@@ -2,10 +2,12 @@
 
 Each entry bundles an oracle, a simple term, a start point, and frozen
 reference data (minimizer, optimal value, level-set radius) computed by
-solvers that share no code with the certified loops: dense grid / bisection
-in one dimension, damped Newton, projected Newton on boxes, and the secular
+solvers that share no code with the certified loops: closed forms in one
+dimension, damped Newton, projected Newton on boxes, and the secular
 trust-region solve for the ball-constrained quadratic. Construction is
 deterministic (fixed seeds), so reference values are bit-stable run to run.
+The one-dimensional grid minimizer and level-set radius that tests check
+the catalog against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -144,54 +146,6 @@ def trs_reference(q, c, radius):
         mu_hi *= 2.0
     mu = brentq(lambda m: norm_at(m) - radius, mu_lo, mu_hi, xtol=1e-15, rtol=8.9e-16)
     return vec @ (-ct / (lam + mu)), mu
-
-
-def composite_min_1d(problem, lo, hi):
-    """Global minimizer of F on [lo, hi]: a 200,001-point grid, then golden-section refinement."""
-    xs = np.linspace(lo, hi, 200001)
-    vals = np.array([problem.objective(np.array([x])) for x in xs])
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = problem.objective(np.array([c]))
-    fd = problem.objective(np.array([d]))
-    for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = problem.objective(np.array([c]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = problem.objective(np.array([d]))
-        if b - a < 1e-15 * (1.0 + abs(a)):
-            break
-    x = 0.5 * (a + b)
-    return x, problem.objective(np.array([x]))
-
-
-def level_radius_1d(problem):
-    """max |x - x*| over the sublevel set {F(x) <= F(x0)} in dimension 1, within 50 of x*."""
-    if problem.dimension != 1 or problem.x_star is None:
-        raise ParameterError("level radius helper needs a solved 1-D problem")
-    xs = float(problem.x_star[0])
-    level = problem.objective(problem.x0)
-
-    def excess(x):
-        v = problem.objective(np.array([x]))
-        return (v if np.isfinite(v) else 1e300) - level
-
-    out = 0.0
-    for sign in (-1.0, 1.0):
-        hi = xs + sign * 50.0
-        if excess(hi) <= 0:
-            raise NumericalError("sublevel set not bracketed")
-        r = brentq(excess, xs, hi, xtol=1e-13)
-        out = max(out, abs(r - xs))
-    return out
 
 
 # -- catalog -----------------------------------------------------------------

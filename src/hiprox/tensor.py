@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .inner import prox_newton, residual_tol
+from .inner import _composite_argmin
 from .metric import MetricSpace, PowerProx
 from .oracles import AnchorStack
 
@@ -89,17 +89,15 @@ def convexity_threshold(p, m_next):
 def tensor_step(tm, term, gamma):
     """Minimize the augmented model plus psi: (T, g, criterion_ok, lhs, rhs).
 
-    ``prox_newton`` runs from the projected x to the ``residual_tol`` of
-    ``CRITERION_SLACK``, and g is nearest to -grad augmented(T), so the step
-    passes ``tensor_criterion`` at every gamma, gamma = 0 included.
+    ``inner._composite_argmin`` minimizes the augmented model plus psi from x
+    at the ``CRITERION_SLACK`` tolerance, and g is nearest to
+    -grad augmented(T), so the step passes ``tensor_criterion`` at every
+    gamma, gamma = 0 included.
     """
     if gamma < 0:
         raise ParameterError("gamma must be >= 0")
-    w0 = term.project(tm.x)
-    tol = residual_tol(CRITERION_SLACK, tm.metric,
-                       term.subgradient_distance(w0, -tm.augmented_gradient(w0)))
-    t, at_t, _ = prox_newton(lambda y: tm.evaluate(y, hessian=True)[1], term, w0, tol)
-    g = term.subgradient_select(t, -at_t[1])
+    t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True)[1], tm.augmented_gradient,
+                             term, tm.x, CRITERION_SLACK, tm.metric)
     ok, lhs, rhs = tensor_criterion(tm, term, t, g, gamma)
     return t, g, ok, lhs, rhs
 
@@ -150,8 +148,8 @@ def lemma2_bound_check(tm, y, g, gamma, m_next):
     denom = (1.0 - gamma) * tm.m - m_next
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
-    metric = tm.metric
-    lhs = metric.dual_norm(tm.oracle.gradient(y) + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
-    rhs = metric.dual_norm(tm.oracle.gradient(y) + g)
+    grad = tm.oracle.gradient(y)
+    lhs = tm.metric.dual_norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
+    rhs = tm.metric.dual_norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acceptance import ProxConfig, certificate_inequalities, check_acceptable
+from .acceptance import ACCEPT_SLACK, ProxConfig, certificate_inequalities, check_acceptable
 from .bregman import (
     RegularizedObjective,
     ScalingFunction,
@@ -41,6 +41,7 @@ from .problems import get_problem
 from .tensor import (
     TaylorModel,
     convexity_threshold,
+    lemma2_bound_check,
     tensor_acceptance_map,
     tensor_criterion,
     tensor_step,
@@ -71,7 +72,7 @@ class CheckResult:
 
 def certificate_violation(cert, cfg):
     """Worst signed violation across acceptance and the accepted-pair triple."""
-    worst = cert.lhs - (cfg.beta * cert.rhs + 1e-12)
+    worst = cert.lhs - (cfg.beta * cert.rhs + ACCEPT_SLACK)
     for _ok, margin in certificate_inequalities(cert, cfg).values():
         worst = max(worst, -margin)
     return worst
@@ -93,8 +94,6 @@ def suite_lemma1(seed=0):
                 cfg = ProxConfig(3, 2.0, beta)
                 t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
                 cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
-                if not cert.accepted:
-                    worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
                 worst = max(worst, certificate_violation(cert, cfg))
         results.append(CheckResult("lemma1", name + " exact prox", worst, 1e-10))
     prob = get_problem("quartic-sep-10d")
@@ -549,13 +548,10 @@ def suite_tensor(seed=0):
     worst = -np.inf
     prev_hi = -np.inf
     for t in np.sort(np.append(rng.uniform(-2.0, 2.0, 1000), 0.0)):
-        gval = float(tm.augmented_gradient(np.array([t]))[0])
-        if t > 0:
-            lo = hi = gval + 1.0
-        elif t < 0:
-            lo = hi = gval - 1.0
-        else:
-            lo, hi = gval - 1.0, gval + 1.0
+        point = np.array([t])
+        gval = float(tm.augmented_gradient(point)[0])
+        sub_lo, sub_hi = term.subdifferential(point)
+        lo, hi = gval + float(sub_lo[0]), gval + float(sub_hi[0])
         worst = max(worst, prev_hi - lo)
         prev_hi = hi
     results.append(CheckResult("tensor", "model subdifferential monotone", worst, 1e-12))
@@ -570,7 +566,8 @@ def suite_tensor(seed=0):
     results.append(CheckResult("tensor", "model gradient bound", worst, 1e-10))
 
     # criterion region at M = 1.9 M4 is nonempty; the mapped acceptance level
-    # beta = (M4 + gamma M)/((1-gamma) M - M4) holds at every passing point.
+    # beta = (M4 + gamma M)/((1-gamma) M - M4) holds at every passing point
+    # (Lemma 2's bound, ``lemma2_bound_check``).
     # The anchor and the grid around it and x* = 0 (kink included) are seeded;
     # for |anchor| < 0.6 the region shrinks to the kink
     gamma = 8.0 / 19.0
@@ -578,8 +575,6 @@ def suite_tensor(seed=0):
     a0 = float(anchor[0])
     grid = np.append(rng.uniform(min(a0, 0.0) - 0.5, max(a0, 0.0) + 0.5, 2000), 0.0)
     m_lvl = 1.9 * m4
-    h_lvl = m_lvl / 6.0
-    beta_lvl = (m4 + gamma * m_lvl) / ((1.0 - gamma) * m_lvl - m4)
     tm_lvl = TaylorModel(oracle, anchor, 3, m_lvl)
     passing = 0
     worst = -np.inf
@@ -589,9 +584,8 @@ def suite_tensor(seed=0):
         ok, _, _ = tensor_criterion(tm_lvl, term, point, g, gamma)
         if ok:
             passing += 1
-            res = float(oracle.gradient(point)[0] + g[0])
-            reg = res + h_lvl * abs(t - a0) ** 2 * (t - a0)
-            worst = max(worst, abs(reg) - beta_lvl * abs(res) - 1e-12)
+            lhs, bound, _ = lemma2_bound_check(tm_lvl, point, g, gamma, m4)
+            worst = max(worst, lhs - bound - ACCEPT_SLACK)
     if passing == 0:
         worst = np.inf
     results.append(
@@ -654,8 +648,8 @@ SUITES = {
 def run_suite(name, seed=0):
     if name == "all":
         out = []
-        for key in ("lemma1", "estseq", "bregman", "sandwich", "theta", "tensor"):
-            out.extend(SUITES[key](seed))
+        for suite in SUITES.values():
+            out.extend(suite(seed))
         return out
     try:
         fn = SUITES[name]

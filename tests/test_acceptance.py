@@ -25,8 +25,8 @@ from hiprox import (
     relative_constants,
 )
 from hiprox.acceptance import certificate_inequalities
-from hiprox.oracles import fd_check
 from hiprox.verify import run_suite
+from references import fd_check
 
 # (certificate, config) pairs accumulated across the runs in this module
 CERT_STORE = []

@@ -15,7 +15,6 @@ from hiprox import (
     bilevel_h,
     bregman_distance,
     get_problem,
-    hat_l_literal,
     hat_l_sampled,
     relative_constants,
     relative_sandwich_check,
@@ -227,14 +226,6 @@ def test_theta_dominates_bregman_on_ball():
     taus = np.linspace(0.0, 2.0 * radius, 100)
     vals = np.array([theta(t) for t in taus])
     assert np.all(np.diff(vals) >= 0.0)
-
-
-def test_hat_l_literal_frozen():
-    # q = 1 collapses to the constant 4
-    assert hat_l_literal(3, 0.3) == pytest.approx(4.0)
-    assert hat_l_literal(3, 1.0 / math.sqrt(2.0)) == pytest.approx(4.0)
-    # q = 2 at the d1 = 1/sqrt(2) limit: 4 + 4 * 3 * 7 / 3! = 18
-    assert hat_l_literal(5, 1.0 / math.sqrt(2.0)) == pytest.approx(18.0)
 
 
 def test_hat_l_sampled_bounds_local_hessian():

@@ -2,12 +2,19 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hiprox import NumericalError, StepSolver, get_problem, relative_constants
+from hiprox import (NumericalError, StepSolver, get_problem, list_problems, relative_constants,
+                    verify)
 from hiprox.cli import RunConfig, build_parser, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +110,33 @@ def test_verify_suite(capsys):
     assert main(["verify", "lemma1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_all_runs_every_suite_in_order(monkeypatch, capsys):
+    def stub(name, violation):
+        return lambda seed: [verify.CheckResult(name, "stub", violation, 0.0)]
+
+    names = list(verify.SUITES)
+    monkeypatch.setattr(verify, "SUITES", {name: stub(name, 1.0 if name == "theta" else 0.0)
+                                           for name in names})
+    assert main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == names
+    assert [line.endswith("FAIL") for line in lines] == [name == "theta" for name in names]
+    monkeypatch.setattr(verify, "SUITES", {name: stub(name, 0.0) for name in names})
+    assert main(["verify", "all"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_module_entry_point_lists_the_catalog():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hiprox", "list-problems"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert names == [name for name, _ in list_problems()]
+    assert len(names) == 7
 
 
 def test_rates_table(capsys, tmp_path):

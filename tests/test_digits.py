@@ -17,7 +17,8 @@ new hashes here and says why in CHANGES.md.
 - The files the command line writes, which its docstring promises are
   byte-identical across runs: ``scan.csv`` of the two example modes, and
   ``outer.csv`` with every ``inner_k<k>.csv`` of a plain, an accelerated and
-  a bi-level run of neglog-sep at p = 3.
+  a bi-level run of neglog-sep at p = 3, also when the bi-level run reuses
+  the directory of a longer run.
 """
 
 import hashlib
@@ -163,3 +164,23 @@ def test_cli_run_keeps_its_bytes(mode, tmp_path, monkeypatch):
     assert hashlib.sha256((out / "outer.csv").read_bytes()).hexdigest() == outer_digest
     joined = b"".join(path.read_bytes() for path in inner)
     assert hashlib.sha256(joined).hexdigest() == inner_digest
+
+
+def test_cli_run_replaces_an_earlier_runs_files(tmp_path, monkeypatch):
+    # a longer run, a shorter one and a scan into one directory: each leaves
+    # only its own files
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--problem", "logistic-sep-3d", "--mode", "bilevel", "--p", "4",
+                 "--eps", "1e-6", "--max-outer", "100", "--out", "run"]) == 0
+    assert len(list(out.glob("inner_k*.csv"))) == 13
+    assert main(["run", "--problem", "neglog-sep", "--mode", "bilevel", "--eps", "1e-6",
+                 "--max-outer", "100", "--out", "run"]) == 0
+    inner = sorted(out.glob("inner_k*.csv"), key=lambda path: int(path.stem[len("inner_k"):]))
+    count, outer_digest, inner_digest = RUN_SHA256["bilevel"]
+    assert len(inner) == count
+    assert hashlib.sha256((out / "outer.csv").read_bytes()).hexdigest() == outer_digest
+    joined = b"".join(path.read_bytes() for path in inner)
+    assert hashlib.sha256(joined).hexdigest() == inner_digest
+    assert main(["run", "--mode", "example1", "--out", "run"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["scan.csv", "summary.json"]

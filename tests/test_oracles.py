@@ -12,9 +12,9 @@ from hiprox import (
     ParameterError,
     QuadraticObjective,
     SeparableObjective,
-    fd_check,
     make_family,
 )
+from references import fd_check
 
 
 def _sep_instance(seed=0, rows=4, n=3, family="quartic"):

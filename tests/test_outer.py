@@ -427,7 +427,7 @@ def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
     objective = outer_module._objective
     calls = []
 
-    def inflated(problem, x, f_value=None):
+    def inflated(problem, x, f_value):
         calls.append(x)
         value = objective(problem, x, f_value)
         # call 0 is F(x_0); call k + 1 is F(T_k)

@@ -5,14 +5,8 @@ import pytest
 from scipy.optimize import minimize
 
 from hiprox import AnchorStack, ParameterError, get_problem, list_problems
-from hiprox.oracles import fd_check
-from hiprox.problems import (
-    box_newton_reference,
-    composite_min_1d,
-    level_radius_1d,
-    newton_reference,
-    trs_reference,
-)
+from hiprox.problems import box_newton_reference, newton_reference, trs_reference
+from references import composite_min_1d, fd_check, level_radius_1d
 
 FROZEN = {
     "ball-quadratic": (0.0, -1.2541125568956133),
