@@ -47,15 +47,14 @@ class ProxConfig:
     p: int
     h: float
     beta: float
-    metric: MetricSpace = None
     _power: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 1:
             raise ParameterError("p must be an integer >= 1")
         self.p = int(self.p)
-        if self.h <= 0:
-            raise ParameterError("H must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ParameterError("H must be finite and positive")
         if not 0.0 <= self.beta < 1.0:
             raise ParameterError("beta must lie in [0, 1)")
 
@@ -71,11 +70,10 @@ class ProxConfig:
         return out
 
     def power(self, dimension):
-        """The power regularizer d in this metric (Euclidean when None), built once per dimension."""
+        """The power regularizer d on R^dimension, built once per dimension."""
         pp = self._power.get(dimension)
         if pp is None:
-            metric = self.metric if self.metric is not None else MetricSpace.euclidean(dimension)
-            pp = self._power[dimension] = PowerProx(self.p, metric)
+            pp = self._power[dimension] = PowerProx(self.p, MetricSpace(dimension))
         return pp
 
 
@@ -106,10 +104,10 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
 
     A caller that already has them passes ``gap``, the distance
     ``term.subgradient_distance(point, g)``, and ``power``, the pair
-    (|d|, grad d(d)) at d = point - anchor in ``cfg``'s metric; neither is
+    (|d|, grad d(d)) at d = point - anchor; neither is
     computed again. The inner loop reads both off its step: the membership
     check of ``StepSolver.step`` and the scaling function's pass at the
-    point (``ScalingFunction.evaluate``), which shares this anchor and metric.
+    point (``ScalingFunction.evaluate``), which shares this anchor.
     """
     anchor = np.asarray(anchor, dtype=float)
     point = np.asarray(point, dtype=float)

@@ -65,10 +65,10 @@ from .metric import MetricSpace, PowerProx
 from .oracles import AnchorStack
 
 
-def _power_prox(p, metric, power, dimension):
-    """``power`` when given (a ``PowerProx`` of order p), else d of order p in ``metric``."""
+def _power_prox(p, power, dimension):
+    """``power`` when given (a ``PowerProx`` of order p), else d of order p on R^dimension."""
     if power is None:
-        return PowerProx(p, metric if metric is not None else MetricSpace.euclidean(dimension))
+        return PowerProx(p, MetricSpace(dimension))
     if power.p != p:
         raise ParameterError("the power regularizer has order %d, not p = %d" % (power.p, p))
     return power
@@ -77,12 +77,12 @@ def _power_prox(p, metric, power, dimension):
 class ScalingFunction:
     """Even-order Taylor part of f at the anchor plus H d(x - anchor).
 
-    ``power``, a ``PowerProx`` of order p, is shared when given, and its
-    metric is then the scaling function's: d does not depend on H or the
-    anchor, so the inner loop passes the one its config builds per run.
+    ``power``, a ``PowerProx`` of order p, is shared when given: d does not
+    depend on H or the anchor, so the inner loop passes the one its config
+    builds per run.
     """
 
-    def __init__(self, oracle, anchor, p, h, metric=None, power=None):
+    def __init__(self, oracle, anchor, p, h, power=None):
         if p < 2:
             raise ParameterError("scaling functions need p >= 2")
         if h < 0:
@@ -92,8 +92,7 @@ class ScalingFunction:
         self.p = int(p)
         self.q = self.p // 2
         self.h = float(h)
-        self.pp = _power_prox(self.p, metric, power, len(self.anchor))
-        self.metric = self.pp.metric
+        self.pp = _power_prox(self.p, power, len(self.anchor))
         # the anchor's residuals and even-order weights, once per scaling function
         self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
@@ -103,7 +102,7 @@ class ScalingFunction:
         The pass forms d = x - anchor once, projects it once for every order of
         the anchor stack (``AnchorStack.series``), and takes |d| once for the
         power term. The last three items are that power term's own: the same
-        anchor and metric give f_reg(x) = f(x) + H d(d), grad f_reg(x) and the
+        anchor gives f_reg(x) = f(x) + H d(d), grad f_reg(x) and the
         acceptance certificate at x without another norm of d. The gradient
         and Hessian of rho are new arrays, which the caller may overwrite.
         """
@@ -150,13 +149,12 @@ class RegularizedObjective:
     as in ``ScalingFunction``.
     """
 
-    def __init__(self, oracle, anchor, p, h, metric=None, power=None):
+    def __init__(self, oracle, anchor, p, h, power=None):
         self.oracle = oracle
         self.anchor = np.asarray(anchor, dtype=float)
         self.p = int(p)
         self.h = float(h)
-        self.pp = _power_prox(self.p, metric, power, len(self.anchor))
-        self.metric = self.pp.metric
+        self.pp = _power_prox(self.p, power, len(self.anchor))
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
@@ -195,8 +193,8 @@ def relative_constants(p, h, m_next):
     an adaptive M_k below the true bound, they are nominal (see the module
     docstring), so L bounds the backtracking without guaranteeing descent.
     """
-    if m_next <= 0:
-        raise ParameterError("M_{p+1} must be positive")
+    if not 0.0 < m_next < math.inf:
+        raise ParameterError("need a finite positive M_{p+1} bound")
     if h <= 0:
         raise ParameterError("H must be positive")
     c = math.factorial(p - 1) * h / m_next

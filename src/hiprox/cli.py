@@ -176,7 +176,7 @@ def _solve(cfg, prob):
                 "pass --h (or a finite positive --m)" % (prob.name, p + 1, m, p)
             )
         h = bilevel_h(p, m)
-    pcfg = ProxConfig(p, h, beta, metric=prob.metric)
+    pcfg = ProxConfig(p, h, beta)
     if prob.dimension == 1:
         provider = exact_prox_provider(prob.oracle, prob.term, pcfg)
     else:

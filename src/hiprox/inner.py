@@ -188,7 +188,7 @@ class StepSolver:
         two_l = 2.0 * lsmooth
         grad_z = rho_z[1]
         ctil = c - two_l * grad_z
-        tol = _RES_TOL * max(1.0, sf.metric.dual_norm(c))
+        tol = _RES_TOL * max(1.0, sf.pp.metric.dual_norm(c))
         w0 = term.project(z)
         reuse = bool((w0 == z).all())
 
@@ -263,32 +263,30 @@ def prox_newton(evaluate, term, w, tol):
     return w, at_w, steps
 
 
-def _composite_argmin(evaluate, gradient, term, start, slack, metric):
+def _composite_argmin(evaluate, gradient, term, start, slack):
     """argmin of a smooth part plus psi, T, and g in dpsi(T) nearest to -grad(T).
 
     ``prox_newton`` runs on ``evaluate`` from ``start`` projected onto dom psi.
     Its tolerance lets the residual fall by slack/2 relative to the one at
-    that point, exact at the scale of its own step, and below slack/2 in the
-    dual norm, |v|_* <= |v| / sqrt(lambda_min(B)) for B of ``metric``: a check
-    with additive ``slack`` keeps half for rounding.
+    that point, exact at the scale of its own step, and below slack/2 in
+    norm: a check with additive ``slack`` keeps half for rounding.
     """
     w0 = term.project(start)
-    tol = (0.5 * slack * min(1.0, term.subgradient_distance(w0, -gradient(w0)))
-           * math.sqrt(metric.min_eigenvalue))
+    tol = 0.5 * slack * min(1.0, term.subgradient_distance(w0, -gradient(w0)))
     t, at_t, _ = prox_newton(evaluate, term, w0, tol)
     return t, term.subgradient_select(t, -at_t[1])
 
 
 def exact_prox(oracle, term, cfg, anchor):
-    """Exact prox point T of f + psi at the anchor, in ``cfg.metric``, and g in dpsi(T).
+    """Exact prox point T of f + psi at the anchor, and g in dpsi(T).
 
     ``_composite_argmin`` minimizes f_reg + psi from the anchor at the
     ``ACCEPT_SLACK`` tolerance, and g is nearest to -grad f_reg(T), so the
     pair certifies at every beta, beta = 0 included.
     """
     anchor = np.asarray(anchor, dtype=float)
-    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.metric, cfg.power(len(anchor)))
-    return _composite_argmin(reg.evaluate, reg.gradient, term, anchor, ACCEPT_SLACK, reg.metric)
+    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.power(len(anchor)))
+    return _composite_argmin(reg.evaluate, reg.gradient, term, anchor, ACCEPT_SLACK)
 
 
 def _model_min(term, w, grad, hm):
@@ -441,8 +439,8 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
     z = np.array(start.point, dtype=float)
     if not term.contains(z):
         raise ParameterError("inner loop must start inside dom psi")
-    # d and its metric are the config's, built once per run (see ProxConfig.scaled)
-    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.metric, cfg.power(len(anchor)))
+    # d is the config's, built once per run (see ProxConfig.scaled)
+    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.power(len(anchor)))
     solver = StepSolver(sf, term)
     # rho at z, f_reg(z) and grad f_reg(z) pass from step to step; f_reg and
     # grad f_reg read the power term's d(d) and grad d(d) off the rho pass

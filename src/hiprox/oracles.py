@@ -333,5 +333,5 @@ class QuadraticObjective(SmoothOracle):
 
 
 def psi_prox_euclid(term, s, c, tau):
-    """argmin_z <s, z> + psi(z) + (tau/2)|z - c|^2 (identity metric)."""
+    """argmin_z <s, z> + psi(z) + (tau/2)|z - c|^2."""
     return term.prox(s, c, tau)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .acceptance import ProxConfig, check_acceptable
 from .bregman import bilevel_h, relative_constants
-from .errors import CapabilityError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .inner import InnerResult, WarmStart, csv_text, exact_prox, inner_solve
 from .metric import PowerProx
 from .oracles import psi_prox_euclid
@@ -140,19 +140,17 @@ def estimating_update(state, point, grad_at_point, f_at_point, a_next):
 def psi_argmin(state, term):
     """argmin over x of <s, x> + A_k psi(x) + d_{p+1}(x - x0), d being ``state.power``.
 
-    Scalarized on the step radius: for trial r the candidate solves the
-    Euclidean prox with weight tau = r^{p-1} (rescaled by the psi-weight),
-    and the radius equation |x(r) - x0| = r is closed by bracketing.
+    Without psi the minimizer is x0 - |s|^{(1-p)/p} s. Otherwise it is
+    scalarized on the step radius: for trial r the candidate solves the
+    prox with weight tau = r^{p-1} (rescaled by the psi-weight), and the
+    radius equation |x(r) - x0| = r is closed by bracketing.
     """
     s, w, x0, p = state.s, state.a_total, state.x0, state.power.p
-    metric = state.power.metric
-    sn = metric.dual_norm(s)
+    sn = state.power.metric.dual_norm(s)
     if w == 0.0 or term.kind == "zero":
         if sn == 0.0:
             return x0.copy()
-        return x0 - sn ** ((1.0 - p) / p) * metric.apply_inv(s)
-    if not metric.is_identity:
-        raise CapabilityError("psi_argmin with a nontrivial term needs B = I")
+        return x0 - sn ** ((1.0 - p) / p) * s
 
     def candidate(r):
         tau = r ** (p - 1)
@@ -460,7 +458,7 @@ def biopt_run(problem, p, eps=0.0, max_k=50, rhs_tol=None):
     """
     m = problem.m_next(p)
     h = bilevel_h(p, m)
-    cfg = ProxConfig(p, h, 1.0 / p, metric=problem.metric)
+    cfg = ProxConfig(p, h, 1.0 / p)
     provider = inner_prox_provider(problem.oracle, problem.term, cfg, m)
     trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol,
                        rule=adapt_m)

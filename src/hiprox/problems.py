@@ -30,7 +30,6 @@ class Problem:
     oracle: object
     term: object
     x0: np.ndarray
-    metric: object = None
     f_star: float = None
     x_star: np.ndarray = None
     d0: float = None

@@ -4,7 +4,7 @@ Kinds: zero, l1(lam), nonneg (indicator of the nonnegative orthant),
 ball (indicator of |x - center| <= radius), box (indicator of [lo, hi]),
 abs-1d (|x| in dimension 1).
 
-The weighted Euclidean prox solves, in the identity metric,
+The Euclidean prox with weight tau solves
 
     prox(s, c, tau) = argmin_z  <s, z> + psi(z) + (tau/2) |z - c|^2,
 

@@ -38,7 +38,7 @@ CRITERION_SLACK = 1e-12
 
 
 class TaylorModel:
-    """Degree-p Taylor model of ``oracle`` at ``x`` with augmentation M, in the Euclidean norm."""
+    """Degree-p Taylor model of ``oracle`` at ``x`` with augmentation M."""
 
     def __init__(self, oracle, x, p, m):
         if p < 1:
@@ -49,8 +49,7 @@ class TaylorModel:
         self.x = np.asarray(x, dtype=float)
         self.p = int(p)
         self.m = float(m)
-        self.metric = MetricSpace.euclidean(len(self.x))
-        self._pp = PowerProx(self.p, self.metric)
+        self._pp = PowerProx(self.p, MetricSpace(len(self.x)))
         self.f0, self.g0, _ = oracle.evaluate(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
@@ -97,7 +96,7 @@ def tensor_step(tm, term, gamma):
     if gamma < 0:
         raise ParameterError("gamma must be >= 0")
     t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True)[1], tm.augmented_gradient,
-                             term, tm.x, CRITERION_SLACK, tm.metric)
+                             term, tm.x, CRITERION_SLACK)
     ok, lhs, rhs = tensor_criterion(tm, term, t, g, gamma)
     return t, g, ok, lhs, rhs
 
@@ -112,8 +111,8 @@ def tensor_criterion(tm, term, y, g, gamma):
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
     model, augmented = tm.evaluate(y)
-    lhs = tm.metric.dual_norm(augmented[1] + g)
-    rhs = tm.metric.dual_norm(model[1] + g)
+    lhs = tm._pp.metric.dual_norm(augmented[1] + g)
+    rhs = tm._pp.metric.dual_norm(model[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs
 
 
@@ -128,10 +127,9 @@ def tensor_acceptance_map(p, beta, gamma, m_next):
     denom = beta * (1.0 - gamma) - gamma
     if gamma < 0 or denom <= 0:
         raise ParameterError("gamma must lie in [0, beta/(1+beta))")
-    if m_next <= 0:
-        raise ParameterError("M_{p+1} must be positive")
+    if not 0.0 < m_next < math.inf:
+        raise ParameterError("need a finite positive M_{p+1} bound")
     m = (1.0 + beta) / denom * m_next
-    assert (1.0 - gamma) * m > m_next
     return m, m / math.factorial(p)
 
 
@@ -149,7 +147,7 @@ def lemma2_bound_check(tm, y, g, gamma, m_next):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     grad = tm.oracle.gradient(y)
-    lhs = tm.metric.dual_norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
-    rhs = tm.metric.dual_norm(grad + g)
+    lhs = tm._pp.metric.dual_norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
+    rhs = tm._pp.metric.dual_norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

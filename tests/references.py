@@ -1,8 +1,9 @@
 """Reference computations that only tests call.
 
 They share no code with the certified loops: a dense grid with golden-section
-refinement and a bisected sublevel radius in one dimension, and central
-differences against an oracle's derivatives.
+refinement and a bisected sublevel radius in one dimension, central
+differences against an oracle's derivatives, and an oracle read in the
+coordinates of a non-Euclidean metric.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
+from hiprox import QuadraticObjective, SeparableObjective
 from hiprox.errors import NumericalError, ParameterError
 
 _MACHINE_H1 = 1e-5
@@ -86,3 +88,26 @@ def fd_check(oracle, x, h, order):
     else:
         raise ParameterError("fd_check supports orders 1 and 2")
     return abs(fd - exact) / max(1.0, abs(exact))
+
+
+def in_metric(oracle, kind, rng):
+    """A separable or quadratic oracle read in the coordinates of a metric B.
+
+    A norm <Bx, x>^(1/2) with B = LL' is the Euclidean norm of y = L'x, so f
+    measured in B is g(y) = f(M y), M = L'^-1, measured in the Euclidean
+    norm, and g is of f's class: rows a M, or Hessian M'QM and linear part
+    M'c. ``kind`` is "identity" (the oracle itself, ``rng`` untouched),
+    "diagonal" (B = diag(w), w uniform in [0.5, 2]) or "dense" (B = AA' + nI,
+    A standard normal), with B drawn from ``rng``.
+    """
+    if kind == "identity":
+        return oracle
+    n = oracle.dimension
+    if kind == "diagonal":
+        m = np.diag(1.0 / np.sqrt(rng.uniform(0.5, 2.0, n)))
+    else:
+        a = rng.standard_normal((n, n))
+        m = np.linalg.inv(np.linalg.cholesky(a @ a.T + n * np.eye(n)).T)
+    if isinstance(oracle, QuadraticObjective):
+        return QuadraticObjective(m.T @ oracle.q @ m, m.T @ oracle.c, oracle.const)
+    return SeparableObjective(oracle.a @ m, oracle.b, oracle.family)

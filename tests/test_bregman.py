@@ -7,7 +7,6 @@ import pytest
 
 from hiprox import (
     AnchorStack,
-    MetricSpace,
     ParameterError,
     RegularizedObjective,
     RelativeConstants,
@@ -21,6 +20,7 @@ from hiprox import (
     theta_bound,
     theta_constants,
 )
+from references import in_metric
 
 
 def test_scaling_function_p3_closed_form():
@@ -133,6 +133,9 @@ def test_relative_constants_frozen():
         bilevel_h(3, 0.0)
     with pytest.raises(ParameterError):
         bilevel_h(3, np.inf)
+    for m_next in (np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite positive"):
+            relative_constants(3, 1.0, m_next)
 
 
 def test_relative_sandwich_holds_at_p3():
@@ -242,11 +245,11 @@ def _direct_scaling(oracle, anchor, sf, x):
     """rho, grad rho and its Hessian from a fresh stack per contraction.
 
     Each contraction projects d on its own, and the power term is written
-    out: d(h) = r^(p+1)/(p+1), grad r^(p-1) B h and
-    Hessian r^(p-1) B + (p-1) r^(p-3) (Bh)(Bh)' with r = <Bh, h>^(1/2).
+    out: d(h) = r^(p+1)/(p+1), grad r^(p-1) h and
+    Hessian r^(p-1) I + (p-1) r^(p-3) h h' with r = <h, h>^(1/2).
     """
     d = x - anchor
-    q, p, h, metric = sf.q, sf.p, sf.h, sf.metric
+    q, p, h = sf.q, sf.p, sf.h
 
     def fresh(k):
         return AnchorStack(oracle, anchor, (k,))
@@ -259,14 +262,13 @@ def _direct_scaling(oracle, anchor, sf, x):
     hess = fresh(2).hessian
     for k in range(2, q + 1):
         hess = hess + fresh(2 * k).matrix(d, 2 * k) / math.factorial(2 * k - 2)
-    bh = metric.apply(d)
-    r = float(np.sqrt(max(0.0, float(np.dot(bh, d)))))
+    r = float(np.sqrt(float(np.dot(d, d))))
     n = len(d)
     if r == 0.0:
         p_grad, p_hess = np.zeros(n), np.zeros((n, n))
     else:
-        p_grad = r ** (p - 1) * bh
-        p_hess = r ** (p - 1) * metric.matrix() + (p - 1) * r ** (p - 3) * np.outer(bh, bh)
+        p_grad = r ** (p - 1) * d
+        p_hess = r ** (p - 1) * np.eye(n) + (p - 1) * r ** (p - 3) * np.outer(d, d)
     return (value + h * (r ** (p + 1) / (p + 1)), grad + h * p_grad, hess + h * p_hess)
 
 
@@ -279,7 +281,7 @@ def test_anchor_stack_equals_direct_oracle_calls_exactly(name, p):
     rng = np.random.default_rng(10 * p + len(name))
     n = prob.dimension
     for anchor in prob.sample(rng, 2):
-        sf = ScalingFunction(prob.oracle, anchor, p, 2.5, prob.metric)
+        sf = ScalingFunction(prob.oracle, anchor, p, 2.5)
         for _ in range(3):
             x = anchor + 0.1 * rng.standard_normal(n)
             value, grad, hess = _direct_scaling(prob.oracle, anchor, sf, x)
@@ -300,7 +302,7 @@ def test_anchor_stack_evaluates_each_order_once_per_row(name, p):
     anchor = np.asarray(prob.x0, dtype=float)
     rng = np.random.default_rng(p)
     oracle.reset_counters()
-    sf = ScalingFunction(oracle, anchor, p, 2.5, prob.metric)
+    sf = ScalingFunction(oracle, anchor, p, 2.5)
     for _ in range(100):
         x = anchor + 0.1 * rng.standard_normal(prob.dimension)
         sf.value(x)
@@ -314,15 +316,6 @@ def test_anchor_stack_evaluates_each_order_once_per_row(name, p):
         assert oracle.calls_by_order == {2 * k: rows for k in range(1, q + 1)}
 
 
-def _metric(kind, n, rng):
-    if kind == "identity":
-        return MetricSpace.euclidean(n)
-    if kind == "diagonal":
-        return MetricSpace(n, weights=rng.uniform(0.5, 2.0, n))
-    b = rng.standard_normal((n, n))
-    return MetricSpace(n, matrix=b @ b.T + n * np.eye(n))
-
-
 @pytest.mark.parametrize("metric_kind", ("identity", "diagonal", "dense"))
 @pytest.mark.parametrize("p", (3, 4, 5))
 @pytest.mark.parametrize("name", ("neglog-sep", "logistic-sep-3d", "quartic-sep-10d",
@@ -330,15 +323,16 @@ def _metric(kind, n, rng):
 def test_one_pass_equals_separate_contractions_exactly(name, p, metric_kind):
     # one projection of d for every order and one |d| give bit for bit the
     # numbers of contracting each order and each power term on its own, for
-    # separable and quadratic oracles, in every metric, and at d = 0
+    # separable and quadratic oracles, also read in the coordinates of a
+    # diagonal or dense metric, and at d = 0
     prob = get_problem(name)
     rng = np.random.default_rng(100 * p + len(name))
     n = prob.dimension
-    metric = _metric(metric_kind, n, rng)
+    oracle = in_metric(prob.oracle, metric_kind, rng)
     anchor = prob.sample(rng, 1)[0]
-    sf = ScalingFunction(prob.oracle, anchor, p, 2.5, metric)
+    sf = ScalingFunction(oracle, anchor, p, 2.5)
     for x in [anchor.copy()] + [anchor + 0.1 * rng.standard_normal(n) for _ in range(3)]:
-        value, grad, hess = _direct_scaling(prob.oracle, anchor, sf, x)
+        value, grad, hess = _direct_scaling(oracle, anchor, sf, x)
         one_pass = sf.evaluate(x, hessian=True)
         assert one_pass[0] == value
         assert np.array_equal(one_pass[1], grad)

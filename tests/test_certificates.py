@@ -14,12 +14,9 @@ from hiprox import (
     certificate_inequalities,
     check_acceptable,
     exact_prox,
-    exact_prox_provider,
     get_problem,
-    ihopp_run,
     make_term,
 )
-from hiprox.metric import MetricSpace
 
 
 def test_prox_config_validation():
@@ -33,6 +30,9 @@ def test_prox_config_validation():
         ProxConfig(0, 1.0, 0.1)
     with pytest.raises(ParameterError):
         ProxConfig(3, 0.0, 0.1)
+    for h in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            ProxConfig(3, h, 0.1)
     with pytest.raises(ParameterError):
         ProxConfig(3, 1.0, 1.0)
     with pytest.raises(ParameterError):
@@ -45,7 +45,7 @@ def test_regularized_gradient_formula():
     anchor = np.array([0.3])
     x = np.array([1.1])
     expected = prob.oracle.gradient(x) + 2.0 * abs(1.1 - 0.3) ** 2 * (x - anchor)
-    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h)
     np.testing.assert_allclose(reg.gradient(x), expected, rtol=1e-12)
 
 
@@ -96,19 +96,6 @@ def test_exact_prox_accepted_at_beta_zero():
             t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
             cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g)
             assert cert.accepted
-
-
-def test_exact_prox_solves_in_the_configured_metric():
-    # with B = 4 the prox term is H <B(x - xb), x - xb>^2 / 4: a Euclidean
-    # solve lands elsewhere, and the certificate, measured in B, rejects it
-    prob = get_problem("quartic-abs-1d")
-    cfg = ProxConfig(3, 2.0, 0.0, metric=MetricSpace(1, weights=[4.0]))
-    for a in (1.7, -0.9, 0.3):
-        anchor = np.array([a])
-        t, g = exact_prox(prob.oracle, prob.term, cfg, anchor)
-        assert check_acceptable(prob.oracle, prob.term, cfg, anchor, t, g).accepted
-    trace = ihopp_run(prob, cfg, exact_prox_provider(prob.oracle, prob.term, cfg), eps=1e-8)
-    assert trace.status == "converged"
 
 
 def test_acceptable_interval_closed_form():

@@ -175,6 +175,17 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("h", ("nan", "inf"))
+def test_non_finite_h_is_a_configuration_error(h, tmp_path, capsys):
+    # a bad H is a configuration error (exit 1), refused before any solve
+    # writes a file, not a numerical failure of the solve (exit 3)
+    out = tmp_path / "run"
+    args = ["run", "--problem", "quartic-1d", "--mode", "plain", "--h", h, "--out", str(out)]
+    assert main(args) == 1
+    assert "H must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "mode, problem, p", (("plain", "ball-quadratic", 2), ("accelerated", "quartic-1d", 4))
 )

@@ -24,13 +24,11 @@ new hashes here and says why in CHANGES.md.
 import hashlib
 import importlib.util
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hiprox import MetricSpace, PowerProx, biopt_run, get_problem
+from hiprox import PowerProx, biopt_run, get_problem
 from hiprox.cli import main
 
 CSV_SHA256 = {
@@ -77,18 +75,6 @@ def test_bilevel_run_builds_one_power_regularizer(name, p, monkeypatch):
     trace = biopt_run(get_problem(name), p, eps=1e-6, max_k=200)
     assert len(trace.rows) > 2 and len(built) == 1
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == CSV_SHA256[(name, p)]
-
-
-def test_bilevel_run_with_a_dense_metric_forms_b_once(monkeypatch):
-    # a dense B is assembled once per run, not once per inner solve
-    problem = get_problem("logistic-sep-3d")
-    n = problem.dimension
-    b = np.eye(n) + 0.25 * np.ones((n, n))
-    built = _count_power_proxes(monkeypatch)
-    trace = biopt_run(replace(problem, metric=MetricSpace(n, matrix=b)), 3, eps=1e-6, max_k=200)
-    assert trace.status == "converged" and len(trace.rows) > 2
-    (pp,) = built
-    assert "_b" in vars(pp) and pp._b.tobytes() == b.tobytes()
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -9,7 +9,6 @@ import pytest
 
 from hiprox import (
     AcceptanceCertificate,
-    MetricSpace,
     NumericalError,
     ParameterError,
     ProxConfig,
@@ -33,6 +32,7 @@ from hiprox import (
     tensor_step,
 )
 from hiprox.simple_terms import ZeroTerm
+from references import in_metric
 
 
 def _setup(problem_name, p, h=None, beta=None):
@@ -50,8 +50,8 @@ def _setup(problem_name, p, h=None, beta=None):
 def _solver(prob, cfg, rc, anchor=None):
     anchor = np.asarray(prob.x0 if anchor is None else anchor, dtype=float)
     term = prob.term
-    sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h)
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h)
     return StepSolver(sf, term), sf, reg, term
 
 
@@ -269,7 +269,7 @@ def test_inner_solve_from_seeded_start(problem_name, p, seed):
     assert cert.lhs <= cfg.beta * cert.rhs + 1e-12
     np.testing.assert_array_equal(res.trace.points[0], start)
     phi = res.trace.column("phi")
-    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h)
     assert phi[0] == reg.value(start) + prob.term.value(start)
     assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
     assert res.trace.newton_iters >= res.iterations >= 1
@@ -311,8 +311,8 @@ def test_kept_steps_meet_the_descent_test_at_their_constant(problem_name, p):
                       lsmooth=rc.mu)
     res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, start)
     assert res.certificate.accepted
-    sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
-    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h, cfg.metric)
+    sf = ScalingFunction(prob.oracle, anchor, cfg.p, cfg.h)
+    reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h)
     pts, ls = res.trace.points, res.trace.lsmooth
     assert len(ls) == res.iterations == len(pts) - 1 > 1
     assert all(rc.mu <= v <= rc.lsmooth for v in ls)
@@ -478,23 +478,24 @@ def test_certificate_from_the_rho_pass_equals_one_from_scratch(name, p, weighted
     # the inner loop hands the certificate |d| and grad d(d) from the rho pass
     # at z+ and the step's membership distance, and forms f_reg(z+) and
     # grad f_reg(z+) from the same pass: all bit for bit what check_acceptable,
-    # reg.value and reg.gradient compute on their own
+    # reg.value and reg.gradient compute on their own, also with the smooth
+    # part read in the coordinates of a diagonal metric
     prob = get_problem(name)
     n = prob.dimension
     rng = np.random.default_rng(10 * p + n + weighted)
-    metric = MetricSpace(n, weights=rng.uniform(0.5, 2.0, n)) if weighted else None
-    cfg = ProxConfig(p=p, h=2.5, beta=1.0 / p, metric=metric)
+    oracle = in_metric(prob.oracle, "diagonal" if weighted else "identity", rng)
+    cfg = ProxConfig(p=p, h=2.5, beta=1.0 / p)
     anchor = prob.sample(rng, 1)[0]
-    sf = ScalingFunction(prob.oracle, anchor, p, cfg.h, metric)
-    reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, metric)
+    sf = ScalingFunction(oracle, anchor, p, cfg.h)
+    reg = RegularizedObjective(oracle, anchor, p, cfg.h)
     solver = StepSolver(sf, prob.term)
     z = prob.term.project(anchor + 0.05 * rng.standard_normal(n))
     for _ in range(3):
         z_new, g, rho, gap = solver.step(z, rng.uniform(0.5, 1.5))
         assert gap == prob.term.subgradient_distance(z_new, g)
-        reused = check_acceptable(prob.oracle, prob.term, cfg, anchor, z_new, g, gap,
+        reused = check_acceptable(oracle, prob.term, cfg, anchor, z_new, g, gap,
                                   (rho[3], rho[5]))
-        scratch = check_acceptable(prob.oracle, prob.term, cfg, anchor, z_new, g)
+        scratch = check_acceptable(oracle, prob.term, cfg, anchor, z_new, g)
         for f in dataclasses.fields(AcceptanceCertificate):
             assert _same(getattr(reused, f.name), getattr(scratch, f.name)), f.name
         assert reused.f_value + sf.h * rho[4] == reg.value(z_new)
@@ -530,7 +531,7 @@ def test_exact_prox_forms_the_residuals_once_per_point(name, monkeypatch):
     # the result and the counts are those of the separate calls
     prob = get_problem(name)
     oracle = prob.oracle
-    cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=1.0 / 3.0, metric=prob.metric)
+    cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=1.0 / 3.0)
     anchor = prob.sample(np.random.default_rng(2), 1)[0]
     residuals, evaluate = oracle.residuals, RegularizedObjective.evaluate
     passes, points = [], []
@@ -569,7 +570,7 @@ def test_inner_rows_read_f_reg_off_the_rho_pass(name, p):
     prob, cfg, rc = _setup(name, p)
     anchor = np.asarray(prob.x0, dtype=float)
     res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
-    reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h, cfg.metric)
+    reg = RegularizedObjective(prob.oracle, anchor, p, cfg.h)
     assert len(res.trace.rows) > 1
     for row, z in zip(res.trace.rows, res.trace.points):
         assert row.phi == reg.value(z) + prob.term.value(z)
@@ -655,12 +656,18 @@ def test_prox_newton_line_search_raises_after_fifty_halvings():
                                                  for k in range(1, 50)]
 
 
-def _recorded_solve(name, p, metric, monkeypatch):
-    """One inner solve from the anchor x0 of a catalog problem, and its scaling function."""
+def _recorded_solve(name, p, oracle_kind, monkeypatch):
+    """One inner solve from the anchor x0 of a catalog problem, and its scaling function.
+
+    The oracle is read in the coordinates of ``references.in_metric``'s
+    ``oracle_kind``, with the catalog problem's H and constants.
+    """
     prob = get_problem(name)
     h = bilevel_h(p, prob.m_next(p))
-    cfg = ProxConfig(p=p, h=h, beta=1.0 / p, metric=metric)
+    cfg = ProxConfig(p=p, h=h, beta=1.0 / p)
     rc = relative_constants(p, h, prob.m_next(p))
+    oracle = in_metric(prob.oracle, oracle_kind, np.random.default_rng(p))
+    prob = dataclasses.replace(prob, oracle=oracle)
     built = []
 
     class Recording(ScalingFunction):
@@ -670,8 +677,10 @@ def _recorded_solve(name, p, metric, monkeypatch):
 
     monkeypatch.setattr(inner, "ScalingFunction", Recording)
     anchor = np.asarray(prob.x0, dtype=float)
+    rows = prob.oracle.a.copy()
     res = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, anchor)
     assert res.trace.newton_iters > 0
+    assert prob.oracle.a.tobytes() == rows.tobytes()
     (sf,) = built
     # the scaling function shares the config's power regularizer
     assert sf.pp is cfg.power(prob.dimension)
@@ -691,34 +700,10 @@ def _assert_stack_hessian_untouched(prob, sf):
 def test_in_place_work_leaves_the_solve_constants_alone(name, p, weighted, monkeypatch):
     # prox-Newton shifts each pass's Hessian in place, and the rho pass sums
     # into its own arrays: D^2 f(y) of the anchor stack, shared by every pass
-    # of the solve, stays bit for bit and read-only. An identity or diagonal B
-    # goes onto the diagonal of each pass's Hessian, so no dense B is formed,
-    # and the weights stay as they were
-    n = get_problem(name).dimension
-    rng = np.random.default_rng(p + 10 * weighted)
-    weights = rng.uniform(0.5, 2.0, n)
-    metric = MetricSpace(n, weights=weights.copy()) if weighted else get_problem(name).metric
-    prob, sf = _recorded_solve(name, p, metric, monkeypatch)
+    # of the solve, stays bit for bit and read-only, and so do the oracle's
+    # rows, also when read in the coordinates of a diagonal metric
+    prob, sf = _recorded_solve(name, p, "diagonal" if weighted else "identity", monkeypatch)
     _assert_stack_hessian_untouched(prob, sf)
-    assert "_b" not in vars(sf.pp)
-    if weighted:
-        assert sf.metric.diagonal.tobytes() == weights.tobytes()
-    else:
-        assert sf.metric.diagonal == 1.0
-
-
-@pytest.mark.parametrize("p", [3, 4])
-@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
-def test_dense_metric_forms_b_once_and_leaves_it_alone(name, p, monkeypatch):
-    # a dense B is still added as a matrix: formed once, read-only, bit for bit
-    n = get_problem(name).dimension
-    a = np.random.default_rng(p).standard_normal((n, n))
-    b = a.T @ a + n * np.eye(n)
-    prob, sf = _recorded_solve(name, p, MetricSpace(n, matrix=b), monkeypatch)
-    _assert_stack_hessian_untouched(prob, sf)
-    assert "_b" in vars(sf.pp)
-    assert not sf.pp._b.flags.writeable
-    assert sf.pp._b.tobytes() == sf.metric.matrix().tobytes()
 
 
 def _singular_case(kind):

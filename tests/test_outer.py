@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from hiprox import (
-    CapabilityError,
     EstimatingState,
+    InnerResult,
     NumericalError,
     ParameterError,
     PowerProx,
@@ -83,7 +83,7 @@ def test_coefficient_growth_inequality(p):
 def test_estimating_state_value_and_update():
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(4)
-    pp = PowerProx(3, MetricSpace.euclidean(4))
+    pp = PowerProx(3, MetricSpace(4))
     state = EstimatingState(power=pp, x0=x0)
     term = make_term("l1", lam=0.4)
     x = rng.standard_normal(4)
@@ -109,27 +109,22 @@ def test_estimating_state_value_and_update():
 
 def test_psi_argmin_zero_term_closed_form():
     rng = np.random.default_rng(11)
-    for metric in (MetricSpace.euclidean(3), MetricSpace(3, weights=[1.0, 2.0, 0.5])):
-        pp = PowerProx(3, metric)
-        x0 = rng.standard_normal(3)
-        state = EstimatingState(power=pp, x0=x0)
-        estimating_update(state, x0, rng.standard_normal(3), 0.0, 1.0)
-        term = make_term("zero")
-        v = psi_argmin(state, term)
-        s = state.s
-        sn = metric.dual_norm(s)
-        np.testing.assert_allclose(
-            v, x0 - sn ** (-2.0 / 3.0) * metric.apply_inv(s), rtol=1e-12
-        )
-        # stationarity: s + |v-x0|^{p-1} B (v-x0) = 0
-        r = metric.primal_norm(v - x0)
-        np.testing.assert_allclose(
-            s + r ** 2 * metric.apply(v - x0), 0.0, atol=1e-12 * sn
-        )
+    metric = MetricSpace(3)
+    pp = PowerProx(3, metric)
+    x0 = rng.standard_normal(3)
+    state = EstimatingState(power=pp, x0=x0)
+    estimating_update(state, x0, rng.standard_normal(3), 0.0, 1.0)
+    v = psi_argmin(state, make_term("zero"))
+    s = state.s
+    sn = metric.dual_norm(s)
+    np.testing.assert_allclose(v, x0 - sn ** (-2.0 / 3.0) * s, rtol=1e-12)
+    # stationarity: s + |v-x0|^{p-1} (v-x0) = 0
+    r = metric.primal_norm(v - x0)
+    np.testing.assert_allclose(s + r ** 2 * (v - x0), 0.0, atol=1e-12 * sn)
 
 
 def test_psi_argmin_zero_gradient_returns_anchor():
-    pp = PowerProx(3, MetricSpace.euclidean(2))
+    pp = PowerProx(3, MetricSpace(2))
     state = EstimatingState(power=pp, x0=np.array([1.0, -2.0]))
     term = make_term("zero")
     np.testing.assert_allclose(psi_argmin(state, term), state.x0)
@@ -138,7 +133,7 @@ def test_psi_argmin_zero_gradient_returns_anchor():
 @pytest.mark.parametrize("kind,kwargs", [("l1", {"lam": 0.6}), ("nonneg", {})])
 def test_psi_argmin_composite_optimality(kind, kwargs):
     rng = np.random.default_rng(17)
-    pp = PowerProx(3, MetricSpace.euclidean(5))
+    pp = PowerProx(3, MetricSpace(5))
     term = make_term(kind, **kwargs)
     for _ in range(20):
         x0 = np.abs(rng.standard_normal(5))
@@ -156,15 +151,6 @@ def test_psi_argmin_composite_optimality(kind, kwargs):
         for _ in range(40):
             w = term.project(v + 0.3 * rng.standard_normal(5))
             assert state.value(w, term) >= base - 1e-9
-
-
-def test_psi_argmin_needs_identity_metric_with_term():
-    metric = MetricSpace(3, weights=[1.0, 2.0, 3.0])
-    pp = PowerProx(3, metric)
-    state = EstimatingState(power=pp, x0=np.ones(3))
-    estimating_update(state, np.ones(3), np.ones(3), 0.0, 1.0)
-    with pytest.raises(CapabilityError):
-        psi_argmin(state, make_term("l1", lam=1.0))
 
 
 def test_bound_evaluator_values():
@@ -256,7 +242,7 @@ def test_fixed_h_accelerated_loop_keeps_the_integer_schedule(name, p):
     # A_k = (c_p/2)^p (k/(p+1))^{p+1} to the last digit
     prob = get_problem(name)
     m = prob.m_next(p)
-    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
     provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
     trace = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=60)
     assert trace.status == "converged"
@@ -285,7 +271,7 @@ def test_biopt_run_adapts_m_below_the_declared_bound(name, p):
     assert all(b / a in (0.5, 1.0, 2.0) for a, b in zip(m_k, m_k[1:]))
     assert min(m_k) < m
     for mk, cert in zip(m_k, trace.certificates):
-        cfg_k = ProxConfig(p, bilevel_h(p, mk), 1.0 / p, prob.metric)
+        cfg_k = ProxConfig(p, bilevel_h(p, mk), 1.0 / p)
         assert check_acceptable(prob.oracle, prob.term, cfg_k, cert.anchor, cert.point,
                                 cert.subgradient).accepted
     gaps, bounds = trace.column("gap"), trace.column("bound_rhs")
@@ -366,7 +352,7 @@ def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
 def test_psi_argmin_with_zero_linear_part_is_the_prox_of_psi():
     # s = 0 but A_k > 0: A_k |x| + d_4(x - x0) at x0 = 0.9, A_k = 2 is least
     # at the kink 0, where 0 lies in 2 [-1, 1] + (0 - 0.9)^3; not at x0
-    pp = PowerProx(3, MetricSpace.euclidean(1))
+    pp = PowerProx(3, MetricSpace(1))
     term = make_term("abs-1d")
     state = EstimatingState(power=pp, x0=np.array([0.9]), a_total=2.0)
     np.testing.assert_array_equal(psi_argmin(state, term), [0.0])
@@ -395,7 +381,7 @@ def test_step_constants_travel_beside_the_certificates(name, p):
     # T_{k-1} by its certificate and the last constant solve k-1 kept
     prob = get_problem(name)
     m = prob.m_next(p)
-    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
     rc = relative_constants(p, cfg.h, m)
     starts = []
     trace = aihopp_run(prob, cfg, _recording_provider(prob, cfg, m, starts), eps=1e-6,
@@ -422,7 +408,7 @@ def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
     # solve still starts at T_j with the last constant T_j's solve kept
     prob = get_problem("neglog-sep")
     p, m = 3, prob.m_next(3)
-    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p, prob.metric)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
     j = 3
     objective = outer_module._objective
     calls = []
@@ -476,6 +462,43 @@ def test_tensor_provider_drives_plain_loop():
     trace = ihopp_run(prob, cfg, provider, eps=1e-8, max_k=400)
     assert trace.status == "converged"
     assert all(r.inner_iters == 1 for r in trace.rows[1:])
+
+
+def test_tensor_provider_raises_when_its_step_fails_the_criterion(monkeypatch):
+    # the (M, H) map makes only a criterion-passing tensor step acceptable
+    prob = get_problem("quartic-1d")
+    provider, cfg = tensor_prox_provider(
+        prob.oracle, prob.term, 3, 0.9, 8.0 / 19.0, prob.m_next(3)
+    )
+    step = outer_module.tensor_step
+
+    def failing(tm, term, gamma):
+        t, g, _, lhs, rhs = step(tm, term, gamma)
+        return t, g, False, lhs, rhs
+
+    monkeypatch.setattr(outer_module, "tensor_step", failing)
+    with pytest.raises(NumericalError, match="inexactness criterion"):
+        ihopp_run(prob, cfg, provider, eps=1e-8, max_k=3)
+
+
+@pytest.mark.parametrize("run", [ihopp_run, aihopp_run])
+def test_a_non_accepted_certificate_stops_the_loop(run):
+    # a provider that hands back the anchor with g = 0 certifies a pair whose
+    # residual is grad f(anchor) != 0 on both sides, so lhs = rhs > beta rhs:
+    # the loops take no such step
+    prob = get_problem("quartic-1d")
+    cfg = ProxConfig(p=3, h=72.0, beta=1.0 / 3.0)
+    certificates = []
+
+    def stub(anchor, start, scale):
+        cert = check_acceptable(prob.oracle, prob.term, cfg, anchor, anchor, np.zeros(1))
+        certificates.append(cert)
+        return InnerResult(cert, 0)
+
+    with pytest.raises(NumericalError, match="non-accepted certificate"):
+        run(prob, cfg, stub, max_k=3)
+    (cert,) = certificates
+    assert not cert.accepted and cert.lhs == cert.rhs > 0.0
 
 
 @pytest.mark.parametrize("name", ["logistic-sep-3d", "quartic-sep-10d"])

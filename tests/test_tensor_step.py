@@ -171,8 +171,9 @@ def test_acceptance_map_validation():
         tensor_acceptance_map(3, 0.5, 0.4, 24.0)  # gamma >= beta/(1+beta)
     with pytest.raises(ParameterError):
         tensor_acceptance_map(3, 0.9, -0.1, 24.0)
-    with pytest.raises(ParameterError):
-        tensor_acceptance_map(3, 0.9, 0.1, 0.0)
+    for m_next in (0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite positive"):
+            tensor_acceptance_map(3, 0.9, 0.1, m_next)
 
 
 def test_criterion_region_nonempty_and_accepted():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiprox import CapabilityError, NumericalError, make_term, minimize_composite_1d
+from hiprox import CapabilityError, NumericalError, make_term, minimize_composite_1d, univariate
 
 
 def test_quadratic_plus_l1_soft_threshold():
@@ -77,3 +77,17 @@ def test_unbounded_below_raises():
         minimize_composite_1d(lambda t: -1.0, term, 0.0)
     with pytest.raises(NumericalError):
         minimize_composite_1d(lambda t: 1.0, term, 0.0)
+
+
+def test_decreasing_root_stops_at_the_doubling_cap():
+    # a phi that stays positive has no root to bracket: hi doubles
+    # _DOUBLING_CAP times, each doubling tested once, and then it raises
+    calls = []
+
+    def phi(r):
+        calls.append(r)
+        return 1.0 / (1.0 + r)
+
+    with pytest.raises(NumericalError, match="%d doublings" % univariate._DOUBLING_CAP):
+        univariate.decreasing_root(phi, 0.0, 1.0)
+    assert calls == [2.0 ** k for k in range(univariate._DOUBLING_CAP)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hiprox import AnchorStack, get_problem
-from hiprox.metric import MetricSpace
 from hiprox.verify import (SUITES, _odd_bracket_violation, _segment_points, suite_bregman,
                            suite_sandwich)
 
@@ -33,7 +32,7 @@ def test_unit_weight_bracket_counterexample_at_p4():
         form(2 * k) / (math.factorial(2 * k - 2) * xi ** (p - 2 * k)) for k in range(1, p // 2 + 1)
     ) + xi * m * abs(h[0]) ** (p - 1) / math.factorial(p - 1)
     assert abs(unit_odd) - bound == pytest.approx(6.0, abs=1e-12)
-    derived = _odd_bracket_violation(stack, MetricSpace.euclidean(1), y, x, u, p, m, xi)
+    derived = _odd_bracket_violation(stack, y, x, u, p, m, xi)
     assert derived == pytest.approx(0.0, abs=1e-12)
 
 
