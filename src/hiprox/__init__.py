@@ -44,7 +44,7 @@ from .inner import (
     exact_prox,
     inner_solve,
 )
-from .metric import MetricSpace, PowerProx
+from .metric import PowerProx
 from .oracles import (
     AnchorStack,
     QuadraticObjective,
@@ -95,7 +95,6 @@ __all__ = [
     "INEQ_SLACK",
     "InnerResult",
     "InnerTrace",
-    "MetricSpace",
     "NumericalError",
     "OuterTrace",
     "ParameterError",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CertificateError, ParameterError
-from .metric import MetricSpace, PowerProx
+from .metric import PowerProx, norm
 
 ACCEPT_SLACK = 1e-12
 INEQ_SLACK = 1e-10
@@ -42,12 +42,11 @@ MEMBERSHIP_TOL = 1e-8
 
 @dataclass
 class ProxConfig:
-    """Parameters (p, H, beta) of one proximal acceptance problem."""
+    """Parameters (p, H, beta) of one proximal acceptance problem; d is ``PowerProx(p)``."""
 
     p: int
     h: float
     beta: float
-    _power: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 1:
@@ -64,17 +63,8 @@ class ProxConfig:
         return self.beta <= 1.0 / self.p + 1e-15
 
     def scaled(self, scale):
-        """This config at H = scale * h, sharing its power regularizers: d does not depend on H."""
-        out = replace(self, h=scale * self.h)
-        out._power = self._power
-        return out
-
-    def power(self, dimension):
-        """The power regularizer d on R^dimension, built once per dimension."""
-        pp = self._power.get(dimension)
-        if pp is None:
-            pp = self._power[dimension] = PowerProx(self.p, MetricSpace(dimension))
-        return pp
+        """This config at H = scale * h."""
+        return replace(self, h=scale * self.h)
 
 
 @dataclass
@@ -104,10 +94,10 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
 
     A caller that already has them passes ``gap``, the distance
     ``term.subgradient_distance(point, g)``, and ``power``, the pair
-    (|d|, grad d(d)) at d = point - anchor; neither is
-    computed again. The inner loop reads both off its step: the membership
-    check of ``StepSolver.step`` and the scaling function's pass at the
-    point (``ScalingFunction.evaluate``), which shares this anchor.
+    (|d|, grad d(d)) at d = point - anchor (else d is ``PowerProx(cfg.p)``);
+    neither is computed again. The inner loop reads both off its step: the
+    membership check of ``StepSolver.step`` and the scaling function's pass
+    at the point (``ScalingFunction.evaluate``), which shares this anchor.
     """
     anchor = np.asarray(anchor, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -116,20 +106,19 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
         raise CertificateError("candidate point lies outside dom psi")
     if gap is None:
         gap = term.subgradient_distance(point, g)
-    if gap > MEMBERSHIP_TOL * (1.0 + math.sqrt(float(np.dot(g, g)))):
+    if gap > MEMBERSHIP_TOL * (1.0 + norm(g)):
         raise CertificateError(
             "g is not a subgradient of psi at the candidate (distance %.3e)" % gap
         )
-    pp = cfg.power(len(point))
     if power is None:
-        _, d_grad, _, radius = pp._terms(point - anchor)
+        _, d_grad, _, radius = PowerProx(cfg.p)._terms(point - anchor)
     else:
         radius, d_grad = power
     f_value, grad, _ = oracle.evaluate(point)
     residual = grad + g
     reg_residual = residual + cfg.h * d_grad
-    lhs = pp.metric.dual_norm(reg_residual)
-    rhs = pp.metric.dual_norm(residual)
+    lhs = norm(reg_residual)
+    rhs = norm(residual)
     return AcceptanceCertificate(
         anchor=anchor,
         point=point,

@@ -61,28 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .metric import MetricSpace, PowerProx
+from .metric import PowerProx, norm
 from .oracles import AnchorStack
 
 
-def _power_prox(p, power, dimension):
-    """``power`` when given (a ``PowerProx`` of order p), else d of order p on R^dimension."""
-    if power is None:
-        return PowerProx(p, MetricSpace(dimension))
-    if power.p != p:
-        raise ParameterError("the power regularizer has order %d, not p = %d" % (power.p, p))
-    return power
-
-
 class ScalingFunction:
-    """Even-order Taylor part of f at the anchor plus H d(x - anchor).
+    """Even-order Taylor part of f at the anchor plus H d(x - anchor), d = ``PowerProx(p)``."""
 
-    ``power``, a ``PowerProx`` of order p, is shared when given: d does not
-    depend on H or the anchor, so the inner loop passes the one its config
-    builds per run.
-    """
-
-    def __init__(self, oracle, anchor, p, h, power=None):
+    def __init__(self, oracle, anchor, p, h):
         if p < 2:
             raise ParameterError("scaling functions need p >= 2")
         if h < 0:
@@ -92,7 +78,7 @@ class ScalingFunction:
         self.p = int(p)
         self.q = self.p // 2
         self.h = float(h)
-        self.pp = _power_prox(self.p, power, len(self.anchor))
+        self.pp = PowerProx(self.p)
         # the anchor's residuals and even-order weights, once per scaling function
         self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
 
@@ -144,17 +130,16 @@ def bregman_distance(sf, x, z):
 class RegularizedObjective:
     """f_reg(x) = f(x) + H d(x - anchor), minimized by ``exact_prox``.
 
-    The inner loop forms f_reg from the scaling function's pass instead,
-    which carries the same H d(x - anchor). ``power`` is shared when given,
-    as in ``ScalingFunction``.
+    d is ``PowerProx(p)``. The inner loop forms f_reg from the scaling
+    function's pass instead, which carries the same H d(x - anchor).
     """
 
-    def __init__(self, oracle, anchor, p, h, power=None):
+    def __init__(self, oracle, anchor, p, h):
         self.oracle = oracle
         self.anchor = np.asarray(anchor, dtype=float)
         self.p = int(p)
         self.h = float(h)
-        self.pp = _power_prox(self.p, power, len(self.anchor))
+        self.pp = PowerProx(self.p)
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.anchor
@@ -242,7 +227,7 @@ def hat_l_sampled(sf, radius, rng):
     best = 0.0
     for _ in range(200):
         u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
+        u /= norm(u)
         x = sf.anchor + radius * rng.uniform(0.0, 1.0) ** (1.0 / n) * u
         hess = sf.poly_hessian_matrix(x)
         best = max(best, float(np.abs(np.linalg.eigvalsh(hess)).max()))

@@ -72,6 +72,9 @@ class RunConfig:
             raise ValueError("bilevel mode runs at beta = 1/p; drop the explicit beta")
         if self.p < 2:
             raise ValueError("p must be at least 2")
+        if np.isnan(self.eps):
+            # gap <= nan never holds, so every run would end at max_outer
+            raise ValueError("eps must be a number, not nan")
         if self.mode in _EXAMPLE_PROBLEMS:
             own = _EXAMPLE_PROBLEMS[self.mode]
             if self.problem != own:

@@ -65,7 +65,6 @@ only when the full step is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -74,6 +73,7 @@ from scipy.linalg.lapack import dgesv
 from .acceptance import ACCEPT_SLACK, check_acceptable
 from .bregman import RegularizedObjective, ScalingFunction
 from .errors import NumericalError, ParameterError
+from .metric import norm
 # bench/spans.py traces minimize_composite_1d through this binding
 from .univariate import decreasing_root, minimize_composite_1d  # noqa: F401
 
@@ -188,7 +188,7 @@ class StepSolver:
         two_l = 2.0 * lsmooth
         grad_z = rho_z[1]
         ctil = c - two_l * grad_z
-        tol = _RES_TOL * max(1.0, sf.pp.metric.dual_norm(c))
+        tol = _RES_TOL * max(1.0, norm(c))
         w0 = term.project(z)
         reuse = bool((w0 == z).all())
 
@@ -285,7 +285,7 @@ def exact_prox(oracle, term, cfg, anchor):
     pair certifies at every beta, beta = 0 included.
     """
     anchor = np.asarray(anchor, dtype=float)
-    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h, cfg.power(len(anchor)))
+    reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h)
     return _composite_argmin(reg.evaluate, reg.gradient, term, anchor, ACCEPT_SLACK)
 
 
@@ -395,12 +395,12 @@ def _ball_quadratic(term, w, grad, hm):
 
     def excess(a):
         v = bt / (lam + a)
-        return math.sqrt(float(np.dot(v, v))) - radius
+        return norm(v) - radius
 
     a = 0.0
     if excess(a) > 0.0:
         # |bt| / radius would be a root if lam were 0, so it brackets
-        a = decreasing_root(excess, 0.0, math.sqrt(float(np.dot(bt, bt))) / radius)
+        a = decreasing_root(excess, 0.0, norm(bt) / radius)
     return center + vec @ (bt / (lam + a))
 
 
@@ -439,8 +439,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
     z = np.array(start.point, dtype=float)
     if not term.contains(z):
         raise ParameterError("inner loop must start inside dom psi")
-    # d is the config's, built once per run (see ProxConfig.scaled)
-    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h, cfg.power(len(anchor)))
+    sf = ScalingFunction(oracle, anchor, cfg.p, cfg.h)
     solver = StepSolver(sf, term)
     # rho at z, f_reg(z) and grad f_reg(z) pass from step to step; f_reg and
     # grad f_reg read the power term's d(d) and grad d(d) off the rho pass

@@ -1,8 +1,8 @@
 """Euclidean norm ``<x, x>^(1/2)`` and the power regularizer ``|x|^(p+1)/(p+1)``.
 
-``MetricSpace`` provides the primal norm of a point and the dual norm of a
-gradient, which are equal: every distance in the package is Euclidean.
-``PowerProx`` provides the regularizer
+``norm`` is the one Euclidean norm of the package: of a point, a step and a
+gradient alike, since the Euclidean norm is its own dual. ``PowerProx``
+provides the regularizer of order p on any R^n,
 
     d(h) = |h|^{p+1} / (p+1),
 
@@ -10,7 +10,8 @@ its gradient ``|h|^{p-1} h`` and Hessian matrix
 
     D^2 d(h) = |h|^{p-1} I + (p-1) |h|^{p-3} h h^T,
 
-which is bounded below by ``|h|^{p-1} I``.
+which is bounded below by ``|h|^{p-1} I``. It holds only p, so every
+caller builds its own.
 """
 
 from __future__ import annotations
@@ -19,43 +20,25 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
+
+
+def norm(v):
+    """|v| = <v, v>^(1/2) of a vector, numpy's own formula for it (same bits)."""
+    return math.sqrt(float(np.dot(v, v)))
 
 
 class MetricSpace:
-    """The Euclidean norm on R^n, n = ``dimension``, checking each vector's shape."""
-
-    def __init__(self, dimension):
-        if dimension < 1:
-            raise ParameterError("dimension must be >= 1")
-        self.dimension = int(dimension)
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise DimensionError("vector shape %s != (%d,)" % (x.shape, self.dimension))
-        return x
-
-    def primal_norm(self, x):
-        return self._norm(x)[1]
-
-    def _norm(self, x):
-        """(x as a checked array, |x|): the power regularizer reads both."""
-        x = self._check(x)
-        return x, math.sqrt(float(np.dot(x, x)))
-
-    # the Euclidean norm is its own dual
-    dual_norm = primal_norm
+    """Empty; kept because bench/spans.py wraps this class by name (as ``StepSolver.route``)."""
 
 
 class PowerProx:
-    """Power regularizer d(h) = |h|^{p+1}/(p+1) on ``metric``'s space, p >= 1."""
+    """Power regularizer d(h) = |h|^{p+1}/(p+1), p >= 1."""
 
-    def __init__(self, p, metric):
+    def __init__(self, p):
         if int(p) != p or p < 1:
             raise ParameterError("p must be an integer >= 1")
         self.p = int(p)
-        self.metric = metric
 
     def value(self, h):
         return self._terms(h)[0]
@@ -73,8 +56,9 @@ class PowerProx:
         Every array returned is new, so a caller may overwrite it. The
         identity goes onto the Hessian's diagonal in place.
         """
-        h, r = self.metric._norm(h)
-        p, n = self.p, self.metric.dimension
+        h = np.asarray(h, dtype=float)
+        r = norm(h)
+        p, n = self.p, len(h)
         value = r ** (p + 1) / (p + 1)
         grad = np.zeros(n) if r == 0.0 and p > 1 else r ** (p - 1) * h
         hess = None

@@ -37,7 +37,6 @@ certified at its own H_k, so no step is redone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from .acceptance import ProxConfig, check_acceptable
 from .bregman import bilevel_h, relative_constants
 from .errors import NumericalError, ParameterError
 from .inner import InnerResult, WarmStart, csv_text, exact_prox, inner_solve
-from .metric import PowerProx
+from .metric import PowerProx, norm
 from .oracles import psi_prox_euclid
 from .tensor import TaylorModel, tensor_acceptance_map, tensor_step
 from .univariate import decreasing_root
@@ -146,7 +145,7 @@ def psi_argmin(state, term):
     radius equation |x(r) - x0| = r is closed by bracketing.
     """
     s, w, x0, p = state.s, state.a_total, state.x0, state.power.p
-    sn = state.power.metric.dual_norm(s)
+    sn = norm(s)
     if w == 0.0 or term.kind == "zero":
         if sn == 0.0:
             return x0.copy()
@@ -158,7 +157,7 @@ def psi_argmin(state, term):
 
     def radius_gap(r):
         d = candidate(r) - x0
-        return math.sqrt(float(np.dot(d, d))) - r
+        return norm(d) - r
 
     r_lo = 1e-12
     if radius_gap(r_lo) <= 0.0:
@@ -399,9 +398,8 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
     trace, start, f_x, gap0 = _start(problem, cfg, "accelerated")
     x = start.point
-    pp = cfg.power(len(x))
-    dist0 = None if problem.x_star is None else pp.metric.primal_norm(x - problem.x_star)
-    state = EstimatingState(power=pp, x0=x.copy())
+    dist0 = None if problem.x_star is None else norm(x - problem.x_star)
+    state = EstimatingState(power=PowerProx(cfg.p), x0=x.copy())
     v = x.copy()
     trace.aux["a_coeffs"] = [0.0]
     trace.aux["v_points"] = [v.copy()]

@@ -22,13 +22,14 @@ step take their g from it, and the example scans and diagnostics use it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .metric import norm
 
 _INF = np.inf
+# contains(x) accepts x this far outside the domain
+DOMAIN_TOL = 1e-9
 
 
 def _soft(v, thr):
@@ -42,8 +43,8 @@ class SimpleTerm:
     def value(self, x):
         raise NotImplementedError
 
-    def contains(self, x, tol=1e-9):
-        """Domain membership (always True for finite-valued terms)."""
+    def contains(self, x):
+        """Domain membership to ``DOMAIN_TOL`` (always True for finite-valued terms)."""
         return True
 
     def project(self, x):
@@ -78,7 +79,7 @@ class SimpleTerm:
     def subgradient_distance(self, x, target):
         """Euclidean distance from target to the subdifferential at x."""
         gap = np.asarray(target, dtype=float) - self.subgradient_select(x, target)
-        return math.sqrt(float(np.dot(gap, gap)))
+        return norm(gap)
 
 
 class ZeroTerm(SimpleTerm):
@@ -95,8 +96,7 @@ class ZeroTerm(SimpleTerm):
 
     def subgradient_distance(self, x, target):
         # dpsi = {0} everywhere
-        target = np.asarray(target, dtype=float)
-        return math.sqrt(float(np.dot(target, target)))
+        return norm(np.asarray(target, dtype=float))
 
     def piece(self, slope):
         return np.full(np.shape(slope), -_INF), np.full(np.shape(slope), _INF)
@@ -141,8 +141,8 @@ class NonnegTerm(SimpleTerm):
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
-    def contains(self, x, tol=1e-9):
-        return bool((np.asarray(x, dtype=float) >= -tol).all())
+    def contains(self, x):
+        return bool((np.asarray(x, dtype=float) >= -DOMAIN_TOL).all())
 
     def project(self, x):
         return np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -167,18 +167,16 @@ class BoxTerm(SimpleTerm):
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ParameterError("box bounds must satisfy lo <= hi elementwise")
-        # (lo - tol, hi + tol) by tol, formed once
-        self._padded = {}
+        # the bounds contains() reads, formed once
+        self._padded = (self.lo - DOMAIN_TOL, self.hi + DOMAIN_TOL)
 
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        bounds = self._padded.get(tol)
-        if bounds is None:
-            bounds = self._padded[tol] = (self.lo - tol, self.hi + tol)
-        return bool((x >= bounds[0]).all() and (x <= bounds[1]).all())
+        lo, hi = self._padded
+        return bool((x >= lo).all() and (x <= hi).all())
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
@@ -208,13 +206,12 @@ class BallTerm(SimpleTerm):
     def value(self, x):
         return 0.0 if self.contains(x) else _INF
 
-    def contains(self, x, tol=1e-9):
-        d = np.asarray(x, dtype=float) - self.center
-        return math.sqrt(float(np.dot(d, d))) <= self.radius + tol
+    def contains(self, x):
+        return norm(np.asarray(x, dtype=float) - self.center) <= self.radius + DOMAIN_TOL
 
     def project(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        r = math.sqrt(float(np.dot(d, d)))
+        r = norm(d)
         if r <= self.radius:
             return self.center + d
         return self.center + d * (self.radius / r)
@@ -227,7 +224,7 @@ class BallTerm(SimpleTerm):
         if not self.contains(x):
             raise DomainError("point outside the ball")
         d = x - self.center
-        r = math.sqrt(float(np.dot(d, d)))
+        r = norm(d)
         out = np.zeros_like(x)
         if r >= self.radius - 1e-12 and r > 0:
             # normal cone is the ray {alpha d : alpha >= 0}

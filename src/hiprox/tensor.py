@@ -17,10 +17,11 @@ Such steps satisfy the proximal acceptance inequality with H = M/p! at level
 which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
 
 A ``TaylorModel`` evaluates f(x), grad f(x) and the derivative stack of
-orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``);
-each point then costs one ``evaluate`` pass, which gives both models. A
-``tensor_step`` minimizes the augmented model plus psi by ``inner.prox_newton``,
-in every dimension, as the inner loop's steps and the exact prox do.
+orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``),
+and builds its own power term ``PowerProx(p)``; each point then costs one
+``evaluate`` pass, which gives both models. A ``tensor_step`` minimizes the
+augmented model plus psi by ``inner.prox_newton``, in every dimension, as the
+inner loop's steps and the exact prox do.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .inner import _composite_argmin
-from .metric import MetricSpace, PowerProx
+from .metric import PowerProx, norm
 from .oracles import AnchorStack
 
 CRITERION_SLACK = 1e-12
@@ -49,7 +50,7 @@ class TaylorModel:
         self.x = np.asarray(x, dtype=float)
         self.p = int(p)
         self.m = float(m)
-        self._pp = PowerProx(self.p, MetricSpace(len(self.x)))
+        self._pp = PowerProx(self.p)
         self.f0, self.g0, _ = oracle.evaluate(self.x)
         self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
 
@@ -111,8 +112,8 @@ def tensor_criterion(tm, term, y, g, gamma):
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
     model, augmented = tm.evaluate(y)
-    lhs = tm._pp.metric.dual_norm(augmented[1] + g)
-    rhs = tm._pp.metric.dual_norm(model[1] + g)
+    lhs = norm(augmented[1] + g)
+    rhs = norm(model[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs
 
 
@@ -147,7 +148,7 @@ def lemma2_bound_check(tm, y, g, gamma, m_next):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     grad = tm.oracle.gradient(y)
-    lhs = tm._pp.metric.dual_norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
-    rhs = tm._pp.metric.dual_norm(grad + g)
+    lhs = norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
+    rhs = norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

@@ -36,6 +36,7 @@ from .outer import (
     psi_argmin,
     tensor_prox_provider,
 )
+from .metric import PowerProx, norm
 from .oracles import AnchorStack
 from .problems import get_problem
 from .tensor import (
@@ -123,7 +124,7 @@ def _estseq_margins(prob, trace, cfg, rng):
     100 seeded samples per step.
     """
     p, beta, h = cfg.p, cfg.beta, cfg.h
-    pp = cfg.power(1)
+    pp = PowerProx(p)
     state = EstimatingState(power=pp, x0=np.asarray(prob.x0, dtype=float))
     sigma_p = pp.uniform_convexity_modulus()
     key_worst = upper_worst = lower_worst = -np.inf
@@ -165,7 +166,7 @@ def suite_estseq(seed=0):
     cfg = ProxConfig(p, h, beta)
     provider = exact_prox_provider(prob.oracle, prob.term, cfg)
     trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
-    pp = cfg.power(1)
+    pp = PowerProx(p)
     key_worst, upper_worst, lower_worst = _estseq_margins(prob, trace, cfg, rng)
     coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
@@ -284,9 +285,9 @@ def suite_bregman(seed=0):
         # at each step's own constant L_i
         lip_loc = 0.0
         for i in range(1, len(pts)):
-            dz = float(np.linalg.norm(pts[i] - pts[i - 1]))
+            dz = norm(pts[i] - pts[i - 1])
             if dz > 0:
-                dgrad = float(np.linalg.norm(sf.gradient(pts[i]) - sf.gradient(pts[i - 1])))
+                dgrad = norm(sf.gradient(pts[i]) - sf.gradient(pts[i - 1]))
                 lip_loc = max(lip_loc, dgrad / dz)
         sigma = h_run * sf.pp.uniform_convexity_modulus()
         if lip_loc > 0:
@@ -297,7 +298,7 @@ def suite_bregman(seed=0):
                 drop = rows[i - 1].phi - rows[i].phi
                 residual_worst = max(
                     residual_worst,
-                    c_inst * float(np.linalg.norm(gmap)) ** (p_run + 1) - drop,
+                    c_inst * norm(gmap) ** (p_run + 1) - drop,
                 )
     results.append(CheckResult("bregman", "inner descent inequality", descent_worst, 1e-10))
     results.append(CheckResult("bregman", "inner contraction", contraction_worst, 1e-8))
@@ -345,7 +346,7 @@ def _iteration_log_fit():
     z = anchor.copy()
     for _ in range(5000):
         z, g = solver.step(z, rc.lsmooth)[:2]
-        residuals.append(sf.pp.metric.dual_norm(reg.gradient(z) + g))
+        residuals.append(norm(reg.gradient(z) + g))
         if residuals[-1] <= 1e-9:
             break
     residuals = np.asarray(residuals)
@@ -402,8 +403,8 @@ def _odd_bracket_violation(stack, y, x, u, p, m, xi=2.0):
         odd += weight * stack.form(h, 2 * k + 1, u)
     bound = (
         xi * m / math.factorial(p - 1)
-        * float(np.linalg.norm(h)) ** (p - 1)
-        * float(np.linalg.norm(u)) ** 2
+        * norm(h) ** (p - 1)
+        * norm(u) ** 2
     )
     for k in range(1, p // 2 + 1):
         bound += stack.form(h, 2 * k, u) / (
@@ -521,11 +522,11 @@ def suite_theta(seed=0):
             worst = -np.inf
             for _ in range(1000):
                 dx = rng.standard_normal(prob.dimension)
-                dx *= rng.uniform(0.0, radius) / np.linalg.norm(dx)
+                dx *= rng.uniform(0.0, radius) / norm(dx)
                 dy = rng.standard_normal(prob.dimension)
-                dy *= rng.uniform(0.0, radius) / np.linalg.norm(dy)
+                dy *= rng.uniform(0.0, radius) / norm(dy)
                 x, y = anchor + dx, anchor + dy
-                tau = float(np.linalg.norm(x - y))
+                tau = norm(x - y)
                 worst = max(worst, bregman_distance(sf, x, y) - theta(tau))
             results.append(CheckResult("theta", "%s p=%d R=0.5" % (name, p), worst, 1e-12))
     return results

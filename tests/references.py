@@ -2,8 +2,9 @@
 
 They share no code with the certified loops: a dense grid with golden-section
 refinement and a bisected sublevel radius in one dimension, central
-differences against an oracle's derivatives, and an oracle read in the
-coordinates of a non-Euclidean metric.
+differences against an oracle's derivatives, an oracle read in the
+coordinates of a non-Euclidean metric, and domain membership at a chosen
+tolerance.
 """
 
 import math
@@ -111,3 +112,19 @@ def in_metric(oracle, kind, rng):
     if isinstance(oracle, QuadraticObjective):
         return QuadraticObjective(m.T @ oracle.q @ m, m.T @ oracle.c, oracle.const)
     return SeparableObjective(oracle.a @ m, oracle.b, oracle.family)
+
+
+def within(term, z, tol):
+    """Whether z lies in dom psi to ``tol``, a tolerance other than ``contains``'s own.
+
+    |z - center| <= radius + tol on a ball, lo - tol <= z <= hi + tol on a
+    box and z >= -tol on the orthant; the finite-valued kinds contain every z.
+    """
+    z = np.asarray(z, dtype=float)
+    if term.kind == "ball":
+        return float(np.linalg.norm(z - term.center)) <= term.radius + tol
+    if term.kind == "box":
+        return bool((z >= term.lo - tol).all() and (z <= term.hi + tol).all())
+    if term.kind == "nonneg":
+        return bool((z >= -tol).all())
+    return True

@@ -186,6 +186,31 @@ def test_non_finite_h_is_a_configuration_error(h, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ("flag", "config"))
+def test_nan_eps_is_a_configuration_error(source, tmp_path, capsys):
+    # gap <= nan never holds, so a nan eps would run to max_outer and exit 2;
+    # it is refused before any solve writes a file, from the flag or the file
+    out = tmp_path / "run"
+    args = ["run", "--problem", "quartic-1d", "--mode", "plain", "--max-outer", "5",
+            "--out", str(out)]
+    if source == "flag":
+        args += ["--eps", "nan"]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"eps": float("nan")}))
+        assert "NaN" in cfg_file.read_text()
+        args += ["--config", str(cfg_file)]
+    assert main(args) == 1
+    assert "eps must be a number, not nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", (-1.0, float("inf")))
+def test_never_and_always_stopping_eps_stay_valid(eps):
+    # eps = -1 never stops on the gap and eps = inf stops at the first check
+    assert load_config(None, {"eps": eps}).eps == eps
+
+
 @pytest.mark.parametrize(
     "mode, problem, p", (("plain", "ball-quadratic", 2), ("accelerated", "quartic-1d", 4))
 )

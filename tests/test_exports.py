@@ -4,6 +4,8 @@ A name that only tests call belongs in ``tests/references.py``, not in
 ``src``. A reference is a use of the name (a load, an attribute or an import)
 outside the ``def`` or ``class`` that defines it; ``__init__.py`` only
 re-exports, so it does not count.
+
+The Euclidean norm has one home as well: ``metric.norm``.
 """
 
 import ast
@@ -50,3 +52,23 @@ def test_every_export_has_a_caller_outside_tests():
     for path in _sources():
         used |= _references(ast.parse(path.read_text(), filename=str(path)))
     assert sorted(set(hiprox.__all__) - used) == []
+
+
+def test_the_euclidean_norm_has_one_home():
+    # no module but metric.py spells |v| out, and the empty MetricSpace is
+    # kept only as a name for the tracer: nothing builds one
+    package = ROOT / "src" / "hiprox"
+    spelled, built = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if path.name != "metric.py" and "math.sqrt(float(np.dot(" in text:
+            spelled.append(path.name)
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "MetricSpace":
+                    built.append("%s:%d" % (path.name, node.lineno))
+    assert spelled == []
+    assert built == []
+    assert "MetricSpace" not in hiprox.__all__

@@ -32,7 +32,7 @@ from hiprox import (
     tensor_step,
 )
 from hiprox.simple_terms import ZeroTerm
-from references import in_metric
+from references import in_metric, within
 
 
 def _setup(problem_name, p, h=None, beta=None):
@@ -403,7 +403,7 @@ def test_model_min_reaches_model_optimality(seed):
             g = 2.0 * rng.standard_normal(n)
             z = _model_min(term, w, g, hm)
             # the active-set method clips exactly; |z - c| on the ball is rounded
-            assert term.contains(z, tol=0.0 if term.is_separable else 1e-14 * term.radius)
+            assert within(term, z, 0.0 if term.is_separable else 1e-14 * term.radius)
             res = term.subgradient_distance(z, -(g + hm @ (z - w)))
             assert res <= 1e-12 * _kkt_scale(w, g, hm, z), (term.kind, res)
 
@@ -451,7 +451,7 @@ def test_model_min_random_sample():
         w[at_kink] = term.lo[at_kink] if kind == 0 else 0.0
         g = 10.0 ** rng.uniform(-1.0, 2.0) * rng.standard_normal(n)
         z = _model_min(term, w, g, hm)
-        assert term.contains(z, tol=0.0), draw
+        assert within(term, z, 0.0), draw
         res = term.subgradient_distance(z, -(g + hm @ (z - w)))
         assert res <= 1e-12 * _kkt_scale(w, g, hm, z), (draw, res)
 
@@ -682,8 +682,6 @@ def _recorded_solve(name, p, oracle_kind, monkeypatch):
     assert res.trace.newton_iters > 0
     assert prob.oracle.a.tobytes() == rows.tobytes()
     (sf,) = built
-    # the scaling function shares the config's power regularizer
-    assert sf.pp is cfg.power(prob.dimension)
     return prob, sf
 
 
@@ -721,6 +719,41 @@ def test_model_min_raises_on_an_exactly_singular_newton_matrix(kind):
     hm = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         inner._model_min(term, w, grad, hm)
+
+
+def test_solve_raises_on_an_illegal_lapack_argument(monkeypatch):
+    # dgesv reports an illegal argument i by info = -i; _solve raises rather
+    # than return the untouched right-hand side as the answer
+    monkeypatch.setattr(inner, "dgesv", lambda a, b: (None, None, b, -2))
+    with pytest.raises(ValueError, match="illegal value in argument 2"):
+        inner._solve(np.eye(2), np.ones(2))
+
+
+def test_model_min_raises_at_its_pass_cap(monkeypatch):
+    # the box cycle example takes 4 active-set passes; at 1 pass per
+    # coordinate (3) the model step raises instead of returning mid-way
+    hm = [[15.0, -14.0, -8.0], [-14.0, 15.0, 8.0], [-8.0, 8.0, 6.0]]
+    term = make_term("box", lo=-np.ones(3), hi=np.ones(3))
+    monkeypatch.setattr(inner, "_PASS_CAP", 1)
+    with pytest.raises(NumericalError, match="reached 3 passes"):
+        _model_min(term, [0.0, 0.0, -1.0], [-9.0, 4.0, -7.0], hm)
+
+
+def test_model_min_frees_only_the_furthest_after_a_zero_length_step(monkeypatch):
+    # at w = (1, 0, 0) the free coordinate 0 is already optimal on its piece,
+    # so the first pass does not move; of the two kinks it violates, by 3 and
+    # 2, only coordinate 1 is freed, then coordinate 2: free blocks of 1, 2, 3
+    sizes = []
+    solve = inner._solve
+
+    def recording(a, b):
+        sizes.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(inner, "_solve", recording)
+    z = _model_min(make_term("l1", lam=1.0), [1.0, 0.0, 0.0], [-1.0, -4.0, -3.0], np.eye(3))
+    assert sizes == [1, 2, 3]
+    assert z.tolist() == [1.0, 3.0, 2.0]
 
 
 @pytest.mark.parametrize("kind", ["zero", "l1"])

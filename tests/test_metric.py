@@ -1,43 +1,40 @@
-"""Norm pair and power-regularizer calculus against closed forms and FD."""
+"""The Euclidean norm and power-regularizer calculus against closed forms and FD."""
 
 import numpy as np
 import pytest
 
-from hiprox import DimensionError, MetricSpace, ParameterError, PowerProx
+from hiprox import ParameterError, PowerProx
+from hiprox.metric import norm
 
 
 def test_euclidean_identity():
-    m = MetricSpace(3)
-    x = np.array([1.0, -2.0, 2.0])
-    assert m.primal_norm(x) == 3.0
-    assert m.dual_norm(x) == 3.0
+    assert norm(np.array([1.0, -2.0, 2.0])) == 3.0
 
 
 def test_dual_norm_is_the_support_function():
-    # sup <g, x> over primal_norm(x) <= 1 equals dual_norm(g)
+    # the Euclidean norm is its own dual: sup <g, x> over norm(x) <= 1 is norm(g)
     rng = np.random.default_rng(2)
-    m = MetricSpace(4)
     g = rng.standard_normal(4)
-    xstar = g / m.primal_norm(g)
+    xstar = g / norm(g)
     best = float(np.dot(g, xstar))
     for _ in range(200):
         x = rng.standard_normal(4)
-        x /= m.primal_norm(x)
+        x /= norm(x)
         assert np.dot(g, x) <= best + 1e-12
-    np.testing.assert_allclose(best, m.dual_norm(g), rtol=1e-12)
+    np.testing.assert_allclose(best, norm(g), rtol=1e-12)
 
 
-def test_metric_validation_errors():
-    with pytest.raises(ParameterError):
-        MetricSpace(0)
-    with pytest.raises(DimensionError):
-        MetricSpace(2).primal_norm(np.ones(3))
-    with pytest.raises(DimensionError):
-        MetricSpace(2).dual_norm(np.ones(1))
+def test_norm_is_numpys_bit_for_bit():
+    # the one spelling of |v| gives np.linalg.norm's digits for a vector
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 10, 100):
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            v = scale * rng.standard_normal(n)
+            assert norm(v) == float(np.linalg.norm(v))
 
 
 def test_power_prox_values():
-    pp = PowerProx(3, MetricSpace(2))
+    pp = PowerProx(3)
     h = np.array([3.0, 4.0])
     assert pp.value(h) == pytest.approx(5.0 ** 4 / 4.0)
     np.testing.assert_allclose(pp.gradient(h), 25.0 * h)
@@ -46,11 +43,10 @@ def test_power_prox_values():
 
 
 def test_power_prox_requires_integer_p():
-    m = MetricSpace(1)
     with pytest.raises(ParameterError):
-        PowerProx(0, m)
+        PowerProx(0)
     with pytest.raises(ParameterError):
-        PowerProx(2.5, m)
+        PowerProx(2.5)
 
 
 def _fd_gradient(fn, x, eps=1e-6):
@@ -65,7 +61,7 @@ def _fd_gradient(fn, x, eps=1e-6):
 def test_power_prox_gradient_fd():
     rng = np.random.default_rng(3)
     for p in (1, 2, 3, 4):
-        pp = PowerProx(p, MetricSpace(3))
+        pp = PowerProx(p)
         for _ in range(10):
             h = rng.standard_normal(3)
             np.testing.assert_allclose(
@@ -76,7 +72,7 @@ def test_power_prox_gradient_fd():
 def test_power_prox_hessian_consistency():
     rng = np.random.default_rng(4)
     for p in (2, 3, 4):
-        pp = PowerProx(p, MetricSpace(3))
+        pp = PowerProx(p)
         for _ in range(10):
             h = rng.standard_normal(3)
             u = rng.standard_normal(3)
@@ -89,7 +85,7 @@ def test_power_prox_hessian_consistency():
 def test_power_prox_hessian_lower_bound():
     # <D^2 d(h) u, u> >= |h|^{p-1} <u, u>
     rng = np.random.default_rng(5)
-    pp = PowerProx(4, MetricSpace(3))
+    pp = PowerProx(4)
     for _ in range(100):
         h = rng.standard_normal(3)
         u = rng.standard_normal(3)
@@ -102,7 +98,7 @@ def test_uniform_convexity_modulus():
     # sigma = (1/(p+1)) (1/2)^{p-1}
     rng = np.random.default_rng(6)
     for p in (1, 2, 3, 4, 5):
-        pp = PowerProx(p, MetricSpace(2))
+        pp = PowerProx(p)
         sigma = pp.uniform_convexity_modulus()
         assert sigma == pytest.approx((1.0 / (p + 1)) * 0.5 ** (p - 1))
         for _ in range(500):
@@ -119,7 +115,7 @@ def test_uniform_convexity_modulus():
 
 def test_uniform_convexity_modulus_tight_on_the_ray():
     # equality direction y = -x attains the modulus for p = 1
-    pp = PowerProx(1, MetricSpace(1))
+    pp = PowerProx(1)
     x = np.array([1.0])
     y = -x
     lhs = pp.value(y) - pp.value(x) - float(np.dot(pp.gradient(x), y - x))
@@ -134,7 +130,7 @@ def test_power_prox_hessian_is_the_textbook_formula_bit_for_bit(p):
     # r^(p-1) I + (p-1) r^(p-3) h h^T, and at r = 0 of I (p = 1) or 0
     rng = np.random.default_rng(10 * p + 8)
     n = 4
-    pp = PowerProx(p, MetricSpace(n))
+    pp = PowerProx(p)
     for h in (np.zeros(n), rng.standard_normal(n), 1e-3 * rng.standard_normal(n)):
         r = float(np.sqrt(float(np.dot(h, h))))
         if r == 0.0:

@@ -32,7 +32,7 @@ from hiprox import (
     tensor_prox_provider,
 )
 from hiprox import outer as outer_module
-from hiprox.metric import MetricSpace
+from hiprox.metric import norm
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -83,7 +83,7 @@ def test_coefficient_growth_inequality(p):
 def test_estimating_state_value_and_update():
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(4)
-    pp = PowerProx(3, MetricSpace(4))
+    pp = PowerProx(3)
     state = EstimatingState(power=pp, x0=x0)
     term = make_term("l1", lam=0.4)
     x = rng.standard_normal(4)
@@ -109,22 +109,21 @@ def test_estimating_state_value_and_update():
 
 def test_psi_argmin_zero_term_closed_form():
     rng = np.random.default_rng(11)
-    metric = MetricSpace(3)
-    pp = PowerProx(3, metric)
+    pp = PowerProx(3)
     x0 = rng.standard_normal(3)
     state = EstimatingState(power=pp, x0=x0)
     estimating_update(state, x0, rng.standard_normal(3), 0.0, 1.0)
     v = psi_argmin(state, make_term("zero"))
     s = state.s
-    sn = metric.dual_norm(s)
+    sn = norm(s)
     np.testing.assert_allclose(v, x0 - sn ** (-2.0 / 3.0) * s, rtol=1e-12)
     # stationarity: s + |v-x0|^{p-1} (v-x0) = 0
-    r = metric.primal_norm(v - x0)
+    r = norm(v - x0)
     np.testing.assert_allclose(s + r ** 2 * (v - x0), 0.0, atol=1e-12 * sn)
 
 
 def test_psi_argmin_zero_gradient_returns_anchor():
-    pp = PowerProx(3, MetricSpace(2))
+    pp = PowerProx(3)
     state = EstimatingState(power=pp, x0=np.array([1.0, -2.0]))
     term = make_term("zero")
     np.testing.assert_allclose(psi_argmin(state, term), state.x0)
@@ -133,7 +132,7 @@ def test_psi_argmin_zero_gradient_returns_anchor():
 @pytest.mark.parametrize("kind,kwargs", [("l1", {"lam": 0.6}), ("nonneg", {})])
 def test_psi_argmin_composite_optimality(kind, kwargs):
     rng = np.random.default_rng(17)
-    pp = PowerProx(3, MetricSpace(5))
+    pp = PowerProx(3)
     term = make_term(kind, **kwargs)
     for _ in range(20):
         x0 = np.abs(rng.standard_normal(5))
@@ -352,7 +351,7 @@ def test_biopt_run_warm_starts_at_previous_prox_point(name, p):
 def test_psi_argmin_with_zero_linear_part_is_the_prox_of_psi():
     # s = 0 but A_k > 0: A_k |x| + d_4(x - x0) at x0 = 0.9, A_k = 2 is least
     # at the kink 0, where 0 lies in 2 [-1, 1] + (0 - 0.9)^3; not at x0
-    pp = PowerProx(3, MetricSpace(1))
+    pp = PowerProx(3)
     term = make_term("abs-1d")
     state = EstimatingState(power=pp, x0=np.array([0.9]), a_total=2.0)
     np.testing.assert_array_equal(psi_argmin(state, term), [0.0])

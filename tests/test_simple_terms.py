@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiprox import DomainError, ParameterError, make_term
+from references import within
 
 ALL_KINDS = (
     ("zero", {}),
@@ -30,7 +31,7 @@ def test_prox_first_order_optimality():
             c = 2.0 * rng.standard_normal(n)
             tau = rng.uniform(0.2, 3.0)
             z = term.prox(s, c, tau)
-            assert term.contains(z, tol=1e-12)
+            assert within(term, z, 1e-12), kind
             target = -(s + tau * (z - c))
             assert term.subgradient_distance(z, target) <= 1e-9, kind
 
