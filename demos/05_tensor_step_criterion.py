@@ -48,7 +48,7 @@ n_pass = n_acc = 0
 window = [np.inf, -np.inf]
 for x in np.linspace(-1.0, 1.5, 2001):
     point = np.array([x])
-    gx = prob.term.subgradient_select(point, -tm.augmented_gradient(point))
+    gx = prob.term.subgradient_select(point, -tm.gradient(point))
     ok, _, _ = tensor_criterion(tm, prob.term, point, gx, gamma)
     if not ok:
         continue

@@ -20,17 +20,18 @@ and as the cap of its backtracking, and mu as the floor (see ``inner``): each
 step runs at its own L_i in [mu, L], kept where the relative descent
 inequality holds at L_i.
 
-The even Taylor terms are anchored at the fixed y, so their scalar data are
-constants of one inner solve: ``ScalingFunction`` evaluates the anchor's
-residuals and the weights f^(2k)(t_i(y)), k <= q, once at construction (an
-``AnchorStack`` of the even orders 2, ..., 2q); the k = 1 Hessian term
-D^2 f(y) does not depend on x and is formed once. Each point then costs one
-pass, ``evaluate``: it forms d = x - y once, projects it once for all orders
-(``AnchorStack.series``), takes |d| once for the power term, and gives rho,
-grad rho and, when asked, the Hessian matrix of rho, with |d|, d(d) and
-grad d(d): the inner loop reads f_reg, grad f_reg and the acceptance
-certificate at the point off them. ``value``, ``gradient`` and
-``hessian_matrix`` are reads of that pass. The oracle's
+rho, f_reg and the augmented Taylor model (``tensor.TaylorModel``) are each
+a smooth part plus h d(x - anchor); ``AnchoredModel`` is the one home of
+that sum. Each point costs one pass, ``evaluate``: it forms d = x - anchor
+once, adds the power term, from one |d|, to the subclass's part at d, and
+gives the sum's value, gradient and, when asked, Hessian matrix, with |d|,
+d(d) and grad d(d): the inner loop reads f_reg, grad f_reg and the acceptance
+certificate at the point off rho's pass. The part of ``RegularizedObjective``
+is one residual pass of the oracle. The even Taylor terms of rho are anchored
+at the fixed y, so ``ScalingFunction`` evaluates the anchor's residuals and
+the weights f^(2k)(t_i(y)), k <= q, once at construction (an ``AnchorStack``
+of the even orders 2, ..., 2q), and its part projects d once for all orders
+(``AnchorStack.series``); D^2 f(y) is formed once. The oracle's
 ``calls_by_order`` still names every order consumed, but counts the anchor's
 orders once per scaling function rather than once per call.
 
@@ -65,50 +66,51 @@ from .metric import PowerProx, norm
 from .oracles import AnchorStack
 
 
-class ScalingFunction:
-    """Even-order Taylor part of f at the anchor plus H d(x - anchor), d = ``PowerProx(p)``."""
+class AnchoredModel:
+    """A smooth part plus h d(x - anchor), d = ``PowerProx(p)``, from one pass per point.
+
+    A subclass gives only its part at x, from ``oracle``: ``_part(x, d, hessian)``
+    with d = x - anchor, as (value, gradient, Hessian matrix or None).
+    """
 
     def __init__(self, oracle, anchor, p, h):
-        if p < 2:
-            raise ParameterError("scaling functions need p >= 2")
         if h < 0:
             raise ParameterError("H must be >= 0")
         self.oracle = oracle
         self.anchor = np.asarray(anchor, dtype=float)
         self.p = int(p)
-        self.q = self.p // 2
         self.h = float(h)
         self.pp = PowerProx(self.p)
-        # the anchor's residuals and even-order weights, once per scaling function
-        self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
+
+    def _part(self, x, d, hessian):
+        raise NotImplementedError
+
+    def with_part(self, x, hessian=False):
+        """``evaluate``'s tuple at x and the part it summed, as the subclass gave it."""
+        x = np.asarray(x, dtype=float)
+        d = x - self.anchor
+        part = self._part(x, d, hessian)
+        p_value, p_grad, p_hess, radius = self.pp._terms(d, hessian)
+        h = self.h
+        hess = None
+        if hessian:
+            p_hess *= h
+            if part[2] is not None:
+                p_hess += part[2]
+            hess = p_hess
+        return (part[0] + h * p_value, part[1] + h * p_grad, hess, radius, p_value, p_grad), part
 
     def evaluate(self, x, hessian=False):
-        """One pass at x: (rho, grad rho, Hessian matrix of rho or None, |d|, d(d), grad d(d)).
+        """One pass at x: (value, gradient, Hessian matrix or None, |d|, d(d), grad d(d)).
 
-        The pass forms d = x - anchor once, projects it once for every order of
-        the anchor stack (``AnchorStack.series``), and takes |d| once for the
-        power term. The last three items are that power term's own: the same
-        anchor gives f_reg(x) = f(x) + H d(d), grad f_reg(x) and the
-        acceptance certificate at x without another norm of d. The gradient
-        and Hessian of rho are new arrays, which the caller may overwrite.
+        The last three items are the power term's own (with rho's anchor they
+        give f_reg, grad f_reg and the certificate at x). Every array is new,
+        so the caller may overwrite it: the Hessian sum goes into the power
+        term's own.
         """
-        d = np.asarray(x, dtype=float) - self.anchor
-        value, grad, hess = self.stack.series(d, hessian)
-        p_value, p_grad, p_hess, radius = self.pp._terms(d, hessian)
-        value = value + self.h * p_value
-        # both sums go into new arrays of the pass (the series' gradient and
-        # the power term's Hessian); p_grad is returned as it is
-        grad += self.h * p_grad
-        if hessian:
-            p_hess *= self.h
-            p_hess += hess
-            hess = p_hess
-        return value, grad, hess, radius, p_value, p_grad
+        return self.with_part(x, hessian)[0]
 
     # -- reads of one pass ------------------------------------------------
-    def poly_hessian_matrix(self, x):
-        return self.stack.series(np.asarray(x, dtype=float) - self.anchor, True)[2]
-
     def value(self, x):
         return self.evaluate(x)[0]
 
@@ -119,6 +121,21 @@ class ScalingFunction:
         return self.evaluate(x, hessian=True)[2]
 
 
+class ScalingFunction(AnchoredModel):
+    """rho: the even-order Taylor part of f at the anchor plus H d(x - anchor)."""
+
+    def __init__(self, oracle, anchor, p, h):
+        if p < 2:
+            raise ParameterError("scaling functions need p >= 2")
+        super().__init__(oracle, anchor, p, h)
+        self.q = self.p // 2
+        # the anchor's residuals and even-order weights, once per scaling function
+        self.stack = AnchorStack(oracle, self.anchor, range(2, 2 * self.q + 1, 2))
+
+    def _part(self, x, d, hessian):
+        return self.stack.series(d, hessian)
+
+
 def bregman_distance(sf, x, z):
     """breg(x, z) = rho(z) - rho(x) - <grad rho(x), z - x> (anchored at x)."""
     x = np.asarray(x, dtype=float)
@@ -127,38 +144,15 @@ def bregman_distance(sf, x, z):
     return sf.value(z) - rho_x - float(np.dot(grad_x, z - x))
 
 
-class RegularizedObjective:
+class RegularizedObjective(AnchoredModel):
     """f_reg(x) = f(x) + H d(x - anchor), minimized by ``exact_prox``.
 
-    d is ``PowerProx(p)``. The inner loop forms f_reg from the scaling
-    function's pass instead, which carries the same H d(x - anchor).
+    The inner loop forms f_reg from the scaling function's pass instead,
+    which carries the same H d(x - anchor).
     """
 
-    def __init__(self, oracle, anchor, p, h):
-        self.oracle = oracle
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.p = int(p)
-        self.h = float(h)
-        self.pp = PowerProx(self.p)
-
-    def value(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.value(x) + self.h * self.pp.value(d)
-
-    def gradient(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.gradient(x) + self.h * self.pp.gradient(d)
-
-    def hessian_matrix(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.oracle.hessian_matrix(x) + self.h * self.pp.hessian_matrix(d)
-
-    def evaluate(self, x):
-        """(f_reg(x), grad f_reg(x), Hessian matrix of f_reg at x), from one residual pass."""
-        x = np.asarray(x, dtype=float)
-        value, grad, hess, _ = self.pp._terms(x - self.anchor, hessian=True)
-        f_value, grad_f, hess_f = self.oracle.evaluate(x, hessian=True)
-        return f_value + self.h * value, grad_f + self.h * grad, hess_f + self.h * hess
+    def _part(self, x, d, hessian):
+        return self.oracle.evaluate(x, hessian)
 
 
 @dataclass
@@ -229,7 +223,7 @@ def hat_l_sampled(sf, radius, rng):
         u = rng.standard_normal(n)
         u /= norm(u)
         x = sf.anchor + radius * rng.uniform(0.0, 1.0) ** (1.0 / n) * u
-        hess = sf.poly_hessian_matrix(x)
+        hess = sf.with_part(x, hessian=True)[1][2]
         best = max(best, float(np.abs(np.linalg.eigvalsh(hess)).max()))
     return 1.2 * best
 

@@ -246,7 +246,7 @@ def _run_example2(cfg):
     n_pass = n_accept = 0
     for t in np.linspace(-1.0, 1.5, 2001):
         point = np.array([t])
-        g = prob.term.subgradient_select(point, -tm.augmented_gradient(point))
+        g = prob.term.subgradient_select(point, -tm.gradient(point))
         ok, lhs, rhs = tensor_criterion(tm, prob.term, point, g, gamma)
         cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g)
         n_pass += int(ok)

@@ -49,7 +49,8 @@ count, never the acceptance test.
 The scaling function of one inner solve is built once (see ``bregman``).
 Every point costs one ``ScalingFunction.evaluate`` pass (rho, its gradient
 and Hessian, and the power term's |d|, d(d) and grad d(d)), which serves the
-next Newton iteration, the next step and the trace's Bregman distance. At a
+next Newton iteration, the next step (as prox-Newton's start, when the
+projection onto dom psi leaves z in place) and the trace's Bregman distance. At a
 candidate z+ the certificate reads |d| and grad d(d) off that pass, and
 f_reg(z+) and the next step's grad f_reg are formed from it (and z0's from
 the pass at z0), so d and its norm are formed once per point. f and grad f
@@ -189,15 +190,17 @@ class StepSolver:
         grad_z = rho_z[1]
         ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, norm(c))
-        w0 = term.project(z)
-        reuse = bool((w0 == z).all())
 
-        def evaluate(w):
-            rho = rho_z if reuse and w is w0 else sf.evaluate(w, hessian=True)
+        def evaluate(w, rho=None):
+            if rho is None:
+                rho = sf.evaluate(w, hessian=True)
             return (two_l * rho[0] + float(np.dot(ctil, w)), two_l * rho[1] + ctil,
                     two_l * rho[2], rho)
 
-        w, at_w, steps = prox_newton(evaluate, term, w0, 0.5 * tol)
+        w0 = term.project(z)
+        # a start that the projection leaves in place reads z's rho pass
+        at_w0 = evaluate(w0, rho_z if (w0 == z).all() else None)
+        w, at_w, steps = prox_newton(evaluate, term, w0, at_w0, 0.5 * tol)
         self.newton_iters += steps
         rho_w = at_w[3]
         g = two_l * (grad_z - rho_w[1]) - c
@@ -208,11 +211,12 @@ class StepSolver:
         return w, g, rho_w, dist
 
 
-def prox_newton(evaluate, term, w, tol):
+def prox_newton(evaluate, term, w, at_w, tol):
     """argmin s + psi by damped proximal Newton (Lee, Sun and Saunders 2014): (w, pass, steps).
 
     ``evaluate(w)`` is one pass: s(w), grad s(w), the Hessian H of s, then
-    anything the caller keeps. H must be a new C-contiguous array at every
+    anything the caller keeps; ``at_w`` is the caller's pass at the start w,
+    so no point is evaluated twice. H must be a new C-contiguous array at every
     call: prox-Newton adds its shift to H's diagonal in place, through a
     strided view of H (an H in any other layout is copied first and the copy
     shifted). A step minimizes the model with H + 1e-11 (1 + max |H_ii|) I
@@ -223,7 +227,6 @@ def prox_newton(evaluate, term, w, tol):
     dpsi(w), or after ``_NEWTON_CAP`` steps. The pass returned is the one at
     the returned w, its H unshifted.
     """
-    at_w = evaluate(w)
     psi_w = term.value(w)
     fw = at_w[0] + psi_w
     steps = 0
@@ -263,17 +266,19 @@ def prox_newton(evaluate, term, w, tol):
     return w, at_w, steps
 
 
-def _composite_argmin(evaluate, gradient, term, start, slack):
+def _composite_argmin(evaluate, term, start, slack):
     """argmin of a smooth part plus psi, T, and g in dpsi(T) nearest to -grad(T).
 
-    ``prox_newton`` runs on ``evaluate`` from ``start`` projected onto dom psi.
-    Its tolerance lets the residual fall by slack/2 relative to the one at
-    that point, exact at the scale of its own step, and below slack/2 in
-    norm: a check with additive ``slack`` keeps half for rounding.
+    ``prox_newton`` runs on ``evaluate`` from ``start`` projected onto dom psi,
+    whose one pass also gives the tolerance. That tolerance lets the residual
+    fall by slack/2 relative to the one at that point, exact at the scale of
+    its own step, and below slack/2 in norm: a check with additive ``slack``
+    keeps half for rounding.
     """
     w0 = term.project(start)
-    tol = 0.5 * slack * min(1.0, term.subgradient_distance(w0, -gradient(w0)))
-    t, at_t, _ = prox_newton(evaluate, term, w0, tol)
+    at_w0 = evaluate(w0)
+    tol = 0.5 * slack * min(1.0, term.subgradient_distance(w0, -at_w0[1]))
+    t, at_t, _ = prox_newton(evaluate, term, w0, at_w0, tol)
     return t, term.subgradient_select(t, -at_t[1])
 
 
@@ -281,12 +286,14 @@ def exact_prox(oracle, term, cfg, anchor):
     """Exact prox point T of f + psi at the anchor, and g in dpsi(T).
 
     ``_composite_argmin`` minimizes f_reg + psi from the anchor at the
-    ``ACCEPT_SLACK`` tolerance, and g is nearest to -grad f_reg(T), so the
-    pair certifies at every beta, beta = 0 included.
+    ``ACCEPT_SLACK`` tolerance, one residual pass per prox-Newton point, and
+    g is nearest to -grad f_reg(T), so the pair certifies at every beta,
+    beta = 0 included.
     """
     anchor = np.asarray(anchor, dtype=float)
     reg = RegularizedObjective(oracle, anchor, cfg.p, cfg.h)
-    return _composite_argmin(reg.evaluate, reg.gradient, term, anchor, ACCEPT_SLACK)
+    return _composite_argmin(lambda x: reg.evaluate(x, hessian=True), term, anchor,
+                             ACCEPT_SLACK)
 
 
 def _model_min(term, w, grad, hm):

@@ -10,8 +10,10 @@ its gradient ``|h|^{p-1} h`` and Hessian matrix
 
     D^2 d(h) = |h|^{p-1} I + (p-1) |h|^{p-3} h h^T,
 
-which is bounded below by ``|h|^{p-1} I``. It holds only p, so every
-caller builds its own.
+which is bounded below by ``|h|^{p-1} I`` and is 0 at h = 0 for p >= 2. It
+holds only p, so every caller builds its own. ``value`` gives d(h); the pass that
+gives all three (``_terms``) is read by ``bregman.AnchoredModel`` and by a
+certificate given no pass.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ class PowerProx:
 
     def value(self, h):
         return self._terms(h)[0]
-
-    def gradient(self, h):
-        return self._terms(h)[1]
-
-    def hessian_matrix(self, h):
-        """Dense D^2 d(h) = |h|^{p-1} I + (p-1)|h|^{p-3} h h^T (0 at h = 0, p >= 2)."""
-        return self._terms(h, hessian=True)[2]
 
     def _terms(self, h, hessian=False):
         """(d(h), grad d(h), Hessian matrix of d at h or None, |h|), from one norm of h.

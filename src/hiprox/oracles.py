@@ -125,11 +125,10 @@ class AnchorStack:
     """Derivative data of an oracle at a fixed point y, for orders k >= 2.
 
     The data of each order in ``orders`` is evaluated (and recorded in
-    ``calls_by_order``) once, here. ``directional(h, k)``, ``apply(h, k, u)``,
-    ``form(h, k, u)`` and ``matrix(h, k)`` then give D^k f(y)[h]^k,
-    D^k f(y)[h]^{k-2} u, D^k f(y)[h]^{k-2}[u, u] and the dense
-    D^k f(y)[h]^{k-2}; with u = h, ``apply`` gives the covector
-    D^k f(y)[h]^{k-1}.
+    ``calls_by_order``) once, here. ``apply(h, k, u)`` and ``form(h, k, u)``
+    then give D^k f(y)[h]^{k-2} u and D^k f(y)[h]^{k-2}[u, u]; with u = h,
+    ``apply`` gives the covector D^k f(y)[h]^{k-1}. ``series`` sums every
+    order at once.
     """
 
     def __init__(self, oracle, y, orders):
@@ -147,10 +146,6 @@ class AnchorStack:
         # order 2 does not depend on h, so it may be contracted with h = None
         return None if h is None else self.oracle._project(self.oracle._check_vec(h))
 
-    def directional(self, h, k):
-        """D^k f(y)[h]^k."""
-        return self.oracle._form(self.weights[k], self._project(h), k)
-
     def apply(self, h, k, u):
         """D^k f(y)[h]^{k-2} u."""
         return self.oracle._apply(self.weights[k], self._project(h), k, self._project(u))
@@ -159,10 +154,6 @@ class AnchorStack:
         """D^k f(y)[h]^{k-2}[u, u]."""
         u = self.oracle._check_vec(u)
         return float(np.dot(self.apply(h, k, u), u))
-
-    def matrix(self, h, k):
-        """Dense D^k f(y)[h]^{k-2}."""
-        return self.oracle._matrix(self.weights[k], self._project(h), k)
 
     def series(self, h, hessian=False, value=0, grad=None):
         """The stack's Taylor sums at h, from one projection of h.

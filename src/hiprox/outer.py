@@ -274,15 +274,15 @@ def inner_prox_provider(oracle, term, cfg, m_next):
     """Acceptable-solution provider backed by the Bregman inner loop.
 
     m_next bounds D^{p+1} f. A solve at ``scale`` s runs at H = s cfg.h with
-    the relative constants of (s cfg.h, s m_next) (``relative_constants``);
-    their ratio, and so (mu, L), does not depend on s. Each solve starts at
-    the ``start`` its caller passes.
+    the relative constants of (s cfg.h, s m_next), which are those of
+    (cfg.h, m_next) (``relative_constants``, formed once): to the bit, as
+    ``adapt_m``'s scales are powers of two. Each solve starts at the
+    ``start`` its caller passes.
     """
+    rc = relative_constants(cfg.p, cfg.h, m_next)
 
     def provider(anchor, start, scale):
-        step_cfg = cfg.scaled(scale)
-        rc = relative_constants(cfg.p, step_cfg.h, scale * m_next)
-        return inner_solve(oracle, term, step_cfg, rc, anchor, start)
+        return inner_solve(oracle, term, cfg.scaled(scale), rc, anchor, start)
 
     return provider
 

@@ -17,11 +17,11 @@ Such steps satisfy the proximal acceptance inequality with H = M/p! at level
 which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
 
 A ``TaylorModel`` evaluates f(x), grad f(x) and the derivative stack of
-orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``),
-and builds its own power term ``PowerProx(p)``; each point then costs one
-``evaluate`` pass, which gives both models. A ``tensor_step`` minimizes the
-augmented model plus psi by ``inner.prox_newton``, in every dimension, as the
-inner loop's steps and the exact prox do.
+orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``).
+It is a ``bregman.AnchoredModel``: ``evaluate`` gives the augmented model at
+y, H = M/p!, and ``with_part`` both models, from one pass. A ``tensor_step``
+minimizes the augmented model plus psi by ``inner.prox_newton``, in every
+dimension, as the inner loop's steps and the exact prox do.
 """
 
 from __future__ import annotations
@@ -30,55 +30,30 @@ import math
 
 import numpy as np
 
+from .bregman import AnchoredModel
 from .errors import ParameterError
 from .inner import _composite_argmin
-from .metric import PowerProx, norm
+from .metric import norm
 from .oracles import AnchorStack
 
 CRITERION_SLACK = 1e-12
 
 
-class TaylorModel:
-    """Degree-p Taylor model of ``oracle`` at ``x`` with augmentation M."""
+class TaylorModel(AnchoredModel):
+    """Degree-p Taylor model of ``oracle`` at ``x`` (its part) augmented by H = M/p! (its ``h``)."""
 
     def __init__(self, oracle, x, p, m):
         if p < 1:
             raise ParameterError("p must be >= 1")
         if m < 0:
             raise ParameterError("M must be >= 0")
-        self.oracle = oracle
-        self.x = np.asarray(x, dtype=float)
-        self.p = int(p)
+        super().__init__(oracle, x, p, m / math.factorial(p))
         self.m = float(m)
-        self._pp = PowerProx(self.p)
-        self.f0, self.g0, _ = oracle.evaluate(self.x)
-        self.stack = AnchorStack(oracle, self.x, range(2, self.p + 1))
+        self.f0, self.g0, _ = oracle.evaluate(self.anchor)
+        self.stack = AnchorStack(oracle, self.anchor, range(2, self.p + 1))
 
-    def evaluate(self, y, hessian=False):
-        """(model, augmented model) at y, each (value, gradient, Hessian or None).
-
-        One pass: d = y - x once, one ``AnchorStack.series``, |d| once.
-        """
-        d = np.asarray(y, dtype=float) - self.x
-        model = self.stack.series(d, hessian, self.f0 + float(np.dot(self.g0, d)), self.g0)
-        p_value, p_grad, p_hess, _ = self._pp._terms(d, hessian)
-        c = self.prox_h
-        hess = None
-        if hessian:
-            hess = c * p_hess if model[2] is None else model[2] + c * p_hess
-        return model, (model[0] + c * p_value, model[1] + c * p_grad, hess)
-
-    # -- reads of one pass ------------------------------------------------
-    def taylor_gradient(self, y):
-        return self.evaluate(y)[0][1]
-
-    def augmented_gradient(self, y):
-        return self.evaluate(y)[1][1]
-
-    @property
-    def prox_h(self):
-        """H = M/p! of the proximal problem this step approximates."""
-        return self.m / math.factorial(self.p)
+    def _part(self, y, d, hessian):
+        return self.stack.series(d, hessian, self.f0 + float(np.dot(self.g0, d)), self.g0)
 
 
 def convexity_threshold(p, m_next):
@@ -96,8 +71,8 @@ def tensor_step(tm, term, gamma):
     """
     if gamma < 0:
         raise ParameterError("gamma must be >= 0")
-    t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True)[1], tm.augmented_gradient,
-                             term, tm.x, CRITERION_SLACK)
+    t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True), term, tm.anchor,
+                             CRITERION_SLACK)
     ok, lhs, rhs = tensor_criterion(tm, term, t, g, gamma)
     return t, g, ok, lhs, rhs
 
@@ -111,7 +86,7 @@ def tensor_criterion(tm, term, y, g, gamma):
     """
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
-    model, augmented = tm.evaluate(y)
+    augmented, model = tm.with_part(y)
     lhs = norm(augmented[1] + g)
     rhs = norm(model[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs
@@ -148,7 +123,7 @@ def lemma2_bound_check(tm, y, g, gamma, m_next):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     grad = tm.oracle.gradient(y)
-    lhs = norm(grad + tm.prox_h * tm._pp.gradient(y - tm.x) + g)
+    lhs = norm(grad + tm.h * tm.evaluate(y)[5] + g)
     rhs = norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

@@ -2,9 +2,9 @@
 
 They share no code with the certified loops: a dense grid with golden-section
 refinement and a bisected sublevel radius in one dimension, central
-differences against an oracle's derivatives, an oracle read in the
-coordinates of a non-Euclidean metric, and domain membership at a chosen
-tolerance.
+differences against an oracle's derivatives, single contractions of an
+``AnchorStack``'s order, an oracle read in the coordinates of a
+non-Euclidean metric, and domain membership at a chosen tolerance.
 """
 
 import math
@@ -89,6 +89,16 @@ def fd_check(oracle, x, h, order):
     else:
         raise ParameterError("fd_check supports orders 1 and 2")
     return abs(fd - exact) / max(1.0, abs(exact))
+
+
+def directional(stack, h, k):
+    """D^k f(y)[h]^k from an ``AnchorStack`` at y, the order-k term alone."""
+    return stack.oracle._form(stack.weights[k], stack._project(h), k)
+
+
+def matrix(stack, h, k):
+    """Dense D^k f(y)[h]^{k-2} from an ``AnchorStack`` at y, the order-k term alone."""
+    return stack.oracle._matrix(stack.weights[k], stack._project(h), k)
 
 
 def in_metric(oracle, kind, rng):

@@ -11,6 +11,7 @@ from hiprox import (
     RegularizedObjective,
     RelativeConstants,
     ScalingFunction,
+    TaylorModel,
     bilevel_h,
     bregman_distance,
     get_problem,
@@ -20,7 +21,7 @@ from hiprox import (
     theta_bound,
     theta_constants,
 )
-from references import in_metric
+from references import directional, in_metric, matrix
 
 
 def test_scaling_function_p3_closed_form():
@@ -237,7 +238,7 @@ def test_hat_l_sampled_bounds_local_hessian():
     sf = ScalingFunction(prob.oracle, anchor, 3, 1.0)
     rng = np.random.default_rng(8)
     hat_l = hat_l_sampled(sf, 0.5, rng)
-    anchor_eig = float(np.abs(np.linalg.eigvalsh(sf.poly_hessian_matrix(anchor))).max())
+    anchor_eig = float(np.abs(np.linalg.eigvalsh(sf.with_part(anchor, hessian=True)[1][2])).max())
     assert hat_l >= anchor_eig
 
 
@@ -254,14 +255,14 @@ def _direct_scaling(oracle, anchor, sf, x):
     def fresh(k):
         return AnchorStack(oracle, anchor, (k,))
 
-    value = sum(fresh(2 * k).directional(d, 2 * k) / math.factorial(2 * k)
+    value = sum(directional(fresh(2 * k), d, 2 * k) / math.factorial(2 * k)
                 for k in range(1, q + 1))
     grad = np.zeros_like(d)
     for k in range(1, q + 1):
         grad = grad + fresh(2 * k).apply(d, 2 * k, d) / math.factorial(2 * k - 1)
     hess = fresh(2).hessian
     for k in range(2, q + 1):
-        hess = hess + fresh(2 * k).matrix(d, 2 * k) / math.factorial(2 * k - 2)
+        hess = hess + matrix(fresh(2 * k), d, 2 * k) / math.factorial(2 * k - 2)
     r = float(np.sqrt(float(np.dot(d, d))))
     n = len(d)
     if r == 0.0:
@@ -345,3 +346,52 @@ def test_one_pass_equals_separate_contractions_exactly(name, p, metric_kind):
         assert np.array_equal(sf.hessian_matrix(x), hess)
     assert sf.evaluate(anchor)[0] == 0.0
     assert not np.any(sf.evaluate(anchor)[1])
+
+
+def _anchored_models(name):
+    """rho, f_reg and the augmented Taylor model at one seeded anchor, each p they take."""
+    prob = get_problem(name)
+    anchor = prob.sample(np.random.default_rng(len(name)), 1)[0]
+    models = [TaylorModel(prob.oracle, anchor, 1, 2.0)]
+    for p in (2, 3, 4):
+        models += [ScalingFunction(prob.oracle, anchor, p, 2.5),
+                   RegularizedObjective(prob.oracle, anchor, p, 2.5),
+                   TaylorModel(prob.oracle, anchor, p, 2.0)]
+    return prob, anchor, models
+
+
+@pytest.mark.parametrize("name", ("logistic-sep-3d", "ball-quadratic"))
+def test_anchored_model_reads_are_items_of_its_pass(name):
+    # value, gradient and hessian_matrix are the items of one pass, bit for
+    # bit, and a pass without the Hessian has the same other items
+    prob, anchor, models = _anchored_models(name)
+    rng = np.random.default_rng(1)
+    for model in models:
+        for x in (anchor, anchor + 0.1 * rng.standard_normal(prob.dimension)):
+            full = model.evaluate(x, hessian=True)
+            assert model.value(x) == full[0]
+            assert np.array_equal(model.gradient(x), full[1])
+            assert np.array_equal(model.hessian_matrix(x), full[2])
+            light = model.evaluate(x)
+            assert light[2] is None
+            assert light[0] == full[0] and light[3] == full[3] and light[4] == full[4]
+            assert np.array_equal(light[1], full[1]) and np.array_equal(light[5], full[5])
+            # the part it summed is what the pass adds h d(x - anchor) to
+            total, part = model.with_part(x)
+            assert total[0] == part[0] + model.h * total[4]
+            assert np.array_equal(total[1], part[1] + model.h * total[5])
+
+
+@pytest.mark.parametrize("name", ("logistic-sep-3d", "ball-quadratic"))
+def test_anchored_model_pass_returns_new_arrays(name):
+    # a caller may overwrite every array of a pass (prox-Newton shifts the
+    # Hessian in place): the next pass at the same point is unchanged
+    prob, anchor, models = _anchored_models(name)
+    x = anchor + 0.1 * np.random.default_rng(2).standard_normal(prob.dimension)
+    for model in models:
+        first = model.evaluate(x, hessian=True)
+        kept = [a.tobytes() for a in (first[1], first[2], first[5])]
+        for a in (first[1], first[2], first[5]):
+            a.fill(np.nan)
+        second = model.evaluate(x, hessian=True)
+        assert [a.tobytes() for a in (second[1], second[2], second[5])] == kept

@@ -366,6 +366,17 @@ def test_summary_records_evaluations_and_fallbacks(tmp_path):
         assert path.read_text().splitlines()[0] == "i,phi,bregman_step,lhs,rhs,ratio"
 
 
+def test_plain_run_counts_one_residual_pass_per_exact_prox_point(tmp_path):
+    # each exact prox evaluates its start once, in the pass prox-Newton starts
+    # from; a separate grad f at the start would add one gradient per outer
+    # step (17 here)
+    assert main(["run", "--problem", "quartic-1d", "--mode", "plain", "--p", "3",
+                 "--out", "runP"]) == 0
+    summary = json.loads((tmp_path / "runP" / "summary.json").read_text())
+    assert summary["iterations"] == 17
+    assert summary["calls_by_order"] == {"0": 120, "1": 119, "2": 102}
+
+
 def test_summary_records_newton_iterations_and_certificate_ratio(tmp_path):
     code = main(["run", "--problem", "neglog-sep", "--mode", "bilevel", "--p", "3",
                  "--eps", "1e-6", "--max-outer", "100", "--out", "runG"])

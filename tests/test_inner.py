@@ -109,7 +109,7 @@ def test_1d_step_matches_bracketing_reference(problem_name, p, h, m):
         tm = TaylorModel(prob.oracle, anchor, p, math.factorial(p) * h)
 
         def model_deriv(x):
-            return float(tm.augmented_gradient(np.array([x]))[0])
+            return float(tm.gradient(np.array([x]))[0])
 
         lands(tensor_step(tm, term, 0.0)[0], minimize_composite_1d(model_deriv, term, xb))
 
@@ -526,9 +526,9 @@ def test_value_and_gradient_is_one_pass_of_the_two_calls(name):
 
 @pytest.mark.parametrize("name", ["logistic-sep-3d", "neglog-sep"])
 def test_exact_prox_forms_the_residuals_once_per_point(name, monkeypatch):
-    # each prox-Newton point of the exact prox costs one residual pass
-    # (f, grad f and the Hessian together), plus one for grad f at the start;
-    # the result and the counts are those of the separate calls
+    # each prox-Newton point of the exact prox, its start included, costs one
+    # residual pass (f, grad f and the Hessian together); the result and the
+    # counts are those of the separate calls
     prob = get_problem(name)
     oracle = prob.oracle
     cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=1.0 / 3.0)
@@ -537,12 +537,13 @@ def test_exact_prox_forms_the_residuals_once_per_point(name, monkeypatch):
     passes, points = [], []
     monkeypatch.setattr(oracle, "residuals", lambda x: passes.append(1) or residuals(x))
     monkeypatch.setattr(RegularizedObjective, "evaluate",
-                        lambda reg, x: points.append(1) or evaluate(reg, x))
+                        lambda reg, x, hessian=False: points.append(x) or evaluate(reg, x, hessian))
     oracle.reset_counters()
     t, g = exact_prox(oracle, prob.term, cfg, anchor)
     one_pass = dict(oracle.calls_by_order)
     assert len(points) > 2
-    assert len(passes) == len(points) + 1
+    assert len(passes) == len(points)
+    assert len({x.tobytes() for x in points}) == len(points)
     # the same solve from separate value, gradient and Hessian calls
     monkeypatch.setattr(oracle, "evaluate", functools.partial(SmoothOracle.evaluate, oracle))
     oracle.reset_counters()
@@ -599,8 +600,12 @@ def test_prox_newton_halves_a_rising_full_step_to_the_armijo_decrease():
     points = []
     term = _CountingZero()
     w0 = np.array([2.0])
-    w, at_w, steps = inner.prox_newton(lambda w: points.append(w) or _pseudo_huber(w),
-                                       term, w0, 1e-12)
+
+    def evaluate(w):
+        points.append(w)
+        return _pseudo_huber(w)
+
+    w, at_w, steps = inner.prox_newton(evaluate, term, w0, evaluate(w0), 1e-12)
     d = points[1] - w0
     assert points[2].tobytes() == (w0 + 0.5 * d).tobytes()
     assert points[3].tobytes() == (w0 + 0.25 * d).tobytes()
@@ -631,7 +636,8 @@ def test_prox_newton_takes_a_full_step_without_the_model_decrease():
         return 0.5 * float(w @ w) + float(w.sum()), w + 1.0, np.eye(2)
 
     term = _CountingZero()
-    w, _, steps = inner.prox_newton(evaluate, term, np.array([3.0, -2.0]), 1e-12)
+    w0 = np.array([3.0, -2.0])
+    w, _, steps = inner.prox_newton(evaluate, term, w0, evaluate(w0), 1e-12)
     np.testing.assert_allclose(w, [-1.0, -1.0], rtol=0, atol=1e-12)
     assert steps >= 1 and len(points) == steps + 1
     assert term.values == len(points)
@@ -648,7 +654,7 @@ def test_prox_newton_line_search_raises_after_fifty_halvings():
         return float(w[0] != 0.0), np.array([1.0]), np.array([[1.0]])
 
     with pytest.raises(NumericalError, match="50 halvings"):
-        inner.prox_newton(evaluate, make_term("zero"), w0, 1e-12)
+        inner.prox_newton(evaluate, make_term("zero"), w0, evaluate(w0), 1e-12)
     assert len(points) == 1 + 50
     d = points[1] - w0
     assert d[0] < 0.0
@@ -790,7 +796,8 @@ def test_prox_newton_shifts_a_hessian_in_any_layout(monkeypatch):
         def evaluate(w):
             return 0.5 * float(w @ hess @ w) + float(w.sum()), hess @ w + 1.0, layout(hess.copy())
 
-        w, _, steps = inner.prox_newton(evaluate, make_term("zero"), np.array([3.0, -2.0]), 1e-12)
+        w0 = np.array([3.0, -2.0])
+        w, _, steps = inner.prox_newton(evaluate, make_term("zero"), w0, evaluate(w0), 1e-12)
         assert steps >= 1 and len(seen) == steps
         assert all(hm.tobytes() == shifted.tobytes() for hm in seen)
         runs[name] = (w.tobytes(), steps)

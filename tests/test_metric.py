@@ -37,9 +37,9 @@ def test_power_prox_values():
     pp = PowerProx(3)
     h = np.array([3.0, 4.0])
     assert pp.value(h) == pytest.approx(5.0 ** 4 / 4.0)
-    np.testing.assert_allclose(pp.gradient(h), 25.0 * h)
+    np.testing.assert_allclose(pp._terms(h)[1], 25.0 * h)
     assert pp.value(np.zeros(2)) == 0.0
-    np.testing.assert_allclose(pp.gradient(np.zeros(2)), np.zeros(2))
+    np.testing.assert_allclose(pp._terms(np.zeros(2))[1], np.zeros(2))
 
 
 def test_power_prox_requires_integer_p():
@@ -65,7 +65,7 @@ def test_power_prox_gradient_fd():
         for _ in range(10):
             h = rng.standard_normal(3)
             np.testing.assert_allclose(
-                pp.gradient(h), _fd_gradient(pp.value, h), rtol=2e-5, atol=1e-7
+                pp._terms(h)[1], _fd_gradient(pp.value, h), rtol=2e-5, atol=1e-7
             )
 
 
@@ -76,9 +76,9 @@ def test_power_prox_hessian_consistency():
         for _ in range(10):
             h = rng.standard_normal(3)
             u = rng.standard_normal(3)
-            hm = pp.hessian_matrix(h)
+            hm = pp._terms(h, hessian=True)[2]
             np.testing.assert_allclose(hm, hm.T, rtol=1e-12)
-            fd = (pp.gradient(h + 1e-6 * u) - pp.gradient(h - 1e-6 * u)) / 2e-6
+            fd = (pp._terms(h + 1e-6 * u)[1] - pp._terms(h - 1e-6 * u)[1]) / 2e-6
             np.testing.assert_allclose(hm @ u, fd, rtol=5e-5, atol=1e-6)
 
 
@@ -90,7 +90,7 @@ def test_power_prox_hessian_lower_bound():
         h = rng.standard_normal(3)
         u = rng.standard_normal(3)
         r = np.linalg.norm(h)
-        assert u @ pp.hessian_matrix(h) @ u >= r ** 3 * np.dot(u, u) - 1e-12
+        assert u @ pp._terms(h, hessian=True)[2] @ u >= r ** 3 * np.dot(u, u) - 1e-12
 
 
 def test_uniform_convexity_modulus():
@@ -107,7 +107,7 @@ def test_uniform_convexity_modulus():
             excess = (
                 pp.value(y)
                 - pp.value(x)
-                - np.dot(pp.gradient(x), y - x)
+                - np.dot(pp._terms(x)[1], y - x)
                 - sigma * np.linalg.norm(y - x) ** (p + 1)
             )
             assert excess >= -1e-10
@@ -118,7 +118,7 @@ def test_uniform_convexity_modulus_tight_on_the_ray():
     pp = PowerProx(1)
     x = np.array([1.0])
     y = -x
-    lhs = pp.value(y) - pp.value(x) - float(np.dot(pp.gradient(x), y - x))
+    lhs = pp.value(y) - pp.value(x) - float(np.dot(pp._terms(x)[1], y - x))
     assert lhs == pytest.approx(
         pp.uniform_convexity_modulus() * np.linalg.norm(y - x) ** 2
     )
@@ -137,4 +137,4 @@ def test_power_prox_hessian_is_the_textbook_formula_bit_for_bit(p):
             textbook = np.eye(n) if p == 1 else np.zeros((n, n))
         else:
             textbook = r ** (p - 1) * np.eye(n) + (p - 1) * r ** (p - 3) * np.outer(h, h)
-        assert np.array_equal(pp.hessian_matrix(h), textbook)
+        assert np.array_equal(pp._terms(h, hessian=True)[2], textbook)

@@ -14,7 +14,7 @@ from hiprox import (
     SeparableObjective,
     make_family,
 )
-from references import fd_check
+from references import directional, fd_check, matrix
 
 
 def _sep_instance(seed=0, rows=4, n=3, family="quartic"):
@@ -73,7 +73,7 @@ def test_directional_and_tensor_apply_agree():
         stack = AnchorStack(oracle, x, range(2, 6))
         for k in range(2, 6):
             direct = _direct_tensor(oracle, x, [h] * k)
-            np.testing.assert_allclose(stack.directional(h, k), direct, rtol=1e-11)
+            np.testing.assert_allclose(directional(stack, h, k), direct, rtol=1e-11)
             # apply(h, k, h) is the covector D^k f[h]^{k-1}
             np.testing.assert_allclose(
                 float(np.dot(stack.apply(h, k, h), h)), direct, rtol=1e-11
@@ -84,7 +84,7 @@ def test_directional_and_tensor_apply_agree():
                 rtol=1e-11,
                 atol=1e-13,
             )
-            mat = stack.matrix(h, k)
+            mat = matrix(stack, h, k)
             np.testing.assert_allclose(mat, mat.T)
             np.testing.assert_allclose(stack.apply(h, k, u), mat @ u, rtol=1e-12)
 
@@ -97,7 +97,7 @@ def test_even_tensor_contractions():
     u = rng.standard_normal(3)
     stack = AnchorStack(oracle, x, (2, 4))
     for two_k in (2, 4):
-        mat = stack.matrix(h, two_k)
+        mat = matrix(stack, h, two_k)
         np.testing.assert_allclose(mat, mat.T)
         np.testing.assert_allclose(stack.apply(h, two_k, u), mat @ u, rtol=1e-12)
         np.testing.assert_allclose(
@@ -146,12 +146,12 @@ def test_neglog_even_orders_recorded_as_second_order_calls():
     h = np.array([1.0, 2.0])
     oracle.reset_counters()
     stack = AnchorStack(oracle, x, (4, 6))
-    stack.matrix(h, 4)
+    matrix(stack, h, 4)
     stack.apply(h, 6, h)
     assert oracle.calls_by_order == {2: 4}
     # odd orders still consume their own order
     oracle.reset_counters()
-    AnchorStack(oracle, x, (3,)).directional(h, 3)
+    directional(AnchorStack(oracle, x, (3,)), h, 3)
     assert oracle.calls_by_order == {3: 2}
 
 
@@ -182,7 +182,7 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         stack.apply(np.zeros(2), 3, np.zeros(3))
     with pytest.raises(DimensionError):
-        stack.directional(np.zeros(2), 3)
+        directional(stack, np.zeros(2), 3)
     with pytest.raises(DimensionError):
         SeparableObjective(np.ones((2, 2)), np.ones(3), make_family("quartic"))
     with pytest.raises(DimensionError):
@@ -201,12 +201,12 @@ def test_quadratic_objective():
     np.testing.assert_allclose(oracle.gradient(x), q @ x + c)
     np.testing.assert_allclose(oracle.hessian_matrix(x), q)
     stack = AnchorStack(oracle, x, (2, 3, 4))
-    np.testing.assert_allclose(stack.directional(u, 2), u @ q @ u)
-    assert stack.directional(u, 3) == 0.0
+    np.testing.assert_allclose(directional(stack, u, 2), u @ q @ u)
+    assert directional(stack, u, 3) == 0.0
     np.testing.assert_allclose(stack.apply(u, 2, u), q @ u)
     np.testing.assert_allclose(stack.form(u, 2, u), u @ q @ u)
     assert stack.form(u, 4, u) == 0.0
-    np.testing.assert_array_equal(stack.matrix(u, 3), np.zeros((4, 4)))
+    np.testing.assert_array_equal(matrix(stack, u, 3), np.zeros((4, 4)))
     assert oracle.m_bound(2) == pytest.approx(np.linalg.eigvalsh(q).max())
     assert oracle.m_bound(3) == 0.0
 

@@ -13,6 +13,7 @@ from hiprox import (
     check_acceptable,
     convexity_threshold,
     get_problem,
+    inner,
     lemma2_bound_check,
     make_family,
     make_term,
@@ -35,9 +36,10 @@ def test_taylor_model_reproduces_polynomials_exactly():
     for y in (-1.0, 0.0, 0.5, 1.3):
         h = y - 0.8
         expected = 0.8 ** 4 + 4 * 0.8 ** 3 * h + 6 * 0.8 ** 2 * h ** 2 + 4 * 0.8 * h ** 3
-        np.testing.assert_allclose(tm.evaluate(np.array([y]))[0][0], expected, rtol=1e-12)
+        model = tm.with_part(np.array([y]))[1]
+        np.testing.assert_allclose(model[0], expected, rtol=1e-12)
         grad = 4 * 0.8 ** 3 + 12 * 0.8 ** 2 * h + 12 * 0.8 * h ** 2
-        np.testing.assert_allclose(tm.taylor_gradient(np.array([y]))[0], grad, rtol=1e-12)
+        np.testing.assert_allclose(model[1][0], grad, rtol=1e-12)
 
 
 def test_taylor_remainder_order():
@@ -48,7 +50,7 @@ def test_taylor_remainder_order():
     for y in rng.uniform(-1.5, 1.5, 20):
         yv = np.array([y])
         np.testing.assert_allclose(
-            oracle.value(yv) - tm.evaluate(yv)[0][0], (y - 0.8) ** 4, atol=1e-12
+            oracle.value(yv) - tm.with_part(yv)[1][0], (y - 0.8) ** 4, atol=1e-12
         )
 
 
@@ -56,22 +58,14 @@ def test_augmented_value_and_gradient():
     oracle, _ = _quartic_abs()
     m = 45.6
     tm = TaylorModel(oracle, np.array([0.8]), 3, m)
-    assert tm.prox_h == pytest.approx(m / 6.0)
+    assert tm.h == pytest.approx(m / 6.0)
     y = np.array([1.2])
     d = 0.4
-    np.testing.assert_allclose(
-        tm.evaluate(y)[1][0],
-        tm.evaluate(y)[0][0] + m / 24.0 * d ** 4,
-        rtol=1e-12,
-    )
-    np.testing.assert_allclose(
-        tm.augmented_gradient(y)[0],
-        tm.taylor_gradient(y)[0] + m / 6.0 * d ** 3,
-        rtol=1e-12,
-    )
-    fd = (tm.evaluate(np.array([1.2 + 1e-6]))[1][0]
-          - tm.evaluate(np.array([1.2 - 1e-6]))[1][0]) / 2e-6
-    np.testing.assert_allclose(tm.augmented_gradient(y)[0], fd, rtol=1e-8)
+    augmented, model = tm.with_part(y)
+    np.testing.assert_allclose(augmented[0], model[0] + m / 24.0 * d ** 4, rtol=1e-12)
+    np.testing.assert_allclose(augmented[1][0], model[1][0] + m / 6.0 * d ** 3, rtol=1e-12)
+    fd = (tm.value(np.array([1.2 + 1e-6])) - tm.value(np.array([1.2 - 1e-6]))) / 2e-6
+    np.testing.assert_allclose(tm.gradient(y)[0], fd, rtol=1e-8)
 
 
 @pytest.mark.parametrize("p", (1, 3, 4, 5))
@@ -88,10 +82,10 @@ def test_taylor_model_evaluates_each_order_once(p):
     for _ in range(10):
         y = x + 0.3 * rng.standard_normal(3)
         u = rng.standard_normal(3)
-        fd = (tm.evaluate(y + 1e-6 * u)[1][0] - tm.evaluate(y - 1e-6 * u)[1][0]) / 2e-6
-        np.testing.assert_allclose(np.dot(tm.augmented_gradient(y), u), fd, rtol=1e-6, atol=1e-8)
-        tm.evaluate(y)
-        tm.taylor_gradient(y)
+        fd = (tm.value(y + 1e-6 * u) - tm.value(y - 1e-6 * u)) / 2e-6
+        np.testing.assert_allclose(np.dot(tm.gradient(y), u), fd, rtol=1e-6, atol=1e-8)
+        tm.evaluate(y, hessian=True)
+        tm.with_part(y)
     assert oracle.calls_by_order == {k: rows for k in range(p + 1)}
 
 
@@ -109,7 +103,7 @@ def test_convexity_threshold():
     oracle, _ = _quartic_abs()
     tm = TaylorModel(oracle, np.array([0.8]), 3, 72.0)
     ts = np.linspace(-2.0, 2.0, 2001)
-    grads = np.array([float(tm.augmented_gradient(np.array([t]))[0]) for t in ts])
+    grads = np.array([float(tm.gradient(np.array([t]))[0]) for t in ts])
     assert np.all(np.diff(grads) >= -1e-9)
 
 
@@ -131,14 +125,14 @@ def test_tensor_criterion_return_order_and_slack():
     oracle, term = _quartic_abs()
     tm = TaylorModel(oracle, np.array([0.8]), 3, 45.6)
     point = np.array([0.4])
-    g = term.subgradient_select(point, -tm.augmented_gradient(point))
+    g = term.subgradient_select(point, -tm.gradient(point))
     ok, lhs, rhs = tensor_criterion(tm, term, point, g, 8.0 / 19.0)
     assert isinstance(ok, (bool, np.bool_))
     np.testing.assert_allclose(
-        lhs, abs(float(tm.augmented_gradient(point)[0] + g[0])), rtol=1e-12
+        lhs, abs(float(tm.gradient(point)[0] + g[0])), rtol=1e-12
     )
     np.testing.assert_allclose(
-        rhs, abs(float(tm.taylor_gradient(point)[0] + g[0])), rtol=1e-12
+        rhs, abs(float(tm.with_part(point)[1][1][0] + g[0])), rtol=1e-12
     )
     assert ok == (lhs <= (8.0 / 19.0) / (1.0 + 8.0 / 19.0) * rhs + 1e-12)
 
@@ -188,7 +182,7 @@ def test_criterion_region_nonempty_and_accepted():
     passing = 0
     for t in np.linspace(-1.0, 1.5, 501):
         point = np.array([t])
-        g = term.subgradient_select(point, -tm.augmented_gradient(point))
+        g = term.subgradient_select(point, -tm.gradient(point))
         ok, _, _ = tensor_criterion(tm, term, point, g, gamma)
         if ok:
             passing += 1
@@ -209,7 +203,7 @@ def test_target_beta_map_chain():
     passing = 0
     for t in np.linspace(-1.0, 1.5, 501):
         point = np.array([t])
-        g = term.subgradient_select(point, -tm.augmented_gradient(point))
+        g = term.subgradient_select(point, -tm.gradient(point))
         ok, _, _ = tensor_criterion(tm, term, point, g, gamma)
         if ok:
             passing += 1
@@ -243,3 +237,30 @@ def test_tensor_module_is_not_shadowed_by_the_function():
 
     assert imported is TaylorModel is tensor.TaylorModel
     assert hiprox.tensor_step is tensor.tensor_step and callable(hiprox.tensor_step)
+
+
+@pytest.mark.parametrize("name,p", (("quartic-abs-1d", 3), ("logistic-sep-3d", 3),
+                                    ("logistic-sep-3d", 4)))
+def test_tensor_step_evaluates_each_point_once(name, p, monkeypatch):
+    # every prox-Newton point of the step, its start included, costs one pass
+    # of the model (``evaluate`` is a read of ``with_part``), and the
+    # criterion reads both models at T off one more
+    prob = get_problem(name)
+    passes, points = [], []
+    with_part, prox_newton = TaylorModel.with_part, inner.prox_newton
+    monkeypatch.setattr(TaylorModel, "with_part",
+                        lambda tm, y, hessian=False: passes.append(y) or with_part(tm, y, hessian))
+
+    def spy(fn, term, w, at_w, tol):
+        points.append(w)
+        return prox_newton(lambda v: points.append(v) or fn(v), term, w, at_w, tol)
+
+    monkeypatch.setattr(inner, "prox_newton", spy)
+    anchor = prob.sample(np.random.default_rng(p), 1)[0]
+    tm = TaylorModel(prob.oracle, anchor, p, convexity_threshold(p, prob.m_next(p)) + 1.0)
+    t, _, ok, _, _ = tensor_step(tm, prob.term, 0.25)
+    assert ok and len(points) > 2
+    assert len(passes) == len(points) + 1 and passes[-1] is t
+    assert all(y is w for y, w in zip(passes, points))
+    # and no point twice: the start is not evaluated again
+    assert len({w.tobytes() for w in points}) == len(points)
