@@ -198,11 +198,13 @@ def relative_sandwich_check(sf, reg, rc, pairs):
         mu breg(y, x) <= f_reg(x) - f_reg(y) - <grad f_reg(y), x-y> <= L breg(y, x).
 
     Positive return values mean a violation of that size; <= 0 means all hold.
+    f_reg(y) and grad f_reg(y) come from one pass, so a pair costs two.
     """
     worst = -np.inf
     for y, x in pairs:
         b = bregman_distance(sf, y, x)
-        df = reg.value(x) - reg.value(y) - float(np.dot(reg.gradient(y), x - y))
+        reg_y, grad_y = reg.evaluate(y)[:2]
+        df = reg.value(x) - reg_y - float(np.dot(grad_y, x - y))
         worst = max(worst, rc.mu * b - df, df - rc.lsmooth * b)
     return worst
 

@@ -217,8 +217,11 @@ def _run_example1(cfg):
         reg = RegularizedObjective(prob.oracle, av, 3, h)
         for t in np.arange(0.0, 2.5 + 1e-12, 1e-4):
             point = np.array([t])
-            g = prob.term.subgradient_select(point, -reg.gradient(point))
-            cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g)
+            # g and the certificate's power term from one pass at the point
+            _, grad, _, radius, _, d_grad = reg.evaluate(point)
+            g = prob.term.subgradient_select(point, -grad)
+            cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g,
+                                    power=(radius, d_grad))
             rows.append((anchor, t, g[0], cert.lhs, cert.rhs, int(cert.accepted)))
         interval = acceptable_interval_1d(pcfg, anchor)
         endpoints["anchor=%s" % repr(float(anchor))] = list(interval) if interval else None

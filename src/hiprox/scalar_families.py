@@ -4,9 +4,12 @@ Each family evaluates values and k-th derivatives at a whole residual vector
 t at once: ``value(t)`` and ``derivative(t, k)`` take a 1-d float array and
 return an array of the same shape, entry i belonging to t_i. Each family also
 reports sup |f^(k)| over an interval (used for box-restricted smoothness
-constants). A family with an open domain (neg-log) checks t on every call
-and raises ``DomainError`` naming the first entry outside it: the row of the
-oracle that formed t (``check_domain``). The quartic is ``Power(4)``.
+constants). The logistic family's is its global sup, a constant of the family
+alone, formed once per order per process and shared by every instance, like
+its coefficient table; ``Logistic()`` holds no state. A family with an open
+domain (neg-log) checks t on every call and raises ``DomainError`` naming the
+first entry outside it: the row of the oracle that formed t
+(``check_domain``). The quartic is ``Power(4)``.
 
 The arrays carry the digits of a per-scalar evaluation. Every transcendental
 call (``math.log``, ``math.exp``, ``math.log1p``) and every power ``**`` is a
@@ -37,6 +40,11 @@ from .errors import DomainError, ParameterError
 def _powers(t, k):
     """t_i ** k for each entry, by Python pow on floats."""
     return np.array([v ** k for v in t.tolist()])
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class ScalarFamily:
@@ -108,36 +116,46 @@ class NegLog(ScalarFamily):
         return math.factorial(k - 1) / t_lo ** k
 
 
+# the logistic family's constants per order, filled on first use and shared
+# by every ``Logistic``: read-only coefficient arrays, and sup |f^(k)|
+_LOGISTIC_POLY = {1: _read_only(np.array([0.0, 1.0]))}
+_LOGISTIC_SUP = {}
+
+
+def _logistic_coeffs(k):
+    """Ascending coefficients of f^(k) in powers of s, from f' = s and ds/dt = s - s^2."""
+    if k < 1:
+        raise ParameterError("derivative order must be >= 1")
+    while k not in _LOGISTIC_POLY:
+        j = max(_LOGISTIC_POLY)
+        c = _LOGISTIC_POLY[j]
+        dc = c[1:] * np.arange(1, len(c))  # d/ds
+        # multiply by (s - s^2)
+        nxt = np.zeros(len(dc) + 2)
+        nxt[1 : 1 + len(dc)] += dc
+        nxt[2 : 2 + len(dc)] -= dc
+        _LOGISTIC_POLY[j + 1] = _read_only(nxt)
+    return _LOGISTIC_POLY[k]
+
+
+def _logistic_horner(k, s):
+    """f^(k) as its polynomial in s, by Horner's rule from the top coefficient."""
+    y = np.zeros_like(s)
+    for coeff in _logistic_coeffs(k)[::-1]:
+        y = y * s + coeff
+    return y
+
+
+def _logistic_grid_sup(k):
+    """max |f^(k)| on a dense s-grid, the global sup to plotting accuracy, padded by 5%."""
+    s = np.linspace(1e-9, 1.0 - 1e-9, 20001)
+    return 1.05 * float(np.abs(_logistic_horner(k, s)).max())
+
+
 class Logistic(ScalarFamily):
     """f(t) = log(1 + e^t); derivatives are polynomials in s = sigmoid(t)."""
 
     name = "logistic"
-
-    def __init__(self):
-        # poly[k] holds ascending coefficients of f^(k) in powers of s,
-        # built from f' = s and ds/dt = s - s^2.
-        self._poly = {1: np.array([0.0, 1.0])}
-
-    def _coeffs(self, k):
-        if k < 1:
-            raise ParameterError("derivative order must be >= 1")
-        while k not in self._poly:
-            j = max(self._poly)
-            c = self._poly[j]
-            dc = c[1:] * np.arange(1, len(c))  # d/ds
-            # multiply by (s - s^2)
-            nxt = np.zeros(len(dc) + 2)
-            nxt[1 : 1 + len(dc)] += dc
-            nxt[2 : 2 + len(dc)] -= dc
-            self._poly[j + 1] = nxt
-        return self._poly[k]
-
-    def _horner(self, k, s):
-        """f^(k) as its polynomial in s, by Horner's rule from the top coefficient."""
-        y = np.zeros_like(s)
-        for coeff in self._coeffs(k)[::-1]:
-            y = y * s + coeff
-        return y
 
     def value(self, t):
         tail = np.array([math.log1p(math.exp(-abs(v))) for v in t.tolist()])
@@ -147,13 +165,19 @@ class Logistic(ScalarFamily):
         # s = 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, both from e = e^-|t|
         e = np.array([math.exp(-abs(v)) for v in t.tolist()])
         s = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return self._horner(k, s)
+        return _logistic_horner(k, s)
 
     def derivative_sup(self, k, t_lo, t_hi):
-        # |f^(k)| depends on t only through s in (0,1); a dense s-grid gives
-        # the global sup to plotting accuracy, padded by 5%.
-        s = np.linspace(1e-9, 1.0 - 1e-9, 20001)
-        return 1.05 * float(np.abs(self._horner(k, s)).max())
+        """The global sup of |f^(k)| over R, whatever the interval.
+
+        |f^(k)| depends on t only through s in (0, 1), so the sup is a
+        constant of the family: formed once per order per process
+        (``_logistic_grid_sup``) and read from then on.
+        """
+        sup = _LOGISTIC_SUP.get(k)
+        if sup is None:
+            sup = _LOGISTIC_SUP[k] = _logistic_grid_sup(k)
+        return sup
 
 
 class Power(ScalarFamily):

@@ -21,6 +21,7 @@ from hiprox import (
     theta_bound,
     theta_constants,
 )
+from hiprox.bregman import AnchoredModel
 from references import directional, in_metric, matrix
 
 
@@ -164,6 +165,29 @@ def test_relative_sandwich_detects_violations():
     rng = np.random.default_rng(5)
     pairs = list(zip(prob.sample(rng, 50), prob.sample(rng, 50)))
     assert relative_sandwich_check(sf, reg, bad, pairs) > 0.0
+
+
+def test_relative_sandwich_makes_two_regularized_passes_per_pair(monkeypatch):
+    # f_reg(x), then f_reg(y) and grad f_reg(y) from one pass: 2 per pair, not 3
+    prob = get_problem("quartic-sep-10d")
+    m = prob.m_next(3)
+    h = bilevel_h(3, m)
+    anchor = np.asarray(prob.x0, dtype=float)
+    sf = ScalingFunction(prob.oracle, anchor, 3, h)
+    reg = RegularizedObjective(prob.oracle, anchor, 3, h)
+    passes = []
+    with_part = AnchoredModel.with_part
+
+    def counted(self, x, hessian=False):
+        if type(self) is RegularizedObjective:
+            passes.append(1)
+        return with_part(self, x, hessian)
+
+    monkeypatch.setattr(AnchoredModel, "with_part", counted)
+    rng = np.random.default_rng(6)
+    pairs = list(zip(prob.sample(rng, 10), prob.sample(rng, 10)))
+    relative_sandwich_check(sf, reg, relative_constants(3, h, m), pairs)
+    assert len(passes) == 20
 
 
 def test_regularized_objective():

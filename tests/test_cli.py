@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiprox import (NumericalError, StepSolver, get_problem, list_problems, relative_constants,
-                    verify)
+from hiprox import (NumericalError, PowerProx, StepSolver, get_problem, list_problems,
+                    relative_constants, verify)
 from hiprox.cli import RunConfig, build_parser, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +92,20 @@ def test_example1_scan(tmp_path):
     ]
     assert abs(min(accepted) - lo) <= 1.01e-4
     assert abs(max(accepted) - hi) <= 1.01e-4
+
+
+def test_example1_scan_forms_the_power_term_once_per_point(monkeypatch):
+    # g and the certificate read one pass's (|d|, grad d) at each grid point
+    calls = []
+    terms = PowerProx._terms
+
+    def counted(self, d, hessian=False):
+        calls.append(1)
+        return terms(self, d, hessian)
+
+    monkeypatch.setattr(PowerProx, "_terms", counted)
+    assert main(["run", "--mode", "example1", "--out", "ex1"]) == 0
+    assert len(calls) == 2 * 25001
 
 
 def test_example2_scan(tmp_path):

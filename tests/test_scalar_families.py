@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from hiprox import DomainError, ParameterError, make_family
+from hiprox import DomainError, ParameterError, get_problem, make_family
+from hiprox import scalar_families
 
 
 def _order(fam, t, k):
@@ -218,6 +219,40 @@ def test_logistic_derivative_sup_dominates_samples():
         sampled = float(np.abs(fam.derivative(ts, k)).max())
         assert sup >= sampled
         assert sup <= 10.0 * max(sampled, 1e-6)  # not wildly loose
+
+
+def test_logistic_derivative_sup_is_the_grid_max_bit_for_bit():
+    fam = make_family("logistic")
+    s = np.linspace(1e-9, 1.0 - 1e-9, 20001)
+    for k in range(1, 9):
+        y = np.zeros_like(s)
+        for coeff in reversed(_logistic_coeffs(k)):
+            y = y * s + coeff
+        assert fam.derivative_sup(k, -50.0, 50.0) == 1.05 * float(np.abs(y).max())
+
+
+def test_logistic_constants_are_formed_once_per_process(monkeypatch):
+    # an empty store, then two families and two catalog builds: each order's grid once
+    monkeypatch.setattr(scalar_families, "_LOGISTIC_SUP", {})
+    grids = []
+    grid_sup = scalar_families._logistic_grid_sup
+    monkeypatch.setattr(scalar_families, "_logistic_grid_sup",
+                        lambda k: grids.append(k) or grid_sup(k))
+    first, second = make_family("logistic"), make_family("logistic")
+    assert vars(first) == vars(second) == {}
+    for k in range(2, 9):
+        assert first.derivative_sup(k, -50.0, 50.0) == second.derivative_sup(k, -1.0, 1.0)
+    builds = [get_problem("logistic-sep-3d") for _ in range(2)]
+    assert builds[0].oracle.m_bounds == builds[1].oracle.m_bounds
+    assert sorted(grids) == list(range(2, 9))
+
+
+def test_logistic_coefficients_are_read_only():
+    for k in range(1, 9):
+        coeffs = scalar_families._logistic_coeffs(k)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 1.0
 
 
 def test_power_family():
