@@ -24,7 +24,7 @@ for p in (2, 3):
     ):
         trace = runner(prob, cfg, provider, eps=-1.0, max_k=100)
         gaps = trace.column("gap")
-        slope = trace.fitted_slope(10, 100)
+        slope = trace.fitted_slope()
         print("%d  %-11s  %.4e   %.4e   %.4e   %+.2f         k^%d"
               % (p, label, gaps[10], gaps[50], gaps[100], slope, guarantee))
 print()

@@ -57,9 +57,7 @@ print("beta = 1/p = %.4f, at which point the pair (z, g) is returned." % cfg.bet
 # geometric contraction toward the subproblem minimizer (rerun the loop with
 # a nearly-exact acceptance level to get a reference solution)
 sf = ScalingFunction(prob.oracle, anchor, p, h)
-ref = inner_solve(
-    prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, anchor, max_iter=200
-)
+ref = inner_solve(prob.oracle, prob.term, ProxConfig(p, h, 1e-8), rc, anchor, anchor)
 z_star = ref.certificate.point
 print()
 print("reference solve at beta = 1e-8: %d steps, L_i in [%.2f, %.2f]"

@@ -28,10 +28,10 @@ gives the sum's value, gradient and, when asked, Hessian matrix, with |d|,
 d(d) and grad d(d): the inner loop reads f_reg, grad f_reg and the acceptance
 certificate at the point off rho's pass. The part of ``RegularizedObjective``
 is one residual pass of the oracle. The even Taylor terms of rho are anchored
-at the fixed y, so ``ScalingFunction`` evaluates the anchor's residuals and
-the weights f^(2k)(t_i(y)), k <= q, once at construction (an ``AnchorStack``
-of the even orders 2, ..., 2q), and its part projects d once for all orders
-(``AnchorStack.series``); D^2 f(y) is formed once. The oracle's
+at the fixed y, so ``ScalingFunction`` evaluates the anchor's residuals
+(one pass) and the weights f^(2k)(t_i(y)), k <= q, once at construction
+(an ``AnchorStack`` of the even orders 2, ..., 2q), and its part projects d
+once for all orders (``AnchorStack.series``); D^2 f(y) is formed once. The oracle's
 ``calls_by_order`` still names every order consumed, but counts the anchor's
 orders once per scaling function rather than once per call.
 

@@ -239,7 +239,7 @@ def _run_example2(cfg):
     prob = get_problem(cfg.problem)
     gamma = 8.0 / 19.0
     beta = cfg.beta if cfg.beta is not None else 0.9
-    m4 = cfg.m if cfg.m is not None else 24.0
+    m4 = cfg.m if cfg.m is not None else prob.m_next(3)
     m, h = tensor_acceptance_map(3, beta, gamma, m4)
     pcfg = ProxConfig(3, h, beta)
     anchor = np.array([0.8])

@@ -82,6 +82,8 @@ _RES_TOL = 1e-12
 _NEWTON_CAP = 200
 _HALVING_CAP = 50
 _PASS_CAP = 20
+# kept steps of one inner solve
+_STEP_CAP = 2000
 
 
 def csv_text(columns, rows):
@@ -124,9 +126,6 @@ class InnerTrace:
     backtracks: int = 0
 
     COLUMNS = ("i", "phi", "bregman_step", "lhs", "rhs", "ratio")
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
     def to_csv(self):
         return csv_text(self.COLUMNS, map(astuple, self.rows))
@@ -411,17 +410,19 @@ def _ball_quadratic(term, w, grad, hm):
     return center + vec @ (bt / (lam + a))
 
 
-def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
+def inner_solve(oracle, term, cfg, rc, anchor, start):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
     ``start`` is a point of dom psi or a ``WarmStart``, whose f(z0) and
     grad f(z0), when given, are reused (row 0's phi and the first step's
     grad f_reg) and which may also carry the first step's constant
-    (``WarmStart.at`` starts at a certificate's point). Returns an
+    (``WarmStart.at`` starts at a certificate's point); a bare start takes
+    both from one residual pass (``evaluate``). Returns an
     InnerResult whose trace rows carry (i, phi, bregman_step, lhs, rhs,
     ratio) per kept step; row 0 records phi(z0), and the trace keeps each
     row's point, each kept step's L_i, the rejected candidates and the run's
-    prox-Newton iterations. ``max_iter`` bounds the kept steps.
+    prox-Newton iterations. More than ``_STEP_CAP`` kept steps raise
+    ``NumericalError``.
 
     A start that the first step leaves in place (to rounding) is returned
     with 0 iterations and no row beyond row 0. The exit does not need
@@ -451,14 +452,17 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
     # rho at z, f_reg(z) and grad f_reg(z) pass from step to step; f_reg and
     # grad f_reg read the power term's d(d) and grad d(d) off the rho pass
     rho_z = sf.evaluate(z, hessian=True)
-    f_z = oracle.value(z) if start.f_value is None else start.f_value
-    grad_f = oracle.gradient(z) if start.gradient is None else start.gradient
+    f_z, grad_f = start.f_value, start.gradient
+    if f_z is None and grad_f is None:
+        f_z, grad_f, _ = oracle.evaluate(z)
+    f_z = oracle.value(z) if f_z is None else f_z
+    grad_f = oracle.gradient(z) if grad_f is None else grad_f
     freg_z = f_z + sf.h * rho_z[4]
     c = grad_f + sf.h * rho_z[5]
     trace = InnerTrace(rows=[InnerRow(0, freg_z + term.value(z),
                                       np.nan, np.nan, np.nan, np.nan)], points=[z.copy()])
     i = 0
-    while i < max_iter:
+    while i < _STEP_CAP:
         z_new, g, rho_new, gap = solver.step(z, l_i, c, rho_z)
         # the certificate, f_reg(z_new) and the next grad f_reg read the power
         # term's |d|, d(d) and grad d(d) off the rho pass at z_new
@@ -493,5 +497,5 @@ def inner_solve(oracle, term, cfg, rc, anchor, start, max_iter=2000):
         c = cert.gradient + sf.h * rho_new[5]
         l_i = max(0.5 * l_i, rc.mu)
     raise NumericalError(
-        "inner loop exceeded %d iterations" % max_iter, residual=trace.rows[-1].ratio
+        "inner loop exceeded %d iterations" % _STEP_CAP, residual=trace.rows[-1].ratio
     )

@@ -14,17 +14,18 @@ whose k-th derivative tensors reduce to scalar derivatives,
 
 An oracle gives f, its gradient and its Hessian matrix at a point. Every
 contraction of a derivative of order k >= 2 goes through one set of helpers
-that take the order-k derivative data at a point (``_weights``) and a
-direction h in the oracle's projected form (``_project``: a h for a
-separable oracle, h itself for a quadratic): ``_form`` gives D^k f[h]^k,
-``_apply`` and ``_matrix`` the tensor D^k f[h]^{k-2}. One projection of h
-serves every order and every contraction against h. ``AnchorStack`` is the
-only public way to use them: it holds that data for the orders it is given
-at a fixed point y, evaluated once, and contracts it against a new h on
-every call without evaluating a scalar derivative again; ``series`` sums
-every order's Taylor term, gradient and (when asked) Hessian from one
-projection. A scaling function anchored at y (``bregman``) and a Taylor
-model at x (``tensor``) each build one.
+that take the order-k derivative data at a point (``_weights`` gives the data
+of every order asked for, from one residual pass) and a direction h in the
+oracle's projected form (``_project``: a h for a separable oracle, h itself
+for a quadratic): ``_form`` gives D^k f[h]^k, ``_apply`` and ``_matrix`` the
+tensor D^k f[h]^{k-2}. One projection of h serves every order and every
+contraction against h. ``AnchorStack`` is the only public way to use them: it
+holds that data for the orders it is given at a fixed point y, evaluated
+once, from one residual pass per anchor for every order, and contracts it
+against a new h on every call without evaluating a scalar derivative again;
+``series`` sums every order's Taylor term, gradient and (when asked) Hessian
+from one projection. A scaling function anchored at y (``bregman``) and a
+Taylor model at x (``tensor``) each build one.
 
 Scalar-derivative evaluations are counted per order in ``calls_by_order``,
 so a run can certify which derivative orders it consumed: order 0 counts
@@ -96,12 +97,12 @@ class SmoothOracle:
         return self.value(x), self.gradient(x), self.hessian_matrix(x) if hessian else None
 
     def hessian_matrix(self, x):
-        return self._matrix(self._weights(x, 2), None, 2)
+        return self._matrix(self._weights(x, (2,))[0], None, 2)
 
     # -- the tensor algebra, on the order-k data at one point ---------------
     # directions enter projected: ph = _project(h), pu = _project(u)
-    def _weights(self, x, k):
-        """Order-k derivative data at x; records its scalar evaluations."""
+    def _weights(self, x, orders):
+        """A list of each order's derivative data at x from one residual pass; records them."""
         raise NotImplementedError
 
     def _project(self, h):
@@ -124,8 +125,9 @@ class SmoothOracle:
 class AnchorStack:
     """Derivative data of an oracle at a fixed point y, for orders k >= 2.
 
-    The data of each order in ``orders`` is evaluated (and recorded in
-    ``calls_by_order``) once, here. ``apply(h, k, u)`` and ``form(h, k, u)``
+    The data of every order in ``orders`` is evaluated (and recorded in
+    ``calls_by_order``) once, here, from one residual pass at y; an empty
+    stack evaluates nothing. ``apply(h, k, u)`` and ``form(h, k, u)``
     then give D^k f(y)[h]^{k-2} u and D^k f(y)[h]^{k-2}[u, u]; with u = h,
     ``apply`` gives the covector D^k f(y)[h]^{k-1}. ``series`` sums every
     order at once.
@@ -133,11 +135,10 @@ class AnchorStack:
 
     def __init__(self, oracle, y, orders):
         self.oracle = oracle
-        self.weights = {}
-        for k in orders:
-            if k < 2:
-                raise ParameterError("tensor order must be >= 2")
-            self.weights[k] = oracle._weights(y, k)
+        orders = list(orders)
+        if any(k < 2 for k in orders):
+            raise ParameterError("tensor order must be >= 2")
+        self.weights = dict(zip(orders, oracle._weights(y, orders) if orders else ()))
         # (k, data, k!, (k-1)!, (k-2)!) per order, for ``series``
         self._orders = [(k, w, math.factorial(k), math.factorial(k - 1), math.factorial(k - 2))
                         for k, w in self.weights.items()]
@@ -178,8 +179,6 @@ class AnchorStack:
             if hessian:
                 mat = self.hessian if k == 2 else oracle._matrix(w, ph, k) / fk2
                 hess = mat if hess is None else hess + mat
-        if grad is None:
-            grad = np.zeros_like(h)
         return value, grad, hess
 
     @cached_property
@@ -242,8 +241,9 @@ class SeparableObjective(SmoothOracle):
         return value, grad, self._matrix(self._derivs(t, 2), None, 2) if hessian else None
 
     # the scalar derivatives f_i^(k)(t_i) are the order-k data
-    def _weights(self, x, k):
-        return self._derivs(self.residuals(x), k)
+    def _weights(self, x, orders):
+        t = self.residuals(x)
+        return [self._derivs(t, k) for k in orders]
 
     # a direction is projected onto the rows: ph_i = <a_i, h>
     def _project(self, h):
@@ -277,15 +277,15 @@ class QuadraticObjective(SmoothOracle):
         if np.abs(self.q - self.q.T).max() > 1e-12 * max(1.0, np.abs(self.q).max()):
             raise ParameterError("Q must be symmetric")
         self.q = 0.5 * (self.q + self.q.T)
-        if np.linalg.eigvalsh(self.q).min() < -1e-10:
+        eig = np.linalg.eigvalsh(self.q)
+        if eig.min() < -1e-10:
             raise ParameterError("Q must be positive semidefinite")
         self.c = np.asarray(c, dtype=float)
         if self.c.shape != (n,):
             raise DimensionError("c shape %s" % (self.c.shape,))
         self.const = float(const)
         self.dimension = n
-        self.m_bounds = {2: float(np.linalg.eigvalsh(self.q).max())}
-        self.m_bounds.update({k: 0.0 for k in range(3, 9)})
+        self.m_bounds = {2: float(eig.max()), **dict.fromkeys(range(3, 9), 0.0)}
 
     def value(self, x):
         x = self._check_vec(x)
@@ -299,11 +299,10 @@ class QuadraticObjective(SmoothOracle):
 
     # Q is the order-2 data; higher orders are None (zero tensors). A
     # direction is its own projection.
-    def _weights(self, x, k):
-        if k == 2:
+    def _weights(self, x, orders):
+        if 2 in orders:
             self._record(2, 1)
-            return self.q
-        return None
+        return [self.q if k == 2 else None for k in orders]
 
     def _project(self, h):
         return h

@@ -64,6 +64,8 @@ from .univariate import decreasing_root
 _CHEAP = 2
 _DEAR = 3
 _SCALE_FLOOR = 2.0 ** -24
+# the range of k that ``OuterTrace.fitted_slope`` fits
+_SLOPE_KS = (10, 100)
 
 
 def coefficients(p, tau, beta, h, tick=1.0):
@@ -220,10 +222,11 @@ class OuterTrace:
                   else (0.0 if r.cert_lhs == 0 else np.inf) for r in self.rows[1:]]
         return max(ratios, default=float("nan"))
 
-    def fitted_slope(self, k_lo=10, k_hi=100):
+    def fitted_slope(self):
+        """Slope of log gap on log k over the positive gaps at k in _SLOPE_KS (nan below 2)."""
         ks = self.column("k")
         gaps = self.column("gap")
-        mask = (ks >= k_lo) & (ks <= k_hi) & np.isfinite(gaps) & (gaps > 0)
+        mask = (ks >= _SLOPE_KS[0]) & (ks <= _SLOPE_KS[1]) & np.isfinite(gaps) & (gaps > 0)
         if mask.sum() < 2:
             return float("nan")
         return float(np.polyfit(np.log(ks[mask]), np.log(gaps[mask]), 1)[0])

@@ -4,15 +4,16 @@ Each entry bundles an oracle, a simple term, a start point, and frozen
 reference data (minimizer, optimal value, level-set radius) computed by
 solvers that share no code with the certified loops: closed forms in one
 dimension, damped Newton, projected Newton on boxes, and the secular
-trust-region solve for the ball-constrained quadratic. Construction is
-deterministic (fixed seeds), so reference values are bit-stable run to run.
-The one-dimensional grid minimizer and level-set radius that tests check
-the catalog against live in ``tests/references.py``.
+trust-region solve for the ball-constrained quadratic; each Newton iterate
+costs one ``evaluate``. M bounds come from each family's own sup
+(``ScalarFamily.derivative_sup``). Construction is deterministic (fixed
+seeds), so reference values are bit-stable run to run. The one-dimensional
+grid minimizer and level-set radius that tests check the catalog against
+live in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +66,12 @@ class Problem:
 def newton_reference(oracle, x0):
     """Damped Newton for smooth unconstrained minimization, to |grad f| <= 1e-12 in 200 steps."""
     x = np.asarray(x0, dtype=float).copy()
-    n = len(x)
     for _ in range(200):
-        g = oracle.gradient(x)
+        fx, g, hm = oracle.evaluate(x, hessian=True)
         if float(np.linalg.norm(g)) <= 1e-12:
             return x
-        hm = oracle.hessian_matrix(x) + 1e-12 * np.eye(n)
-        d = np.linalg.solve(hm, -g)
-        t, fx = 1.0, oracle.value(x)
+        d = np.linalg.solve(hm + 1e-12 * np.eye(len(x)), -g)
+        t = 1.0
         for _ in range(80):
             try:
                 ft = oracle.value(x + t * d)
@@ -90,7 +89,6 @@ def box_newton_reference(oracle, lo, hi, x0):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n = len(x)
     edge = 1e-12
 
     def kkt_residual(x, g):
@@ -99,18 +97,18 @@ def box_newton_reference(oracle, lo, hi, x0):
         return float(np.abs(r).max())
 
     for _ in range(300):
-        g = oracle.gradient(x)
+        fx, g, hm = oracle.evaluate(x, hessian=True)
         if kkt_residual(x, g) <= 1e-12:
             return x
         fixed = ((x <= lo + edge) & (g > 0)) | ((x >= hi - edge) & (g < 0))
         free = ~fixed
-        d = np.zeros(n)
+        d = np.zeros_like(x)
         if free.any():
-            hm = oracle.hessian_matrix(x)[np.ix_(free, free)] + 1e-12 * np.eye(free.sum())
-            d[free] = np.linalg.solve(hm, -g[free])
+            hff = hm[np.ix_(free, free)] + 1e-12 * np.eye(free.sum())
+            d[free] = np.linalg.solve(hff, -g[free])
         else:
             d = -g
-        t, fx = 1.0, oracle.value(x)
+        t = 1.0
         for _ in range(80):
             xt = np.clip(x + t * d, lo, hi)
             try:
@@ -149,12 +147,16 @@ def trs_reference(q, c, radius):
 
 # -- catalog -----------------------------------------------------------------
 
+def _orthonormal(a, b, family, orders):
+    """Orthonormal rows a: sum_i <a_i, h>^k <= 1 on |h| = 1 (k >= 2), so M_k = sup |f^(k)|."""
+    oracle = SeparableObjective(a, b, make_family(family))
+    for k in orders:
+        oracle.m_bounds[k] = oracle.family.derivative_sup(k, -np.inf, np.inf)
+    return oracle
+
+
 def _quartic_1d():
-    oracle = SeparableObjective(np.array([[1.0]]), np.array([1.0]), make_family("quartic"))
-    # max of sum (a_i' h)^4 over |h|=1 is 1 for orthonormal rows
-    oracle.m_bounds[4] = 24.0
-    for k in range(5, 9):
-        oracle.m_bounds[k] = 0.0
+    oracle = _orthonormal(np.array([[1.0]]), np.array([1.0]), "quartic", range(4, 9))
     return Problem(
         name="quartic-1d",
         oracle=oracle,
@@ -170,10 +172,7 @@ def _quartic_1d():
 
 
 def _quartic_abs_1d():
-    oracle = SeparableObjective(np.array([[1.0]]), np.array([0.0]), make_family("quartic"))
-    oracle.m_bounds[4] = 24.0
-    for k in range(5, 9):
-        oracle.m_bounds[k] = 0.0
+    oracle = _orthonormal(np.array([[1.0]]), np.array([0.0]), "quartic", range(4, 9))
     return Problem(
         name="quartic-abs-1d",
         oracle=oracle,
@@ -189,9 +188,7 @@ def _quartic_abs_1d():
 
 
 def _linear_nonneg_1d():
-    oracle = SeparableObjective(np.array([[1.0]]), np.array([0.0]), make_family("linear"))
-    for k in range(2, 9):
-        oracle.m_bounds[k] = 0.0
+    oracle = _orthonormal(np.array([[1.0]]), np.array([0.0]), "linear", range(2, 9))
     return Problem(
         name="linear-nonneg-1d",
         oracle=oracle,
@@ -210,10 +207,7 @@ def _quartic_sep_10d():
     rng = np.random.default_rng(7)
     n = 10
     b = rng.uniform(-1.0, 1.0, n)
-    oracle = SeparableObjective(np.eye(n), b, make_family("quartic"))
-    oracle.m_bounds[4] = 24.0
-    for k in range(5, 9):
-        oracle.m_bounds[k] = 0.0
+    oracle = _orthonormal(np.eye(n), b, "quartic", range(4, 9))
     x0 = b + 1.0
     f0 = float(n)  # sum of 1^4 offsets
     return Problem(
@@ -265,17 +259,17 @@ def _neglog_sep():
     b = -(1.0 + rng.uniform(0.0, 1.0, rows))  # residual at 0 is -b in [1, 2]
     t_at_0 = -b
     margin = 0.8
-    radius = min(float(np.min((t_at_0 - margin) / np.abs(a).sum(axis=1))), 0.5)
+    row_l1 = np.abs(a).sum(axis=1)
+    radius = min(float(np.min((t_at_0 - margin) / row_l1)), 0.5)
     lo = -radius * np.ones(n)
     hi = radius * np.ones(n)
     oracle = SeparableObjective(a, b, make_family("neg-log"))
-    t_lo = t_at_0 - radius * np.abs(a).sum(axis=1)
+    # row i's residual ranges over [t_lo_i, t_hi_i] on the box
+    t_lo, t_hi = t_at_0 - radius * row_l1, t_at_0 + radius * row_l1
     norms = np.linalg.norm(a, axis=1)
     for order in range(2, 9):
-        sup = sum(
-            math.factorial(order - 1) / t_lo[i] ** order * norms[i] ** order
-            for i in range(rows)
-        )
+        sup = sum(oracle.family.derivative_sup(order, t_lo[i], t_hi[i]) * norms[i] ** order
+                  for i in range(rows))
         oracle.m_bounds[order] = 1.1 * sup
     x_star = box_newton_reference(oracle, lo, hi, np.zeros(n))
     return Problem(
@@ -285,7 +279,6 @@ def _neglog_sep():
         x0=np.zeros(n),
         f_star=float(oracle.value(x_star)),
         x_star=x_star,
-        m_override={},
         sample_lo=lo,
         sample_hi=hi,
         description="sum of -log(<a_i,x>-b_i) on a safe box; second-order-only scaling",

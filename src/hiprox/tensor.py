@@ -16,8 +16,8 @@ Such steps satisfy the proximal acceptance inequality with H = M/p! at level
 
 which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
 
-A ``TaylorModel`` evaluates f(x), grad f(x) and the derivative stack of
-orders 2, ..., p at its fixed x once, at construction (an ``AnchorStack``).
+A ``TaylorModel`` evaluates f(x) and grad f(x) (one residual pass) and the
+stack of orders 2, ..., p (one more, an ``AnchorStack``) at its x once.
 It is a ``bregman.AnchoredModel``: ``evaluate`` gives the augmented model at
 y, H = M/p!, and ``with_part`` both models, from one pass. A ``tensor_step``
 minimizes the augmented model plus psi by ``inner.prox_newton``, in every

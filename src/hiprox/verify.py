@@ -541,7 +541,7 @@ def suite_tensor(seed=0):
     results = []
     prob = get_problem("quartic-abs-1d")
     oracle, term = prob.oracle, prob.term
-    m4 = 24.0
+    m4 = prob.m_next(3)
 
     # composite model subdifferential is monotone on a seeded grid, kink
     # included, at a seeded anchor when M >= p M4

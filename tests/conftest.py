@@ -11,3 +11,17 @@ import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def residual_passes(monkeypatch):
+    """A list that grows by one at each ``SeparableObjective.residuals`` call, of any oracle."""
+    from hiprox import SeparableObjective
+
+    passes = []
+    residuals = SeparableObjective.residuals
+    monkeypatch.setattr(SeparableObjective, "residuals",
+                        lambda oracle, x: passes.append(1) or residuals(oracle, x))
+    return passes

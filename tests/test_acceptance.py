@@ -116,8 +116,8 @@ def test_03_fitted_slopes():
         accel = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=100)
         _store(plain, cfg)
         _store(accel, cfg)
-        s_plain = plain.fitted_slope(10, 100)
-        s_accel = accel.fitted_slope(10, 100)
+        s_plain = plain.fitted_slope()
+        s_accel = accel.fitted_slope()
         ok = ok and s_plain <= -p + 0.3 and s_accel <= -(p + 1) + 0.3
         details.append("p=%d plain %.2f accel %.2f" % (p, s_plain, s_accel))
     _scoreboard(3, ok, "log-log slopes " + "; ".join(details))

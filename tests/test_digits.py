@@ -14,6 +14,8 @@ new hashes here and says why in CHANGES.md.
   ``bench/workloads.py`` at generator seed 0, solved at p = 3 to
   rhs_tol = 1e-4 with max_k = 200. Their iteration counts are pinned too, so
   a change of digits shows whether the work moved with them.
+- The catalog's frozen data: each problem's x*, f* and M bounds, from its
+  reference solver and its family's sup.
 - The files the command line writes, which its docstring promises are
   byte-identical across runs: ``scan.csv`` of the two example modes, and
   ``outer.csv`` with every ``inner_k<k>.csv`` of a plain, an accelerated and
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from hiprox import biopt_run, get_problem
+from hiprox import biopt_run, get_problem, list_problems
 from hiprox.cli import main
 
 CSV_SHA256 = {
@@ -52,6 +54,27 @@ def test_bilevel_csv_keeps_its_digits(name, p):
     trace = biopt_run(get_problem(name), p, eps=1e-6, max_k=200)
     assert trace.status == "converged"
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == CSV_SHA256[(name, p)]
+
+
+# sha256 of x* and f* (as float.hex) and the M bounds sorted by order
+CATALOG_SHA256 = {
+    "ball-quadratic": "55eb9f66cc9c42dd2b097a3af0ea863d43d8ec2272ccefc78726f8d88f3f89d9",
+    "linear-nonneg-1d": "189fe81bd8cb2476f9509380643b6e1bb4b08d6155976c8b427bcfdc39114cab",
+    "logistic-sep-3d": "2b15a63b4a111a83590c0dfbc63cbeb7fe15b915fd6ce2bc38413f538b2ad2c4",
+    "neglog-sep": "06113fe84efb77cffc62296f0affce31b77d4452aad3254827232c6914020592",
+    "quartic-1d": "5842216ac302ff79cc6f8d04805350c62607b1bab643eb06114ab67ded773171",
+    "quartic-abs-1d": "15e2dcf42e3bb7216aa534113679546cfd7e8f1e682809f3f5fea0095e629f2c",
+    "quartic-sep-10d": "e8e340e93517e5532d29ddfe7e13fe62cbc93941343a7fda6ff5b590710b4ba2",
+}
+
+
+def test_catalog_data_keeps_its_digits():
+    assert sorted(CATALOG_SHA256) == [name for name, _ in list_problems()]
+    for name, digest in CATALOG_SHA256.items():
+        prob = get_problem(name)
+        data = (repr([float(v).hex() for v in prob.x_star]), float(prob.f_star).hex(),
+                repr([(k, float(v).hex()) for k, v in sorted(prob.oracle.m_bounds.items())]))
+        assert hashlib.sha256("\n".join(data).encode()).hexdigest() == digest, name
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -204,7 +204,7 @@ def test_inner_solve_returns_accepted_certificate(problem_name, p):
     assert res.iterations >= 1
     assert res.trace.rows[0].i == 0
     assert len(res.trace.rows) == res.iterations + 1
-    phi = res.trace.column("phi")
+    phi = np.array([r.phi for r in res.trace.rows])
     assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
 
 
@@ -268,7 +268,7 @@ def test_inner_solve_from_seeded_start(problem_name, p, seed):
     assert cert.accepted
     assert cert.lhs <= cfg.beta * cert.rhs + 1e-12
     np.testing.assert_array_equal(res.trace.points[0], start)
-    phi = res.trace.column("phi")
+    phi = np.array([r.phi for r in res.trace.rows])
     reg = RegularizedObjective(prob.oracle, anchor, cfg.p, cfg.h)
     assert phi[0] == reg.value(start) + prob.term.value(start)
     assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
@@ -296,6 +296,20 @@ def test_inner_solve_start_by_certificate_reuses_its_evaluations():
     assert bare.trace.to_csv() == res.trace.to_csv()
     assert oracle.calls_by_order[1] == rows * (candidates + 1)
     assert oracle.calls_by_order[0] == rows * (candidates + 1)
+
+
+def test_a_bare_start_takes_f_and_grad_f_from_one_residual_pass(residual_passes):
+    # the same solve from a point costs one pass more than from its certificate
+    prob, cfg, rc = _setup("neglog-sep", 3)
+    cert = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0).certificate
+    anchor = prob.term.project(np.asarray(prob.x0) + 0.05)
+    del residual_passes[:]
+    warm = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, WarmStart.at(cert))
+    at_cert = len(residual_passes)
+    del residual_passes[:]
+    bare = inner_solve(prob.oracle, prob.term, cfg, rc, anchor, cert.point)
+    assert bare.trace.to_csv() == warm.trace.to_csv()
+    assert len(residual_passes) == at_cert + 1
 
 
 @pytest.mark.parametrize("problem_name,p", [("quartic-1d", 3), ("logistic-sep-3d", 5),
@@ -340,12 +354,27 @@ def test_inner_solve_rejects_start_outside_domain():
         inner_solve(nn.oracle, nn.term, cfg1, rc1, np.array([1.0]), np.array([-1.0]))
 
 
-def test_inner_solve_iteration_cap():
+def test_inner_solve_iteration_cap(monkeypatch):
     # beta = 0 demands an exact prox; one Bregman step cannot deliver it
     prob, _, rc = _setup("quartic-sep-10d", 3)
     cfg = ProxConfig(p=3, h=bilevel_h(3, prob.m_next(3)), beta=0.0)
-    with pytest.raises(NumericalError):
-        inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0, max_iter=1)
+    monkeypatch.setattr(inner, "_STEP_CAP", 1)
+    with pytest.raises(NumericalError, match="exceeded 1 iterations"):
+        inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
+
+
+def test_step_raises_a_typed_error_when_its_residual_is_too_large(monkeypatch):
+    # a prox-Newton that returns its start z = x0 = anchor gives g = -grad f(x0),
+    # whose distance to dpsi = {0} is |grad f(x0)|: the step raises with it
+    prob, cfg, rc = _setup("quartic-sep-10d", 3)
+    solver = _solver(prob, cfg, rc)[0]
+    monkeypatch.setattr(inner, "prox_newton", lambda evaluate, term, w, at_w, tol: (w, at_w, 0))
+    with pytest.raises(NumericalError, match="prox-Newton step residual") as info:
+        solver.step(prob.x0, rc.lsmooth)
+    assert info.type is NumericalError
+    grad = prob.oracle.gradient(prob.x0)
+    assert info.value.residual == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+    assert info.value.residual > 100.0 * inner._RES_TOL * np.linalg.norm(grad)
 
 
 def test_trace_csv_deterministic():
@@ -361,8 +390,7 @@ def test_trace_csv_deterministic():
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[2] == "nan"
-    ratio = res1.trace.column("ratio")
-    assert ratio[-1] <= cfg.beta + 1e-12
+    assert res1.trace.rows[-1].ratio <= cfg.beta + 1e-12
 
 
 def _model_min(term, w, g, hm):

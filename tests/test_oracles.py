@@ -11,7 +11,9 @@ from hiprox import (
     DomainError,
     ParameterError,
     QuadraticObjective,
+    ScalingFunction,
     SeparableObjective,
+    TaylorModel,
     make_family,
 )
 from references import directional, fd_check, matrix
@@ -153,6 +155,45 @@ def test_neglog_even_orders_recorded_as_second_order_calls():
     oracle.reset_counters()
     directional(AnchorStack(oracle, x, (3,)), h, 3)
     assert oracle.calls_by_order == {3: 2}
+
+
+def test_a_stack_forms_the_residuals_once_for_every_order(residual_passes):
+    # one residual pass at the anchor gives every order's data, each order
+    # still counted once per row; an empty stack forms nothing
+    oracle = _sep_instance(seed=3, rows=5, family="logistic")
+    y = np.array([0.1, -0.2, 0.3])
+    oracle.reset_counters()
+    stack = AnchorStack(oracle, y, range(2, 6))
+    assert len(residual_passes) == 1
+    assert oracle.calls_by_order == {k: 5 for k in range(2, 6)}
+    t = oracle.a @ y - oracle.b
+    for k in range(2, 6):
+        assert np.array_equal(stack.weights[k], oracle.family.derivative(t, k))
+    AnchorStack(oracle, y, ())
+    assert len(residual_passes) == 1
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_anchored_models_form_one_residual_pass_per_anchor(p, residual_passes):
+    # rho's even orders 2..2q take one pass at the anchor; the Taylor model
+    # takes f and grad f from one pass and its orders 2..p from one more
+    oracle = _sep_instance(seed=3, rows=5, family="logistic")
+    y = np.array([0.1, -0.2, 0.3])
+    ScalingFunction(oracle, y, p, 1.0)
+    assert len(residual_passes) == 1
+    TaylorModel(oracle, y, p, 1.0)
+    assert len(residual_passes) == 3
+
+
+def test_a_quadratic_objective_takes_one_eigendecomposition(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda q: calls.append(1) or eigvalsh(q))
+    q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    oracle = QuadraticObjective(q, np.zeros(2))
+    assert len(calls) == 1
+    assert oracle.m_bound(2) == eigvalsh(q).max()
+    assert [oracle.m_bound(k) for k in range(3, 9)] == [0.0] * 6
 
 
 def test_call_counters():

@@ -536,5 +536,7 @@ def test_outer_trace_csv_and_summary():
     for key in ("mode", "status", "iterations", "final_gap", "fitted_slope", "p", "h", "beta"):
         assert key in s
     assert s["iterations"] == 12
-    # fewer than two usable points inside the fit window gives nan
-    assert np.isnan(t1.fitted_slope(50, 100))
+    # fewer than two usable points at k in [10, 100] give nan: k = 10 alone
+    short = ihopp_run(prob, cfg, provider, eps=-1.0, max_k=10)
+    assert [r.k for r in short.rows if 10 <= r.k <= 100] == [10]
+    assert np.isnan(short.fitted_slope())

@@ -87,6 +87,14 @@ def test_m_bounds_dominate_sampled_tensors(name):
         assert worst <= m + 1e-9
 
 
+@pytest.mark.parametrize("name,passes", [("neglog-sep", 12), ("logistic-sep-3d", 8)])
+def test_reference_solvers_form_one_residual_pass_per_iterate(name, passes, residual_passes):
+    # f, grad f and the Hessian of each Newton iterate from one pass, one more
+    # per line-search trial and one for f* at x*
+    get_problem(name)
+    assert len(residual_passes) == passes
+
+
 def test_sample_requires_box():
     prob = get_problem("neglog-sep")
     if prob.sample_lo is not None:
