@@ -16,7 +16,8 @@ so we can see the certificate carve out exactly that window.
 """
 import numpy as np
 
-from hiprox import ProxConfig, acceptable_interval_1d, check_acceptable, exact_prox, get_problem
+from hiprox import (ProxConfig, RegularizedObjective, acceptable_interval_1d, candidates,
+                    check_acceptable, exact_prox, get_problem)
 
 prob = get_problem("linear-nonneg-1d")
 beta = 0.85
@@ -33,14 +34,12 @@ for anchor in (0.6, 1.4):
           % (cert.lhs, beta * cert.rhs, cert.accepted))
     print("  closed-form acceptable window: [%.6f, %.6f]" % interval)
 
-    # scan a grid and confirm the accepted points fill exactly that window
-    accepted = []
-    for x in np.arange(0.0, 2.5, 1e-3):
-        point = np.array([x])
-        target = -(prob.oracle.gradient(point) + abs(x - anchor) ** 2 * (point - av))
-        gx = prob.term.subgradient_select(point, target)
-        if check_acceptable(prob.oracle, prob.term, cfg, av, point, gx).accepted:
-            accepted.append(x)
+    # scan a grid, g at each point nearest -grad f_reg, and confirm the
+    # accepted points fill exactly that window
+    reg = RegularizedObjective(prob.oracle, av, 3, cfg.h)
+    grid = np.arange(0.0, 2.5, 1e-3)[:, None]
+    accepted = [point[0] for point, gx, _ in candidates(reg, prob.term, grid)
+                if check_acceptable(prob.oracle, prob.term, cfg, av, point, gx).accepted]
     print("  grid scan: first accepted %.4f, last accepted %.4f (%d points)"
           % (accepted[0], accepted[-1], len(accepted)))
     print()

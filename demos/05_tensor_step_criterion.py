@@ -15,6 +15,7 @@ import numpy as np
 from hiprox import (
     ProxConfig,
     TaylorModel,
+    candidates,
     check_acceptable,
     get_problem,
     tensor_acceptance_map,
@@ -44,17 +45,12 @@ print("certificate at beta = %.1f: lhs %.3e vs beta*rhs %.3e -> accepted = %s"
 print()
 
 # scan: every criterion-passing point is acceptable, not just the minimizer
-n_pass = n_acc = 0
-window = [np.inf, -np.inf]
-for x in np.linspace(-1.0, 1.5, 2001):
-    point = np.array([x])
-    gx = prob.term.subgradient_select(point, -tm.gradient(point))
-    ok, _, _ = tensor_criterion(tm, prob.term, point, gx, gamma)
-    if not ok:
-        continue
-    n_pass += 1
-    window = [min(window[0], x), max(window[1], x)]
-    n_acc += int(check_acceptable(prob.oracle, prob.term, cfg, anchor, point, gx).accepted)
+grid = np.linspace(-1.0, 1.5, 2001)[:, None]
+passing = [(point, gx) for point, gx, at in candidates(tm, prob.term, grid)
+           if tensor_criterion(at, gx, gamma)[0]]
+n_pass = len(passing)
+n_acc = sum(check_acceptable(prob.oracle, prob.term, cfg, anchor, point, gx).accepted
+            for point, gx in passing)
 print("grid scan over [-1, 1.5]: %d criterion-passing points in [%.4f, %.4f]"
-      % (n_pass, window[0], window[1]))
+      % (n_pass, passing[0][0][0], passing[-1][0][0]))
 print("of these, %d/%d are accepted by the certificate" % (n_acc, n_pass))

@@ -22,6 +22,7 @@ from .bregman import (
     ScalingFunction,
     bilevel_h,
     bregman_distance,
+    candidates,
     hat_l_sampled,
     relative_constants,
     relative_sandwich_check,
@@ -116,6 +117,7 @@ __all__ = [
     "biopt_run",
     "bound_evaluator",
     "bregman_distance",
+    "candidates",
     "certificate_inequalities",
     "check_acceptable",
     "coefficients",

@@ -155,6 +155,21 @@ class RegularizedObjective(AnchoredModel):
         return self.oracle.evaluate(x, hessian)
 
 
+def candidates(model, term, points):
+    """The candidate pairs (T, g) of a scan over ``points``, from one model pass each.
+
+    Yields (T, g, at) per point T: ``at = model.with_part(T)``, and g the
+    subgradient of psi at T nearest -grad model(T). With f_reg
+    (``RegularizedObjective``) ``at[0]``'s |d| and grad d are the acceptance
+    certificate's ``power``; with a ``tensor.TaylorModel`` ``at`` holds both
+    gradients that ``tensor_criterion`` compares.
+    """
+    for point in points:
+        point = np.asarray(point, dtype=float)
+        at = model.with_part(point)
+        yield point, term.subgradient_select(point, -at[0][1]), at
+
+
 @dataclass
 class RelativeConstants:
     xi: float

@@ -8,7 +8,9 @@ Subcommands:
     list-problems  show the catalog
 
 `run` writes outer.csv, inner_k<k>.csv (when the run used the Bregman inner
-loop), summary.json, and scan.csv for the two example modes. Exit codes:
+loop), summary.json, and scan.csv for the two example modes, which scan
+their grid through ``bregman.candidates`` (example1 over f_reg, example2
+over the augmented Taylor model). Exit codes:
 0 converged / clean finish, 1 bad configuration or unknown problem,
 2 iteration limit, 3 numerical failure. Identical configs produce
 byte-identical CSVs: every trace and scan CSV goes through one writer,
@@ -21,13 +23,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .acceptance import ProxConfig, acceptable_interval_1d, check_acceptable
-from .bregman import RegularizedObjective, bilevel_h
+from .bregman import RegularizedObjective, bilevel_h, candidates
 from .errors import CertificateError, NumericalError, ParameterError
 from .inner import csv_text
 from .outer import (
@@ -89,17 +91,36 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = set(RunConfig().__dict__)
+# the JSON values each field takes, by its annotation (a string: annotations are
+# postponed in this module); true and false are not ints here
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def load_config(path, overrides):
-    """Flat JSON config file plus command-line overrides."""
+    """Flat JSON config file plus command-line overrides.
+
+    ValueError for a file that cannot be read, is not one JSON object, or
+    holds an unknown key or a value of another type than its field's (null
+    only where the default is None).
+    """
     data = {}
     if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError("cannot read config file: %s" % exc) from None
+        if not isinstance(data, dict):
+            raise ValueError("config file %s is not a JSON object" % path)
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+        for field in fields(RunConfig):
+            value = data.get(field.name, field.default)
+            if (value is not None or field.default is not None) and (
+                    isinstance(value, bool) or not isinstance(value, _JSON_TYPES[field.type])):
+                raise ValueError("config key %r must be of type %s, not %s"
+                                 % (field.name, field.type, json.dumps(value)))
     data.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**data).validate()
 
@@ -212,17 +233,14 @@ def _run_example1(cfg):
     anchors = (0.6, 1.4)
     rows = []
     endpoints = {}
+    grid = np.arange(0.0, 2.5 + 1e-12, 1e-4)[:, None]
     for anchor in anchors:
         av = np.array([anchor])
         reg = RegularizedObjective(prob.oracle, av, 3, h)
-        for t in np.arange(0.0, 2.5 + 1e-12, 1e-4):
-            point = np.array([t])
-            # g and the certificate's power term from one pass at the point
-            _, grad, _, radius, _, d_grad = reg.evaluate(point)
-            g = prob.term.subgradient_select(point, -grad)
+        for point, g, (at, _) in candidates(reg, prob.term, grid):
             cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g,
-                                    power=(radius, d_grad))
-            rows.append((anchor, t, g[0], cert.lhs, cert.rhs, int(cert.accepted)))
+                                    power=(at[3], at[5]))
+            rows.append((anchor, point[0], g[0], cert.lhs, cert.rhs, int(cert.accepted)))
         interval = acceptable_interval_1d(pcfg, anchor)
         endpoints["anchor=%s" % repr(float(anchor))] = list(interval) if interval else None
     columns = ("anchor", "point", "subgradient", "lhs", "rhs", "accepted")
@@ -247,14 +265,14 @@ def _run_example2(cfg):
     out = _outdir(cfg)
     rows = []
     n_pass = n_accept = 0
-    for t in np.linspace(-1.0, 1.5, 2001):
-        point = np.array([t])
-        g = prob.term.subgradient_select(point, -tm.gradient(point))
-        ok, lhs, rhs = tensor_criterion(tm, prob.term, point, g, gamma)
-        cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g)
+    for point, g, at in candidates(tm, prob.term, np.linspace(-1.0, 1.5, 2001)[:, None]):
+        ok, lhs, rhs = tensor_criterion(at, g, gamma)
+        # the model's power term is the certificate's: same anchor and p
+        cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g,
+                                power=(at[0][3], at[0][5]))
         n_pass += int(ok)
         n_accept += int(ok and cert.accepted)
-        rows.append((t, g[0], lhs, rhs, int(ok), cert.lhs, cert.rhs, int(cert.accepted)))
+        rows.append((point[0], g[0], lhs, rhs, int(ok), cert.lhs, cert.rhs, int(cert.accepted)))
     columns = ("point", "subgradient", "crit_lhs", "crit_rhs", "criterion_ok", "cert_lhs",
                "cert_rhs", "accepted")
     (out / "scan.csv").write_text(csv_text(columns, rows))
@@ -297,8 +315,9 @@ def rates_command(args):
 
 
 def _rate_row(name, mode, p, levels, max_outer):
+    """One table row: N/A in every column without f* or a finite positive M_{p+1}."""
     prob = get_problem(name)
-    if prob.f_star is None:
+    if prob.f_star is None or not 0.0 < prob.m_next(p) < np.inf:
         return [name, mode, str(p), "N/A", "N/A", "N/A", "N/A", "N/A"]
     cfg = RunConfig(problem=name, mode=mode, p=p, eps=min(levels),
                     max_outer=max_outer).validate()

@@ -73,20 +73,20 @@ def tensor_step(tm, term, gamma):
         raise ParameterError("gamma must be >= 0")
     t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True), term, tm.anchor,
                              CRITERION_SLACK)
-    ok, lhs, rhs = tensor_criterion(tm, term, t, g, gamma)
+    ok, lhs, rhs = tensor_criterion(tm.with_part(t), g, gamma)
     return t, g, ok, lhs, rhs
 
 
-def tensor_criterion(tm, term, y, g, gamma):
-    """Evaluate the inexactness criterion at an arbitrary candidate pair.
+def tensor_criterion(at, g, gamma):
+    """Evaluate the inexactness criterion at a candidate pair (y, g).
 
-    Returns (ok, lhs, rhs) with lhs the augmented-gradient residual and rhs
-    the model residual the criterion compares against; ok allows an additive
-    ``CRITERION_SLACK``.
+    ``at`` is the Taylor model's pass at y, ``tm.with_part(y)`` (as
+    ``bregman.candidates`` yields it). Returns (ok, lhs, rhs) with lhs the
+    augmented-gradient residual and rhs the model residual the criterion
+    compares against; ok allows an additive ``CRITERION_SLACK``.
     """
-    y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
-    augmented, model = tm.with_part(y)
+    augmented, model = at
     lhs = norm(augmented[1] + g)
     rhs = norm(model[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs

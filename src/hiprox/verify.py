@@ -19,6 +19,7 @@ from .bregman import (
     ScalingFunction,
     bilevel_h,
     bregman_distance,
+    candidates,
     hat_l_sampled,
     relative_constants,
     relative_sandwich_check,
@@ -570,47 +571,34 @@ def suite_tensor(seed=0):
     # beta = (M4 + gamma M)/((1-gamma) M - M4) holds at every passing point
     # (Lemma 2's bound, ``lemma2_bound_check``).
     # The anchor and the grid around it and x* = 0 (kink included) are seeded;
-    # for |anchor| < 0.6 the region shrinks to the kink
+    # for |anchor| < 0.6 the region shrinks to the kink. Each row reads inf
+    # when no grid point passes the criterion
     gamma = 8.0 / 19.0
     anchor = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.7, 1.5)])
     a0 = float(anchor[0])
     grid = np.append(rng.uniform(min(a0, 0.0) - 0.5, max(a0, 0.0) + 0.5, 2000), 0.0)
-    m_lvl = 1.9 * m4
-    tm_lvl = TaylorModel(oracle, anchor, 3, m_lvl)
-    passing = 0
-    worst = -np.inf
-    for t in grid:
-        point = np.array([t])
-        g = term.subgradient_select(point, -tm_lvl.gradient(point))
-        ok, _, _ = tensor_criterion(tm_lvl, term, point, g, gamma)
-        if ok:
-            passing += 1
+    tm_lvl = TaylorModel(oracle, anchor, 3, 1.9 * m4)
+    margins = []
+    for point, g, at in candidates(tm_lvl, term, grid[:, None]):
+        if tensor_criterion(at, g, gamma)[0]:
             lhs, bound, _ = lemma2_bound_check(tm_lvl, point, g, gamma, m4)
-            worst = max(worst, lhs - bound - ACCEPT_SLACK)
-    if passing == 0:
-        worst = np.inf
-    results.append(
-        CheckResult("tensor", "criterion region maps to acceptance", worst, 1e-12)
-    )
+            margins.append(lhs - bound - ACCEPT_SLACK)
+    results.append(CheckResult("tensor", "criterion region maps to acceptance",
+                               max(margins, default=np.inf), 1e-12))
 
     # with (M, H) chosen for a target beta, criterion passing implies accepted
     beta = 0.9
     m_map, h_map = tensor_acceptance_map(3, beta, gamma, m4)
     cfg = ProxConfig(3, h_map, beta)
     tm_map = TaylorModel(oracle, anchor, 3, m_map)
-    passing = 0
-    worst = -np.inf
-    for t in grid:
-        point = np.array([t])
-        g = term.subgradient_select(point, -tm_map.gradient(point))
-        ok, _, _ = tensor_criterion(tm_map, term, point, g, gamma)
-        if ok:
-            passing += 1
-            cert = check_acceptable(oracle, term, cfg, anchor, point, g)
-            worst = max(worst, cert.lhs - cfg.beta * cert.rhs)
-    if passing == 0:
-        worst = np.inf
-    results.append(CheckResult("tensor", "target-beta map acceptance", worst, 1e-12))
+    margins = []
+    for point, g, at in candidates(tm_map, term, grid[:, None]):
+        if tensor_criterion(at, g, gamma)[0]:
+            cert = check_acceptable(oracle, term, cfg, anchor, point, g,
+                                    power=(at[0][3], at[0][5]))
+            margins.append(cert.lhs - cfg.beta * cert.rhs)
+    results.append(CheckResult("tensor", "target-beta map acceptance",
+                               max(margins, default=np.inf), 1e-12))
 
     t_step, g_step, ok, _, _ = tensor_step(tm_map, term, gamma)
     cert = check_acceptable(oracle, term, cfg, anchor, t_step, g_step)
@@ -630,7 +618,7 @@ def suite_tensor(seed=0):
     worst = -np.inf if run.status == "converged" else np.inf
     for cert in run.certificates:
         tm_run = TaylorModel(prob.oracle, cert.anchor, 3, m_map)
-        _, lhs, rhs = tensor_criterion(tm_run, prob.term, cert.point, cert.subgradient, gamma)
+        _, lhs, rhs = tensor_criterion(tm_run.with_part(cert.point), cert.subgradient, gamma)
         worst = max(worst, lhs - gamma / (1.0 + gamma) * rhs, certificate_violation(cert, cfg))
     results.append(CheckResult("tensor", "logistic-sep-3d accelerated tensor steps", worst, 1e-10))
     return results

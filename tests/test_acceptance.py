@@ -4,7 +4,7 @@ Each test prints one PASS/FAIL line; run with -s (or read captured output)
 to see the full scoreboard including measured margins and runtimes.
 """
 
-import functools
+import json
 import math
 import time
 
@@ -25,17 +25,10 @@ from hiprox import (
     relative_constants,
 )
 from hiprox.acceptance import certificate_inequalities
-from hiprox.verify import run_suite
 from references import fd_check
 
 # (certificate, config) pairs accumulated across the runs in this module
 CERT_STORE = []
-
-
-@functools.lru_cache(maxsize=None)
-def _suite_rows(name):
-    """The rows of one property suite at seed 0, run once per module."""
-    return tuple(run_suite(name, seed=0))
 
 
 def _scoreboard(num, ok, detail):
@@ -149,7 +142,7 @@ def test_04_certificate_inequalities_everywhere():
     )
 
 
-def test_05_relative_sandwich():
+def test_05_relative_sandwich(suite_rows):
     names = [name for name, _desc in __import__("hiprox").list_problems()]
     for name in names:
         m3 = get_problem(name).m_next(3)
@@ -157,7 +150,7 @@ def test_05_relative_sandwich():
             m3 = 1.0  # degenerate declared sup; any positive bound is valid
         rc = relative_constants(3, bilevel_h(3, m3), m3)
         np.testing.assert_allclose((rc.xi, rc.mu, rc.lsmooth), (2.0, 0.5, 1.5))
-    results = [r for r in _suite_rows("sandwich") if " values (p=" in r.name]
+    results = [r for r in suite_rows("sandwich") if " values (p=" in r.name]
     assert {"%s values (p=3)" % name for name in names} <= {r.name for r in results}
     worst = max(r.violation for r in results)
     _scoreboard(
@@ -167,32 +160,28 @@ def test_05_relative_sandwich():
     )
 
 
-def test_06_inner_loop_descent_contraction_logfit():
+def test_06_inner_loop_descent_contraction_logfit(suite_rows):
     wanted = ("inner descent inequality", "inner contraction", "iteration log fit")
-    results = [r for r in run_suite("bregman", seed=0) if r.name in wanted]
+    results = [r for r in suite_rows("bregman") if r.name in wanted]
     assert len(results) == len(wanted)
     ok = all(r.passed for r in results)
     detail = "; ".join("%s %.2e" % (r.name, r.violation) for r in results)
     _scoreboard(6, ok, detail)
 
 
-def test_07_acceptance_region_scan():
+def test_07_acceptance_region_scan(example_run):
+    # the closed-form window against the accepted points of `hiprox run --mode example1`
     prob = get_problem("linear-nonneg-1d")
     h, beta = 1.0, 0.85
-    cfg = ProxConfig(3, h, beta)
+    out = example_run("example1")
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["h"], summary["beta"]) == (h, beta)
+    scan = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1)
     endpoint_err = 0.0
     for anchor in (0.6, 1.4):
         lo = max(0.0, anchor - (1.0 + beta) ** (1.0 / 3.0))
         hi = anchor - (1.0 - beta) ** (1.0 / 3.0)
-        accepted = []
-        av = np.array([anchor])
-        for t in np.arange(0.0, 2.5 + 1e-12, 1e-4):
-            point = np.array([t])
-            target = -(prob.oracle.gradient(point) + h * abs(t - anchor) ** 2 * (point - av))
-            g = prob.term.subgradient_select(point, target)
-            cert = check_acceptable(prob.oracle, prob.term, cfg, av, point, g)
-            if cert.accepted:
-                accepted.append(t)
+        accepted = scan[(scan[:, 0] == anchor) & (scan[:, 5] == 1), 1]
         endpoint_err = max(
             endpoint_err, abs(accepted[0] - lo), abs(accepted[-1] - hi)
         )
@@ -215,14 +204,14 @@ def test_07_acceptance_region_scan():
     )
 
 
-def test_08_tensor_criterion_region():
+def test_08_tensor_criterion_region(suite_rows):
     m4, gamma = 24.0, 8.0 / 19.0
     m_scaled = 1.9 * m4
     beta_level = (m4 + gamma * m_scaled) / ((1.0 - gamma) * m_scaled - m4)
     h_level = m_scaled / math.factorial(3)
     np.testing.assert_allclose((beta_level, h_level), (18.0, 7.6), rtol=1e-12)
     # the row reports inf when no grid point passes the criterion
-    [row] = [r for r in _suite_rows("tensor") if r.name == "criterion region maps to acceptance"]
+    [row] = [r for r in suite_rows("tensor") if r.name == "criterion region maps to acceptance"]
     _scoreboard(
         8,
         row.violation <= 0.0,
@@ -231,12 +220,12 @@ def test_08_tensor_criterion_region():
     )
 
 
-def test_09_scaling_hessian_and_odd_bracket():
+def test_09_scaling_hessian_and_odd_bracket(suite_rows):
     # The odd-derivative bracket is checked against each problem's declared
     # derivative bound with no extra cushion (see verify.suite_sandwich for
     # its derivation from convexity on y +- xi h), at p = 3, 4, 5, including
     # the pure quartics with M = 0 (where it is tight).
-    rows = {r.name: r for r in _suite_rows("sandwich")}
+    rows = {r.name: r for r in suite_rows("sandwich")}
     names = [name for name, _desc in __import__("hiprox").list_problems()]
     print("    %-18s %-12s %-12s" % ("problem", "-min d2rho", "bracket"))
     worst_overall = -np.inf

@@ -7,30 +7,17 @@ Its ``inner.solves`` row counts ``inner_solve`` calls through the binding in
 ``outer``, whatever arguments the provider passes.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from hiprox import ProxConfig, bilevel_h, get_problem, inner_solve, outer, relative_constants
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_counts_prox_newton_steps():
+def test_tracer_counts_prox_newton_steps(bench_module):
     prob = get_problem("quartic-1d")
     m = prob.m_next(3)
     h = bilevel_h(3, m)
     cfg = ProxConfig(p=3, h=h, beta=1.0 / 3.0)
     rc = relative_constants(3, h, m)
-    tracer = _load_spans().Tracer()
+    tracer = bench_module("spans").Tracer()
     tracer.install()
     try:
         res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
@@ -44,7 +31,7 @@ def test_tracer_counts_prox_newton_steps():
 
 
 @pytest.mark.parametrize("provider_kind", ["exact", "tensor"])
-def test_exact_prox_and_tensor_steps_feed_no_bregman_step_rows(provider_kind):
+def test_exact_prox_and_tensor_steps_feed_no_bregman_step_rows(provider_kind, bench_module):
     # the exact prox and the tensor step share prox-Newton with the Bregman
     # step, but only StepSolver.step counts as an inner step, and nothing
     # reaches the bisection any more
@@ -55,7 +42,7 @@ def test_exact_prox_and_tensor_steps_feed_no_bregman_step_rows(provider_kind):
     else:
         provider, cfg = outer.tensor_prox_provider(prob.oracle, prob.term, 3, 0.9, 8.0 / 19.0,
                                                    prob.m_next(3))
-    tracer = _load_spans().Tracer()
+    tracer = bench_module("spans").Tracer()
     tracer.install()
     try:
         trace = outer.ihopp_run(prob, cfg, provider, eps=1e-8, max_k=100)
@@ -68,10 +55,10 @@ def test_exact_prox_and_tensor_steps_feed_no_bregman_step_rows(provider_kind):
     assert not [name for name in calls if name.startswith("univariate.")]
 
 
-def test_tracer_counts_one_coefficient_pair_per_bilevel_step():
+def test_tracer_counts_one_coefficient_pair_per_bilevel_step(bench_module):
     # the bench's outer.steps row counts outer.coefficients calls
     prob = get_problem("neglog-sep")
-    tracer = _load_spans().Tracer()
+    tracer = bench_module("spans").Tracer()
     tracer.install()
     try:
         trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)
@@ -84,11 +71,11 @@ def test_tracer_counts_one_coefficient_pair_per_bilevel_step():
     assert calls.get("outer.inner_prox_provider", 0) == 1
 
 
-def test_tracer_counts_one_inner_solve_per_bilevel_step():
+def test_tracer_counts_one_inner_solve_per_bilevel_step(bench_module):
     # the provider passes the start T_{k-1} to inner_solve; the wrapper in
     # outer must still see every solve once, and every step under it
     prob = get_problem("neglog-sep")
-    tracer = _load_spans().Tracer()
+    tracer = bench_module("spans").Tracer()
     tracer.install()
     try:
         trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)
@@ -103,11 +90,11 @@ def test_tracer_counts_one_inner_solve_per_bilevel_step():
                                                          for r in trace.rows[1:]) + backtracks
 
 
-def test_tracer_sees_the_array_family_methods():
+def test_tracer_sees_the_array_family_methods(bench_module):
     # the tracer wraps the family methods named value and derivative; on
     # arrays each call covers one residual vector, so the rows stay non-zero
     prob = get_problem("neglog-sep")
-    tracer = _load_spans().Tracer()
+    tracer = bench_module("spans").Tracer()
     tracer.install()
     try:
         trace = outer.biopt_run(prob, 3, eps=1e-6, max_k=100)

@@ -11,6 +11,7 @@ from hiprox import (
     ProxConfig,
     RegularizedObjective,
     acceptable_interval_1d,
+    candidates,
     certificate_inequalities,
     check_acceptable,
     exact_prox,
@@ -122,14 +123,9 @@ def test_acceptable_interval_matches_grid_scan():
         av = np.array([anchor])
         interval = acceptable_interval_1d(cfg, anchor)
         grid = np.arange(0.0, 2.5, 1e-3)
-        accepted = []
-        for t in grid:
-            point = np.array([t])
-            target = -(prob.oracle.gradient(point) + cfg.h * abs(t - anchor) ** 2 * (point - av))
-            g = prob.term.subgradient_select(point, target)
-            cert = check_acceptable(prob.oracle, prob.term, cfg, av, point, g)
-            accepted.append(cert.accepted)
-        accepted = np.asarray(accepted)
+        reg = RegularizedObjective(prob.oracle, av, 3, cfg.h)
+        accepted = np.array([check_acceptable(prob.oracle, prob.term, cfg, av, point, g).accepted
+                             for point, g, _ in candidates(reg, prob.term, grid[:, None])])
         assert interval is not None
         hits = grid[accepted]
         np.testing.assert_allclose(hits[0], max(interval[0], 0.0), atol=2e-3)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiprox import (NumericalError, PowerProx, StepSolver, get_problem, list_problems,
+from hiprox import (NumericalError, PowerProx, ProxConfig, RegularizedObjective, StepSolver,
+                    TaylorModel, candidates, check_acceptable, get_problem, list_problems,
                     relative_constants, verify)
 from hiprox.cli import RunConfig, build_parser, load_config, main
 
@@ -72,45 +73,45 @@ def test_run_bilevel_writes_inner_traces(tmp_path):
     assert summary["status"] == "converged"
 
 
-def test_example1_scan(tmp_path):
-    code = main(["run", "--mode", "example1", "--out", "ex1"])
-    assert code == 0
-    lines = (tmp_path / "ex1" / "scan.csv").read_text().strip().split("\n")
+def test_example1_scan(example_run):
+    # the scan's labels against the closed-form window: test_acceptance's test_07
+    out = example_run("example1")
+    lines = (out / "scan.csv").read_text().strip().split("\n")
     # header plus a 1e-4 grid on [0, 2.5] for each of the two anchors
     assert len(lines) == 1 + 2 * 25001
     assert lines[0] == "anchor,point,subgradient,lhs,rhs,accepted"
-    summary = json.loads((tmp_path / "ex1" / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["beta"] == 0.85
     lo, hi = summary["anchor=1.4"]
     np.testing.assert_allclose(lo, 1.4 - 1.85 ** (1.0 / 3.0), rtol=1e-10)
     np.testing.assert_allclose(hi, 1.4 - 0.15 ** (1.0 / 3.0), rtol=1e-10)
-    # grid labels agree with the closed-form window at grid resolution
-    accepted = [
-        float(row.split(",")[1])
-        for row in lines[1:]
-        if row.startswith("1.4,") and row.endswith(",1")
-    ]
-    assert abs(min(accepted) - lo) <= 1.01e-4
-    assert abs(max(accepted) - hi) <= 1.01e-4
 
 
 def test_example1_scan_forms_the_power_term_once_per_point(monkeypatch):
-    # g and the certificate read one pass's (|d|, grad d) at each grid point
+    # g and the certificate read one f_reg pass's (|d|, grad d) at each point
+    # of the scan, here on a short grid
     calls = []
     terms = PowerProx._terms
+    monkeypatch.setattr(PowerProx, "_terms", lambda pp, *args: calls.append(1) or terms(pp, *args))
+    prob = get_problem("linear-nonneg-1d")
+    anchor = np.array([1.4])
+    reg = RegularizedObjective(prob.oracle, anchor, 3, 1.0)
+    for point, g, (at, _) in candidates(reg, prob.term, np.linspace(0.0, 2.5, 26)[:, None]):
+        check_acceptable(prob.oracle, prob.term, ProxConfig(3, 1.0, 0.85), anchor, point, g,
+                         power=(at[3], at[5]))
+    assert len(calls) == 26
 
-    def counted(self, d, hessian=False):
-        calls.append(1)
-        return terms(self, d, hessian)
 
-    monkeypatch.setattr(PowerProx, "_terms", counted)
-    assert main(["run", "--mode", "example1", "--out", "ex1"]) == 0
-    assert len(calls) == 2 * 25001
-
-
-def test_example2_scan(tmp_path):
-    code = main(["run", "--mode", "example2", "--out", "ex2"])
-    assert code == 0
+def test_example2_scan(tmp_path, monkeypatch):
+    # g, the criterion and the certificate read one Taylor model pass, and so
+    # one power term, at each grid point
+    passes, terms = [], []
+    with_part, power = TaylorModel.with_part, PowerProx._terms
+    monkeypatch.setattr(TaylorModel, "with_part",
+                        lambda tm, *args: passes.append(1) or with_part(tm, *args))
+    monkeypatch.setattr(PowerProx, "_terms", lambda pp, *args: terms.append(1) or power(pp, *args))
+    assert main(["run", "--mode", "example2", "--out", "ex2"]) == 0
+    assert (len(passes), len(terms)) == (2001, 2001)
     summary = json.loads((tmp_path / "ex2" / "summary.json").read_text())
     assert summary["criterion_passing"] > 0
     assert summary["accepted_of_passing"] == summary["criterion_passing"]
@@ -154,14 +155,18 @@ def test_module_entry_point_lists_the_catalog():
 
 
 def test_rates_table(capsys, tmp_path):
+    # quartic-1d declares M_5 = 0, so its p = 4 row has no H: N/A, and the
+    # other rows are still computed
     code = main(["rates", "--problems", "quartic-1d", "--modes", "plain",
-                 "--p", "3", "--max-outer", "60", "--out", "r"])
+                 "--p", "3,4", "--max-outer", "60", "--out", "r"])
     assert code == 0
     out = capsys.readouterr().out
     assert "bound_ok" in out and "yes" in out
     table = (tmp_path / "r" / "rates.csv").read_text().strip().split("\n")
     assert table[0].startswith("problem,mode,p,")
-    assert len(table) == 2
+    assert len(table) == 3
+    assert table[1].endswith(",yes")
+    assert table[2] == "quartic-1d,plain,4" + ",N/A" * 5
 
 
 def test_print_config_and_precedence(tmp_path, capsys):
@@ -175,18 +180,35 @@ def test_print_config_and_precedence(tmp_path, capsys):
     assert shown["mode"] == "plain"
 
 
-def test_config_validation_exit_codes(tmp_path, capsys):
+def test_config_validation_exit_codes(capsys):
     # bilevel mode must derive H itself
     assert main(["run", "--mode", "bilevel", "--h", "3.0"]) == 1
     # p below the quadratic regularization floor
     assert main(["run", "--p", "1"]) == 1
     # unknown problem name
     assert main(["run", "--problem", "nope"]) == 1
-    # unknown config file keys
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"problem": "quartic-1d", "step_size": 0.1}))
-    assert main(["run", "--config", str(bad)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", (
+    (None, "No such file"), ("[1, 2]", "not a JSON object"),
+    ('{"p": "3"}', "'p' must be of type int"), ('{"eps": "x"}', "'eps' must be of type float"),
+    ('{"beta": "0.2"}', "'beta' must be"), ('{"max_outer": 2.5}', "'max_outer' must be"),
+    ('{"p": true}', "'p' must be of type int, not true"),
+    ('{"problem": "quartic-1d", "step_size": 0.1}', "unknown config keys: step_size"),
+))
+def test_bad_config_file_is_refused_in_one_line(text, message, tmp_path, capsys):
+    # exit 1 with one "error:" line, refused before any run writes a file
+    cfg_file = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_file.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("h", ("nan", "inf"))

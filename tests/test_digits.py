@@ -24,9 +24,6 @@ new hashes here and says why in CHANGES.md.
 """
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -77,8 +74,6 @@ def test_catalog_data_keeps_its_digits():
         assert hashlib.sha256("\n".join(data).encode()).hexdigest() == digest, name
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
 # (outer steps, inner steps, prox-Newton iterations, sha256 of the CSV)
 SYNTHETIC = {
     "neglog-box-100": (11, 20, 83,
@@ -88,18 +83,9 @@ SYNTHETIC = {
 }
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", list(SYNTHETIC))
-def test_synthetic_csv_keeps_its_digits_and_counts(name):
-    wl = _load_workloads()
+def test_synthetic_csv_keeps_its_digits_and_counts(name, bench_module):
+    wl = bench_module("workloads")
     make = {"neglog-box-100": lambda: wl.neglog_box(100, 0),
             "logistic-l1-10": lambda: wl.logistic_l1(10, 0)}[name]
     problem = make()
@@ -120,10 +106,8 @@ SCAN_SHA256 = {
 
 
 @pytest.mark.parametrize("mode", list(SCAN_SHA256))
-def test_cli_scan_keeps_its_bytes(mode, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "--mode", mode, "--out", "scan"]) == 0
-    digest = hashlib.sha256((tmp_path / "scan" / "scan.csv").read_bytes()).hexdigest()
+def test_cli_scan_keeps_its_bytes(mode, example_run):
+    digest = hashlib.sha256((example_run(mode) / "scan.csv").read_bytes()).hexdigest()
     assert digest == SCAN_SHA256[mode]
 
 
@@ -168,5 +152,5 @@ def test_cli_run_replaces_an_earlier_runs_files(tmp_path, monkeypatch):
     assert hashlib.sha256((out / "outer.csv").read_bytes()).hexdigest() == outer_digest
     joined = b"".join(path.read_bytes() for path in inner)
     assert hashlib.sha256(joined).hexdigest() == inner_digest
-    assert main(["run", "--mode", "example1", "--out", "run"]) == 0
+    assert main(["run", "--mode", "example2", "--out", "run"]) == 0
     assert sorted(path.name for path in out.iterdir()) == ["scan.csv", "summary.json"]

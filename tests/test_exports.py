@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # owner.method -> "module:function" in src/hiprox that calls that owner's method
 SHARED = {
     "AnchoredModel.evaluate": "inner:exact_prox",
-    "AnchoredModel.gradient": "cli:_run_example2",
+    "AnchoredModel.gradient": "verify:suite_tensor",
     "AnchoredModel.hessian_matrix": "verify:suite_sandwich",
     "AnchoredModel.value": "bregman:bregman_distance",
     "EstimatingState.value": "outer:aihopp_run",

@@ -1,9 +1,6 @@
 """Outer loops: coefficient schedules, estimating sequences, rate bounds."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +31,6 @@ from hiprox import (
 from hiprox import outer as outer_module
 from hiprox.metric import norm
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_coefficients_accelerated_frozen():
@@ -66,6 +62,8 @@ def test_coefficients_validation():
         coefficients(3, 2, None, 1.0)
     with pytest.raises(ParameterError):
         coefficients(3, 2, 0.3, None)
+    with pytest.raises(ParameterError, match="the clock tick must be positive"):
+        coefficients(3, 2, 0.3, 1.0, tick=0.0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -280,22 +278,13 @@ def test_biopt_run_adapts_m_below_the_declared_bound(name, p):
     assert np.all(margins >= -1e-8)
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses resolve their annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload, label", [("catalog-p3", "quartic-sep-10d/p3"),
                                              ("l1-logistic", "logistic-l1-10/p3")],
                          ids=["quartic-sep-10d", "logistic-l1-10"])
-def test_biopt_run_solves_the_bench_cells_within_budget(workload, label):
+def test_biopt_run_solves_the_bench_cells_within_budget(workload, label, bench_module):
     # at the declared M, quartic-sep-10d/p3 stops at the 200-step budget
     # (gap 4.2e-6) and logistic-l1-10/p3 raises a prox-Newton residual error
-    wl = _bench_workloads()
+    wl = bench_module("workloads")
     cell, = [c for c in wl.WORKLOADS[workload].build(np.random.default_rng(0))
              if c.label == label]
     wl.add_references([cell])
@@ -461,6 +450,9 @@ def test_tensor_provider_drives_plain_loop():
     trace = ihopp_run(prob, cfg, provider, eps=1e-8, max_k=400)
     assert trace.status == "converged"
     assert all(r.inner_iters == 1 for r in trace.rows[1:])
+    # (M, H) holds at the declared M only, so the provider refuses an adaptive scale
+    with pytest.raises(ParameterError, match="acceptable at the declared M only"):
+        provider(prob.x0, None, 0.5)
 
 
 def test_tensor_provider_raises_when_its_step_fails_the_criterion(monkeypatch):

@@ -204,6 +204,8 @@ def test_logistic_value_and_first_derivatives():
     assert fam.derivative(t, 1) == pytest.approx(s, abs=1e-9)
     # f'' = s(1-s) peaks at 1/4
     assert fam.derivative(np.array([0.0]), 2) == pytest.approx([0.25])
+    with pytest.raises(ParameterError, match="derivative order must be >= 1"):
+        fam.derivative(t, 0)
 
 
 def test_logistic_fd():

@@ -10,6 +10,7 @@ from hiprox import (
     ProxConfig,
     SeparableObjective,
     TaylorModel,
+    candidates,
     check_acceptable,
     convexity_threshold,
     get_problem,
@@ -90,11 +91,13 @@ def test_taylor_model_evaluates_each_order_once(p):
 
 
 def test_taylor_model_validation():
-    oracle, _ = _quartic_abs()
+    oracle, term = _quartic_abs()
     with pytest.raises(ParameterError):
         TaylorModel(oracle, np.array([0.0]), 0, 1.0)
     with pytest.raises(ParameterError):
         TaylorModel(oracle, np.array([0.0]), 3, -1.0)
+    with pytest.raises(ParameterError, match="gamma must be >= 0"):
+        tensor_step(TaylorModel(oracle, np.array([0.0]), 3, 1.0), term, -0.1)
 
 
 def test_convexity_threshold():
@@ -124,9 +127,8 @@ def test_linear_objective_step_closed_form():
 def test_tensor_criterion_return_order_and_slack():
     oracle, term = _quartic_abs()
     tm = TaylorModel(oracle, np.array([0.8]), 3, 45.6)
-    point = np.array([0.4])
-    g = term.subgradient_select(point, -tm.gradient(point))
-    ok, lhs, rhs = tensor_criterion(tm, term, point, g, 8.0 / 19.0)
+    [(point, g, at)] = candidates(tm, term, [[0.4]])
+    ok, lhs, rhs = tensor_criterion(at, g, 8.0 / 19.0)
     assert isinstance(ok, (bool, np.bool_))
     np.testing.assert_allclose(
         lhs, abs(float(tm.gradient(point)[0] + g[0])), rtol=1e-12
@@ -180,14 +182,11 @@ def test_criterion_region_nonempty_and_accepted():
     np.testing.assert_allclose(beta_level, 18.0, rtol=1e-12)
     tm = TaylorModel(oracle, np.array([0.8]), 3, m)
     passing = 0
-    for t in np.linspace(-1.0, 1.5, 501):
-        point = np.array([t])
-        g = term.subgradient_select(point, -tm.gradient(point))
-        ok, _, _ = tensor_criterion(tm, term, point, g, gamma)
-        if ok:
+    for point, g, at in candidates(tm, term, np.linspace(-1.0, 1.5, 501)[:, None]):
+        if tensor_criterion(at, g, gamma)[0]:
             passing += 1
             res = float(oracle.gradient(point)[0] + g[0])
-            reg = res + h * abs(t - 0.8) ** 2 * (t - 0.8)
+            reg = res + h * abs(point[0] - 0.8) ** 2 * (point[0] - 0.8)
             assert abs(reg) <= beta_level * abs(res) + 1e-12
     assert passing > 0
 
@@ -200,16 +199,11 @@ def test_target_beta_map_chain():
     cfg = ProxConfig(3, h, 0.9)
     anchor = np.array([0.8])
     tm = TaylorModel(oracle, anchor, 3, m)
-    passing = 0
-    for t in np.linspace(-1.0, 1.5, 501):
-        point = np.array([t])
-        g = term.subgradient_select(point, -tm.gradient(point))
-        ok, _, _ = tensor_criterion(tm, term, point, g, gamma)
-        if ok:
-            passing += 1
-            cert = check_acceptable(oracle, term, cfg, anchor, point, g)
-            assert cert.accepted
-    assert passing > 0
+    grid = np.linspace(-1.0, 1.5, 501)[:, None]
+    passing = [(point, g) for point, g, at in candidates(tm, term, grid)
+               if tensor_criterion(at, g, gamma)[0]]
+    assert passing
+    assert all(check_acceptable(oracle, term, cfg, anchor, t, g).accepted for t, g in passing)
     t, g, ok, _, _ = tensor_step(tm, term, gamma)
     assert ok
     assert check_acceptable(oracle, term, cfg, anchor, t, g).accepted

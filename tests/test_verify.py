@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hiprox import AnchorStack, get_problem
-from hiprox.verify import (SUITES, _odd_bracket_violation, _segment_points, suite_bregman,
-                           suite_sandwich)
+from hiprox.verify import _odd_bracket_violation, _segment_points, run_suite, suite_sandwich
 
 
 def test_unit_weight_bracket_counterexample_at_p4():
@@ -75,8 +74,8 @@ def test_sandwich_suite_holds_across_seeds(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_bregman_suite_holds_across_seeds(seed):
-    results = suite_bregman(seed)
+def test_bregman_suite_holds_across_seeds(seed, suite_rows):
+    results = suite_rows("bregman", seed)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
     # signed margins: a row that holds with room reports a negative number
@@ -96,8 +95,8 @@ _TIGHT_ROWS = {"quartic-1d exact prox", "quartic-abs-1d exact prox",
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("suite", ["lemma1", "estseq", "theta", "tensor"])
-def test_suite_reports_signed_margins_across_seeds(suite, seed):
-    results = SUITES[suite](seed)
+def test_suite_reports_signed_margins_across_seeds(suite, seed, suite_rows):
+    results = suite_rows(suite, seed)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
     for r in results:
@@ -117,12 +116,17 @@ _SEEDED_ROWS = {"estseq": ("key inequality A_k F(x_k) <= Psi_k*", "coefficient g
 
 
 @pytest.mark.parametrize("suite", sorted(_SEEDED_ROWS))
-def test_seeded_rows_move_with_the_seed(suite):
+def test_seeded_rows_move_with_the_seed(suite, suite_rows):
     # each seed checks these rows on its own draws, each with room
     margins = {}
     for seed in range(5):
-        for r in SUITES[suite](seed):
+        for r in suite_rows(suite, seed):
             margins.setdefault(r.name, []).append(r.violation)
     for name in _SEEDED_ROWS[suite]:
         assert len(set(margins[name])) == 5, (name, margins[name])
         assert max(margins[name]) < 0.0, (name, margins[name])
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
