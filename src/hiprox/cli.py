@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError("bilevel mode runs at beta = 1/p; drop the explicit beta")
         if self.p < 2:
             raise ValueError("p must be at least 2")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
         if np.isnan(self.eps):
             # gap <= nan never holds, so every run would end at max_outer
             raise ValueError("eps must be a number, not nan")

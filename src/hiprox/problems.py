@@ -7,9 +7,12 @@ dimension, damped Newton, projected Newton on boxes, and the secular
 trust-region solve for the ball-constrained quadratic; each Newton iterate
 costs one ``evaluate``. M bounds come from each family's own sup
 (``ScalarFamily.derivative_sup``). Construction is deterministic (fixed
-seeds), so reference values are bit-stable run to run. The one-dimensional
-grid minimizer and level-set radius that tests check the catalog against
-live in ``tests/references.py``.
+seeds), so reference values are bit-stable run to run. Each of the three
+solves, with f* at its x*, therefore runs once per process, on the problem's
+first build (``_reference``). Every build still makes its own oracle, term,
+M bounds, x0 and ``m_override``, and gets its own copy of x*. The
+one-dimensional grid minimizer and level-set radius that tests check the
+catalog against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -147,6 +150,23 @@ def trs_reference(q, c, radius):
 
 # -- catalog -----------------------------------------------------------------
 
+# (x*, f*) of each catalog problem that needs a reference solve, by name,
+# filled on the problem's first build and shared by every later one
+_REFERENCES = {}
+
+
+def _reference(name, solve):
+    """(x*, f*) of catalog problem ``name``: ``solve()``'s pair, computed once per process.
+
+    Each call returns its own copy of x*, so a build that writes into its
+    x* leaves every other build's unchanged.
+    """
+    if name not in _REFERENCES:
+        _REFERENCES[name] = solve()
+    x_star, f_star = _REFERENCES[name]
+    return x_star.copy(), f_star
+
+
 def _orthonormal(a, b, family, orders):
     """Orthonormal rows a: sum_i <a_i, h>^k <= 1 on |h| = 1 (k >= 2), so M_k = sup |f^(k)|."""
     oracle = SeparableObjective(a, b, make_family(family))
@@ -234,8 +254,12 @@ def _ball_quadratic():
     direction /= np.linalg.norm(direction)
     c = -q @ (1.8 * direction)
     oracle = QuadraticObjective(q, c)
-    x_star, _ = trs_reference(q, c, 1.0)
-    f_star = float(0.5 * x_star @ q @ x_star + c @ x_star)
+
+    def solve():
+        x, _ = trs_reference(q, c, 1.0)
+        return x, float(0.5 * x @ q @ x + c @ x)
+
+    x_star, f_star = _reference("ball-quadratic", solve)
     return Problem(
         name="ball-quadratic",
         oracle=oracle,
@@ -271,13 +295,18 @@ def _neglog_sep():
         sup = sum(oracle.family.derivative_sup(order, t_lo[i], t_hi[i]) * norms[i] ** order
                   for i in range(rows))
         oracle.m_bounds[order] = 1.1 * sup
-    x_star = box_newton_reference(oracle, lo, hi, np.zeros(n))
+
+    def solve():
+        x = box_newton_reference(oracle, lo, hi, np.zeros(n))
+        return x, float(oracle.value(x))
+
+    x_star, f_star = _reference("neglog-sep", solve)
     return Problem(
         name="neglog-sep",
         oracle=oracle,
         term=make_term("box", lo=lo, hi=hi),
         x0=np.zeros(n),
-        f_star=float(oracle.value(x_star)),
+        f_star=f_star,
         x_star=x_star,
         sample_lo=lo,
         sample_hi=hi,
@@ -298,13 +327,18 @@ def _logistic_sep_3d():
     for order in range(2, 9):
         sup = fam.derivative_sup(order, -50.0, 50.0)
         oracle.m_bounds[order] = 1.1 * float(np.sum(norms ** order)) * sup
-    x_star = newton_reference(oracle, np.zeros(n))
+
+    def solve():
+        x = newton_reference(oracle, np.zeros(n))
+        return x, float(oracle.value(x))
+
+    x_star, f_star = _reference("logistic-sep-3d", solve)
     return Problem(
         name="logistic-sep-3d",
         oracle=oracle,
         term=make_term("zero"),
         x0=np.ones(n),
-        f_star=float(oracle.value(x_star)),
+        f_star=f_star,
         x_star=x_star,
         sample_lo=x_star - 1.0,
         sample_hi=x_star + 1.0,

@@ -109,9 +109,11 @@ def tensor_acceptance_map(p, beta, gamma, m_next):
     return m, m / math.factorial(p)
 
 
-def lemma2_bound_check(tm, y, g, gamma, m_next):
+def lemma2_bound_check(tm, y, g, at, gamma, m_next):
     """Check the residual transfer bound satisfied by criterion-passing steps.
 
+    ``at`` is the Taylor model's pass at y, ``tm.with_part(y)`` (as
+    ``bregman.candidates`` yields it), whose ``at[0][5]`` is grad d(y-x).
     Returns (lhs, bound, ok) with
     lhs   = |grad f(T) + (M/p!) grad d(T-x) + g|_*,
     bound = (M_{p+1} + gamma M)/((1-gamma) M - M_{p+1}) |grad f(T) + g|_*,
@@ -123,7 +125,7 @@ def lemma2_bound_check(tm, y, g, gamma, m_next):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     grad = tm.oracle.gradient(y)
-    lhs = norm(grad + tm.h * tm.evaluate(y)[5] + g)
+    lhs = norm(grad + tm.h * at[0][5] + g)
     rhs = norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

@@ -581,7 +581,7 @@ def suite_tensor(seed=0):
     margins = []
     for point, g, at in candidates(tm_lvl, term, grid[:, None]):
         if tensor_criterion(at, g, gamma)[0]:
-            lhs, bound, _ = lemma2_bound_check(tm_lvl, point, g, gamma, m4)
+            lhs, bound, _ = lemma2_bound_check(tm_lvl, point, g, at, gamma, m4)
             margins.append(lhs - bound - ACCEPT_SLACK)
     results.append(CheckResult("tensor", "criterion region maps to acceptance",
                                max(margins, default=np.inf), 1e-12))

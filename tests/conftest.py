@@ -34,6 +34,14 @@ def residual_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def cold_catalog(monkeypatch):
+    """An empty reference store, so the test's first build of each catalog problem solves x* again."""
+    from hiprox import problems
+
+    monkeypatch.setattr(problems, "_REFERENCES", {})
+
+
 @pytest.fixture(scope="session")
 def example_run(tmp_path_factory):
     """``example_run(mode)``: the directory of ``hiprox run --mode <mode>``, run once a session."""

@@ -188,6 +188,11 @@ def test_config_validation_exit_codes(capsys):
     # unknown problem name
     assert main(["run", "--problem", "nope"]) == 1
     capsys.readouterr()
+    # a run that may take no outer step
+    for max_outer in ("-3", "0"):
+        assert main(["run", "--max-outer", max_outer]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: max_outer must be at least 1"
 
 
 @pytest.mark.parametrize("text, message", (

@@ -1,5 +1,7 @@
 """Problem catalog: frozen values, optimality residuals, reference solvers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -88,11 +90,39 @@ def test_m_bounds_dominate_sampled_tensors(name):
 
 
 @pytest.mark.parametrize("name,passes", [("neglog-sep", 12), ("logistic-sep-3d", 8)])
-def test_reference_solvers_form_one_residual_pass_per_iterate(name, passes, residual_passes):
-    # f, grad f and the Hessian of each Newton iterate from one pass, one more
-    # per line-search trial and one for f* at x*
+def test_reference_solvers_form_one_residual_pass_per_iterate(name, passes, cold_catalog,
+                                                              residual_passes):
+    # a process's first build: f, grad f and the Hessian of each Newton
+    # iterate from one pass, one more per line-search trial and one for f* at x*
     get_problem(name)
     assert len(residual_passes) == passes
+
+
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
+def test_a_warm_build_forms_no_residual_pass(name, residual_passes):
+    # x* and f* are solved once per process; a later build reuses them
+    get_problem(name)
+    del residual_passes[:]
+    get_problem(name)
+    assert residual_passes == []
+
+
+def _reference_digest(prob):
+    # x* and f* as ``test_digits.CATALOG_SHA256`` hashes them
+    data = (repr([float(v).hex() for v in prob.x_star]), float(prob.f_star).hex())
+    return hashlib.sha256("\n".join(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["ball-quadratic", "neglog-sep", "logistic-sep-3d"])
+def test_builds_share_no_reference_data(name):
+    first = get_problem(name)
+    digest, m_next = _reference_digest(first), first.m_next(3)
+    # what a caller may write into its build: x* in place, and --m's override
+    first.x_star[:] = 7.0
+    first.m_override[4] = 123.0
+    second = get_problem(name)
+    assert _reference_digest(second) == digest
+    assert second.m_next(3) == m_next
 
 
 def test_sample_requires_box():

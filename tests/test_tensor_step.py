@@ -216,11 +216,31 @@ def test_lemma2_bound_check():
     tm = TaylorModel(oracle, np.array([0.8]), 3, m)
     t, g, ok, _, _ = tensor_step(tm, term, gamma)
     assert ok
-    lhs, bound, bound_ok = lemma2_bound_check(tm, t, g, gamma, 24.0)
+    lhs, bound, bound_ok = lemma2_bound_check(tm, t, g, tm.with_part(t), gamma, 24.0)
     assert bound_ok
     assert lhs <= bound + 1e-10
+    weak = TaylorModel(oracle, np.array([0.8]), 3, 10.0)
     with pytest.raises(ParameterError):
-        lemma2_bound_check(TaylorModel(oracle, np.array([0.8]), 3, 10.0), t, g, gamma, 24.0)
+        lemma2_bound_check(weak, t, g, weak.with_part(t), gamma, 24.0)
+
+
+def test_lemma2_bound_check_reads_the_scans_pass(monkeypatch):
+    # grad d comes from the candidate scan's Taylor model pass: one pass per
+    # grid point, none more for the points that pass the criterion
+    oracle, term = _quartic_abs()
+    gamma = 8.0 / 19.0
+    tm = TaylorModel(oracle, np.array([0.8]), 3, 1.9 * 24.0)
+    passes = []
+    with_part = TaylorModel.with_part
+    monkeypatch.setattr(TaylorModel, "with_part",
+                        lambda model, *args: passes.append(1) or with_part(model, *args))
+    checked = 0
+    for point, g, at in candidates(tm, term, np.linspace(-1.0, 1.5, 501)[:, None]):
+        if tensor_criterion(at, g, gamma)[0]:
+            assert lemma2_bound_check(tm, point, g, at, gamma, 24.0)[2]
+            checked += 1
+    assert checked > 0
+    assert len(passes) == 501
 
 
 def test_tensor_module_is_not_shadowed_by_the_function():
