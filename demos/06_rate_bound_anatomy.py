@@ -16,6 +16,7 @@ from hiprox import (
     ProxConfig,
     aihopp_run,
     bilevel_h,
+    bound_evaluator,
     get_problem,
     ihopp_run,
     inner_prox_provider,
@@ -50,8 +51,9 @@ print("totals: plain %d inner steps, accelerated %d inner steps over 30 outer"
 
 gaps = plain.column("gap")
 k_hit = int(np.argmax(gaps <= 1e-6))
-lead = 0.5 * (cfg.h * prob.d0 ** 4 / (1.0 - cfg.beta) + gaps[0])
-k_promise = int(np.ceil((2 * cfg.p + 2) * (lead / 1e-6) ** (1.0 / cfg.p)))
+# the envelope is lead ((2p+2)/k)^p, and its value at k = 1 is lead (2p+2)^p
+bound_1 = bound_evaluator("plain", cfg, prob.d0, gaps[0], 1)
+k_promise = int(np.ceil((bound_1 / 1e-6) ** (1.0 / cfg.p)))
 print()
 print("plain loop measures gap <= 1e-6 at k = %d; the envelope alone would"
       % k_hit)

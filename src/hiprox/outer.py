@@ -107,7 +107,6 @@ class EstimatingState:
 
     power: PowerProx
     x0: np.ndarray
-    k: int = 0
     a_total: float = 0.0
     s: np.ndarray = None
     c: float = 0.0
@@ -134,7 +133,6 @@ def estimating_update(state, point, grad_at_point, f_at_point, a_next):
     state.s = state.s + a_next * np.asarray(grad_at_point, dtype=float)
     state.c += a_next * (float(f_at_point) - float(np.dot(grad_at_point, point)))
     state.a_total += a_next
-    state.k += 1
     return state
 
 
@@ -392,10 +390,14 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
     H_k = s_k cfg.h, and advances the schedule's clock tau by
     s_k^{-1/(p+1)} (``coefficients``). s_0 = 1; ``rule(s_k, inner_iters)``
     gives s_{k+1}, capped at 1. Without a rule every step runs at cfg.h and
-    tau_k = k. ``aux["m_scale"]`` records s_k per step. Since tau_k >= k,
-    A_k is at least its fixed-H value, so the rate bound at cfg.h holds
-    whatever the rule does. The bound reads its distance |x_0 - x*| from
-    ``problem.x_star`` (nan without one).
+    tau_k = k. Since tau_k >= k, A_k is at least its fixed-H value, so the
+    rate bound at cfg.h holds whatever the rule does. The bound reads its
+    distance |x_0 - x*| from ``problem.x_star`` (nan without one).
+
+    ``aux`` records ``config`` (p, H, beta) and, per step, ``fallback``
+    (whether x kept its value) and ``m_scale`` (s_k). The loop checks no
+    estimating-sequence invariant itself: ``verify estseq`` folds Psi_k again
+    from the certificates and checks them (``verify._estseq_margins``).
     """
     if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
@@ -404,9 +406,6 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
     dist0 = None if problem.x_star is None else norm(x - problem.x_star)
     state = EstimatingState(power=PowerProx(cfg.p), x0=x.copy())
     v = x.copy()
-    trace.aux["a_coeffs"] = [0.0]
-    trace.aux["v_points"] = [v.copy()]
-    trace.aux["invariant_margin"] = [0.0]
     trace.aux["fallback"] = []
     trace.aux["m_scale"] = []
     tau, scale = 0.0, 1.0
@@ -425,12 +424,8 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
         if not fallback:
             x, f_x = t, f_t
         v = psi_argmin(state, problem.term)
-        psi_at_v = state.value(v, problem.term)
         bound = (bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
                  if dist0 is not None else np.nan)
-        trace.aux["a_coeffs"].append(a_total_next)
-        trace.aux["v_points"].append(v.copy())
-        trace.aux["invariant_margin"].append(psi_at_v - a_total_next * f_x)
         trace.aux["fallback"].append(bool(fallback))
         trace.aux["m_scale"].append(scale)
         if _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
@@ -455,15 +450,15 @@ def biopt_run(problem, p, eps=0.0, max_k=50, rhs_tol=None):
     """Bi-level run: the accelerated loop at beta = 1/p and H_k = 6 M_k/(p-1)!.
 
     The Bregman inner loop is the provider, and M_k <= M_{p+1} adapts by
-    ``adapt_m``. ``aux["m_k"]`` records M_k per step.
+    ``adapt_m``. ``aux`` holds ``aihopp_run``'s keys and ``m_k``, M_k per
+    step; ``verify estseq`` checks the estimating-sequence invariants of
+    such a run.
     """
     m = problem.m_next(p)
-    h = bilevel_h(p, m)
-    cfg = ProxConfig(p, h, 1.0 / p)
+    cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
     provider = inner_prox_provider(problem.oracle, problem.term, cfg, m)
     trace = aihopp_run(problem, cfg, provider, eps=eps, max_k=max_k, rhs_tol=rhs_tol,
                        rule=adapt_m)
     trace.mode = "bilevel"
-    trace.aux["relative_constants"] = relative_constants(p, h, m)
     trace.aux["m_k"] = [scale * m for scale in trace.aux["m_scale"]]
     return trace

@@ -118,17 +118,21 @@ def suite_lemma1(seed=0):
 
 
 def _estseq_margins(prob, trace, cfg, rng):
-    """Worst key-inequality and sandwich margins along an accelerated trace.
+    """Worst key-inequality, sandwich and dual-point margins along an accelerated trace.
 
     Psi_k is folded again from the trace's certificates, with a_{k+1} from
     the schedule at each step's clock (``aux["m_scale"]``), and compared with
-    100 seeded samples per step.
+    100 samples from ``prob``'s box per step. The dual-point margin is
+    d(v_k - x*) - 2^{p-1} d(x_0 - x*) over v_0 = x_0 and the minimizers v_k.
     """
     p, beta, h = cfg.p, cfg.beta, cfg.h
     pp = PowerProx(p)
-    state = EstimatingState(power=pp, x0=np.asarray(prob.x0, dtype=float))
+    x0 = np.asarray(prob.x0, dtype=float)
+    state = EstimatingState(power=pp, x0=x0)
     sigma_p = pp.uniform_convexity_modulus()
+    d_star = pp.value(x0 - prob.x_star)
     key_worst = upper_worst = lower_worst = -np.inf
+    dual_worst = d_star - 2.0 ** (p - 1) * d_star
     tau = 0.0
     for k, (cert, scale) in enumerate(zip(trace.certificates, trace.aux["m_scale"])):
         t = np.asarray(cert.point, dtype=float)
@@ -139,18 +143,18 @@ def _estseq_margins(prob, trace, cfg, rng):
         v = psi_argmin(state, prob.term)
         psi_v = state.value(v, prob.term)
         key_worst = max(key_worst, state.a_total * trace.rows[k + 1].f_value - psi_v)
-        for x in rng.uniform(-2.0, 2.0, 100):
-            xv = np.array([x])
+        dual_worst = max(dual_worst, pp.value(v - prob.x_star) - 2.0 ** (p - 1) * d_star)
+        for x in prob.sample(rng, 100):
             # upper: Psi_k(x) <= A_k F(x) + d(x - x0) with A_k psi(x) and
             # d(x - x0) taken off both sides, so that their rounding does not
             # swamp the gap sum a_i (f(x) - f(T_i) - <grad f(T_i), x - T_i>)
             # at a sample near a prox point T_i: the folded linear models lie
             # below A_k f
             upper_worst = max(upper_worst,
-                              state.linear(xv) - state.a_total * prob.oracle.value(xv))
-            lower = psi_v + sigma_p * abs(x - v[0]) ** (p + 1)
-            lower_worst = max(lower_worst, lower - state.value(xv, prob.term))
-    return key_worst, upper_worst, lower_worst
+                              state.linear(x) - state.a_total * prob.oracle.value(x))
+            lower = psi_v + sigma_p * norm(x - v) ** (p + 1)
+            lower_worst = max(lower_worst, lower - state.value(x, prob.term))
+    return key_worst, upper_worst, lower_worst, dual_worst
 
 
 def _seeded_start(rng, prob):
@@ -167,17 +171,12 @@ def suite_estseq(seed=0):
     cfg = ProxConfig(p, h, beta)
     provider = exact_prox_provider(prob.oracle, prob.term, cfg)
     trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=50)
-    pp = PowerProx(p)
-    key_worst, upper_worst, lower_worst = _estseq_margins(prob, trace, cfg, rng)
+    key_worst, upper_worst, lower_worst, dual_worst = _estseq_margins(prob, trace, cfg, rng)
     coeff_worst = -np.inf
     c_p = ((1.0 - beta) / h) ** (1.0 / p)
     for k in rng.integers(0, 10001, 100):
         a_k, a_next = coefficients(p, int(k), beta, h)
         coeff_worst = max(coeff_worst, a_next ** ((p + 1.0) / p) - c_p / 2.0 * (a_k + a_next))
-    part3_worst = -np.inf
-    d_star = pp.value(np.asarray(prob.x0, dtype=float) - prob.x_star)
-    for v in trace.aux["v_points"]:
-        part3_worst = max(part3_worst, pp.value(v - prob.x_star) - 2.0 ** (p - 1) * d_star)
     # growth at H_k = s_k H on seeded clocks, s_k = 2^{-j}: relative margin
     # of a_{k+1}^{(p+1)/p} <= (c_p(H_k)/2) A_{k+1}
     tick_worst = -np.inf
@@ -215,7 +214,7 @@ def suite_estseq(seed=0):
         CheckResult("estseq", "estimating sandwich upper", upper_worst, 1e-8),
         CheckResult("estseq", "estimating sandwich lower", lower_worst, 1e-8),
         CheckResult("estseq", "coefficient growth", coeff_worst, 1e-12),
-        CheckResult("estseq", "minimizer distance bound", part3_worst, 1e-10),
+        CheckResult("estseq", "minimizer distance bound", dual_worst, 1e-10),
         CheckResult("estseq", "coefficient growth at H_k (relative)", tick_worst, 1e-12),
         CheckResult("estseq", "adaptive key inequality at H_k", replay_rows[0], 1e-8),
         CheckResult("estseq", "adaptive sandwich upper", replay_rows[1], 1e-8),

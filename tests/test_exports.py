@@ -10,6 +10,10 @@ A reference matches a name, not its owner, so a method name that unrelated
 package classes share is pinned per owner in ``SHARED``: each names a
 function in ``src`` that calls it. A new shared name has to name its caller.
 
+Every ``trace.aux`` key that ``src`` stores is read outside the function
+that stores it, in ``src``, the demos or the bench: a key that only tests
+read is a check that belongs in ``verify``.
+
 The Euclidean norm has one home as well, ``metric.norm``, and so has the
 power term that rho, f_reg and the augmented Taylor model add to their parts:
 ``bregman.AnchoredModel``.
@@ -30,7 +34,7 @@ SHARED = {
     "AnchoredModel.gradient": "verify:suite_tensor",
     "AnchoredModel.hessian_matrix": "verify:suite_sandwich",
     "AnchoredModel.value": "bregman:bregman_distance",
-    "EstimatingState.value": "outer:aihopp_run",
+    "EstimatingState.value": "verify:_estseq_margins",
     "InnerTrace.to_csv": "cli:_write_trace",
     "OuterTrace.to_csv": "cli:_write_trace",
     "PowerProx.value": "outer:EstimatingState.value",
@@ -142,6 +146,47 @@ def test_every_shared_method_name_names_its_caller_in_src():
         calls = {sub.func.attr for sub in ast.walk(node)
                  if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)}
         assert method in calls, (owner, caller)
+
+
+def _aux_keys(tree, module):
+    """(stores, reads) of ``aux["key"]`` subscripts and ``aux.get("key")`` calls in tree.
+
+    Each is (key, where), where being the module and the dotted name of the
+    def or class the subscript or call sits in. A store is an assignment to
+    ``aux["key"]``; every other use is a read.
+    """
+    stores, reads = [], []
+
+    def is_aux(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "aux"
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if (isinstance(node, ast.Subscript) and is_aux(node.value)
+                and isinstance(node.slice, ast.Constant)):
+            found = stores if isinstance(node.ctx, ast.Store) else reads
+            found.append((node.slice.value, where))
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+                and is_aux(node.func.value) and isinstance(node.args[0], ast.Constant)):
+            reads.append((node.args[0].value, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, (module,))
+    return stores, reads
+
+
+def test_every_stored_aux_key_is_read_outside_the_function_that_stores_it():
+    stores, reads = [], []
+    for path in _sources():
+        found = _aux_keys(ast.parse(path.read_text(), filename=str(path)), path.name)
+        if path.parent.name == "hiprox":
+            stores += found[0]
+        reads += found[1]
+    unread = sorted({key for key, where in stores
+                     if not any(k == key and w != where for k, w in reads)})
+    assert stores and unread == []
 
 
 def test_the_euclidean_norm_has_one_home():

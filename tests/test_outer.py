@@ -30,6 +30,7 @@ from hiprox import (
 )
 from hiprox import outer as outer_module
 from hiprox.metric import norm
+from hiprox.verify import _estseq_margins
 
 
 
@@ -91,7 +92,7 @@ def test_estimating_state_value_and_update():
     g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
     estimating_update(state, t1, g1, 2.0, 0.5)
     estimating_update(state, t2, g2, -1.0, 1.25)
-    assert state.k == 2 and state.a_total == 1.75
+    assert state.a_total == 1.75
     direct = (
         0.5 * (2.0 + g1 @ (x - t1))
         + 1.25 * (-1.0 + g2 @ (x - t2))
@@ -201,18 +202,12 @@ def test_aihopp_invariant_and_distance_control():
     cfg = ProxConfig(p=3, h=bilevel_h(3, m), beta=1.0 / 3.0)
     provider = inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m)
     trace = aihopp_run(prob, cfg, provider, eps=-1.0, max_k=20)
-    # key invariant A_k F(x_k) <= min Psi_k
-    margins = np.asarray(trace.aux["invariant_margin"], dtype=float)
-    assert np.all(margins >= -1e-8)
-    # the dual points stay inside an enlarged initial ball
-    x_star = np.asarray(prob.x_star, dtype=float)
-    x0 = np.asarray(prob.x0, dtype=float)
-    lim = 2.0 ** 2 * np.linalg.norm(x0 - x_star) ** 4 / 4.0
-    for v in trace.aux["v_points"]:
-        assert np.linalg.norm(v - x_star) ** 4 / 4.0 <= lim + 1e-8
+    # the key invariant A_k F(x_k) <= min Psi_k, and the dual points v_k stay
+    # inside the 2^{p-1}-enlarged initial ball, on verify's replay of Psi_k
+    key, _, _, dual = _estseq_margins(prob, trace, cfg, np.random.default_rng(0))
+    assert key <= 1e-8 and dual <= 1e-8
     gaps, bounds = trace.column("gap"), trace.column("bound_rhs")
     assert np.all(gaps[1:] <= bounds[1:] + 1e-8)
-    assert len(trace.aux["a_coeffs"]) == len(trace.rows)
 
 
 def test_aihopp_rejects_large_beta():
@@ -229,14 +224,14 @@ def test_biopt_run_converges():
     assert trace.status == "converged"
     assert trace.rows[-1].gap <= 1e-6
     assert trace.mode == "bilevel"
-    rc = trace.aux["relative_constants"]
-    np.testing.assert_allclose((rc.xi, rc.mu, rc.lsmooth), (2.0, 0.5, 1.5), rtol=1e-12)
+    cfg = ProxConfig(**trace.aux["config"])
+    assert max(_estseq_margins(prob, trace, cfg, np.random.default_rng(0))) <= 1e-8
 
 
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("ball-quadratic", 4)])
 def test_fixed_h_accelerated_loop_keeps_the_integer_schedule(name, p):
     # without a rule every step runs at H and ticks by 1, so tau_k = k and
-    # A_k = (c_p/2)^p (k/(p+1))^{p+1} to the last digit
+    # A_{k+1} = A_k + a_{k+1} is (c_p/2)^p ((k+1)/(p+1))^{p+1} to the last digit
     prob = get_problem(name)
     m = prob.m_next(p)
     cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
@@ -244,20 +239,21 @@ def test_fixed_h_accelerated_loop_keeps_the_integer_schedule(name, p):
     trace = aihopp_run(prob, cfg, provider, eps=1e-6, max_k=60)
     assert trace.status == "converged"
     steps = len(trace.rows) - 1
-    assert trace.aux["m_scale"] == [1.0] * steps
+    assert trace.aux["m_scale"] == [1.0] * steps and outer_module.clock_tick(p, 1.0) == 1.0
     lead = (((1.0 - cfg.beta) / cfg.h) ** (1.0 / p) / 2.0) ** p
-    assert trace.aux["a_coeffs"] == [lead * (k / (p + 1.0)) ** (p + 1)
-                                     for k in range(steps + 1)]
     for k in range(steps):
-        assert coefficients(p, float(k), cfg.beta, cfg.h) == coefficients(p, k, cfg.beta, cfg.h)
+        a_k, a_next = coefficients(p, float(k), cfg.beta, cfg.h)
+        assert (a_k, a_next) == coefficients(p, k, cfg.beta, cfg.h)
+        assert a_k + a_next == lead * ((k + 1) / (p + 1.0)) ** (p + 1)
 
 
 @pytest.mark.parametrize("name, p", [("neglog-sep", 3), ("quartic-sep-10d", 3),
                                      ("logistic-sep-3d", 4), ("ball-quadratic", 5)])
 def test_biopt_run_adapts_m_below_the_declared_bound(name, p):
     # M_k moves by halvings and doublings inside (0, M], each certificate
-    # holds at its own H_k = 6 M_k/(p-1)!, and the gap stays under the rate
-    # bound at the declared M
+    # holds at its own H_k = 6 M_k/(p-1)!, the gap stays under the rate
+    # bound at the declared M, and verify's replay of Psi_k meets the key
+    # inequality, both sides of the sandwich and the dual-point bound
     prob = get_problem(name)
     m = prob.m_next(p)
     trace = biopt_run(prob, p, eps=1e-6, max_k=200)
@@ -274,8 +270,9 @@ def test_biopt_run_adapts_m_below_the_declared_bound(name, p):
     gaps, bounds = trace.column("gap"), trace.column("bound_rhs")
     assert np.all(np.isfinite(bounds[1:]))
     assert np.all(gaps[1:] <= bounds[1:])
-    margins = np.asarray(trace.aux["invariant_margin"], dtype=float)
-    assert np.all(margins >= -1e-8)
+    cfg = ProxConfig(**trace.aux["config"])
+    key, upper, lower, dual = _estseq_margins(prob, trace, cfg, np.random.default_rng(0))
+    assert max(key, upper, lower, dual) <= 1e-8
 
 
 @pytest.mark.parametrize("workload, label", [("catalog-p3", "quartic-sep-10d/p3"),
