@@ -326,18 +326,14 @@ def _rate_row(name, mode, p, levels, max_outer):
     trace = _solve(cfg, prob)
     ks = trace.column("k")
     gaps = trace.column("gap")
-    bounds = trace.column("bound_rhs")
     cells = [name, mode, str(p)]
     for level in levels:
         hit = ks[(gaps <= level)]
         cells.append(str(int(hit[0])) if hit.size else "-")
     slope = trace.fitted_slope()
     cells.append("%.2f" % slope if np.isfinite(slope) else "-")
-    mask = (ks >= 1) & np.isfinite(bounds)
-    if mask.any():
-        cells.append("yes" if bool(np.all(gaps[mask] <= bounds[mask] + 1e-8)) else "no")
-    else:
-        cells.append("n/a")
+    margin = trace.bound_margin()
+    cells.append("n/a" if np.isnan(margin) else "yes" if margin <= 1e-8 else "no")
     return cells
 
 

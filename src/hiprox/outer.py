@@ -203,7 +203,7 @@ class OuterTrace:
     COLUMNS = ("k", "F", "gap", "bound_rhs", "inner_iters", "cert_lhs", "cert_rhs")
 
     def column(self, name):
-        attr = {"F": "f_value", "bound_rhs": "bound_rhs"}.get(name, name)
+        attr = {"F": "f_value"}.get(name, name)
         return np.array([getattr(r, attr) for r in self.rows], dtype=float)
 
     def to_csv(self):
@@ -219,6 +219,15 @@ class OuterTrace:
         ratios = [r.cert_lhs / (beta * r.cert_rhs) if beta * r.cert_rhs > 0
                   else (0.0 if r.cert_lhs == 0 else np.inf) for r in self.rows[1:]]
         return max(ratios, default=float("nan"))
+
+    def bound_margin(self):
+        """Worst gap - bound_rhs over the steps k >= 1 with a finite bound (nan if none).
+
+        A nan gap counts as +inf: it never meets its bound.
+        """
+        rows = [r for r in self.rows if r.k >= 1 and np.isfinite(r.bound_rhs)]
+        return max((np.inf if np.isnan(r.gap) else r.gap - r.bound_rhs for r in rows),
+                   default=float("nan"))
 
     def fitted_slope(self):
         """Slope of log gap on log k over the positive gaps at k in _SLOPE_KS (nan below 2)."""

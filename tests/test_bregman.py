@@ -13,9 +13,9 @@ from hiprox import (
     ScalingFunction,
     TaylorModel,
     bilevel_h,
-    bregman_distance,
     get_problem,
     hat_l_sampled,
+    list_problems,
     relative_constants,
     relative_sandwich_check,
     theta_bound,
@@ -89,33 +89,6 @@ def test_scaling_function_validation():
     ScalingFunction(prob.oracle, prob.x0, 3, 0.0)  # h = 0 is legal
 
 
-def test_bregman_three_point_identity():
-    # breg(x,z) - breg(y,z) + breg(y,x) = <grad rho(y) - grad rho(x), z - x>
-    prob = get_problem("quartic-sep-10d")
-    sf = ScalingFunction(prob.oracle, np.asarray(prob.x0, dtype=float), 3, 7.0)
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        x, y, z = (np.asarray(prob.x0) + rng.standard_normal(10) for _ in range(3))
-        lhs = (
-            bregman_distance(sf, x, z)
-            - bregman_distance(sf, y, z)
-            + bregman_distance(sf, y, x)
-        )
-        rhs = float(np.dot(sf.gradient(y) - sf.gradient(x), z - x))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-
-
-def test_bregman_nonnegative_when_rho_convex():
-    prob = get_problem("quartic-sep-10d")
-    m = prob.m_next(3)
-    sf = ScalingFunction(prob.oracle, np.asarray(prob.x0, dtype=float), 3, bilevel_h(3, m))
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        x = np.asarray(prob.x0) + rng.standard_normal(10)
-        y = np.asarray(prob.x0) + rng.standard_normal(10)
-        assert bregman_distance(sf, x, y) >= -1e-10
-
-
 def test_relative_constants_frozen():
     assert bilevel_h(3, 24.0) == pytest.approx(72.0)
     assert bilevel_h(4, 10.0) == pytest.approx(10.0)
@@ -124,6 +97,12 @@ def test_relative_constants_frozen():
     assert rc.mu == pytest.approx(0.5, rel=1e-12)
     assert rc.lsmooth == pytest.approx(1.5, rel=1e-12)
     assert rc.kappa == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # at H = 6 M/2! they hold at any M, here each catalog problem's M_4
+    for name, _desc in list_problems():
+        m3 = get_problem(name).m_next(3)
+        m3 = m3 if 0.0 < m3 < np.inf else 1.0  # a degenerate sup; any bound is valid
+        rc = relative_constants(3, bilevel_h(3, m3), m3)
+        np.testing.assert_allclose((rc.xi, rc.mu, rc.lsmooth), (2.0, 0.5, 1.5), rtol=1e-12)
     # xi solves xi (1 + xi) = (p-1)! H / M for any admissible input
     rc2 = relative_constants(4, 11.0, 3.0)
     assert rc2.xi * (1.0 + rc2.xi) == pytest.approx(math.factorial(3) * 11.0 / 3.0)
@@ -138,19 +117,6 @@ def test_relative_constants_frozen():
     for m_next in (np.inf, np.nan):
         with pytest.raises(ParameterError, match="finite positive"):
             relative_constants(3, 1.0, m_next)
-
-
-def test_relative_sandwich_holds_at_p3():
-    prob = get_problem("quartic-sep-10d")
-    m = prob.m_next(3)
-    h = bilevel_h(3, m)
-    rc = relative_constants(3, h, m)
-    anchor = np.asarray(prob.x0, dtype=float)
-    sf = ScalingFunction(prob.oracle, anchor, 3, h)
-    reg = RegularizedObjective(prob.oracle, anchor, 3, h)
-    rng = np.random.default_rng(4)
-    pairs = list(zip(prob.sample(rng, 200), prob.sample(rng, 200)))
-    assert relative_sandwich_check(sf, reg, rc, pairs) <= 1e-8
 
 
 def test_relative_sandwich_detects_violations():
@@ -243,14 +209,8 @@ def test_theta_dominates_bregman_on_ball():
     radius = 0.4
     hat_l = hat_l_sampled(sf, radius, rng)
     theta, _ = theta_bound(4, radius, hat_l, h=h)
-    for _ in range(300):
-        dx = rng.standard_normal(5)
-        dx *= rng.uniform(0.0, radius) / np.linalg.norm(dx)
-        dy = rng.standard_normal(5)
-        dy *= rng.uniform(0.0, radius) / np.linalg.norm(dy)
-        x, y = anchor + dx, anchor + dy
-        assert bregman_distance(sf, x, y) <= theta(float(np.linalg.norm(x - y))) + 1e-12
-    # theta is nondecreasing in the step length
+    # the domination beta_rho(x, y) <= theta(|x - y|) itself is the theta
+    # suite's row; here theta is nondecreasing in the step length
     taus = np.linspace(0.0, 2.0 * radius, 100)
     vals = np.array([theta(t) for t in taus])
     assert np.all(np.diff(vals) >= 0.0)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hiprox import (NumericalError, PowerProx, ProxConfig, RegularizedObjective, StepSolver,
-                    TaylorModel, candidates, check_acceptable, get_problem, list_problems,
-                    relative_constants, verify)
+                    TaylorModel, acceptable_interval_1d, candidates, check_acceptable,
+                    get_problem, list_problems, relative_constants, verify)
 from hiprox.cli import RunConfig, build_parser, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,17 +74,25 @@ def test_run_bilevel_writes_inner_traces(tmp_path):
 
 
 def test_example1_scan(example_run):
-    # the scan's labels against the closed-form window: test_acceptance's test_07
+    # the scan's labels against the closed-form window acceptable_interval_1d
     out = example_run("example1")
     lines = (out / "scan.csv").read_text().strip().split("\n")
     # header plus a 1e-4 grid on [0, 2.5] for each of the two anchors
     assert len(lines) == 1 + 2 * 25001
     assert lines[0] == "anchor,point,subgradient,lhs,rhs,accepted"
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["beta"] == 0.85
+    assert (summary["h"], summary["beta"]) == (1.0, 0.85)
     lo, hi = summary["anchor=1.4"]
     np.testing.assert_allclose(lo, 1.4 - 1.85 ** (1.0 / 3.0), rtol=1e-10)
     np.testing.assert_allclose(hi, 1.4 - 0.15 ** (1.0 / 3.0), rtol=1e-10)
+    scan = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1)
+    for anchor in (0.6, 1.4):
+        lo, hi = acceptable_interval_1d(ProxConfig(3, 1.0, 0.85), anchor)
+        accepted = scan[(scan[:, 0] == anchor) & (scan[:, 5] == 1), 1]
+        # the accepted points end within a grid step of the closed form and
+        # form one contiguous block of the 1e-4 grid
+        assert abs(accepted[0] - lo) <= 1.01e-4 and abs(accepted[-1] - hi) <= 1.01e-4
+        assert len(accepted) == int(round((accepted[-1] - accepted[0]) / 1e-4)) + 1
 
 
 def test_example1_scan_forms_the_power_term_once_per_point(monkeypatch):

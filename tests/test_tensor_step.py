@@ -7,11 +7,9 @@ import pytest
 
 from hiprox import (
     ParameterError,
-    ProxConfig,
     SeparableObjective,
     TaylorModel,
     candidates,
-    check_acceptable,
     convexity_threshold,
     get_problem,
     inner,
@@ -154,10 +152,16 @@ def test_acceptance_map_frozen_values():
     m, h = tensor_acceptance_map(3, 0.9, 8.0 / 19.0, 24.0)
     np.testing.assert_allclose(m, 456.0, rtol=1e-12)
     np.testing.assert_allclose(h, 76.0, rtol=1e-12)
-    # the map inverts the acceptance-level formula exactly
     gamma = 8.0 / 19.0
-    implied = (24.0 + gamma * m) / ((1.0 - gamma) * m - 24.0)
-    np.testing.assert_allclose(implied, 0.9, rtol=1e-12)
+
+    # the map inverts the acceptance-level formula exactly
+    def level(m):
+        return (24.0 + gamma * m) / ((1.0 - gamma) * m - 24.0)
+
+    np.testing.assert_allclose(level(m), 0.9, rtol=1e-12)
+    # the worked example's criterion region at M = 1.9 M4 has level beta = 18
+    # and H = M/3! = 7.6; `verify tensor` checks that region's points
+    np.testing.assert_allclose((level(1.9 * 24.0), 1.9 * 24.0 / 6.0), (18.0, 7.6), rtol=1e-12)
 
 
 def test_acceptance_map_validation():
@@ -170,43 +174,6 @@ def test_acceptance_map_validation():
     for m_next in (0.0, np.inf, np.nan):
         with pytest.raises(ParameterError, match="finite positive"):
             tensor_acceptance_map(3, 0.9, 0.1, m_next)
-
-
-def test_criterion_region_nonempty_and_accepted():
-    # the worked instance: M = 1.9 * 24, gamma = 8/19, anchor 0.8
-    oracle, term = _quartic_abs()
-    gamma = 8.0 / 19.0
-    m = 1.9 * 24.0
-    h = m / 6.0
-    beta_level = (24.0 + gamma * m) / ((1.0 - gamma) * m - 24.0)
-    np.testing.assert_allclose(beta_level, 18.0, rtol=1e-12)
-    tm = TaylorModel(oracle, np.array([0.8]), 3, m)
-    passing = 0
-    for point, g, at in candidates(tm, term, np.linspace(-1.0, 1.5, 501)[:, None]):
-        if tensor_criterion(at, g, gamma)[0]:
-            passing += 1
-            res = float(oracle.gradient(point)[0] + g[0])
-            reg = res + h * abs(point[0] - 0.8) ** 2 * (point[0] - 0.8)
-            assert abs(reg) <= beta_level * abs(res) + 1e-12
-    assert passing > 0
-
-
-def test_target_beta_map_chain():
-    # criterion pass at the mapped (M, H) implies beta = 0.9 acceptance
-    oracle, term = _quartic_abs()
-    gamma = 8.0 / 19.0
-    m, h = tensor_acceptance_map(3, 0.9, gamma, 24.0)
-    cfg = ProxConfig(3, h, 0.9)
-    anchor = np.array([0.8])
-    tm = TaylorModel(oracle, anchor, 3, m)
-    grid = np.linspace(-1.0, 1.5, 501)[:, None]
-    passing = [(point, g) for point, g, at in candidates(tm, term, grid)
-               if tensor_criterion(at, g, gamma)[0]]
-    assert passing
-    assert all(check_acceptable(oracle, term, cfg, anchor, t, g).accepted for t, g in passing)
-    t, g, ok, _, _ = tensor_step(tm, term, gamma)
-    assert ok
-    assert check_acceptable(oracle, term, cfg, anchor, t, g).accepted
 
 
 def test_lemma2_bound_check():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hiprox import AnchorStack, get_problem
+from hiprox import AnchorStack, get_problem, list_problems
 from hiprox.verify import _odd_bracket_violation, _segment_points, run_suite, suite_sandwich
 
 
@@ -62,11 +62,15 @@ def test_bracket_segments_stay_where_the_bounds_hold(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_sandwich_suite_holds_across_seeds(seed):
-    results = suite_sandwich(seed, pairs=200)
+def test_sandwich_suite_holds_across_seeds(seed, suite_rows):
+    # seed 0 at the suite's own pair count, as `hiprox verify sandwich` runs it
+    results = suite_rows("sandwich") if seed == 0 else suite_sandwich(seed, pairs=200)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
     names = {r.name for r in results}
+    for name, _desc in list_problems():
+        for row in ("values (p=3)", "rho hessian psd", "odd bracket (p=3,4,5)"):
+            assert "%s %s" % (name, row) in names
     for name in ("ball-quadratic", "neglog-sep", "logistic-sep-3d"):
         for p in (4, 5):
             assert "%s values (p=%d)" % (name, p) in names
@@ -80,6 +84,7 @@ def test_bregman_suite_holds_across_seeds(seed, suite_rows):
     assert not failed, "\n".join(failed)
     # signed margins: a row that holds with room reports a negative number
     margins = {r.name: r.violation for r in results}
+    assert "iteration log fit" in margins
     for name in ("Bregman nonnegativity", "inner descent inequality", "inner contraction",
                  "inner descent from a seeded z0", "inner contraction from a seeded z0",
                  "residual decay (measured C)"):
