@@ -322,7 +322,6 @@ def _model_min(term, w, grad, hm):
     fixed = lo < hi
     slope = np.where(fixed, 0.0, lo)
     moved = True
-    gmax, hmax = abs(grad).max(), abs(hm).max()
     r = None  # the model gradient at z, kept while z does not move
     for _ in range(_PASS_CAP * n):
         if r is None:
@@ -359,8 +358,9 @@ def _model_min(term, w, grad, hm):
         lo, hi = term.subdifferential(z)
         up, down = -r - hi, lo + r
         viol = np.where(fixed, np.maximum(up, down), -np.inf)
-        # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded
-        slack = n * np.spacing(gmax + hmax * abs(dz).sum())
+        # r_i sums |grad_i| and n products |hm_ij (z_j - w_j)|, each rounded;
+        # hm is positive definite, so its largest entry is on the diagonal
+        slack = n * np.spacing(abs(grad).max() + hm.diagonal().max() * abs(dz).sum())
         free = viol > slack
         if not np.count_nonzero(free):
             return z

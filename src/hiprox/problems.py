@@ -7,17 +7,20 @@ dimension, damped Newton, projected Newton on boxes, and the secular
 trust-region solve for the ball-constrained quadratic; each Newton iterate
 costs one ``evaluate``. M bounds come from each family's own sup
 (``ScalarFamily.derivative_sup``). Construction is deterministic (fixed
-seeds), so reference values are bit-stable run to run. Each of the three
-solves, with f* at its x*, therefore runs once per process, on the problem's
-first build (``_reference``). Every build still makes its own oracle, term,
-M bounds, x0 and ``m_override``, and gets its own copy of x*. The
+seeds), so every catalog problem is a constant of the package: its builder,
+reference solve included, runs once per process, on the problem's first
+``get_problem``, and its result is kept as a frozen template (``_TEMPLATES``)
+whose arrays are read-only. Every build shares those arrays, the term and
+the scalar family, and gets its own oracle (with its own ``m_bounds`` and an
+empty ``calls_by_order``), ``m_override``, and copies of x0 and x*. The
 one-dimensional grid minimizer and level-set radius that tests check the
 catalog against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -150,23 +153,6 @@ def trs_reference(q, c, radius):
 
 # -- catalog -----------------------------------------------------------------
 
-# (x*, f*) of each catalog problem that needs a reference solve, by name,
-# filled on the problem's first build and shared by every later one
-_REFERENCES = {}
-
-
-def _reference(name, solve):
-    """(x*, f*) of catalog problem ``name``: ``solve()``'s pair, computed once per process.
-
-    Each call returns its own copy of x*, so a build that writes into its
-    x* leaves every other build's unchanged.
-    """
-    if name not in _REFERENCES:
-        _REFERENCES[name] = solve()
-    x_star, f_star = _REFERENCES[name]
-    return x_star.copy(), f_star
-
-
 def _orthonormal(a, b, family, orders):
     """Orthonormal rows a: sum_i <a_i, h>^k <= 1 on |h| = 1 (k >= 2), so M_k = sup |f^(k)|."""
     oracle = SeparableObjective(a, b, make_family(family))
@@ -254,18 +240,13 @@ def _ball_quadratic():
     direction /= np.linalg.norm(direction)
     c = -q @ (1.8 * direction)
     oracle = QuadraticObjective(q, c)
-
-    def solve():
-        x, _ = trs_reference(q, c, 1.0)
-        return x, float(0.5 * x @ q @ x + c @ x)
-
-    x_star, f_star = _reference("ball-quadratic", solve)
+    x_star, _ = trs_reference(q, c, 1.0)
     return Problem(
         name="ball-quadratic",
         oracle=oracle,
         term=make_term("ball", center=np.zeros(n), radius=1.0),
         x0=np.zeros(n),
-        f_star=f_star,
+        f_star=float(0.5 * x_star @ q @ x_star + c @ x_star),
         x_star=x_star,
         d0=2.0,  # ball diameter bounds any level radius
         m_override={4: 1.0, 5: 1.0, 6: 1.0},  # true sups are 0; any bound works
@@ -295,18 +276,13 @@ def _neglog_sep():
         sup = sum(oracle.family.derivative_sup(order, t_lo[i], t_hi[i]) * norms[i] ** order
                   for i in range(rows))
         oracle.m_bounds[order] = 1.1 * sup
-
-    def solve():
-        x = box_newton_reference(oracle, lo, hi, np.zeros(n))
-        return x, float(oracle.value(x))
-
-    x_star, f_star = _reference("neglog-sep", solve)
+    x_star = box_newton_reference(oracle, lo, hi, np.zeros(n))
     return Problem(
         name="neglog-sep",
         oracle=oracle,
         term=make_term("box", lo=lo, hi=hi),
         x0=np.zeros(n),
-        f_star=f_star,
+        f_star=float(oracle.value(x_star)),
         x_star=x_star,
         sample_lo=lo,
         sample_hi=hi,
@@ -327,18 +303,13 @@ def _logistic_sep_3d():
     for order in range(2, 9):
         sup = fam.derivative_sup(order, -50.0, 50.0)
         oracle.m_bounds[order] = 1.1 * float(np.sum(norms ** order)) * sup
-
-    def solve():
-        x = newton_reference(oracle, np.zeros(n))
-        return x, float(oracle.value(x))
-
-    x_star, f_star = _reference("logistic-sep-3d", solve)
+    x_star = newton_reference(oracle, np.zeros(n))
     return Problem(
         name="logistic-sep-3d",
         oracle=oracle,
         term=make_term("zero"),
         x0=np.ones(n),
-        f_star=f_star,
+        f_star=float(oracle.value(x_star)),
         x_star=x_star,
         sample_lo=x_star - 1.0,
         sample_hi=x_star + 1.0,
@@ -357,16 +328,40 @@ _BUILDERS = {
 }
 
 
+# each catalog problem's frozen template by name, built on its first
+# ``get_problem`` and shared read-only by every later build
+_TEMPLATES = {}
+
+
+def _template(name):
+    if name not in _TEMPLATES:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            raise ParameterError("unknown problem %r" % (name,)) from None
+        prob = _TEMPLATES[name] = builder()
+        for arr in (prob.x0, prob.x_star, prob.sample_lo, prob.sample_hi, *(prob.m_box or ()),
+                    *(getattr(prob.oracle, k, None) for k in "abqc"),
+                    *(getattr(prob.term, k, None) for k in ("lo", "hi", "center"))):
+            if arr is not None:
+                arr.flags.writeable = False
+    return _TEMPLATES[name]
+
+
 def list_problems():
-    out = []
-    for name in sorted(_BUILDERS):
-        out.append((name, get_problem(name).description))
-    return out
+    return [(name, _template(name).description) for name in sorted(_BUILDERS)]
 
 
 def get_problem(name):
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ParameterError("unknown problem %r" % (name,)) from None
-    return builder()
+    """A build of catalog problem ``name`` from its frozen template.
+
+    It shares the template's read-only arrays, term and scalar family, and has
+    its own oracle (own ``m_bounds``, empty ``calls_by_order``),
+    ``m_override`` and copies of x0 and x*.
+    """
+    prob = _template(name)
+    oracle = copy.copy(prob.oracle)
+    oracle.m_bounds, oracle.calls_by_order = dict(prob.oracle.m_bounds), {}
+    x_star = None if prob.x_star is None else prob.x_star.copy()
+    return replace(prob, oracle=oracle, x0=prob.x0.copy(), x_star=x_star,
+                   m_override=dict(prob.m_override))

@@ -36,10 +36,11 @@ def residual_passes(monkeypatch):
 
 @pytest.fixture
 def cold_catalog(monkeypatch):
-    """An empty reference store, so the test's first build of each catalog problem solves x* again."""
+    """An empty template store, so the test's first build of each catalog problem runs its builder,
+    reference solve included, again."""
     from hiprox import problems
 
-    monkeypatch.setattr(problems, "_REFERENCES", {})
+    monkeypatch.setattr(problems, "_TEMPLATES", {})
 
 
 @pytest.fixture(scope="session")

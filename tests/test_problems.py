@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hiprox import AnchorStack, ParameterError, get_problem, list_problems
+from hiprox import AnchorStack, ParameterError, get_problem, list_problems, problems
 from hiprox.problems import box_newton_reference, newton_reference, trs_reference
 from references import composite_min_1d, directional, fd_check, level_radius_1d
 
@@ -100,11 +100,15 @@ def test_reference_solvers_form_one_residual_pass_per_iterate(name, passes, cold
     assert len(residual_passes) == passes
 
 
-@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d"])
-def test_a_warm_build_forms_no_residual_pass(name, residual_passes):
-    # x* and f* are solved once per process; a later build reuses them
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "ball-quadratic"])
+def test_a_warm_build_forms_no_residual_pass(name, residual_passes, monkeypatch):
+    # a problem's builder, reference solve and QuadraticObjective's
+    # eigendecomposition included, runs once per process; a later build
+    # copies the template
     get_problem(name)
     del residual_passes[:]
+    monkeypatch.setitem(problems._BUILDERS, name, lambda: pytest.fail("the builder ran again"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh ran"))
     get_problem(name)
     assert residual_passes == []
 
@@ -119,12 +123,30 @@ def _reference_digest(prob):
 def test_builds_share_no_reference_data(name):
     first = get_problem(name)
     digest, m_next = _reference_digest(first), first.m_next(3)
-    # what a caller may write into its build: x* in place, and --m's override
+    x0, m_bounds = first.x0.copy(), dict(first.oracle.m_bounds)
+    # what a caller may write into its build: x* and x0 in place, --m's
+    # override, the oracle's bounds, and its counts by a solve
     first.x_star[:] = 7.0
+    first.x0[:] = 7.0
     first.m_override[4] = 123.0
+    first.oracle.m_bounds[4] = 456.0
+    first.oracle.value(first.x0 * 0.0)
     second = get_problem(name)
     assert _reference_digest(second) == digest
     assert second.m_next(3) == m_next
+    np.testing.assert_array_equal(second.x0, x0)
+    assert second.oracle.m_bounds == m_bounds
+    assert second.oracle.calls_by_order == {}
+
+
+@pytest.mark.parametrize("name,shared", [("neglog-sep", "oracle.a"),
+                                         ("ball-quadratic", "oracle.q"),
+                                         ("neglog-sep", "term.lo")])
+def test_shared_catalog_arrays_are_read_only(name, shared):
+    owner, attr = shared.split(".")
+    arr = getattr(getattr(get_problem(name), owner), attr)
+    with pytest.raises(ValueError):
+        arr[0] = 0.0
 
 
 def test_sample_requires_box():
