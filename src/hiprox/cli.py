@@ -5,7 +5,7 @@ Subcommands:
     run            execute one solver configuration, write trace artifacts
     verify         run a seeded property suite, print per-check violations
     rates          compare (problem, mode, p) combinations in one table
-    list-problems  show the catalog
+    list-problems  show the catalog and the sized families
 
 `run` writes outer.csv, inner_k<k>.csv (when the run used the Bregman inner
 loop), summary.json, and scan.csv for the two example modes, which scan
@@ -39,7 +39,7 @@ from .outer import (
     ihopp_run,
     inner_prox_provider,
 )
-from .problems import get_problem, list_problems
+from .problems import get_problem, list_families, list_problems
 from .tensor import TaylorModel, tensor_acceptance_map, tensor_criterion
 from .verify import SUITES, run_suite
 
@@ -376,7 +376,7 @@ def build_parser():
     p_rates.add_argument("--max-outer", type=int, default=300, dest="max_outer")
     p_rates.add_argument("--out")
 
-    sub.add_parser("list-problems", help="show the catalog")
+    sub.add_parser("list-problems", help="show the catalog and the sized families")
     return parser
 
 
@@ -398,7 +398,7 @@ def main(argv=None):
             return verify_command(args)
         if args.command == "rates":
             return rates_command(args)
-        for name, description in list_problems():
+        for name, description in list_problems() + list_families():
             print("%-18s %s" % (name, description))
         return 0
     except (NumericalError, CertificateError) as exc:

@@ -358,7 +358,7 @@ def _prox_step(provider, anchor, start, scale=1.0):
     return result, restart
 
 
-def _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
+def _record(trace, problem, x, f_x, bound, result, eps, rhs_tol=None):
     """Append one outer step; True (status converged) once gap <= eps or rhs <= rhs_tol."""
     cert = result.certificate
     gap = _gap(problem, f_x)
@@ -373,7 +373,7 @@ def _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
     return False
 
 
-def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None):
+def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50):
     """Plain loop: anchor at x_k, accept the certified prox point.
 
     The rate bound reads its distance from ``problem.d0`` (nan without one).
@@ -386,7 +386,7 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None):
         x = result.certificate.point
         f_x = _objective(problem, x, result.certificate.f_value)
         bound = bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
-        if _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
+        if _record(trace, problem, x, f_x, bound, result, eps):
             return trace
     trace.status = "max_iter"
     return trace

@@ -1,25 +1,38 @@
-"""Desk-scale problem catalog with independent reference solutions.
+"""Problem catalog: desk-scale problems with reference solutions, and two sized families.
 
-Each entry bundles an oracle, a simple term, a start point, and frozen
-reference data (minimizer, optimal value, level-set radius) computed by
-solvers that share no code with the certified loops: closed forms in one
-dimension, damped Newton, projected Newton on boxes, and the secular
-trust-region solve for the ball-constrained quadratic; each Newton iterate
-costs one ``evaluate``. M bounds come from each family's own sup
-(``ScalarFamily.derivative_sup``). Construction is deterministic (fixed
-seeds), so every catalog problem is a constant of the package: its builder,
-reference solve included, runs once per process, on the problem's first
-``get_problem``, and its result is kept as a frozen template (``_TEMPLATES``)
-whose arrays are read-only. Every build shares those arrays, the term and
-the scalar family, and gets its own oracle (with its own ``m_bounds`` and an
-empty ``calls_by_order``), ``m_override``, and copies of x0 and x*. The
-one-dimensional grid minimizer and level-set radius that tests check the
-catalog against live in ``tests/references.py``.
+Each problem bundles an oracle, a simple term, a start point and its M
+bounds, which come from each family's own sup (``ScalarFamily.derivative_sup``).
+The two separable families have one generator each, ``_neglog_box`` (neg-log
+rows on a safe box) and ``_logistic_pairs`` (opposing logistic rows), and
+every problem of a family comes from it:
+
+- the catalog's ``neglog-sep`` and ``logistic-sep-3d``, at fixed seeds and
+  sizes, and
+- the sized names ``neglog-box-<n>`` and ``logistic-l1-<n>``: the generator's
+  seed-0 instance in n variables with 2n rows, on a box from x0 = 0 and with
+  0.1 |x|_1 from x0 = 1.
+
+A catalog problem also carries reference data (minimizer, optimal value,
+level-set radius) from solvers that share no code with the certified loops:
+closed forms in one dimension, damped Newton, projected Newton on boxes, and
+the secular trust-region solve for the ball-constrained quadratic; each
+Newton iterate costs one ``evaluate``. A sized problem has none: its f* and
+x* are None.
+
+Construction is deterministic (fixed seeds), so every problem is a constant
+of the package: its build, reference solve included, runs once per process,
+on the name's first ``get_problem``, and its result is kept as a frozen
+template (``_TEMPLATES``) whose arrays are read-only. Every build shares
+those arrays, the term and the scalar family, and gets its own oracle (with
+its own ``m_bounds`` and an empty ``calls_by_order``), ``m_override``, and
+copies of x0 and x*. The one-dimensional grid minimizer and level-set radius
+that tests check the catalog against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -256,65 +269,63 @@ def _ball_quadratic():
     )
 
 
-def _neglog_sep():
-    rng = np.random.default_rng(23)
-    n, rows = 5, 8
+def _neglog_box(name, n, rows, seed):
+    """sum_i -log(<a_i, x> - b_i) over unit rows a_i on a safe box, from x0 = 0.
+
+    The residuals at 0 are -b_i in [1, 2], and the box |x|_inf <= radius keeps
+    each above 0.8. Row i's residual ranges over [t_lo_i, t_hi_i] on the box,
+    so M_k = 1.1 sum_i sup |f^(k)| over that range |a_i|^k, summed row by row.
+    """
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((rows, n))
     a /= np.linalg.norm(a, axis=1)[:, None]
-    b = -(1.0 + rng.uniform(0.0, 1.0, rows))  # residual at 0 is -b in [1, 2]
+    b = -(1.0 + rng.uniform(0.0, 1.0, rows))
     t_at_0 = -b
-    margin = 0.8
     row_l1 = np.abs(a).sum(axis=1)
-    radius = min(float(np.min((t_at_0 - margin) / row_l1)), 0.5)
-    lo = -radius * np.ones(n)
-    hi = radius * np.ones(n)
+    radius = min(float(np.min((t_at_0 - 0.8) / row_l1)), 0.5)
+    lo, hi = -radius * np.ones(n), radius * np.ones(n)
     oracle = SeparableObjective(a, b, make_family("neg-log"))
-    # row i's residual ranges over [t_lo_i, t_hi_i] on the box
     t_lo, t_hi = t_at_0 - radius * row_l1, t_at_0 + radius * row_l1
     norms = np.linalg.norm(a, axis=1)
     for order in range(2, 9):
         sup = sum(oracle.family.derivative_sup(order, t_lo[i], t_hi[i]) * norms[i] ** order
                   for i in range(rows))
         oracle.m_bounds[order] = 1.1 * sup
-    x_star = box_newton_reference(oracle, lo, hi, np.zeros(n))
-    return Problem(
-        name="neglog-sep",
-        oracle=oracle,
-        term=make_term("box", lo=lo, hi=hi),
-        x0=np.zeros(n),
-        f_star=float(oracle.value(x_star)),
-        x_star=x_star,
-        sample_lo=lo,
-        sample_hi=hi,
-        description="sum of -log(<a_i,x>-b_i) on a safe box; second-order-only scaling",
-        m_box=(lo, hi),  # the bounds take the residuals' minimum t_lo over the box
-    )
+    return Problem(name=name, oracle=oracle, term=make_term("box", lo=lo, hi=hi),
+                   x0=np.zeros(n), sample_lo=lo, sample_hi=hi,
+                   m_box=(lo, hi))  # the bounds take the residuals' minimum t_lo over the box
+
+
+def _logistic_pairs(name, n, seed, term):
+    """sum_i log(1 + exp(<a_i, x> - b_i)) over n opposing pairs of rows, plus term, from x0 = 1.
+
+    The opposing rows keep f coercive. M_k = 1.1 sum_i |a_i|^k sup |f^(k)|.
+    """
+    rng = np.random.default_rng(seed)
+    a_half = rng.standard_normal((n, n))
+    a = np.vstack([a_half, -a_half])
+    b = rng.uniform(-0.5, 0.5, 2 * n)
+    oracle = SeparableObjective(a, b, make_family("logistic"))
+    norms = np.linalg.norm(a, axis=1)
+    for order in range(2, 9):
+        sup = oracle.family.derivative_sup(order, -50.0, 50.0)
+        oracle.m_bounds[order] = 1.1 * float(np.sum(norms ** order)) * sup
+    return Problem(name=name, oracle=oracle, term=term, x0=np.ones(n))
+
+
+def _neglog_sep():
+    prob = _neglog_box("neglog-sep", 5, 8, 23)
+    x_star = box_newton_reference(prob.oracle, prob.term.lo, prob.term.hi, prob.x0)
+    return replace(prob, x_star=x_star, f_star=float(prob.oracle.value(x_star)),
+                   description="sum of -log(<a_i,x>-b_i) on a safe box; second-order-only scaling")
 
 
 def _logistic_sep_3d():
-    rng = np.random.default_rng(31)
-    n, half = 3, 3
-    a_half = rng.standard_normal((half, n))
-    a = np.vstack([a_half, -a_half])  # opposing rows keep f coercive
-    b = rng.uniform(-0.5, 0.5, 2 * half)
-    oracle = SeparableObjective(a, b, make_family("logistic"))
-    fam = oracle.family
-    norms = np.linalg.norm(a, axis=1)
-    for order in range(2, 9):
-        sup = fam.derivative_sup(order, -50.0, 50.0)
-        oracle.m_bounds[order] = 1.1 * float(np.sum(norms ** order)) * sup
-    x_star = newton_reference(oracle, np.zeros(n))
-    return Problem(
-        name="logistic-sep-3d",
-        oracle=oracle,
-        term=make_term("zero"),
-        x0=np.ones(n),
-        f_star=float(oracle.value(x_star)),
-        x_star=x_star,
-        sample_lo=x_star - 1.0,
-        sample_hi=x_star + 1.0,
-        description="softplus sum with opposing rows; smooth non-polynomial",
-    )
+    prob = _logistic_pairs("logistic-sep-3d", 3, 31, make_term("zero"))
+    x_star = newton_reference(prob.oracle, np.zeros(3))
+    return replace(prob, x_star=x_star, f_star=float(prob.oracle.value(x_star)),
+                   sample_lo=x_star - 1.0, sample_hi=x_star + 1.0,
+                   description="softplus sum with opposing rows; smooth non-polynomial")
 
 
 _BUILDERS = {
@@ -328,32 +339,56 @@ _BUILDERS = {
 }
 
 
-# each catalog problem's frozen template by name, built on its first
-# ``get_problem`` and shared read-only by every later build
+# the sized families: "<family>-<n>" is the family's generator-seed-0 instance in
+# n variables, with 2n rows and no reference solve (f* and x* None)
+_FAMILIES = {
+    "neglog-box": ("sum of -log(<a_i,x>-b_i) over 2n rows on a safe box; scaling family",
+                   lambda name, n: _neglog_box(name, n, 2 * n, 0)),
+    "logistic-l1": ("softplus sum over n opposing row pairs + 0.1 |x|_1; l1 family",
+                    lambda name, n: _logistic_pairs(name, n, 0, make_term("l1", lam=0.1))),
+}
+
+
+def _build(name):
+    """A catalog problem from its builder, or the instance a sized family's name asks for."""
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
+    sized = re.fullmatch(r"(%s)-([1-9][0-9]*)" % "|".join(_FAMILIES), name)
+    if sized is None:
+        raise ParameterError("unknown problem %r" % (name,))
+    text, generate = _FAMILIES[sized[1]]
+    return replace(generate(name, int(sized[2])), description=text)
+
+
+# each problem's frozen template by name, built on its first ``get_problem``
+# and shared read-only by every later build
 _TEMPLATES = {}
 
 
 def _template(name):
-    if name not in _TEMPLATES:
-        try:
-            builder = _BUILDERS[name]
-        except KeyError:
-            raise ParameterError("unknown problem %r" % (name,)) from None
-        prob = _TEMPLATES[name] = builder()
+    prob = _TEMPLATES.get(name)
+    if prob is None:
+        prob = _TEMPLATES[name] = _build(name)
         for arr in (prob.x0, prob.x_star, prob.sample_lo, prob.sample_hi, *(prob.m_box or ()),
                     *(getattr(prob.oracle, k, None) for k in "abqc"),
                     *(getattr(prob.term, k, None) for k in ("lo", "hi", "center"))):
             if arr is not None:
                 arr.flags.writeable = False
-    return _TEMPLATES[name]
+    return prob
 
 
 def list_problems():
+    """(name, description) of each catalog problem, the ones with a reference solve."""
     return [(name, _template(name).description) for name in sorted(_BUILDERS)]
 
 
+def list_families():
+    """(name pattern, description) of each sized family."""
+    return [("%s-<n>" % family, text) for family, (text, _) in _FAMILIES.items()]
+
+
 def get_problem(name):
-    """A build of catalog problem ``name`` from its frozen template.
+    """A build of problem ``name``, a catalog name or a sized one, from its frozen template.
 
     It shares the template's read-only arrays, term and scalar family, and has
     its own oracle (own ``m_bounds``, empty ``calls_by_order``),

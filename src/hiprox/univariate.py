@@ -1,9 +1,11 @@
 """The reference bisection for univariate composites, and ``decreasing_root``.
 
 ``minimize_composite_1d`` minimizes s(x) + psi(x) for convex s given s'. No
-solver calls it: every minimization in the package is ``inner.prox_newton``.
-It stays as an independent reference for the tests, and the bench tracer
-counts calls through ``inner``'s binding. The minimizer is
+solver calls it: the inner steps, the exact prox and the tensor step minimize
+by ``inner.prox_newton``, and ``outer.psi_argmin`` reduces its minimization
+to a radius equation that ``decreasing_root`` closes. It stays as an
+independent reference for the tests, and the bench tracer counts calls
+through ``inner``'s binding. The minimizer is
 inf{x : s'(x) + psi'_+(x) >= 0}; psi's domain ends and the kinks next to
 them (the ends of its first and last pieces) are tested exactly first, then
 the sign condition is bracketed by doubling and bisected to width 1e-14.

@@ -14,6 +14,7 @@ from hiprox import (NumericalError, PowerProx, ProxConfig, RegularizedObjective,
                     TaylorModel, acceptable_interval_1d, candidates, check_acceptable,
                     get_problem, list_problems, relative_constants, verify)
 from hiprox.cli import RunConfig, build_parser, load_config, main
+from hiprox.problems import list_families
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -158,8 +159,9 @@ def test_module_entry_point_lists_the_catalog():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = [line.split()[0] for line in proc.stdout.splitlines()]
-    assert names == [name for name, _ in list_problems()]
-    assert len(names) == 7
+    assert names == [name for name, _ in list_problems() + list_families()]
+    assert names[7:] == ["neglog-box-<n>", "logistic-l1-<n>"]
+    assert len(names) == 9
 
 
 def test_rates_table(capsys, tmp_path):
@@ -175,6 +177,22 @@ def test_rates_table(capsys, tmp_path):
     assert len(table) == 3
     assert table[1].endswith(",yes")
     assert table[2] == "quartic-1d,plain,4" + ",N/A" * 5
+
+
+def test_sized_family_runs_without_a_gap(tmp_path, capsys):
+    # no f*: the gap is nan (null), so the run ends at --max-outer with exit 2
+    code = main(["run", "--problem", "neglog-box-30", "--mode", "bilevel", "--max-outer", "5",
+                 "--out", "box"])
+    assert code == 2
+    assert len((tmp_path / "box" / "outer.csv").read_text().splitlines()) == 7
+    summary = json.loads((tmp_path / "box" / "summary.json").read_text())
+    assert summary["problem"] == "neglog-box-30"
+    assert summary["status"] == "max_iter" and summary["iterations"] == 5
+    assert summary["final_gap"] is None
+    capsys.readouterr()
+    assert main(["rates", "--problems", "neglog-box-30", "--modes", "bilevel"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row == ["neglog-box-30", "bilevel", "3"] + ["N/A"] * 5
 
 
 def test_print_config_and_precedence(tmp_path, capsys):
@@ -193,9 +211,11 @@ def test_config_validation_exit_codes(capsys):
     assert main(["run", "--mode", "bilevel", "--h", "3.0"]) == 1
     # p below the quadratic regularization floor
     assert main(["run", "--p", "1"]) == 1
-    # unknown problem name
-    assert main(["run", "--problem", "nope"]) == 1
     capsys.readouterr()
+    # unknown problem name, also a family's name with a malformed size
+    for name in ("nope", "neglog-box-0", "neglog-box-010", "logistic-l1-x"):
+        assert main(["run", "--problem", name]) == 1
+        assert capsys.readouterr().err == "error: unknown problem %r\n" % name
     # a run that may take no outer step
     for max_outer in ("-3", "0"):
         assert main(["run", "--max-outer", max_outer]) == 1

@@ -1,4 +1,4 @@
-"""Problem catalog: frozen values, optimality residuals, reference solvers."""
+"""Problem catalog: frozen values, optimality residuals, reference solvers, sized families."""
 
 import hashlib
 
@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from hiprox import AnchorStack, ParameterError, get_problem, list_problems, problems
-from hiprox.problems import box_newton_reference, newton_reference, trs_reference
+from hiprox.problems import box_newton_reference, list_families, newton_reference, trs_reference
 from references import composite_min_1d, directional, fd_check, level_radius_1d
 
 FROZEN = {
@@ -26,10 +26,39 @@ ALL_NAMES = sorted(FROZEN)
 def test_catalog_listing():
     names = [name for name, _ in list_problems()]
     assert names == ALL_NAMES
-    for _, desc in list_problems():
+    for _, desc in list_problems() + list_families():
         assert isinstance(desc, str) and desc
-    with pytest.raises(ParameterError):
-        get_problem("rosenbrock")
+    assert [name for name, _ in list_families()] == ["neglog-box-<n>", "logistic-l1-<n>"]
+    # a size is a positive integer without leading zeros, after a family's name
+    for name in ("rosenbrock", "neglog-box-0", "neglog-box-010", "logistic-l1-x",
+                 "logistic-l1--3", "neglog-box-", "neglog-sep-5"):
+        with pytest.raises(ParameterError):
+            get_problem(name)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+@pytest.mark.parametrize("family", ["neglog-box", "logistic-l1"])
+def test_sized_families_equal_the_bench_generators(family, n, bench_module):
+    # A, b, x0 and the term bit for bit; the logistic M bounds too, while the
+    # neg-log ones sum row by row here and by np.sum in the bench
+    wl = bench_module("workloads")
+    prob = get_problem("%s-%d" % (family, n))
+    bench = {"neglog-box": wl.neglog_box, "logistic-l1": wl.logistic_l1}[family](n, 0)
+    assert prob.name == bench.name and prob.dimension == n
+    assert prob.f_star is None and prob.x_star is None
+    for ours, theirs in ((prob.oracle.a, bench.oracle.a), (prob.oracle.b, bench.oracle.b),
+                         (prob.x0, bench.x0)):
+        assert ours.tobytes() == theirs.tobytes()
+    assert prob.term.kind == bench.term.kind
+    if family == "neglog-box":
+        assert prob.term.lo.tobytes() == bench.term.lo.tobytes()
+        assert prob.term.hi.tobytes() == bench.term.hi.tobytes()
+        assert sorted(prob.oracle.m_bounds) == sorted(bench.oracle.m_bounds)
+        for order, m in prob.oracle.m_bounds.items():
+            assert abs(m / bench.oracle.m_bounds[order] - 1.0) <= 1e-14
+    else:
+        assert prob.term.lam == bench.term.lam == 0.1
+        assert prob.oracle.m_bounds == bench.oracle.m_bounds
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -100,14 +129,15 @@ def test_reference_solvers_form_one_residual_pass_per_iterate(name, passes, cold
     assert len(residual_passes) == passes
 
 
-@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "ball-quadratic"])
+@pytest.mark.parametrize("name", ["neglog-sep", "logistic-sep-3d", "ball-quadratic",
+                                  "neglog-box-30"])
 def test_a_warm_build_forms_no_residual_pass(name, residual_passes, monkeypatch):
     # a problem's builder, reference solve and QuadraticObjective's
     # eigendecomposition included, runs once per process; a later build
-    # copies the template
+    # copies the template: a sized name is not parsed again either
     get_problem(name)
     del residual_passes[:]
-    monkeypatch.setitem(problems._BUILDERS, name, lambda: pytest.fail("the builder ran again"))
+    monkeypatch.setattr(problems, "_build", lambda name: pytest.fail("the builder ran again"))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh ran"))
     get_problem(name)
     assert residual_passes == []
@@ -141,7 +171,8 @@ def test_builds_share_no_reference_data(name):
 
 @pytest.mark.parametrize("name,shared", [("neglog-sep", "oracle.a"),
                                          ("ball-quadratic", "oracle.q"),
-                                         ("neglog-sep", "term.lo")])
+                                         ("neglog-sep", "term.lo"),
+                                         ("logistic-l1-10", "oracle.b")])
 def test_shared_catalog_arrays_are_read_only(name, shared):
     owner, attr = shared.split(".")
     arr = getattr(getattr(get_problem(name), owner), attr)
