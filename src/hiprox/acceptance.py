@@ -18,11 +18,8 @@ An accepted pair obeys three computable inequalities used by the outer loops:
           (the last provided beta <= 1/p).
 
 A certificate costs one residual pass of f at T (f and grad f together).
-Inside the inner loop it also reads |T - xb| and grad d(T - xb) from the
-scaling function's pass at T, and the membership distance of g from the
-step that produced the pair, so d and its norm are formed once per
-candidate; the certificate still runs its own membership test on that
-distance.
+Given a model's pass at T and the step's membership distance of g, it forms
+neither d nor that distance again, and still runs its membership test.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ class AcceptanceCertificate:
     f_value: float = None  # f(T)
 
 
-def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
+def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, at=None):
     """Build the acceptance certificate for a candidate pair (point, g).
 
     Raises CertificateError when the pair is malformed (point outside the
@@ -93,11 +90,11 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
     and estimating update).
 
     A caller that already has them passes ``gap``, the distance
-    ``term.subgradient_distance(point, g)``, and ``power``, the pair
-    (|d|, grad d(d)) at d = point - anchor (else d is ``PowerProx(cfg.p)``);
-    neither is computed again. The inner loop reads both off its step: the
-    membership check of ``StepSolver.step`` and the scaling function's pass
-    at the point (``ScalingFunction.evaluate``), which shares this anchor.
+    ``term.subgradient_distance(point, g)``, and ``at``, the pass at the point
+    of a model with this anchor and p (``bregman.Pass``), whose |d| and grad d(d)
+    are read (else d is ``PowerProx(cfg.p)``); neither is computed again. The
+    inner loop reads both off its step: the membership check of
+    ``StepSolver.step`` and the scaling function's pass at the point.
     """
     anchor = np.asarray(anchor, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -110,10 +107,10 @@ def check_acceptable(oracle, term, cfg, anchor, point, g, gap=None, power=None):
         raise CertificateError(
             "g is not a subgradient of psi at the candidate (distance %.3e)" % gap
         )
-    if power is None:
+    if at is None:
         _, d_grad, _, radius = PowerProx(cfg.p)._terms(point - anchor)
     else:
-        radius, d_grad = power
+        radius, d_grad = at.radius, at.d_grad
     f_value, grad, _ = oracle.evaluate(point)
     residual = grad + g
     reg_residual = residual + cfg.h * d_grad

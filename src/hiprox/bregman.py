@@ -24,16 +24,16 @@ rho, f_reg and the augmented Taylor model (``tensor.TaylorModel``) are each
 a smooth part plus h d(x - anchor); ``AnchoredModel`` is the one home of
 that sum. Each point costs one pass, ``evaluate``: it forms d = x - anchor
 once, adds the power term, from one |d|, to the subclass's part at d, and
-gives the sum's value, gradient and, when asked, Hessian matrix, with |d|,
-d(d) and grad d(d): the inner loop reads f_reg, grad f_reg and the acceptance
-certificate at the point off rho's pass. The part of ``RegularizedObjective``
-is one residual pass of the oracle. The even Taylor terms of rho are anchored
-at the fixed y, so ``ScalingFunction`` evaluates the anchor's residuals
-(one pass) and the weights f^(2k)(t_i(y)), k <= q, once at construction
-(an ``AnchorStack`` of the even orders 2, ..., 2q), and its part projects d
-once for all orders (``AnchorStack.series``); D^2 f(y) is formed once. The oracle's
-``calls_by_order`` still names every order consumed, but counts the anchor's
-orders once per scaling function rather than once per call.
+gives one ``Pass``, read by name: the sum's value, gradient and Hessian,
+|d|, d(d), grad d(d) and the part: the inner loop reads f_reg, grad f_reg
+and the acceptance certificate at the point off rho's pass. The part of
+``RegularizedObjective`` is one residual pass of the oracle. The even Taylor
+terms of rho are anchored at the fixed y, so ``ScalingFunction`` evaluates
+the anchor's residuals (one pass) and the weights f^(2k)(t_i(y)), k <= q,
+once at construction (an ``AnchorStack`` of the even orders 2, ..., 2q), and
+its part projects d once for all orders (``AnchorStack.series``); D^2 f(y)
+is formed once. The oracle's ``calls_by_order`` still names every order
+consumed, but counts the anchor's orders once per scaling function.
 
 For p = 3 these constants follow from the bracket
 |D^3 f(y)[h][u,u]| <= D^2 f(y)[u,u]/xi + xi M_4 |h|^2 |u|^2/2 (convexity of f
@@ -58,12 +58,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .metric import PowerProx, norm
 from .oracles import AnchorStack
+
+
+class Pass(NamedTuple):
+    """One pass of an ``AnchoredModel`` at x: the sum's value, grad and hess (None unless
+    asked), the power term's |d|, d(d), grad d(d) at d = x - anchor, and the part as given."""
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+    radius: float
+    d_value: float
+    d_grad: np.ndarray
+    part: tuple
 
 
 class AnchoredModel:
@@ -85,40 +99,34 @@ class AnchoredModel:
     def _part(self, x, d, hessian):
         raise NotImplementedError
 
-    def with_part(self, x, hessian=False):
-        """``evaluate``'s tuple at x and the part it summed, as the subclass gave it."""
+    def evaluate(self, x, hessian=False):
+        """One ``Pass`` at x, the Hessian matrix only when asked.
+
+        Every array of the sum and of the power term is new, so the caller may
+        overwrite it: the Hessian sum goes into the power term's own. The
+        part's arrays are the subclass's.
+        """
         x = np.asarray(x, dtype=float)
         d = x - self.anchor
         part = self._part(x, d, hessian)
         p_value, p_grad, p_hess, radius = self.pp._terms(d, hessian)
         h = self.h
-        hess = None
         if hessian:
             p_hess *= h
             if part[2] is not None:
                 p_hess += part[2]
-            hess = p_hess
-        return (part[0] + h * p_value, part[1] + h * p_grad, hess, radius, p_value, p_grad), part
-
-    def evaluate(self, x, hessian=False):
-        """One pass at x: (value, gradient, Hessian matrix or None, |d|, d(d), grad d(d)).
-
-        The last three items are the power term's own (with rho's anchor they
-        give f_reg, grad f_reg and the certificate at x). Every array is new,
-        so the caller may overwrite it: the Hessian sum goes into the power
-        term's own.
-        """
-        return self.with_part(x, hessian)[0]
+        return Pass(part[0] + h * p_value, part[1] + h * p_grad, p_hess, radius, p_value, p_grad,
+                    part)
 
     # -- reads of one pass ------------------------------------------------
     def value(self, x):
-        return self.evaluate(x)[0]
+        return self.evaluate(x).value
 
     def gradient(self, x):
-        return self.evaluate(x)[1]
+        return self.evaluate(x).grad
 
     def hessian_matrix(self, x):
-        return self.evaluate(x, hessian=True)[2]
+        return self.evaluate(x, hessian=True).hess
 
 
 class ScalingFunction(AnchoredModel):
@@ -140,8 +148,8 @@ def bregman_distance(sf, x, z):
     """breg(x, z) = rho(z) - rho(x) - <grad rho(x), z - x> (anchored at x)."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    rho_x, grad_x = sf.evaluate(x)[:2]
-    return sf.value(z) - rho_x - float(np.dot(grad_x, z - x))
+    at_x = sf.evaluate(x)
+    return sf.value(z) - at_x.value - float(np.dot(at_x.grad, z - x))
 
 
 class RegularizedObjective(AnchoredModel):
@@ -158,16 +166,15 @@ class RegularizedObjective(AnchoredModel):
 def candidates(model, term, points):
     """The candidate pairs (T, g) of a scan over ``points``, from one model pass each.
 
-    Yields (T, g, at) per point T: ``at = model.with_part(T)``, and g the
-    subgradient of psi at T nearest -grad model(T). With f_reg
-    (``RegularizedObjective``) ``at[0]``'s |d| and grad d are the acceptance
-    certificate's ``power``; with a ``tensor.TaylorModel`` ``at`` holds both
-    gradients that ``tensor_criterion`` compares.
+    Yields (T, g, at) per point T: ``at = model.evaluate(T)``, and g the
+    subgradient of psi at T nearest -grad model(T). ``at`` is what the
+    acceptance certificate at the model's anchor and p reads; with a
+    ``tensor.TaylorModel`` it holds both gradients ``tensor_criterion`` compares.
     """
     for point in points:
         point = np.asarray(point, dtype=float)
-        at = model.with_part(point)
-        yield point, term.subgradient_select(point, -at[0][1]), at
+        at = model.evaluate(point)
+        yield point, term.subgradient_select(point, -at.grad), at
 
 
 @dataclass
@@ -218,8 +225,8 @@ def relative_sandwich_check(sf, reg, rc, pairs):
     worst = -np.inf
     for y, x in pairs:
         b = bregman_distance(sf, y, x)
-        reg_y, grad_y = reg.evaluate(y)[:2]
-        df = reg.value(x) - reg_y - float(np.dot(grad_y, x - y))
+        at_y = reg.evaluate(y)
+        df = reg.value(x) - at_y.value - float(np.dot(at_y.grad, x - y))
         worst = max(worst, rc.mu * b - df, df - rc.lsmooth * b)
     return worst
 
@@ -240,7 +247,7 @@ def hat_l_sampled(sf, radius, rng):
         u = rng.standard_normal(n)
         u /= norm(u)
         x = sf.anchor + radius * rng.uniform(0.0, 1.0) ** (1.0 / n) * u
-        hess = sf.with_part(x, hessian=True)[1][2]
+        hess = sf.evaluate(x, hessian=True).part[2]
         best = max(best, float(np.abs(np.linalg.eigvalsh(hess)).max()))
     return 1.2 * best
 

@@ -176,13 +176,13 @@ def _write_trace(cfg, trace, calls_by_order, out):
 def _solve(cfg, prob):
     """The outer trace of one plain, accelerated or bi-level run of prob.
 
-    --m reaches every mode as the problem's M_{p+1} (``prob.m_override``).
+    --m reaches every mode as the problem's M_{p+1}, in this build's ``oracle.m_bounds``.
     Bi-level derives H from M; the other modes take H = --h when given.
     """
     p = cfg.p
     prob.oracle.reset_counters()
     if cfg.m is not None:
-        prob.m_override[p + 1] = float(cfg.m)
+        prob.oracle.m_bounds[p + 1] = float(cfg.m)
     if cfg.mode == "bilevel":
         return biopt_run(prob, p, eps=cfg.eps, max_k=cfg.max_outer)
     beta = cfg.beta if cfg.beta is not None else 1.0 / p
@@ -239,9 +239,8 @@ def _run_example1(cfg):
     for anchor in anchors:
         av = np.array([anchor])
         reg = RegularizedObjective(prob.oracle, av, 3, h)
-        for point, g, (at, _) in candidates(reg, prob.term, grid):
-            cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g,
-                                    power=(at[3], at[5]))
+        for point, g, at in candidates(reg, prob.term, grid):
+            cert = check_acceptable(prob.oracle, prob.term, pcfg, av, point, g, at=at)
             rows.append((anchor, point[0], g[0], cert.lhs, cert.rhs, int(cert.accepted)))
         interval = acceptable_interval_1d(pcfg, anchor)
         endpoints["anchor=%s" % repr(float(anchor))] = list(interval) if interval else None
@@ -270,8 +269,7 @@ def _run_example2(cfg):
     for point, g, at in candidates(tm, prob.term, np.linspace(-1.0, 1.5, 2001)[:, None]):
         ok, lhs, rhs = tensor_criterion(at, g, gamma)
         # the model's power term is the certificate's: same anchor and p
-        cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g,
-                                power=(at[0][3], at[0][5]))
+        cert = check_acceptable(prob.oracle, prob.term, pcfg, anchor, point, g, at=at)
         n_pass += int(ok)
         n_accept += int(ok and cert.accepted)
         rows.append((point[0], g[0], lhs, rhs, int(ok), cert.lhs, cert.rhs, int(cert.accepted)))

@@ -46,21 +46,20 @@ bregman`` checks it from a seeded start), so the start changes the step
 count, never the acceptance test.
 
 The scaling function of one inner solve is built once (see ``bregman``).
-Every point costs one ``ScalingFunction.evaluate`` pass (rho, its gradient
-and Hessian, and the power term's |d|, d(d) and grad d(d)), which serves the
-next Newton iteration, the next step (as prox-Newton's start, when the
-projection onto dom psi leaves z in place) and the trace's Bregman distance. At a
-candidate z+ the certificate reads |d| and grad d(d) off that pass, and
-f_reg(z+) and the next step's grad f_reg are formed from it (and z0's from
-the pass at z0), so d and its norm are formed once per point. f and grad f
-at a candidate come from one residual pass, in its certificate, which the
-next step, the descent test and the outer loop read; a start that brings
-them along evaluates neither. The certificate also takes the membership
-distance of g that the step has computed for its own residual check; both
-checks still run on it. Within a Newton iteration psi(w) is evaluated once,
-and the Hessian shift is added in place, on the diagonal of the Hessian the
-pass has just formed; the model decrease that the Armijo test reads is formed
-only when the full step is refused.
+Every point costs one rho pass (``ScalingFunction.evaluate``), which serves
+the next Newton iteration, the next step (as prox-Newton's start, when the
+projection onto dom psi leaves z in place) and the trace's Bregman distance.
+At a candidate z+ the certificate takes that pass whole, and
+``_regularized`` forms f_reg(z+) and the next step's grad f_reg from it (and
+z0's from the pass at z0), so d and its norm are formed once per point. f
+and grad f at a candidate come from one residual pass, in its certificate,
+which the next step, the descent test and the outer loop read; a start that
+brings them along evaluates neither. The certificate also takes the
+membership distance of g that the step has computed for its own residual
+check; both checks still run on it. Within a Newton iteration psi(w) is
+evaluated once, and the Hessian shift is added in place, on the diagonal of
+the Hessian the pass has just formed; the model decrease that the Armijo
+test reads is formed only when the full step is refused.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 
 from .acceptance import ACCEPT_SLACK, check_acceptable
-from .bregman import RegularizedObjective, ScalingFunction
+from .bregman import Pass, RegularizedObjective, ScalingFunction
 from .errors import NumericalError, ParameterError
 from .metric import norm
 # bench/spans.py traces minimize_composite_1d through this binding
@@ -176,32 +175,34 @@ class StepSolver:
         is c and ``rho_z`` the pass ``sf.evaluate(z, hessian=True)``, when the
         caller has them; otherwise they are computed here. Returns (z+, g, rho
         pass at z+, distance from g to dpsi(z+)): the pass is the next step's
-        ``rho_z`` (each Newton iterate's rho pass rides along with phi's), and
+        ``rho_z`` (each Newton iterate's rho pass is the ``part`` of phi's), and
         the pass and the distance are what the certificate of (z+, g) reads.
         """
         z = np.asarray(z, dtype=float)
         sf, term = self.sf, self.term
         if rho_z is None:
             rho_z = sf.evaluate(z, hessian=True)
-        c = sf.oracle.gradient(z) + sf.h * rho_z[5] if grad_reg is None else grad_reg
+        c = (_regularized(sf.h, rho_z, None, sf.oracle.gradient(z))[1] if grad_reg is None
+             else grad_reg)
         two_l = 2.0 * lsmooth
-        grad_z = rho_z[1]
+        grad_z = rho_z.grad
         ctil = c - two_l * grad_z
         tol = _RES_TOL * max(1.0, norm(c))
 
         def evaluate(w, rho=None):
+            # phi's pass: rho's power items (same anchor, same d), rho itself as the part
             if rho is None:
                 rho = sf.evaluate(w, hessian=True)
-            return (two_l * rho[0] + float(np.dot(ctil, w)), two_l * rho[1] + ctil,
-                    two_l * rho[2], rho)
+            return Pass(two_l * rho.value + float(np.dot(ctil, w)), two_l * rho.grad + ctil,
+                        two_l * rho.hess, rho.radius, rho.d_value, rho.d_grad, rho)
 
         w0 = term.project(z)
         # a start that the projection leaves in place reads z's rho pass
         at_w0 = evaluate(w0, rho_z if (w0 == z).all() else None)
         w, at_w, steps = prox_newton(evaluate, term, w0, at_w0, 0.5 * tol)
         self.newton_iters += steps
-        rho_w = at_w[3]
-        g = two_l * (grad_z - rho_w[1]) - c
+        rho_w = at_w.part
+        g = two_l * (grad_z - rho_w.grad) - c
         dist = term.subgradient_distance(w, g)
         if dist > 100.0 * tol:
             raise NumericalError("prox-Newton step residual %.3e > %.1e" % (dist, 100.0 * tol),
@@ -212,9 +213,9 @@ class StepSolver:
 def prox_newton(evaluate, term, w, at_w, tol):
     """argmin s + psi by damped proximal Newton (Lee, Sun and Saunders 2014): (w, pass, steps).
 
-    ``evaluate(w)`` is one pass: s(w), grad s(w), the Hessian H of s, then
-    anything the caller keeps; ``at_w`` is the caller's pass at the start w,
-    so no point is evaluated twice. H must be a new C-contiguous array at every
+    ``evaluate(w)`` is one ``bregman.Pass`` of s, read for s(w), grad s(w) and
+    the Hessian H of s; ``at_w`` is the caller's pass at the start w, so no
+    point is evaluated twice. H must be a new C-contiguous array at every
     call: prox-Newton adds its shift to H's diagonal in place, through a
     strided view of H (an H in any other layout is copied first and the copy
     shifted). A step minimizes the model with H + 1e-11 (1 + max |H_ii|) I
@@ -226,13 +227,13 @@ def prox_newton(evaluate, term, w, at_w, tol):
     the returned w, its H unshifted.
     """
     psi_w = term.value(w)
-    fw = at_w[0] + psi_w
+    fw = at_w.value + psi_w
     steps = 0
     for _ in range(_NEWTON_CAP):
-        gw = at_w[1]
+        gw = at_w.grad
         if term.subgradient_distance(w, -gw) <= tol:
             break
-        hm = np.ascontiguousarray(at_w[2])
+        hm = np.ascontiguousarray(at_w.hess)
         diag = hm.reshape(-1)[:: len(w) + 1]  # a writable view of H's diagonal
         diag += 1e-11 * (1.0 + float(np.abs(diag).max()))
         cand = _model_min(term, w, gw, hm)
@@ -244,7 +245,7 @@ def prox_newton(evaluate, term, w, at_w, tol):
             wt = w + d if t == 1.0 else w + t * d
             at_t = evaluate(wt)
             psi_t = term.value(wt)
-            ft = at_t[0] + psi_t
+            ft = at_t.value + psi_t
             # the full step may rise by rounding; a shorter one must
             # make the Armijo decrease
             if t == 1.0:
@@ -275,9 +276,9 @@ def _composite_argmin(evaluate, term, start, slack):
     """
     w0 = term.project(start)
     at_w0 = evaluate(w0)
-    tol = 0.5 * slack * min(1.0, term.subgradient_distance(w0, -at_w0[1]))
+    tol = 0.5 * slack * min(1.0, term.subgradient_distance(w0, -at_w0.grad))
     t, at_t, _ = prox_newton(evaluate, term, w0, at_w0, tol)
-    return t, term.subgradient_select(t, -at_t[1])
+    return t, term.subgradient_select(t, -at_t.grad)
 
 
 def exact_prox(oracle, term, cfg, anchor):
@@ -412,6 +413,12 @@ def _ball_quadratic(term, w, grad, hm):
     return center + vec @ (bt / (lam + a))
 
 
+def _regularized(h, rho, f_value, grad_f):
+    """f_reg = f + H d(d) and grad f_reg = grad f + H grad d(d) off rho's pass; None for None."""
+    return (None if f_value is None else f_value + h * rho.d_value,
+            None if grad_f is None else grad_f + h * rho.d_grad)
+
+
 def inner_solve(oracle, term, cfg, rc, anchor, start):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
@@ -459,20 +466,17 @@ def inner_solve(oracle, term, cfg, rc, anchor, start):
         f_z, grad_f, _ = oracle.evaluate(z)
     f_z = oracle.value(z) if f_z is None else f_z
     grad_f = oracle.gradient(z) if grad_f is None else grad_f
-    freg_z = f_z + sf.h * rho_z[4]
-    c = grad_f + sf.h * rho_z[5]
+    freg_z, c = _regularized(sf.h, rho_z, f_z, grad_f)
     trace = InnerTrace(rows=[InnerRow(0, freg_z + term.value(z),
                                       np.nan, np.nan, np.nan, np.nan)], points=[z.copy()])
     i = 0
     while i < _STEP_CAP:
         z_new, g, rho_new, gap = solver.step(z, l_i, c, rho_z)
-        # the certificate, f_reg(z_new) and the next grad f_reg read the power
-        # term's |d|, d(d) and grad d(d) off the rho pass at z_new
-        cert = check_acceptable(oracle, term, cfg, anchor, z_new, g, gap,
-                                (rho_new[3], rho_new[5]))
-        freg_new = cert.f_value + sf.h * rho_new[4]
+        # the certificate, f_reg(z_new) and the next grad f_reg read the rho pass at z_new
+        cert = check_acceptable(oracle, term, cfg, anchor, z_new, g, gap, rho_new)
+        freg_new, c_new = _regularized(sf.h, rho_new, cert.f_value, cert.gradient)
         # breg(z, z_new) from the passes at both ends
-        breg = rho_new[0] - rho_z[0] - float(np.dot(rho_z[1], z_new - z))
+        breg = rho_new.value - rho_z.value - float(np.dot(rho_z.grad, z_new - z))
         if (not cert.accepted and l_i < lcap
                 and freg_new > freg_z + float(np.dot(c, z_new - z)) + l_i * breg):
             # the relative descent inequality fails at L_i: redo the step from z
@@ -495,8 +499,7 @@ def inner_solve(oracle, term, cfg, rc, anchor, start):
         if cert.accepted:
             trace.newton_iters = solver.newton_iters
             return InnerResult(cert, 0 if fixed_point else i, trace)
-        z, rho_z, freg_z = z_new, rho_new, freg_new
-        c = cert.gradient + sf.h * rho_new[5]
+        z, rho_z, freg_z, c = z_new, rho_new, freg_new, c_new
         l_i = max(0.5 * l_i, rc.mu)
     raise NumericalError(
         "inner loop exceeded %d iterations" % _STEP_CAP, residual=trace.rows[-1].ratio

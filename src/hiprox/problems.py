@@ -24,8 +24,8 @@ of the package: its build, reference solve included, runs once per process,
 on the name's first ``get_problem``, and its result is kept as a frozen
 template (``_TEMPLATES``) whose arrays are read-only. Every build shares
 those arrays, the term and the scalar family, and gets its own oracle (with
-its own ``m_bounds`` and an empty ``calls_by_order``), ``m_override``, and
-copies of x0 and x*. The one-dimensional grid minimizer and level-set radius
+its own ``m_bounds``, where ``--m`` writes, and an empty ``calls_by_order``)
+and copies of x0 and x*. The one-dimensional grid minimizer and level-set radius
 that tests check the catalog against live in ``tests/references.py``.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -53,7 +53,6 @@ class Problem:
     f_star: float = None
     x_star: np.ndarray = None
     d0: float = None
-    m_override: dict = field(default_factory=dict)
     sample_lo: np.ndarray = None
     sample_hi: np.ndarray = None
     description: str = ""
@@ -69,10 +68,7 @@ class Problem:
 
     def m_next(self, p):
         """Upper bound on the (p+1)st derivative norm over the working set."""
-        order = p + 1
-        if order in self.m_override:
-            return float(self.m_override[order])
-        return float(self.oracle.m_bound(order))
+        return float(self.oracle.m_bound(p + 1))
 
     def sample(self, rng, count):
         if self.sample_lo is None or self.sample_hi is None:
@@ -253,6 +249,7 @@ def _ball_quadratic():
     direction /= np.linalg.norm(direction)
     c = -q @ (1.8 * direction)
     oracle = QuadraticObjective(q, c)
+    oracle.m_bounds.update({4: 1.0, 5: 1.0, 6: 1.0})  # true sups are 0; any bound works
     x_star, _ = trs_reference(q, c, 1.0)
     return Problem(
         name="ball-quadratic",
@@ -262,7 +259,6 @@ def _ball_quadratic():
         f_star=float(0.5 * x_star @ q @ x_star + c @ x_star),
         x_star=x_star,
         d0=2.0,  # ball diameter bounds any level radius
-        m_override={4: 1.0, 5: 1.0, 6: 1.0},  # true sups are 0; any bound works
         sample_lo=-0.7 * np.ones(n),
         sample_hi=0.7 * np.ones(n),
         description="convex quadratic on the unit ball; boundary solution",
@@ -391,12 +387,11 @@ def get_problem(name):
     """A build of problem ``name``, a catalog name or a sized one, from its frozen template.
 
     It shares the template's read-only arrays, term and scalar family, and has
-    its own oracle (own ``m_bounds``, empty ``calls_by_order``),
-    ``m_override`` and copies of x0 and x*.
+    its own oracle (own ``m_bounds``, empty ``calls_by_order``) and copies
+    of x0 and x*.
     """
     prob = _template(name)
     oracle = copy.copy(prob.oracle)
     oracle.m_bounds, oracle.calls_by_order = dict(prob.oracle.m_bounds), {}
     x_star = None if prob.x_star is None else prob.x_star.copy()
-    return replace(prob, oracle=oracle, x0=prob.x0.copy(), x_star=x_star,
-                   m_override=dict(prob.m_override))
+    return replace(prob, oracle=oracle, x0=prob.x0.copy(), x_star=x_star)

@@ -19,9 +19,9 @@ which equals beta exactly when M = (1+beta)/(beta(1-gamma) - gamma) M_{p+1}.
 A ``TaylorModel`` evaluates f(x) and grad f(x) (one residual pass) and the
 stack of orders 2, ..., p (one more, an ``AnchorStack``) at its x once.
 It is a ``bregman.AnchoredModel``: ``evaluate`` gives the augmented model at
-y, H = M/p!, and ``with_part`` both models, from one pass. A ``tensor_step``
-minimizes the augmented model plus psi by ``inner.prox_newton``, in every
-dimension, as the inner loop's steps and the exact prox do.
+y, H = M/p!, with the Taylor model as its ``part``, from one pass. A
+``tensor_step`` minimizes the augmented model plus psi by ``inner.prox_newton``,
+in every dimension, as the inner loop's steps and the exact prox do.
 """
 
 from __future__ import annotations
@@ -73,22 +73,22 @@ def tensor_step(tm, term, gamma):
         raise ParameterError("gamma must be >= 0")
     t, g = _composite_argmin(lambda y: tm.evaluate(y, hessian=True), term, tm.anchor,
                              CRITERION_SLACK)
-    ok, lhs, rhs = tensor_criterion(tm.with_part(t), g, gamma)
+    ok, lhs, rhs = tensor_criterion(tm.evaluate(t), g, gamma)
     return t, g, ok, lhs, rhs
 
 
 def tensor_criterion(at, g, gamma):
     """Evaluate the inexactness criterion at a candidate pair (y, g).
 
-    ``at`` is the Taylor model's pass at y, ``tm.with_part(y)`` (as
-    ``bregman.candidates`` yields it). Returns (ok, lhs, rhs) with lhs the
-    augmented-gradient residual and rhs the model residual the criterion
+    ``at`` is the Taylor model's pass at y, ``tm.evaluate(y)`` (as
+    ``bregman.candidates`` yields it): ``at.grad`` is the augmented model's
+    gradient and ``at.part[1]`` the model's. Returns (ok, lhs, rhs) with lhs
+    the augmented-gradient residual and rhs the model residual the criterion
     compares against; ok allows an additive ``CRITERION_SLACK``.
     """
     g = np.asarray(g, dtype=float)
-    augmented, model = at
-    lhs = norm(augmented[1] + g)
-    rhs = norm(model[1] + g)
+    lhs = norm(at.grad + g)
+    rhs = norm(at.part[1] + g)
     return lhs <= gamma / (1.0 + gamma) * rhs + CRITERION_SLACK, lhs, rhs
 
 
@@ -112,8 +112,8 @@ def tensor_acceptance_map(p, beta, gamma, m_next):
 def lemma2_bound_check(tm, y, g, at, gamma, m_next):
     """Check the residual transfer bound satisfied by criterion-passing steps.
 
-    ``at`` is the Taylor model's pass at y, ``tm.with_part(y)`` (as
-    ``bregman.candidates`` yields it), whose ``at[0][5]`` is grad d(y-x).
+    ``at`` is the Taylor model's pass at y, ``tm.evaluate(y)`` (as
+    ``bregman.candidates`` yields it), whose ``at.d_grad`` is grad d(y-x).
     Returns (lhs, bound, ok) with
     lhs   = |grad f(T) + (M/p!) grad d(T-x) + g|_*,
     bound = (M_{p+1} + gamma M)/((1-gamma) M - M_{p+1}) |grad f(T) + g|_*,
@@ -125,7 +125,7 @@ def lemma2_bound_check(tm, y, g, at, gamma, m_next):
     if denom <= 0:
         raise ParameterError("(1-gamma) M must exceed M_{p+1}")
     grad = tm.oracle.gradient(y)
-    lhs = norm(grad + tm.h * at[0][5] + g)
+    lhs = norm(grad + tm.h * at.d_grad + g)
     rhs = norm(grad + g)
     bound = (m_next + gamma * tm.m) / denom * rhs
     return lhs, bound, lhs <= bound + 1e-10 * max(1.0, bound)

@@ -562,7 +562,7 @@ def suite_tensor(seed=0):
         x = rng.uniform(-1.5, 1.5, 1)
         y = rng.uniform(-1.5, 1.5, 1)
         tmx = TaylorModel(oracle, x, 3, m4)
-        diff = abs(float(oracle.gradient(y)[0]) - float(tmx.with_part(y)[1][1][0]))
+        diff = abs(float(oracle.gradient(y)[0]) - float(tmx.evaluate(y).part[1][0]))
         worst = max(worst, diff - m4 / 6.0 * abs(float(y[0] - x[0])) ** 3)
     results.append(CheckResult("tensor", "model gradient bound", worst, 1e-10))
 
@@ -593,8 +593,7 @@ def suite_tensor(seed=0):
     margins = []
     for point, g, at in candidates(tm_map, term, grid[:, None]):
         if tensor_criterion(at, g, gamma)[0]:
-            cert = check_acceptable(oracle, term, cfg, anchor, point, g,
-                                    power=(at[0][3], at[0][5]))
+            cert = check_acceptable(oracle, term, cfg, anchor, point, g, at=at)
             margins.append(cert.lhs - cfg.beta * cert.rhs)
     results.append(CheckResult("tensor", "target-beta map acceptance",
                                max(margins, default=np.inf), 1e-12))
@@ -617,7 +616,7 @@ def suite_tensor(seed=0):
     worst = -np.inf if run.status == "converged" else np.inf
     for cert in run.certificates:
         tm_run = TaylorModel(prob.oracle, cert.anchor, 3, m_map)
-        _, lhs, rhs = tensor_criterion(tm_run.with_part(cert.point), cert.subgradient, gamma)
+        _, lhs, rhs = tensor_criterion(tm_run.evaluate(cert.point), cert.subgradient, gamma)
         worst = max(worst, lhs - gamma / (1.0 + gamma) * rhs, certificate_violation(cert, cfg))
     results.append(CheckResult("tensor", "logistic-sep-3d accelerated tensor steps", worst, 1e-10))
     return results

@@ -21,7 +21,8 @@ from hiprox import (
     theta_bound,
     theta_constants,
 )
-from hiprox.bregman import AnchoredModel
+from hiprox.bregman import AnchoredModel, Pass
+from hiprox.metric import PowerProx
 from references import directional, in_metric, matrix
 
 
@@ -75,9 +76,9 @@ def test_scaling_function_poly_part_even_orders_only():
     t = oracle.a @ anchor - oracle.b
     d2 = d @ oracle.hessian_matrix(anchor) @ d / 2.0
     d4 = sum(oracle.family.derivative(t, 4) * (oracle.a @ d) ** 4) / 24.0
-    np.testing.assert_allclose(sf4.evaluate(x)[0], d2 + d4, rtol=1e-11)
+    np.testing.assert_allclose(sf4.evaluate(x).value, d2 + d4, rtol=1e-11)
     sf3 = ScalingFunction(prob.oracle, anchor, 3, 0.0)
-    np.testing.assert_allclose(sf3.evaluate(x)[0], d2, rtol=1e-11)
+    np.testing.assert_allclose(sf3.evaluate(x).value, d2, rtol=1e-11)
 
 
 def test_scaling_function_validation():
@@ -142,14 +143,14 @@ def test_relative_sandwich_makes_two_regularized_passes_per_pair(monkeypatch):
     sf = ScalingFunction(prob.oracle, anchor, 3, h)
     reg = RegularizedObjective(prob.oracle, anchor, 3, h)
     passes = []
-    with_part = AnchoredModel.with_part
+    evaluate = AnchoredModel.evaluate
 
     def counted(self, x, hessian=False):
         if type(self) is RegularizedObjective:
             passes.append(1)
-        return with_part(self, x, hessian)
+        return evaluate(self, x, hessian)
 
-    monkeypatch.setattr(AnchoredModel, "with_part", counted)
+    monkeypatch.setattr(AnchoredModel, "evaluate", counted)
     rng = np.random.default_rng(6)
     pairs = list(zip(prob.sample(rng, 10), prob.sample(rng, 10)))
     relative_sandwich_check(sf, reg, relative_constants(3, h, m), pairs)
@@ -222,7 +223,7 @@ def test_hat_l_sampled_bounds_local_hessian():
     sf = ScalingFunction(prob.oracle, anchor, 3, 1.0)
     rng = np.random.default_rng(8)
     hat_l = hat_l_sampled(sf, 0.5, rng)
-    anchor_eig = float(np.abs(np.linalg.eigvalsh(sf.with_part(anchor, hessian=True)[1][2])).max())
+    anchor_eig = float(np.abs(np.linalg.eigvalsh(sf.evaluate(anchor, hessian=True).part[2])).max())
     assert hat_l >= anchor_eig
 
 
@@ -319,17 +320,17 @@ def test_one_pass_equals_separate_contractions_exactly(name, p, metric_kind):
     for x in [anchor.copy()] + [anchor + 0.1 * rng.standard_normal(n) for _ in range(3)]:
         value, grad, hess = _direct_scaling(oracle, anchor, sf, x)
         one_pass = sf.evaluate(x, hessian=True)
-        assert one_pass[0] == value
-        assert np.array_equal(one_pass[1], grad)
-        assert np.array_equal(one_pass[2], hess)
+        assert one_pass.value == value
+        assert np.array_equal(one_pass.grad, grad)
+        assert np.array_equal(one_pass.hess, hess)
         no_hessian = sf.evaluate(x)
-        assert no_hessian[0] == value and np.array_equal(no_hessian[1], grad)
-        assert no_hessian[2] is None
+        assert no_hessian.value == value and np.array_equal(no_hessian.grad, grad)
+        assert no_hessian.hess is None
         assert sf.value(x) == value
         assert np.array_equal(sf.gradient(x), grad)
         assert np.array_equal(sf.hessian_matrix(x), hess)
-    assert sf.evaluate(anchor)[0] == 0.0
-    assert not np.any(sf.evaluate(anchor)[1])
+    assert sf.evaluate(anchor).value == 0.0
+    assert not np.any(sf.evaluate(anchor).grad)
 
 
 def _anchored_models(name):
@@ -344,26 +345,54 @@ def _anchored_models(name):
     return prob, anchor, models
 
 
+def _scratch_part(model, x, hessian):
+    """The part of an anchored model at x, from a new stack or a new oracle pass."""
+    oracle, anchor = model.oracle, model.anchor
+    d = x - anchor
+    if isinstance(model, RegularizedObjective):
+        return oracle.evaluate(x, hessian)
+    if isinstance(model, ScalingFunction):
+        return AnchorStack(oracle, anchor, range(2, 2 * model.q + 1, 2)).series(d, hessian)
+    f0, g0, _ = oracle.evaluate(anchor)
+    return AnchorStack(oracle, anchor, range(2, model.p + 1)).series(
+        d, hessian, f0 + float(np.dot(g0, d)), g0)
+
+
+def _same_part(a, b):
+    return (a[0] == b[0] and np.array_equal(a[1], b[1])
+            and (a[2] is None if b[2] is None else np.array_equal(a[2], b[2])))
+
+
 @pytest.mark.parametrize("name", ("logistic-sep-3d", "ball-quadratic"))
 def test_anchored_model_reads_are_items_of_its_pass(name):
-    # value, gradient and hessian_matrix are the items of one pass, bit for
-    # bit, and a pass without the Hessian has the same other items
+    # each field of a pass of rho, f_reg and the Taylor model, by name, bit
+    # for bit as formed from scratch (a new power term, a new stack or oracle
+    # pass for the part); value, gradient and hessian_matrix read it, and a
+    # pass without the Hessian has the same other fields
     prob, anchor, models = _anchored_models(name)
     rng = np.random.default_rng(1)
     for model in models:
         for x in (anchor, anchor + 0.1 * rng.standard_normal(prob.dimension)):
             full = model.evaluate(x, hessian=True)
-            assert model.value(x) == full[0]
-            assert np.array_equal(model.gradient(x), full[1])
-            assert np.array_equal(model.hessian_matrix(x), full[2])
+            assert isinstance(full, Pass)
+            d_value, d_grad, d_hess, radius = PowerProx(model.p)._terms(x - anchor, True)
+            part = _scratch_part(model, x, True)
+            assert _same_part(full.part, part)
+            assert full.radius == radius and full.d_value == d_value
+            assert np.array_equal(full.d_grad, d_grad)
+            assert full.value == part[0] + model.h * d_value
+            assert np.array_equal(full.grad, part[1] + model.h * d_grad)
+            d_hess *= model.h
+            assert np.array_equal(full.hess, d_hess if part[2] is None else d_hess + part[2])
+            assert model.value(x) == full.value
+            assert np.array_equal(model.gradient(x), full.grad)
+            assert np.array_equal(model.hessian_matrix(x), full.hess)
             light = model.evaluate(x)
-            assert light[2] is None
-            assert light[0] == full[0] and light[3] == full[3] and light[4] == full[4]
-            assert np.array_equal(light[1], full[1]) and np.array_equal(light[5], full[5])
-            # the part it summed is what the pass adds h d(x - anchor) to
-            total, part = model.with_part(x)
-            assert total[0] == part[0] + model.h * total[4]
-            assert np.array_equal(total[1], part[1] + model.h * total[5])
+            assert light.hess is None and _same_part(light.part, _scratch_part(model, x, False))
+            assert (light.value, light.radius, light.d_value) == (full.value, full.radius,
+                                                                  full.d_value)
+            assert np.array_equal(light.grad, full.grad)
+            assert np.array_equal(light.d_grad, full.d_grad)
 
 
 @pytest.mark.parametrize("name", ("logistic-sep-3d", "ball-quadratic"))
@@ -374,8 +403,8 @@ def test_anchored_model_pass_returns_new_arrays(name):
     x = anchor + 0.1 * np.random.default_rng(2).standard_normal(prob.dimension)
     for model in models:
         first = model.evaluate(x, hessian=True)
-        kept = [a.tobytes() for a in (first[1], first[2], first[5])]
-        for a in (first[1], first[2], first[5]):
+        kept = [a.tobytes() for a in (first.grad, first.hess, first.d_grad)]
+        for a in (first.grad, first.hess, first.d_grad):
             a.fill(np.nan)
         second = model.evaluate(x, hessian=True)
-        assert [a.tobytes() for a in (second[1], second[2], second[5])] == kept
+        assert [a.tobytes() for a in (second.grad, second.hess, second.d_grad)] == kept

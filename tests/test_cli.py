@@ -105,9 +105,9 @@ def test_example1_scan_forms_the_power_term_once_per_point(monkeypatch):
     prob = get_problem("linear-nonneg-1d")
     anchor = np.array([1.4])
     reg = RegularizedObjective(prob.oracle, anchor, 3, 1.0)
-    for point, g, (at, _) in candidates(reg, prob.term, np.linspace(0.0, 2.5, 26)[:, None]):
+    for point, g, at in candidates(reg, prob.term, np.linspace(0.0, 2.5, 26)[:, None]):
         check_acceptable(prob.oracle, prob.term, ProxConfig(3, 1.0, 0.85), anchor, point, g,
-                         power=(at[3], at[5]))
+                         at=at)
     assert len(calls) == 26
 
 
@@ -115,9 +115,9 @@ def test_example2_scan(tmp_path, monkeypatch):
     # g, the criterion and the certificate read one Taylor model pass, and so
     # one power term, at each grid point
     passes, terms = [], []
-    with_part, power = TaylorModel.with_part, PowerProx._terms
-    monkeypatch.setattr(TaylorModel, "with_part",
-                        lambda tm, *args: passes.append(1) or with_part(tm, *args))
+    evaluate, power = TaylorModel.evaluate, PowerProx._terms
+    monkeypatch.setattr(TaylorModel, "evaluate",
+                        lambda tm, *args: passes.append(1) or evaluate(tm, *args))
     monkeypatch.setattr(PowerProx, "_terms", lambda pp, *args: terms.append(1) or power(pp, *args))
     assert main(["run", "--mode", "example2", "--out", "ex2"]) == 0
     assert (len(passes), len(terms)) == (2001, 2001)

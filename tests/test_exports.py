@@ -16,7 +16,7 @@ read is a check that belongs in ``verify``.
 
 The Euclidean norm has one home as well, ``metric.norm``, and so has the
 power term that rho, f_reg and the augmented Taylor model add to their parts:
-``bregman.AnchoredModel``.
+``bregman.AnchoredModel``, whose pass has one shape, ``bregman.Pass``.
 """
 
 import ast
@@ -229,5 +229,27 @@ def test_the_power_term_has_one_home():
     for path in sorted(package.glob("*.py")):
         if path.name != "metric.py":
             visit(ast.parse(path.read_text(), filename=str(path)), (), path)
-    assert calls == ["acceptance.py:check_acceptable", "bregman.py:AnchoredModel.with_part"]
+    assert calls == ["acceptance.py:check_acceptable", "bregman.py:AnchoredModel.evaluate"]
     assert private == []
+
+
+def test_a_pass_has_one_shape():
+    # a model's pass is one ``bregman.Pass``: no module names the retired
+    # method that returned it nested with its part (spelled in two pieces so
+    # that this file does not name it either), and no certificate is handed a
+    # tuple literal for its power term in place of the pass
+    retired = "with" + "_part"
+    named, literal = [], []
+    for path in list(_sources()) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if retired in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None), getattr(node, "value", None)):
+                named.append("%s:%d" % (path.name, node.lineno))
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == "check_acceptable":
+                args = node.args + [k.value for k in node.keywords]
+                if any(isinstance(arg, ast.Tuple) for arg in args):
+                    literal.append("%s:%d" % (path.name, node.lineno))
+    assert named == []
+    assert literal == []

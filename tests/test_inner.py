@@ -31,6 +31,7 @@ from hiprox import (
     relative_constants,
     tensor_step,
 )
+from hiprox.bregman import Pass
 from hiprox.simple_terms import ZeroTerm
 from references import in_metric, within
 
@@ -521,13 +522,12 @@ def test_certificate_from_the_rho_pass_equals_one_from_scratch(name, p, weighted
     for _ in range(3):
         z_new, g, rho, gap = solver.step(z, rng.uniform(0.5, 1.5))
         assert gap == prob.term.subgradient_distance(z_new, g)
-        reused = check_acceptable(oracle, prob.term, cfg, anchor, z_new, g, gap,
-                                  (rho[3], rho[5]))
+        reused = check_acceptable(oracle, prob.term, cfg, anchor, z_new, g, gap, rho)
         scratch = check_acceptable(oracle, prob.term, cfg, anchor, z_new, g)
         for f in dataclasses.fields(AcceptanceCertificate):
             assert _same(getattr(reused, f.name), getattr(scratch, f.name)), f.name
-        assert reused.f_value + sf.h * rho[4] == reg.value(z_new)
-        assert np.array_equal(reused.gradient + sf.h * rho[5], reg.gradient(z_new))
+        assert reused.f_value + sf.h * rho.d_value == reg.value(z_new)
+        assert np.array_equal(reused.gradient + sf.h * rho.d_grad, reg.gradient(z_new))
         z = z_new
 
 
@@ -621,6 +621,11 @@ def _pseudo_huber(w):
     return root, w / root, np.array([[1.0 / root ** 3]])
 
 
+def _pass(value, grad, hess):
+    """prox-Newton's pass of a plain smooth s: no power term and no part."""
+    return Pass(value, grad, hess, None, None, None, None)
+
+
 def test_prox_newton_halves_a_rising_full_step_to_the_armijo_decrease():
     # s(w) = sqrt(1 + w^2) from w = 2: the full Newton step d = -w (1 + w^2)
     # lands at -8, where s rises; halving accepts the first t that makes the
@@ -631,7 +636,7 @@ def test_prox_newton_halves_a_rising_full_step_to_the_armijo_decrease():
 
     def evaluate(w):
         points.append(w)
-        return _pseudo_huber(w)
+        return _pass(*_pseudo_huber(w))
 
     w, at_w, steps = inner.prox_newton(evaluate, term, w0, evaluate(w0), 1e-12)
     d = points[1] - w0
@@ -647,7 +652,7 @@ def test_prox_newton_halves_a_rising_full_step_to_the_armijo_decrease():
     assert values[2] <= s0 - 1e-4 * 0.25 * model_drop
     # the next Newton step starts at the accepted point and is whole
     assert abs(points[4][0]) < abs(points[3][0])
-    assert abs(w[0]) <= 1e-12 and at_w[1][0] == w[0] / math.sqrt(1.0 + w[0] ** 2)
+    assert abs(w[0]) <= 1e-12 and at_w.grad[0] == w[0] / math.sqrt(1.0 + w[0] ** 2)
     assert steps == len(points) - 3
     # psi is read at every point, and once more at the candidate of the one
     # step that halved: the model decrease is formed only there
@@ -661,7 +666,7 @@ def test_prox_newton_takes_a_full_step_without_the_model_decrease():
 
     def evaluate(w):
         points.append(w)
-        return 0.5 * float(w @ w) + float(w.sum()), w + 1.0, np.eye(2)
+        return _pass(0.5 * float(w @ w) + float(w.sum()), w + 1.0, np.eye(2))
 
     term = _CountingZero()
     w0 = np.array([3.0, -2.0])
@@ -679,7 +684,7 @@ def test_prox_newton_line_search_raises_after_fifty_halvings():
 
     def evaluate(w):
         points.append(w)
-        return float(w[0] != 0.0), np.array([1.0]), np.array([[1.0]])
+        return _pass(float(w[0] != 0.0), np.array([1.0]), np.array([[1.0]]))
 
     with pytest.raises(NumericalError, match="50 halvings"):
         inner.prox_newton(evaluate, make_term("zero"), w0, evaluate(w0), 1e-12)
@@ -822,7 +827,8 @@ def test_prox_newton_shifts_a_hessian_in_any_layout(monkeypatch):
         seen.clear()
 
         def evaluate(w):
-            return 0.5 * float(w @ hess @ w) + float(w.sum()), hess @ w + 1.0, layout(hess.copy())
+            return _pass(0.5 * float(w @ hess @ w) + float(w.sum()), hess @ w + 1.0,
+                         layout(hess.copy()))
 
         w0 = np.array([3.0, -2.0])
         w, _, steps = inner.prox_newton(evaluate, make_term("zero"), w0, evaluate(w0), 1e-12)

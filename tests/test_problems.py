@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from hiprox import AnchorStack, ParameterError, get_problem, list_problems, problems
+from hiprox.cli import RunConfig, _solve
 from hiprox.problems import box_newton_reference, list_families, newton_reference, trs_reference
 from references import composite_min_1d, directional, fd_check, level_radius_1d
 
@@ -154,11 +155,10 @@ def test_builds_share_no_reference_data(name):
     first = get_problem(name)
     digest, m_next = _reference_digest(first), first.m_next(3)
     x0, m_bounds = first.x0.copy(), dict(first.oracle.m_bounds)
-    # what a caller may write into its build: x* and x0 in place, --m's
-    # override, the oracle's bounds, and its counts by a solve
+    # what a caller may write into its build: x* and x0 in place, the
+    # oracle's bounds (where --m goes), and its counts by a solve
     first.x_star[:] = 7.0
     first.x0[:] = 7.0
-    first.m_override[4] = 123.0
     first.oracle.m_bounds[4] = 456.0
     first.oracle.value(first.x0 * 0.0)
     second = get_problem(name)
@@ -190,12 +190,16 @@ def test_sample_requires_box():
         prob.sample(np.random.default_rng(0), 5)
 
 
-def test_m_override_wins():
+def test_m_option_sets_only_its_own_builds_bound():
+    # ball-quadratic declares M_4 = M_5 = M_6 = 1 in its oracle's bounds (the
+    # quadratic's own sups are 0, as M_3 and M_7 still read); --m writes
+    # M_{p+1} into the bounds of the one build it runs, and a fresh build
+    # reads the declared bound again
     prob = get_problem("ball-quadratic")
-    assert prob.m_next(3) == 1.0
-    assert prob.m_next(4) == 1.0
-    # the quadratic itself has zero high-order derivatives
-    assert prob.oracle.m_bound(4) == 0.0
+    assert [prob.m_next(p) for p in range(2, 7)] == [0.0, 1.0, 1.0, 1.0, 0.0]
+    _solve(RunConfig(problem="ball-quadratic", mode="bilevel", m=2.0, max_outer=1), prob)
+    assert (prob.m_next(3), prob.m_next(4)) == (2.0, 1.0)
+    assert get_problem("ball-quadratic").m_next(3) == 1.0
 
 
 def test_level_radius_quartic():

@@ -35,7 +35,7 @@ def test_taylor_model_reproduces_polynomials_exactly():
     for y in (-1.0, 0.0, 0.5, 1.3):
         h = y - 0.8
         expected = 0.8 ** 4 + 4 * 0.8 ** 3 * h + 6 * 0.8 ** 2 * h ** 2 + 4 * 0.8 * h ** 3
-        model = tm.with_part(np.array([y]))[1]
+        model = tm.evaluate(np.array([y])).part
         np.testing.assert_allclose(model[0], expected, rtol=1e-12)
         grad = 4 * 0.8 ** 3 + 12 * 0.8 ** 2 * h + 12 * 0.8 * h ** 2
         np.testing.assert_allclose(model[1][0], grad, rtol=1e-12)
@@ -49,7 +49,7 @@ def test_taylor_remainder_order():
     for y in rng.uniform(-1.5, 1.5, 20):
         yv = np.array([y])
         np.testing.assert_allclose(
-            oracle.value(yv) - tm.with_part(yv)[1][0], (y - 0.8) ** 4, atol=1e-12
+            oracle.value(yv) - tm.evaluate(yv).part[0], (y - 0.8) ** 4, atol=1e-12
         )
 
 
@@ -60,9 +60,10 @@ def test_augmented_value_and_gradient():
     assert tm.h == pytest.approx(m / 6.0)
     y = np.array([1.2])
     d = 0.4
-    augmented, model = tm.with_part(y)
-    np.testing.assert_allclose(augmented[0], model[0] + m / 24.0 * d ** 4, rtol=1e-12)
-    np.testing.assert_allclose(augmented[1][0], model[1][0] + m / 6.0 * d ** 3, rtol=1e-12)
+    augmented = tm.evaluate(y)
+    model = augmented.part
+    np.testing.assert_allclose(augmented.value, model[0] + m / 24.0 * d ** 4, rtol=1e-12)
+    np.testing.assert_allclose(augmented.grad[0], model[1][0] + m / 6.0 * d ** 3, rtol=1e-12)
     fd = (tm.value(np.array([1.2 + 1e-6])) - tm.value(np.array([1.2 - 1e-6]))) / 2e-6
     np.testing.assert_allclose(tm.gradient(y)[0], fd, rtol=1e-8)
 
@@ -84,7 +85,7 @@ def test_taylor_model_evaluates_each_order_once(p):
         fd = (tm.value(y + 1e-6 * u) - tm.value(y - 1e-6 * u)) / 2e-6
         np.testing.assert_allclose(np.dot(tm.gradient(y), u), fd, rtol=1e-6, atol=1e-8)
         tm.evaluate(y, hessian=True)
-        tm.with_part(y)
+        tm.evaluate(y)
     assert oracle.calls_by_order == {k: rows for k in range(p + 1)}
 
 
@@ -132,7 +133,7 @@ def test_tensor_criterion_return_order_and_slack():
         lhs, abs(float(tm.gradient(point)[0] + g[0])), rtol=1e-12
     )
     np.testing.assert_allclose(
-        rhs, abs(float(tm.with_part(point)[1][1][0] + g[0])), rtol=1e-12
+        rhs, abs(float(tm.evaluate(point).part[1][0] + g[0])), rtol=1e-12
     )
     assert ok == (lhs <= (8.0 / 19.0) / (1.0 + 8.0 / 19.0) * rhs + 1e-12)
 
@@ -183,12 +184,12 @@ def test_lemma2_bound_check():
     tm = TaylorModel(oracle, np.array([0.8]), 3, m)
     t, g, ok, _, _ = tensor_step(tm, term, gamma)
     assert ok
-    lhs, bound, bound_ok = lemma2_bound_check(tm, t, g, tm.with_part(t), gamma, 24.0)
+    lhs, bound, bound_ok = lemma2_bound_check(tm, t, g, tm.evaluate(t), gamma, 24.0)
     assert bound_ok
     assert lhs <= bound + 1e-10
     weak = TaylorModel(oracle, np.array([0.8]), 3, 10.0)
     with pytest.raises(ParameterError):
-        lemma2_bound_check(weak, t, g, weak.with_part(t), gamma, 24.0)
+        lemma2_bound_check(weak, t, g, weak.evaluate(t), gamma, 24.0)
 
 
 def test_lemma2_bound_check_reads_the_scans_pass(monkeypatch):
@@ -198,9 +199,9 @@ def test_lemma2_bound_check_reads_the_scans_pass(monkeypatch):
     gamma = 8.0 / 19.0
     tm = TaylorModel(oracle, np.array([0.8]), 3, 1.9 * 24.0)
     passes = []
-    with_part = TaylorModel.with_part
-    monkeypatch.setattr(TaylorModel, "with_part",
-                        lambda model, *args: passes.append(1) or with_part(model, *args))
+    evaluate = TaylorModel.evaluate
+    monkeypatch.setattr(TaylorModel, "evaluate",
+                        lambda model, *args: passes.append(1) or evaluate(model, *args))
     checked = 0
     for point, g, at in candidates(tm, term, np.linspace(-1.0, 1.5, 501)[:, None]):
         if tensor_criterion(at, g, gamma)[0]:
@@ -224,13 +225,12 @@ def test_tensor_module_is_not_shadowed_by_the_function():
                                     ("logistic-sep-3d", 4)))
 def test_tensor_step_evaluates_each_point_once(name, p, monkeypatch):
     # every prox-Newton point of the step, its start included, costs one pass
-    # of the model (``evaluate`` is a read of ``with_part``), and the
-    # criterion reads both models at T off one more
+    # of the model, and the criterion reads both models at T off one more
     prob = get_problem(name)
     passes, points = [], []
-    with_part, prox_newton = TaylorModel.with_part, inner.prox_newton
-    monkeypatch.setattr(TaylorModel, "with_part",
-                        lambda tm, y, hessian=False: passes.append(y) or with_part(tm, y, hessian))
+    evaluate, prox_newton = TaylorModel.evaluate, inner.prox_newton
+    monkeypatch.setattr(TaylorModel, "evaluate",
+                        lambda tm, y, hessian=False: passes.append(y) or evaluate(tm, y, hessian))
 
     def spy(fn, term, w, at_w, tol):
         points.append(w)
