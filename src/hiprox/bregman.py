@@ -280,7 +280,7 @@ def theta_constants(p, r):
     return {"a": a, "b": b, "c": c, "d": d, "alpha": alpha, "beta": beta, "exponent": exponent}
 
 
-def theta_bound(p, r, hat_l, h=1.0):
+def theta_bound(p, r, hat_l, h):
     """Domination gauge theta(tau) = (hat_l/2) tau^2 + h (alpha a tau^e + beta d).
 
     Returns (theta, constants). ``h`` scales the power-regularizer part; the

@@ -167,8 +167,6 @@ def _write_trace(cfg, trace, calls_by_order, out):
         max_outer=cfg.max_outer,
         # oracle evaluations by derivative order (counted from the run's start)
         calls_by_order={str(k): v for k, v in sorted(calls_by_order.items())},
-        # accelerated steps that kept x_k because F(T_k) > F(x_k)
-        fallbacks=int(sum(trace.aux.get("fallback", []))),
     )
     _write_json(out / "summary.json", summary)
 
@@ -402,7 +400,7 @@ def main(argv=None):
     except (NumericalError, CertificateError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -112,9 +112,8 @@ class InnerTrace:
 
     ``points[i]`` is row i's point (``points[0]`` is z0), ``newton_iters``
     the run's prox-Newton iterations, ``lsmooth`` the constant L_i of each
-    kept step (``lsmooth[i - 1]`` is row i's; a fixed-point exit keeps one
-    constant and no row beyond row 0) and ``backtracks`` the number of
-    rejected step candidates. None of them goes into the CSV.
+    kept step (``lsmooth[i - 1]`` is row i's) and ``backtracks`` the number
+    of rejected step candidates. None of them goes into the CSV.
     """
 
     rows: list = field(default_factory=list)
@@ -133,10 +132,11 @@ class InnerTrace:
 class WarmStart:
     """z0 of an inner solve, with what is already known there.
 
-    f(z0) and grad f(z0), when given, are not evaluated again; ``lsmooth`` is
-    the first step's constant, in [mu, L] (L when not given). The outer loops
-    start at x_0 with the f(x_0) of F(x_0), then at each certified point
-    T_{k-1} (``at``) with the last constant its solve kept.
+    f(z0), when given, is not evaluated again; grad f(z0) is reused only
+    together with f(z0). ``lsmooth`` is the first step's constant, in
+    [mu, L] (L when not given). The outer loops start at x_0 with the f(x_0)
+    of F(x_0), then at each certified point T_{k-1} (``at``) with the last
+    constant its solve kept.
     """
 
     point: np.ndarray
@@ -422,27 +422,18 @@ def _regularized(h, rho, f_value, grad_f):
 def inner_solve(oracle, term, cfg, rc, anchor, start):
     """Run the inner loop at ``anchor`` from z0 = start until the certificate accepts.
 
-    ``start`` is a point of dom psi or a ``WarmStart``, whose f(z0) and
-    grad f(z0), when given, are reused (row 0's phi and the first step's
-    grad f_reg) and which may also carry the first step's constant
-    (``WarmStart.at`` starts at a certificate's point); a bare start takes
-    both from one residual pass (``evaluate``). Returns an
-    InnerResult whose trace rows carry (i, phi, bregman_step, lhs, rhs,
-    ratio) per kept step; row 0 records phi(z0), and the trace keeps each
-    row's point, each kept step's L_i, the rejected candidates and the run's
-    prox-Newton iterations. More than ``_STEP_CAP`` kept steps raise
-    ``NumericalError``.
+    ``start`` is a point of dom psi or a ``WarmStart``. A start's f(z0), and
+    its grad f(z0) when it carries both, are reused (row 0's phi and the first
+    step's grad f_reg); a start without f(z0) takes f and grad f from one
+    residual pass (``evaluate``). A ``WarmStart`` may also carry the first
+    step's constant (``WarmStart.at`` starts at a certificate's point).
 
-    A start that the first step leaves in place (to rounding) is returned
-    with 0 iterations and no row beyond row 0. The exit does not need
-    z0 = anchor. A fixed point z+ = z of the step has
-    g = 2L_1 (grad rho(z) - grad rho(z+)) - grad f_reg(z) = -grad f_reg(z) in
-    dpsi(z), so 0 lies in grad f_reg(z) + dpsi(z), whatever z0 and L_1 were:
-    z is the exact prox point of the anchor, and its certificate's lhs
-    |grad f_reg(z) + g|_* vanishes to rounding. At z0 = anchor, grad f_reg = grad f
-    there, so the anchor is composite-stationary for F. At z0 = T_{k-1} the
-    previous point is already the new prox point. Either way the exit still
-    requires the certificate to accept.
+    Returns an InnerResult whose trace rows carry (i, phi, bregman_step, lhs,
+    rhs, ratio) per kept step; row 0 records phi(z0), and the trace keeps
+    each row's point, each kept step's L_i, the rejected candidates and the
+    run's prox-Newton iterations. The step whose certificate accepts is kept
+    like any other, so ``iterations == len(rows) - 1 == len(lsmooth) >= 1``.
+    More than ``_STEP_CAP`` kept steps raise ``NumericalError``.
     """
     if rc.mu <= 0:
         raise ParameterError("relative strong convexity requires xi > 1")
@@ -462,10 +453,10 @@ def inner_solve(oracle, term, cfg, rc, anchor, start):
     # grad f_reg read the power term's d(d) and grad d(d) off the rho pass
     rho_z = sf.evaluate(z, hessian=True)
     f_z, grad_f = start.f_value, start.gradient
-    if f_z is None and grad_f is None:
+    if f_z is None:
         f_z, grad_f, _ = oracle.evaluate(z)
-    f_z = oracle.value(z) if f_z is None else f_z
-    grad_f = oracle.gradient(z) if grad_f is None else grad_f
+    elif grad_f is None:
+        grad_f = oracle.gradient(z)
     freg_z, c = _regularized(sf.h, rho_z, f_z, grad_f)
     trace = InnerTrace(rows=[InnerRow(0, freg_z + term.value(z),
                                       np.nan, np.nan, np.nan, np.nan)], points=[z.copy()])
@@ -488,17 +479,13 @@ def inner_solve(oracle, term, cfg, rc, anchor, start):
             ratio = cert.lhs / cert.rhs
         else:
             ratio = 0.0 if cert.accepted else np.inf
-        fixed_point = i == 1 and cert.accepted and (
-            float(np.abs(z_new - z).max()) <= 1e-14 * (1.0 + float(np.abs(z).max()))
-        )
         trace.lsmooth.append(l_i)
-        if not fixed_point:
-            phi = freg_new + term.value(z_new)
-            trace.rows.append(InnerRow(i, phi, breg, cert.lhs, cert.rhs, ratio))
-            trace.points.append(z_new.copy())
+        phi = freg_new + term.value(z_new)
+        trace.rows.append(InnerRow(i, phi, breg, cert.lhs, cert.rhs, ratio))
+        trace.points.append(z_new.copy())
         if cert.accepted:
             trace.newton_iters = solver.newton_iters
-            return InnerResult(cert, 0 if fixed_point else i, trace)
+            return InnerResult(cert, i, trace)
         z, rho_z, freg_z, c = z_new, rho_new, freg_new, c_new
         l_i = max(0.5 * l_i, rc.mu)
     raise NumericalError(

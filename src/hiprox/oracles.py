@@ -35,8 +35,8 @@ call of a quadratic), and a stack's orders are counted once per
 once per certified candidate (in ``check_acceptable``), a rejected one
 included, and each inner solve starts from the f and grad f its start
 brings along; the outer loops read f(T) and grad f(T) from the certificate.
-So a bi-level run's order-1 count is rows x (candidates + 1): the one is
-grad f(x_0), and a solve that ends at a fixed point counts one candidate.
+So a bi-level run's order-1 count is rows x (candidates + 1), the one being
+grad f(x_0); every kept step is a candidate, the certified one included.
 
 A separable oracle forms the residual vector t = a x - b once per point and
 hands it whole to its scalar family (``scalar_families``), one call per

@@ -7,10 +7,10 @@ accelerated loop drives an estimating sequence
     Psi_0(x) = d_{p+1}(x - x_0),
 
 whose minimizer v_k enters the anchor combination
-y_k = (A_k/A_{k+1}) x_k + (a_{k+1}/A_{k+1}) v_k. x_{k+1} keeps the previous
-iterate whenever the prox output would increase F; the update rule only
-requires F(x_{k+1}) <= F(T_k), which both choices satisfy. Both loops share
-their start and their per-step record.
+y_k = (A_k/A_{k+1}) x_k + (a_{k+1}/A_{k+1}) v_k. The rate argument only
+requires F(x_{k+1}) <= F(T_k), so x_{k+1} = T_k. Both loops share their start
+and their per-step record, which reads x_{k+1} and F(x_{k+1}) off the step's
+certificate.
 
 Both loops call their provider as ``provider(anchor, start, scale)``. The
 start is a ``WarmStart``: x_0, with the f(x_0) that F(x_0) took, at the first
@@ -107,14 +107,13 @@ class EstimatingState:
 
     power: PowerProx
     x0: np.ndarray
-    a_total: float = 0.0
-    s: np.ndarray = None
-    c: float = 0.0
+    a_total: float = field(init=False, default=0.0)
+    s: np.ndarray = field(init=False)
+    c: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.s is None:
-            self.s = np.zeros_like(self.x0)
+        self.s = np.zeros_like(self.x0)
 
     def value(self, x, term):
         x = np.asarray(x, dtype=float)
@@ -331,7 +330,7 @@ def _gap(problem, f_value):
 
 
 def _start(problem, cfg, mode):
-    """A trace holding row 0 at x_0, plus the first provider start, F(x_0) and its gap."""
+    """A trace holding row 0 at x_0, plus the first provider start and the gap at x_0."""
     x = np.asarray(problem.x0, dtype=float).copy()
     f0 = problem.oracle.value(x)
     f_x = _objective(problem, x, f0)
@@ -340,7 +339,7 @@ def _start(problem, cfg, mode):
     trace.aux["config"] = {"p": cfg.p, "h": cfg.h, "beta": cfg.beta}
     trace.rows.append(OuterRow(0, f_x, gap0, np.inf, 0, np.nan, np.nan))
     trace.points.append(x.copy())
-    return trace, WarmStart(x, f0), f_x, gap0
+    return trace, WarmStart(x, f0), gap0
 
 
 def _prox_step(provider, anchor, start, scale=1.0):
@@ -358,13 +357,14 @@ def _prox_step(provider, anchor, start, scale=1.0):
     return result, restart
 
 
-def _record(trace, problem, x, f_x, bound, result, eps, rhs_tol=None):
-    """Append one outer step; True (status converged) once gap <= eps or rhs <= rhs_tol."""
+def _record(trace, problem, bound, result, eps, rhs_tol=None):
+    """Append a step at its certified point; True (converged) once gap <= eps or rhs <= rhs_tol."""
     cert = result.certificate
+    f_x = _objective(problem, cert.point, cert.f_value)
     gap = _gap(problem, f_x)
     k = len(trace.rows)
     trace.rows.append(OuterRow(k, f_x, gap, bound, result.iterations, cert.lhs, cert.rhs))
-    trace.points.append(x.copy())
+    trace.points.append(cert.point.copy())
     trace.certificates.append(cert)
     trace.inner_traces.append(result.trace)
     if (np.isfinite(gap) and gap <= eps) or (rhs_tol is not None and cert.rhs <= rhs_tol):
@@ -378,15 +378,14 @@ def ihopp_run(problem, cfg, provider, eps=0.0, max_k=50):
 
     The rate bound reads its distance from ``problem.d0`` (nan without one).
     """
-    trace, start, f_x, gap0 = _start(problem, cfg, "plain")
+    trace, start, gap0 = _start(problem, cfg, "plain")
     x = start.point
     d0 = problem.d0
     for k in range(1, max_k + 1):
         result, start = _prox_step(provider, x, start)
         x = result.certificate.point
-        f_x = _objective(problem, x, result.certificate.f_value)
         bound = bound_evaluator("plain", cfg, d0, gap0, k) if d0 is not None else np.nan
-        if _record(trace, problem, x, f_x, bound, result, eps):
+        if _record(trace, problem, bound, result, eps):
             return trace
     trace.status = "max_iter"
     return trace
@@ -403,19 +402,18 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
     rate bound at cfg.h holds whatever the rule does. The bound reads its
     distance |x_0 - x*| from ``problem.x_star`` (nan without one).
 
-    ``aux`` records ``config`` (p, H, beta) and, per step, ``fallback``
-    (whether x kept its value) and ``m_scale`` (s_k). The loop checks no
-    estimating-sequence invariant itself: ``verify estseq`` folds Psi_k again
-    from the certificates and checks them (``verify._estseq_margins``).
+    x_{k+1} = T_k at every step. ``aux`` records ``config`` (p, H, beta) and,
+    per step, ``m_scale`` (s_k). The loop checks no estimating-sequence
+    invariant itself: ``verify estseq`` folds Psi_k again from the
+    certificates and checks them (``verify._estseq_margins``).
     """
     if not cfg.beta_le_inv_p:
         raise ParameterError("the accelerated analysis requires beta <= 1/p")
-    trace, start, f_x, gap0 = _start(problem, cfg, "accelerated")
+    trace, start, gap0 = _start(problem, cfg, "accelerated")
     x = start.point
     dist0 = None if problem.x_star is None else norm(x - problem.x_star)
     state = EstimatingState(power=PowerProx(cfg.p), x0=x.copy())
     v = x.copy()
-    trace.aux["fallback"] = []
     trace.aux["m_scale"] = []
     tau, scale = 0.0, 1.0
     for k in range(max_k):
@@ -423,21 +421,15 @@ def aihopp_run(problem, cfg, provider, eps=0.0, max_k=50, rhs_tol=None, rule=Non
         a_k, a_next = coefficients(cfg.p, tau, cfg.beta, cfg.h, tick)
         a_total_next = a_k + a_next
         y = (a_k / a_total_next) * x + (a_next / a_total_next) * v
-        # the next start is T_k, also when x keeps its value
         result, start = _prox_step(provider, y, start, scale)
         cert = result.certificate
-        t = cert.point
-        f_t = _objective(problem, t, cert.f_value)
-        estimating_update(state, t, cert.gradient, cert.f_value, a_next)
-        fallback = f_t > f_x
-        if not fallback:
-            x, f_x = t, f_t
+        x = cert.point
+        estimating_update(state, x, cert.gradient, cert.f_value, a_next)
         v = psi_argmin(state, problem.term)
         bound = (bound_evaluator("accelerated", cfg, dist0, gap0, k + 1)
                  if dist0 is not None else np.nan)
-        trace.aux["fallback"].append(bool(fallback))
         trace.aux["m_scale"].append(scale)
-        if _record(trace, problem, x, f_x, bound, result, eps, rhs_tol):
+        if _record(trace, problem, bound, result, eps, rhs_tol):
             return trace
         tau += tick
         if rule is not None:

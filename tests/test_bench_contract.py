@@ -86,8 +86,7 @@ def test_tracer_counts_one_inner_solve_per_bilevel_step(bench_module):
     steps = len(trace.rows) - 1
     assert calls.get("inner.inner_solve", 0) == steps > 0
     backtracks = sum(t.backtracks for t in trace.inner_traces)
-    assert calls.get("inner.step.prox_newton", 0) == sum(max(r.inner_iters, 1)
-                                                         for r in trace.rows[1:]) + backtracks
+    assert calls.get("inner.step.prox_newton", 0) == trace.inner_total + backtracks
 
 
 def test_tracer_sees_the_array_family_methods(bench_module):

@@ -209,20 +209,24 @@ def test_inner_solve_returns_accepted_certificate(problem_name, p):
     assert np.all(np.diff(phi) <= 1e-12 * np.maximum(1.0, np.abs(phi[:-1])))
 
 
-def test_inner_solve_fixed_point_zero_iterations():
-    # anchoring at the unconstrained minimizer makes the anchor its own prox
+def test_a_start_at_the_prox_point_is_certified_in_one_step():
+    # anchoring at the unconstrained minimizer makes the anchor its own prox:
+    # the first step stays there to rounding, and its certificate accepts
+    # it as a kept step with its own row
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star, prob.x_star)
-    assert res.iterations == 0
-    assert len(res.trace.rows) == 1
+    assert res.iterations == 1
+    assert len(res.trace.rows) == 2 and res.trace.rows[1].i == 1
+    # a step that stays put to rounding: its Bregman distance is at most 1e-20
+    assert abs(res.trace.rows[1].bregman_step) <= 1e-20
     np.testing.assert_allclose(res.certificate.point, prob.x_star, atol=1e-12)
     np.testing.assert_allclose(res.certificate.subgradient, 0.0, atol=1e-10)
     assert res.certificate.accepted
 
 
 def test_inner_solve_keep_points():
-    # the trace keeps one point per row on every exit: z0 and each kept step
-    # on a normal exit, and z0 alone on a fixed-point exit with 0 iterations
+    # the trace keeps one point per row: z0 and each kept step, also when
+    # the one kept step stays at z0
     prob, cfg, rc = _setup("quartic-sep-10d", 3)
     res = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x0, prob.x0)
     assert res.iterations == len(res.trace.rows) - 1 > 0
@@ -230,9 +234,10 @@ def test_inner_solve_keep_points():
     np.testing.assert_array_equal(res.trace.points[0], prob.x0)
     np.testing.assert_array_equal(res.trace.points[-1], res.certificate.point)
     fixed = inner_solve(prob.oracle, prob.term, cfg, rc, prob.x_star, prob.x_star)
-    assert fixed.iterations == 0
-    assert len(fixed.trace.points) == len(fixed.trace.rows) == 1
+    assert fixed.iterations == 1
+    assert len(fixed.trace.points) == len(fixed.trace.rows) == 2
     np.testing.assert_array_equal(fixed.trace.points[0], prob.x_star)
+    np.testing.assert_array_equal(fixed.trace.points[1], fixed.certificate.point)
 
 
 def test_inner_solve_validation():

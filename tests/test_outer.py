@@ -362,9 +362,15 @@ def test_biopt_run_evaluation_budget(name, p):
     oracle.reset_counters()
     trace = biopt_run(prob, p, eps=1e-6, max_k=100)
     assert trace.status == "converged"
-    # a solve that ends at a fixed point reports 0 steps but certified one
-    # candidate; a candidate the descent test rejects was certified too
-    candidates = sum(max(r.inner_iters, 1) for r in trace.rows[1:])
+    # every solve keeps the step that certified it: one row, one point and
+    # one constant per counted step, and x_{k+1} is T_k
+    for row, itrace in zip(trace.rows[1:], trace.inner_traces):
+        assert row.inner_iters == len(itrace.rows) - 1 == len(itrace.lsmooth) >= 1
+        assert len(itrace.points) == len(itrace.rows)
+    for point, cert in zip(trace.points[1:], trace.certificates, strict=True):
+        np.testing.assert_array_equal(point, cert.point)
+    # a candidate the descent test rejects was certified too
+    candidates = sum(r.inner_iters for r in trace.rows[1:])
     candidates += sum(t.backtracks for t in trace.inner_traces)
     assert oracle.calls_by_order[1] == per_gradient * (candidates + 1)
     assert oracle.calls_by_order[0] == per_value * (candidates + 1)
@@ -391,7 +397,8 @@ def test_psi_argmin_with_zero_linear_part_is_the_prox_of_psi():
     # at the kink 0, where 0 lies in 2 [-1, 1] + (0 - 0.9)^3; not at x0
     pp = PowerProx(3)
     term = make_term("abs-1d")
-    state = EstimatingState(power=pp, x0=np.array([0.9]), a_total=2.0)
+    state = EstimatingState(power=pp, x0=np.array([0.9]))
+    state.a_total = 2.0
     np.testing.assert_array_equal(psi_argmin(state, term), [0.0])
     # with a small weight it moves toward 0 by (A_k)^{1/3}
     state.a_total = 0.125
@@ -440,9 +447,9 @@ def test_step_constants_travel_beside_the_certificates(name, p):
     assert summary["backtracks"] == sum(t.backtracks for t in trace.inner_traces) > 0
 
 
-def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
-    # make F(T_j) read larger at one step: x_{j+1} keeps x_j, while the next
-    # solve still starts at T_j with the last constant T_j's solve kept
+def test_each_step_moves_to_its_certified_point(monkeypatch):
+    # make F(T_j) read larger than F(x_j) at one step: x_{j+1} is still T_j,
+    # and its row reads F off T_j's certificate
     prob = get_problem("neglog-sep")
     p, m = 3, prob.m_next(3)
     cfg = ProxConfig(p, bilevel_h(p, m), 1.0 / p)
@@ -457,19 +464,13 @@ def test_fallback_step_keeps_x_and_restarts_at_t(monkeypatch):
         return value + 1.0 if len(calls) == j + 2 else value
 
     monkeypatch.setattr(outer_module, "_objective", inflated)
-    starts = []
-    trace = aihopp_run(prob, cfg, _recording_provider(prob, cfg, m, starts), eps=-1.0,
-                       max_k=j + 3)
-    assert trace.aux["fallback"] == [k == j for k in range(j + 3)]
-    np.testing.assert_array_equal(trace.points[j + 1], trace.points[j])
-    assert trace.rows[j + 1].f_value == trace.rows[j].f_value
-    cert, itrace = trace.certificates[j], trace.inner_traces[j]
-    assert not np.array_equal(cert.point, trace.points[j + 1])
-    start = starts[j + 1]
-    assert start.point is cert.point and start.gradient is cert.gradient
-    assert start.f_value == cert.f_value
-    assert start.lsmooth == itrace.lsmooth[-1]
-    np.testing.assert_array_equal(trace.inner_traces[j + 1].points[0], cert.point)
+    trace = aihopp_run(prob, cfg, inner_prox_provider(prob.oracle, prob.term, cfg, m_next=m),
+                       eps=-1.0, max_k=j + 3)
+    cert = trace.certificates[j]
+    assert trace.rows[j + 1].f_value == objective(prob, cert.point, cert.f_value) + 1.0
+    assert trace.rows[j + 1].f_value > trace.rows[j].f_value
+    for point, step in zip(trace.points[1:], trace.certificates, strict=True):
+        np.testing.assert_array_equal(point, step.point)
 
 
 def test_plain_loop_starts_at_its_anchor():
